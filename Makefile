@@ -1,8 +1,7 @@
-# CORADD reproduction — build/test/bench entry points.
+# CORADD reproduction — build/test entry points. Performance is measured
+# with coraddbench: `go run -C bench coradd/bench --seed 42` (DESIGN.md §4).
 
-N ?= 1
-
-.PHONY: build test race bench bench-guard
+.PHONY: build test race
 
 build:
 	go build ./...
@@ -12,14 +11,3 @@ test:
 
 race:
 	go test -race ./...
-
-# bench runs every Benchmark* with -benchmem and emits BENCH_$(N).json
-# (see DESIGN.md §4 for the experiment index). Override the per-benchmark
-# budget with BENCHTIME, e.g. `make bench BENCHTIME=2x` or `=5s`.
-bench:
-	sh scripts/bench.sh $(N)
-
-# bench-guard reruns the fast benchmarks and fails on a >25% ns/op
-# regression against the latest committed BENCH_*.json snapshot.
-bench-guard:
-	sh scripts/bench_guard.sh

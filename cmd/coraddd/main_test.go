@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -403,24 +404,33 @@ func TestRestartPropertyAcrossProcesses(t *testing.T) {
 			if !ready.Resumed {
 				t.Error("restarted daemon does not report resumed=true")
 			}
-			// The resumed journal carries builds the crashed life never
-			// exposed over HTTP (it dies before the post-build status is
-			// observable); fold them into the cumulative sequence first.
+			// Crash contract (server.loop): the dying process publishes
+			// nothing about the Process call that crashed it, so its last
+			// observable state is the one before build k.
+			if !slices.Equal(tr.events, want.events[:k-1]) {
+				t.Errorf("crashed life exposed more than the %d builds before the kill:\n  saw: %v\n  reference: %v",
+					k-1, tr.events, want.events)
+			}
+			// What survives is exactly the checkpoint. When build k was its
+			// migration's last, the controller finished the migration
+			// before the crash surfaced: the checkpoint is idle, holds the
+			// final design and no journal, and build k is visible nowhere
+			// but in that design. Otherwise the checkpoint is mid-migration
+			// and its journal carries build k.
+			lastOfMigration := len(want.events) == k
 			st, err := d2.status()
 			if err != nil {
 				t.Fatal(err)
 			}
+			if st.Migrating == lastOfMigration {
+				t.Fatalf("resumed daemon migrating=%v after a kill at build %d of %d", st.Migrating, k, len(want.events))
+			}
 			tr.observe(st.Builds)
-			finalUnobservable := false
-			if st.Migrating {
-				driveUntilIdle(t, d2, tr, stream, next)
+			wantEvents := want.events
+			if lastOfMigration {
+				wantEvents = wantEvents[:k-1]
 			} else {
-				// Build k was the migration's last: the controller finished
-				// the migration before the injected crash surfaced, so the
-				// crash checkpoint is idle and carries no journal — the
-				// resumed daemon cannot expose build k itself. Its effect is
-				// still fully checked below through the deployed design.
-				finalUnobservable = true
+				driveUntilIdle(t, d2, tr, stream, next)
 			}
 			st2, err := d2.status()
 			if err != nil {
@@ -429,11 +439,7 @@ func TestRestartPropertyAcrossProcesses(t *testing.T) {
 			keys := d2.designKeys(t)
 			d2.sigterm(t)
 
-			wantEvents := want.events
-			if finalUnobservable {
-				wantEvents = wantEvents[:len(wantEvents)-1]
-			}
-			if !reflect.DeepEqual(tr.events, wantEvents) {
+			if !slices.Equal(tr.events, wantEvents) {
 				t.Errorf("build sequence diverged:\n  kill@%d: %v\n  reference: %v", k, tr.events, wantEvents)
 			}
 			if st2.Deployed != want.deployed {

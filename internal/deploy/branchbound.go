@@ -1,10 +1,9 @@
 package deploy
 
 import (
-	"math"
 	"sort"
 
-	"coradd/internal/ilp"
+	"coradd/internal/bnb"
 )
 
 // Options tunes Solve.
@@ -17,17 +16,12 @@ type Options struct {
 	// 0 or 1 keeps the sequential depth-first search. For a fixed
 	// problem the schedule is bit-identical at any worker count.
 	Workers int
-	// Progress mirrors ilp.SolveOptions.Progress for the scheduling
-	// search: a "root" sample before the first node (greedy incumbent vs
-	// the root remaining-benefit bound), "search" samples every
-	// ProgressEvery nodes, "incumbent"/"subtree" samples, and a "final"
-	// one. Here Incumbent/Bound are cumulative migration seconds rather
-	// than steady-state workload seconds. Keyed to node ordinals only;
-	// nil is a byte-identical no-op; emitted only from the orchestrating
-	// goroutine.
-	Progress func(ilp.ProgressSample)
+	// Progress, when non-nil, receives the search's samples (phases and
+	// determinism contract: bnb.Sample). Incumbent/Bound are cumulative
+	// migration seconds; the root bound is the remaining-benefit bound.
+	Progress func(bnb.Sample)
 	// ProgressEvery is the "search" cadence; 0 means
-	// ilp.DefaultProgressEvery. Ignored without Progress.
+	// bnb.DefaultProgressEvery. Ignored without Progress.
 	ProgressEvery int
 }
 
@@ -37,7 +31,9 @@ type Options struct {
 const DefaultMaxNodes = 2_000_000
 
 // Solve finds the minimum-cumulative-cost deployment schedule by
-// depth-first branch-and-bound over permutations.
+// depth-first branch-and-bound over permutations, on the shared driver
+// (internal/bnb); this file holds only the scheduling problem's own bound,
+// branching and state snapshot.
 //
 // Search: objects are branched in decreasing whole-benefit density (the
 // same static order the incumbent tends to follow, so good schedules
@@ -61,11 +57,10 @@ func Solve(p *Problem, opts Options) (*Schedule, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	n := len(p.Objects)
-	s := newSched(p, opts)
-	if n == 0 {
+	if len(p.Objects) == 0 {
 		return &Schedule{Proven: true, FinalRate: p.rateOf(p.Base)}, nil
 	}
+	s := newSched(p)
 
 	// Greedy benefit-density incumbent.
 	inc := greedyOrder(p, s.after)
@@ -73,44 +68,40 @@ func Solve(p *Problem, opts Options) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.bestCum = incEval.Cum
+	s.Search = bnb.New(bnb.Limits{
+		MaxNodes: opts.MaxNodes, Progress: opts.Progress, ProgressEvery: opts.ProgressEvery,
+	}, DefaultMaxNodes, incEval.Cum)
 	s.bestOrder = inc
 
-	times := append([]float64(nil), p.Base...)
-	if opts.Progress != nil {
-		s.progress = opts.Progress
-		s.progressEvery = opts.ProgressEvery
-		if s.progressEvery <= 0 {
-			s.progressEvery = ilp.DefaultProgressEvery
-		}
-		// The root bound is the admissible completion bound at the empty
-		// prefix — read-only apart from the bound's scratch slices, so
-		// computing it here cannot perturb the search.
-		s.rootBound = s.remainingBound(0, times, p.rateOf(times))
-		s.emit("root", -1)
-	}
-	if opts.Workers > 1 {
-		s.solveParallel(opts.Workers, times)
-	} else {
-		s.dfs(0, 0, times, p.rateOf(times), 0)
-	}
-	s.emit("final", -1)
+	rate := p.rateOf(p.Base)
+	// The root bound is the admissible completion bound at the empty
+	// prefix — read-only apart from the bound's scratch slices, so
+	// computing it cannot perturb the search.
+	s.Root(func() float64 { return s.remainingBound(0, p.Base, rate) })
+	// With Workers > 1 this pass stops at the frontier depth and the
+	// prefixes it leaves behind are searched in parallel.
+	s.frontier = s.frontierDepth(opts.Workers)
+	s.dfs(0, 0, p.Base, rate, 0)
+	s.searchLeaves(opts.Workers)
+	s.Final()
 
 	out, err := Evaluate(p, s.bestOrder)
 	if err != nil {
 		return nil, err
 	}
-	out.Nodes = s.nodes
-	out.Pruned = s.pruned
-	out.Incumbents = s.incumbents
-	out.Proven = s.proven
+	out.Nodes = s.Nodes
+	out.Pruned = s.Pruned
+	out.Incumbents = s.Incumbents
+	out.Proven = s.Proven
 	return out, nil
 }
 
-// sched carries the precomputed tables (shared, read-only after
-// construction) and the mutable state of one depth-first search; the
-// parallel decomposition clones the mutable part per subtree.
+// sched is the scheduling problem on the shared driver: the precomputed
+// tables (shared, read-only after construction) and the mutable state of
+// one depth-first search; a parallel split clones the mutable part per
+// subtree.
 type sched struct {
+	bnb.Search
 	p     *Problem
 	n, nQ int
 	after []uint64
@@ -121,7 +112,6 @@ type sched struct {
 	branch   []int
 	minBuild []float64
 	fullRate float64
-	maxNodes int
 
 	// Mutable search state.
 	path []int
@@ -134,39 +124,21 @@ type sched struct {
 	// memo[mask] is the lowest cumulative cost any visited permutation
 	// reached that deployed set at.
 	memo map[uint64]float64
+	// bestOrder is the build order behind Search.Best.
+	bestOrder []int
 
-	nodes      int
-	pruned     int
-	incumbents int
-	bestCum    float64
-	bestOrder  []int
-	proven     bool
-	// progress/progressEvery/rootBound back the optional progress sink
-	// (Options.Progress); subtree tasks never inherit progress.
-	progress      func(ilp.ProgressSample)
-	progressEvery int
-	rootBound     float64
-
-	// frontier/leaves drive the parallel decomposition: when frontier ≥ 0,
-	// dfs snapshots state at that depth instead of descending.
+	// frontier/leaves drive the parallel split: dfs snapshots state at
+	// depth frontier instead of descending (-1: never).
 	frontier int
 	leaves   []prefix
 }
 
 // newSched precomputes the shared tables for p.
-func newSched(p *Problem, opts Options) *sched {
+func newSched(p *Problem) *sched {
 	n := len(p.Objects)
 	s := &sched{
 		p: p, n: n, nQ: p.numQueries(),
-		after:    p.afterMask(),
-		maxNodes: opts.MaxNodes,
-		proven:   true,
-		frontier: -1,
-	}
-	if s.maxNodes == 0 {
-		s.maxNodes = DefaultMaxNodes
-	} else if s.maxNodes < 0 {
-		s.maxNodes = math.MaxInt
+		after: p.afterMask(),
 	}
 	s.minBuild = make([]float64, n)
 	for i := range p.Objects {
@@ -194,12 +166,18 @@ func newSched(p *Problem, opts Options) *sched {
 		p.applyObject(full, full, i)
 	}
 	s.fullRate = p.rateOf(full)
-	s.path = make([]int, 0, n)
-	s.timesBuf = make([][]float64, n+1)
-	s.deltaBuf = make([]float64, 0, n)
-	s.buildBuf = make([]float64, 0, n)
-	s.memo = make(map[uint64]float64)
+	s.resetState()
 	return s
+}
+
+// resetState gives the scheduler fresh mutable search state.
+func (s *sched) resetState() {
+	s.path = make([]int, 0, s.n)
+	s.timesBuf = make([][]float64, s.n+1)
+	s.deltaBuf = make([]float64, 0, s.n)
+	s.buildBuf = make([]float64, 0, s.n)
+	s.memo = make(map[uint64]float64)
+	s.bestOrder, s.leaves = nil, nil
 }
 
 // timesRow returns the child times buffer for depth d.
@@ -224,20 +202,12 @@ func (s *sched) dfs(depth int, mask uint64, times []float64, rate, cum float64) 
 		})
 		return
 	}
-	s.nodes++
-	if s.progress != nil && s.nodes%s.progressEvery == 0 {
-		s.emit("search", -1)
-	}
-	if s.nodes > s.maxNodes {
-		s.proven = false
+	if !s.Enter() {
 		return
 	}
 	if depth == s.n {
-		if cum < s.bestCum-1e-12 {
-			s.bestCum = cum
+		if s.Adopt(cum) {
 			s.bestOrder = append([]int(nil), s.path...)
-			s.incumbents++
-			s.emit("incumbent", -1)
 		}
 		return
 	}
@@ -245,12 +215,11 @@ func (s *sched) dfs(depth int, mask uint64, times []float64, rate, cum float64) 
 	// set, so a permutation reaching mask at no lower cost than an
 	// earlier visit cannot improve on that visit's completions.
 	if prev, ok := s.memo[mask]; ok && cum >= prev {
-		s.pruned++
+		s.Pruned++
 		return
 	}
 	s.memo[mask] = cum
-	if cum+s.remainingBound(mask, times, rate) >= s.bestCum-1e-12 {
-		s.pruned++
+	if s.Cut(cum + s.remainingBound(mask, times, rate)) {
 		return
 	}
 	for _, o := range s.branch {
@@ -267,20 +236,56 @@ func (s *sched) dfs(depth int, mask uint64, times []float64, rate, cum float64) 
 	}
 }
 
-// emit publishes one progress sample when a sink is attached.
-func (s *sched) emit(phase string, subtree int) {
-	if s.progress == nil {
+// prefix is one frontier node of the parallel split: the search state of
+// a depth-d build prefix whose completions form an independent subproblem.
+type prefix struct {
+	mask  uint64
+	times []float64
+	rate  float64
+	cum   float64
+	path  []int
+}
+
+// frontierDepth picks the split depth for the given worker count: enough
+// prefix permutations to feed the pool; -1 means search sequentially.
+func (s *sched) frontierDepth(workers int) int {
+	depth, perms := 1, s.n
+	for perms < 4*workers && depth < s.n-1 {
+		depth++
+		perms *= s.n - depth + 1
+	}
+	if workers <= 1 || depth >= s.n {
+		return -1
+	}
+	return depth
+}
+
+// searchLeaves hands the prefixes the enumeration pass snapshotted at the
+// frontier to the driver's deterministic Split (node counts differ from
+// the sequential search: subtrees prune against a staler incumbent, and
+// each carries its own visited-state memo). Without any — a sequential
+// search, or an enumeration that pruned everything — it does nothing.
+func (s *sched) searchLeaves(workers int) {
+	depth, leaves := s.frontier, s.leaves
+	s.frontier, s.leaves = -1, nil
+	if len(leaves) == 0 {
 		return
 	}
-	s.progress(ilp.ProgressSample{
-		Phase:      phase,
-		Nodes:      s.nodes,
-		Pruned:     s.pruned,
-		Incumbents: s.incumbents,
-		Incumbent:  s.bestCum,
-		Bound:      s.rootBound,
-		Subtree:    subtree,
+	orders := make([][]int, len(leaves))
+	win := s.Split(len(leaves), workers, func(i int, sub bnb.Search) bnb.Search {
+		// Precomputed tables are shared read-only; search state is fresh.
+		t := *s
+		t.Search = sub
+		t.resetState()
+		leaf := &leaves[i]
+		t.path = append(t.path, leaf.path...)
+		t.dfs(depth, leaf.mask, leaf.times, leaf.rate, leaf.cum)
+		orders[i] = t.bestOrder
+		return t.Search
 	})
+	if win >= 0 {
+		s.bestOrder = orders[win]
+	}
 }
 
 // remainingBound computes the admissible lower bound on completing from

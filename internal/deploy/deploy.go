@@ -23,8 +23,8 @@
 //
 // Solve finds the optimal order by branch-and-bound over permutations
 // (branchbound.go) seeded with a greedy benefit-density incumbent
-// (greedy.go), with deterministic parallel subtree search (parallel.go)
-// mirroring internal/ilp's node-accounting and worker patterns.
+// (greedy.go); limits, node accounting, progress and the deterministic
+// parallel subtree search are the shared driver's (internal/bnb).
 package deploy
 
 import (

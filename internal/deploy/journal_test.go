@@ -102,3 +102,56 @@ func TestJournalCloneIsolation(t *testing.T) {
 		t.Error("nil clone not nil")
 	}
 }
+
+// FuzzDecodeJournal: journal bytes come back from disk (inside a
+// checkpoint) and may be torn, foreign or written by a newer build.
+// DecodeJournal must never panic; it either rejects the document with an
+// error or returns a journal that validates and survives a re-encode
+// unchanged.
+func FuzzDecodeJournal(f *testing.F) {
+	good, err := (&Journal{
+		From: "CORADD", To: "CORADD+2",
+		Kept:    []string{"\x06\x00\x0b\x00\xff\x06\x00"},
+		Dropped: []string{"\x01\x00\xff\x01\x00"},
+		Builds:  []string{"\x03\x00\xff\x03\x00", "\x04\x00\xff\x04\x00", "\x07\x00\xff\x07\x00\xfe"},
+		Done:    []int{2}, Skipped: []int{0}, Next: []int{1},
+	}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte(`{"format":"coradd-journal","version":1,"builds":["zz"],"next":[0]}`))
+	f.Add([]byte(`{"format":"coradd-journal","version":99,"builds":[]}`))
+	f.Add([]byte(`{"format":"coradd-checkpoint","version":1,"builds":["00"],"next":[0]}`))
+	f.Add([]byte(`{"format":"coradd-journal","version":1,"builds":["00"],"done":[0],"next":[0]}`))
+	f.Add([]byte(`{"format":"coradd-journal","version":1,"builds":["00"],"next":[-1]}`))
+	f.Add([]byte(`migration in progress`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := DecodeJournal(data)
+		if err != nil {
+			if j != nil {
+				t.Fatalf("rejected document still returned a journal: %v", err)
+			}
+			return
+		}
+		if err := j.Validate(); err != nil {
+			t.Fatalf("accepted journal does not validate: %v", err)
+		}
+		enc, err := j.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j2, err := DecodeJournal(enc)
+		if err != nil {
+			t.Fatalf("re-encoded journal rejected: %v", err)
+		}
+		enc2, err := j2.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(enc) != string(enc2) {
+			t.Fatalf("journal changed across a round trip:\n%s\n%s", enc, enc2)
+		}
+	})
+}

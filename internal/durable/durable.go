@@ -187,18 +187,9 @@ type envelope struct {
 // Save writes the checkpoint to path with the write-temp-fsync-rename
 // protocol, so a crash mid-save never destroys the previous checkpoint.
 func Save(path string, cp *Checkpoint) error {
-	body, err := json.Marshal(cp)
+	data, err := encode(cp)
 	if err != nil {
-		return fmt.Errorf("durable: encoding checkpoint: %w", err)
-	}
-	data, err := json.Marshal(envelope{
-		Format:  Format,
-		Version: Version,
-		CRC:     crc32.ChecksumIEEE(body),
-		Body:    body,
-	})
-	if err != nil {
-		return fmt.Errorf("durable: encoding envelope: %w", err)
+		return err
 	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".checkpoint-*.tmp")
@@ -234,6 +225,24 @@ func Save(path string, cp *Checkpoint) error {
 	return nil
 }
 
+// encode renders the checkpoint inside its checksummed envelope.
+func encode(cp *Checkpoint) ([]byte, error) {
+	body, err := json.Marshal(cp)
+	if err != nil {
+		return nil, fmt.Errorf("durable: encoding checkpoint: %w", err)
+	}
+	data, err := json.Marshal(envelope{
+		Format:  Format,
+		Version: Version,
+		CRC:     crc32.ChecksumIEEE(body),
+		Body:    body,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("durable: encoding envelope: %w", err)
+	}
+	return data, nil
+}
+
 // Load reads and validates a checkpoint. Missing files return os.ErrNotExist
 // (a fresh start, not an error state); anything unreadable, foreign,
 // version-unknown, truncated or checksum-mismatched is rejected loudly.
@@ -242,6 +251,11 @@ func Load(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decode(data, path)
+}
+
+// decode validates the envelope read from path and parses its body.
+func decode(data []byte, path string) (*Checkpoint, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("%w: %s is not a checkpoint envelope: %v", ErrCorrupt, path, err)

@@ -10,6 +10,7 @@ import (
 	"coradd/internal/adapt"
 	"coradd/internal/candgen"
 	"coradd/internal/costmodel"
+	"coradd/internal/deploy"
 	"coradd/internal/designer"
 	"coradd/internal/fault"
 	"coradd/internal/feedback"
@@ -382,4 +383,58 @@ func TestCrashCheckpointResumeProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLoad: a checkpoint file is bytes this process did not just write —
+// a previous life's, possibly torn, flipped, foreign or from a newer
+// build. The decode half of Load must never panic and must classify every
+// rejection as ErrCorrupt or ErrVersion; whatever it accepts carries a
+// design, re-encodes to something it accepts again, and holds a journal
+// DecodeJournal can be handed without panicking.
+func FuzzLoad(f *testing.F) {
+	journal, err := (&deploy.Journal{Builds: []string{"\x03\x00\xff\x03\x00", "b1"}, Done: []int{0}, Next: []int{1}}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	base := &DesignRecord{Name: "seed", Base: &costmodel.MVDesign{Name: "base", Cols: []int{0, 1, 2}, ClusterKey: []int{0}}}
+	for _, cp := range []*Checkpoint{
+		{Design: base, Workload: ssb.Queries()[:2]},
+		{Design: base, Workload: ssb.Queries()[:1], Journal: journal},
+		{Design: base, Journal: []byte(`{"format":"coradd-journal","version":1,"builds":["zz"],"next":[0]}`)},
+	} {
+		good, err := encode(cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(good)
+		f.Add(good[:len(good)*2/3])
+	}
+	f.Add([]byte(`{"format":"coradd-checkpoint","version":99,"crc32":0,"body":{}}`))
+	f.Add([]byte(`{"format":"coradd-checkpoint","version":1,"crc32":2745614147,"body":{}}`))
+	f.Add([]byte(`{"format":"coradd-journal","version":1,"builds":[]}`))
+	f.Add([]byte("checkpoint"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := decode(data, "fuzz")
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("rejection is neither ErrCorrupt nor ErrVersion: %v", err)
+			}
+			return
+		}
+		if cp.Design == nil || cp.Design.Base == nil {
+			t.Fatal("accepted a checkpoint without a design")
+		}
+		if len(cp.Journal) > 0 {
+			// Checkpoint.Controller reports a bad journal as ErrCorrupt;
+			// here it only has to be rejected without a panic.
+			_, _ = deploy.DecodeJournal(cp.Journal)
+		}
+		again, err := encode(cp)
+		if err != nil {
+			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+		}
+		if _, err := decode(again, "fuzz"); err != nil {
+			t.Fatalf("re-encoded checkpoint rejected: %v", err)
+		}
+	})
 }

@@ -1,9 +1,10 @@
 package ilp
 
 import (
-	"math"
 	"sort"
 	"time"
+
+	"coradd/internal/bnb"
 )
 
 // Solution is the outcome of Solve or Greedy.
@@ -82,7 +83,7 @@ type SolveOptions struct {
 	// goroutine — worker tasks never emit.
 	Progress func(ProgressSample)
 	// ProgressEvery is the "search"-sample node cadence; 0 means
-	// DefaultProgressEvery. Ignored without Progress.
+	// bnb.DefaultProgressEvery. Ignored without Progress.
 	ProgressEvery int
 }
 
@@ -95,7 +96,12 @@ func (o *SolveOptions) IsZero() bool {
 		o.Progress == nil && o.ProgressEvery == 0
 }
 
-// Solve finds the optimal candidate subset by depth-first branch-and-bound.
+// defaultMaxNodes is the node cap applied when SolveOptions.MaxNodes is 0.
+const defaultMaxNodes = 5_000_000
+
+// Solve finds the optimal candidate subset by depth-first branch-and-bound
+// on the shared driver (internal/bnb); this file holds only the selection
+// problem's own bound, branching and state snapshot.
 //
 // Pipeline: a preprocessing pass first shrinks the problem — candidates
 // that cannot fit, help no query, or are dominated are removed, and
@@ -114,26 +120,61 @@ func (o *SolveOptions) IsZero() bool {
 // constraint is what binds. Both are maintained incrementally along
 // exclude chains, bit-identically to full recomputation.
 func Solve(p *Problem, opts SolveOptions) *Solution {
-	red := reduce(p, opts)
-	rp := red.p
+	return solve(p, 0, opts)
+}
 
-	maxNodes := opts.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 5_000_000
-	} else if maxNodes < 0 {
-		maxNodes = math.MaxInt
+// SolvePenalized solves the per-tenant Lagrangian subproblem of the
+// multi-tenant decomposition (internal/tenant, dual.go): minimize
+//
+//	obj(S) + lambda · size(S)
+//
+// subject to size(S) ≤ p.Budget and the fact-group exclusion rule. It is
+// Solve's search with λ carried as data: the penalty of the included set
+// joins the node value, and every undecided candidate m a query's bound
+// leans on is charged λ·size_m/K_m, where K_m counts the queries m can
+// improve — a completion pays λ·size_m in full while at most K_m queries
+// collect a share, so the relaxation stays a lower bound on obj + λ·size.
+// Submodularity extends the useless-candidate drop: a candidate's marginal
+// benefit in any set is at most its solo benefit Σ_q w_q·max(0, base_q −
+// t_q), so one whose solo benefit does not exceed λ·size can never pay its
+// penalty — the lever that keeps high-λ probes near-free. Fixing
+// always-fitting candidates, the budget Lagrangian and the incumbent
+// polish price the unpenalized objective and are skipped.
+//
+// The returned Solution reports the *unpenalized* objective obj(S) — the
+// same semantics as Solve — with Chosen ascending, so callers recover the
+// Lagrangian value as Objective + lambda·Size; lambda ≤ 0 is Solve.
+// opts.Workers is ignored: the decomposition parallelizes across tenants
+// (par.ForEach in dual.go), not inside one small subproblem.
+func SolvePenalized(p *Problem, lambda float64, opts SolveOptions) *Solution {
+	if lambda <= 0 {
+		return Solve(p, opts)
 	}
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		deadline = time.Now().Add(opts.TimeLimit)
-	}
+	opts.Workers = 0
+	sol := solve(p, lambda, opts)
+	sort.Ints(sol.Chosen)
+	sol.Objective = p.Objective(sol.Chosen)
+	sol.PerQuery = perQueryRouting(p, sol.Chosen)
+	return sol
+}
+
+func solve(p *Problem, lambda float64, opts SolveOptions) *Solution {
+	red := reduce(p, lambda, opts)
+	rp := red.p
 	order := orderByDensity(rp)
 
 	// Incumbent from greedy on the reduced problem, optionally polished by
 	// local search — the cheapest node-count lever the search has.
-	inc := Greedy(rp, 2, len(rp.Cands))
-	incChosen, incObj := append([]int(nil), inc.Chosen...), inc.Objective
-	if !opts.NoPolish {
+	var incChosen []int
+	var incObj float64
+	if lambda > 0 {
+		incChosen, incObj = penalizedGreedy(rp, lambda, order)
+	} else {
+		inc := Greedy(rp, 2, len(rp.Cands))
+		incChosen, incObj = append([]int(nil), inc.Chosen...), inc.Objective
+	}
+	polishing := !opts.NoPolish && lambda == 0
+	if polishing {
 		incChosen, incObj = polish(rp, incChosen, incObj)
 	}
 	// A warm start can only tighten the initial incumbent: the better of
@@ -141,7 +182,8 @@ func Solve(p *Problem, opts SolveOptions) *Solution {
 	// the search, so warm-solve pruning dominates cold-solve pruning.
 	if len(opts.WarmStart) > 0 {
 		if wChosen, wObj, ok := red.warmIncumbent(opts.WarmStart); ok {
-			if !opts.NoPolish {
+			wObj += lambda * float64(rp.SizeOf(wChosen))
+			if polishing {
 				wChosen, wObj = polish(rp, wChosen, wObj)
 			}
 			if wObj < incObj {
@@ -150,60 +192,57 @@ func Solve(p *Problem, opts SolveOptions) *Solution {
 		}
 	}
 
-	s := newSolver(rp, order, maxNodes, deadline)
-	s.interrupt = opts.Interrupt
-	s.bestObj = incObj
+	s := newSolver(rp, order, lambda)
+	s.Search = bnb.New(bnb.Limits{
+		MaxNodes: opts.MaxNodes, TimeLimit: opts.TimeLimit, Interrupt: opts.Interrupt,
+		Progress: opts.Progress, ProgressEvery: opts.ProgressEvery,
+	}, defaultMaxNodes, incObj)
 	s.bestChosen = incChosen
-	if !opts.NoLagrangian {
+	if !opts.NoLagrangian && lambda == 0 {
 		s.lag = newLagrangian(rp, s, incObj)
 	}
-	if opts.Progress != nil {
-		// Arm the sink. The root bound is the greedy relaxation at the
-		// empty prefix — computed once (constant across the solve's
-		// samples) via boundFull, never through bound(), whose lagWins
-		// accounting would perturb the deterministic Lagrangian-disarm
-		// decision and break byte-identity with an unobserved solve.
-		s.progress = opts.Progress
-		s.progressEvery = opts.ProgressEvery
-		if s.progressEvery <= 0 {
-			s.progressEvery = DefaultProgressEvery
-		}
-		rootTimes := make([]float64, s.nQ)
-		copy(rootTimes, rp.Base)
+	// The root bound is the greedy relaxation at the empty prefix, via
+	// boundFull, never through bound(), whose lagWins accounting would
+	// perturb the deterministic Lagrangian-disarm decision and break
+	// byte-identity with an unobserved solve.
+	s.Root(func() float64 {
 		s.row(0)
-		s.rootBound = s.boundFull(rootTimes, 0, 0)
-		s.emit("root", -1)
-	}
+		return s.boundFull(rp.Base, 0, 0)
+	})
 
-	if opts.Workers > 1 {
-		s.solveParallel(opts.Workers)
-	} else {
-		bestTimes := make([]float64, s.nQ)
-		copy(bestTimes, rp.Base)
-		s.dfs(0, 0, bestTimes, s.objectiveOf(bestTimes), -1, nil, map[int]bool{})
-	}
-	s.emit("final", -1)
+	// With Workers > 1 this pass stops at the frontier depth — identical,
+	// node for node, to the upper levels of the sequential search — and the
+	// prefixes it leaves behind are searched in parallel.
+	s.frontier = s.frontierDepth(opts.Workers)
+	s.dfs(0, 0, rp.Base, s.objectiveOf(rp.Base), -1, nil, map[int]bool{})
+	s.searchLeaves(opts.Workers)
+	s.Final()
 
 	return red.lift(p, s)
 }
 
-// solver carries the precomputed tables (shared, read-only after
-// construction) and the mutable search state of one depth-first search.
-// Parallel subtree search clones the mutable part per subtree (parallel.go).
+// solver is the selection problem on the shared driver: the precomputed
+// tables (shared, read-only after construction) and the mutable state of
+// one depth-first search. A parallel split clones the mutable part per
+// subtree (searchLeaves).
 type solver struct {
-	p         *Problem
-	order     []int
-	perQ      [][]int
-	nQ        int
-	maxNodes  int
-	deadline  time.Time
-	interrupt func(nodes int) bool
+	bnb.Search
+	p     *Problem
+	order []int
+	perQ  [][]int
+	nQ    int
+	// lambda is SolvePenalized's size penalty, 0 for Solve. The search
+	// minimizes obj + lambda·size; every term it adds vanishes at 0.
+	lambda float64
 
-	// perQTimes[q][r] is the runtime of candidate perQ[q][r] on q; weights
-	// and sizes are the dense forms of Problem.weight and Candidate.Size.
-	perQTimes [][]float64
-	weights   []float64
-	sizes     []int64
+	// perQCost[q][r] is what query q pays for leaning on candidate m =
+	// perQ[q][r]: its weighted runtime w_q·t plus, under a penalty, m's
+	// amortized share lambda·size_m/K_m (K_m: the queries m can improve).
+	// perQ[q] is ascending in it. weights and sizes are the dense forms of
+	// Problem.weight and Candidate.Size.
+	perQCost [][]float64
+	weights  []float64
+	sizes    []int64
 	// lag is the Lagrangian budget bound, nil when disabled or when the
 	// root multiplier degenerates to zero (identical to the greedy bound).
 	lag *lagrangian
@@ -224,19 +263,8 @@ type solver struct {
 	// so the hot path allocates each depth's buffer once per search.
 	timesBuf [][]float64
 
-	nodes      int
-	pruned     int
-	incumbents int
-	bestObj    float64
+	// bestChosen is the candidate set behind Search.Best.
 	bestChosen []int
-	proven     bool
-	// progress/progressEvery/rootBound back the optional progress sink
-	// (progress.go). Tasks never inherit progress: only the
-	// orchestrating goroutine emits, keeping samples ordered and the
-	// sink free of synchronization requirements.
-	progress      func(ProgressSample)
-	progressEvery int
-	rootBound     float64
 	// lagWins counts nodes the Lagrangian bound pruned that the greedy
 	// bound alone would not have; at the lagProbeNodes checkpoint a
 	// solver that saw too few wins disarms the Lagrangian for the rest of
@@ -244,45 +272,63 @@ type solver struct {
 	// is deterministic).
 	lagWins int
 
-	// frontier/leaves drive the parallel decomposition (parallel.go): when
-	// frontier ≥ 0, dfs snapshots state at that depth instead of
-	// descending.
+	// frontier/leaves drive the parallel split: dfs snapshots state at
+	// depth frontier instead of descending (-1: never).
 	frontier int
 	leaves   []subtree
 }
 
 // newSolver precomputes the dense lookup tables for p.
-func newSolver(p *Problem, order []int, maxNodes int, deadline time.Time) *solver {
+func newSolver(p *Problem, order []int, lambda float64) *solver {
 	nQ := p.numQueries()
-	s := &solver{
-		p: p, order: order, nQ: nQ,
-		maxNodes: maxNodes, deadline: deadline,
-		proven: true, frontier: -1,
-	}
-	s.perQ = sortedPerQuery(p)
-	s.perQTimes = make([][]float64, nQ)
-	for q := range s.perQ {
-		ts := make([]float64, len(s.perQ[q]))
-		for r, m := range s.perQ[q] {
-			ts[r] = p.Cands[m].Times[q]
-		}
-		s.perQTimes[q] = ts
-	}
+	s := &solver{p: p, order: order, nQ: nQ, lambda: lambda}
 	s.weights = make([]float64, nQ)
 	for q := 0; q < nQ; q++ {
 		s.weights[q] = p.weight(q)
 	}
 	s.sizes = make([]int64, len(p.Cands))
+	amort := make([]float64, len(p.Cands))
 	for m := range p.Cands {
 		s.sizes[m] = p.Cands[m].Size
+		if lambda > 0 {
+			k := 0
+			for q := 0; q < nQ; q++ {
+				if p.Cands[m].Times[q] < p.Base[q] {
+					k++
+				}
+			}
+			if k > 0 {
+				amort[m] = lambda * float64(s.sizes[m]) / float64(k)
+			}
+		}
 	}
-	s.decided = make([]int8, len(p.Cands))
-	s.pickBuf = make([][]int32, len(p.Cands)+1)
-	s.contribBuf = make([][]float64, len(p.Cands)+1)
-	s.lagPickBuf = make([][]int32, len(p.Cands)+1)
-	s.lagContribBuf = make([][]float64, len(p.Cands)+1)
-	s.timesBuf = make([][]float64, len(p.Cands)+1)
+	cost := func(q, m int) float64 { return s.weights[q]*p.Cands[m].Times[q] + amort[m] }
+	s.perQ = sortedPerQuery(p)
+	s.perQCost = make([][]float64, nQ)
+	for q, idx := range s.perQ {
+		if lambda > 0 { // shares break the time order
+			sort.SliceStable(idx, func(a, b int) bool { return cost(q, idx[a]) < cost(q, idx[b]) })
+		}
+		cs := make([]float64, len(idx))
+		for r, m := range idx {
+			cs[r] = cost(q, m)
+		}
+		s.perQCost[q] = cs
+	}
+	s.resetState()
 	return s
+}
+
+// resetState gives the solver fresh mutable search state.
+func (s *solver) resetState() {
+	n := len(s.p.Cands)
+	s.decided = make([]int8, n)
+	s.pickBuf = make([][]int32, n+1)
+	s.contribBuf = make([][]float64, n+1)
+	s.lagPickBuf = make([][]int32, n+1)
+	s.lagContribBuf = make([][]float64, n+1)
+	s.timesBuf = make([][]float64, n+1)
+	s.bestChosen, s.leaves, s.lagWins = nil, nil, 0
 }
 
 // lagProbeNodes is the node ordinal at which a solver reviews whether the
@@ -320,11 +366,12 @@ func (s *solver) objectiveOf(bestTimes []float64) float64 {
 }
 
 // dfs explores decisions for order[pos:]. bestTimes reflects included
-// candidates with cur their weighted objective; usedSize their total size;
-// chosen their indexes. cur is recomputed only when the chosen set changes
-// (the exclude branch reuses the parent's value, which is identical).
-// excluded names the candidate the parent just excluded (-1 after an
-// include or at a subtree root), enabling the incremental bound.
+// candidates with cur their weighted objective plus lambda·usedSize;
+// usedSize their total size; chosen their indexes. cur is recomputed only
+// when the chosen set changes (the exclude branch reuses the parent's
+// value, which is identical). excluded names the candidate the parent just
+// excluded (-1 after an include or at a subtree root), enabling the
+// incremental bound.
 func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, excluded int, chosen []int, factUsed map[int]bool) {
 	if pos == s.frontier {
 		fu := make(map[int]bool, len(factUsed))
@@ -341,29 +388,19 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 		})
 		return
 	}
-	s.nodes++
-	if s.progress != nil && s.nodes%s.progressEvery == 0 {
-		s.emit("search", -1)
-	}
-	if s.nodes > s.maxNodes || (!s.deadline.IsZero() && s.nodes%1024 == 0 && time.Now().After(s.deadline)) ||
-		(s.interrupt != nil && s.interrupt(s.nodes)) {
-		s.proven = false
+	if !s.Enter() {
 		return
 	}
-	if s.lag != nil && s.nodes == lagProbeNodes && s.lagWins*100 < s.nodes {
+	if s.lag != nil && s.Nodes == lagProbeNodes && s.lagWins*100 < s.Nodes {
 		s.lag = nil // pruning <1% of nodes: not worth its per-node cost
 	}
-	if cur < s.bestObj-1e-12 {
-		s.bestObj = cur
+	if s.Adopt(cur) {
 		s.bestChosen = append([]int(nil), chosen...)
-		s.incumbents++
-		s.emit("incumbent", -1)
 	}
 	if pos >= len(s.order) {
 		return
 	}
-	if s.bound(pos, usedSize, bestTimes, excluded) >= s.bestObj-1e-12 {
-		s.pruned++
+	if s.Cut(s.bound(pos, usedSize, bestTimes, excluded)) {
 		return
 	}
 	m := s.order[pos]
@@ -388,6 +425,7 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 			newObj += s.weights[q] * t
 		}
 		if improved {
+			newObj += s.lambda * float64(usedSize+cand.Size)
 			if cand.FactGroup > 0 {
 				factUsed[cand.FactGroup] = true
 			}
@@ -404,54 +442,111 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 	s.decided[m] = 0
 }
 
-// bound computes the node's admissible bound: the greedy relaxation, or
-// the larger of it and the Lagrangian bound when the latter is armed. A
-// full scan runs after an include (times and budget both changed); an
-// incremental update over the parent's per-query picks runs after an
-// exclude (only queries whose pick was just excluded can change) — both
-// paths produce bit-identical totals, for each bound.
-func (s *solver) bound(pos int, usedSize int64, bestTimes []float64, excluded int) float64 {
-	s.row(pos)
-	var b float64
-	if excluded < 0 || pos == 0 {
-		b = s.boundFull(bestTimes, usedSize, pos)
-		if s.lag != nil {
-			if lb := s.lagBoundFull(bestTimes, usedSize, pos); lb > b {
-				if lb >= s.bestObj-1e-12 && b < s.bestObj-1e-12 {
-					s.lagWins++ // a prune the greedy bound alone would miss
-				}
-				b = lb
-			}
-		}
-	} else {
-		b = s.boundExcluded(bestTimes, usedSize, pos, excluded)
-		if s.lag != nil {
-			if lb := s.lagBoundExcluded(bestTimes, usedSize, pos, excluded); lb > b {
-				if lb >= s.bestObj-1e-12 && b < s.bestObj-1e-12 {
-					s.lagWins++
-				}
-				b = lb
-			}
-		}
-	}
-	return b
+// subtree is one frontier node of the parallel split: the full search
+// state of a depth-d prefix whose descendants form an independent
+// subproblem.
+type subtree struct {
+	usedSize  int64
+	bestTimes []float64
+	cur       float64
+	chosen    []int
+	factUsed  map[int]bool
+	decided   []int8
 }
 
-// boundQuery scans query q's ascending candidate list for the first
-// undecided-or-included entry that fits the remaining budget and improves
-// on cur, returning the optimistic time and the candidate used (-1: none).
+// frontierDepth picks the split depth for the given worker count: enough
+// prefixes to feed the pool, at most half the candidates; -1 means search
+// sequentially.
+func (s *solver) frontierDepth(workers int) int {
+	depth := 1
+	for (1<<depth) < 4*workers && depth < 12 {
+		depth++
+	}
+	if depth > len(s.order)/2 {
+		depth = len(s.order) / 2
+	}
+	if workers <= 1 || depth < 1 {
+		return -1
+	}
+	return depth
+}
+
+// searchLeaves hands the prefixes the enumeration pass snapshotted at the
+// frontier to the driver's deterministic Split. Without any — a sequential
+// search, or an enumeration that pruned everything — it does nothing.
+func (s *solver) searchLeaves(workers int) {
+	depth, leaves := s.frontier, s.leaves
+	s.frontier, s.leaves = -1, nil
+	if len(leaves) == 0 {
+		return
+	}
+	sols := make([][]int, len(leaves))
+	win := s.Split(len(leaves), workers, func(i int, sub bnb.Search) bnb.Search {
+		// Precomputed tables are shared read-only; search state is fresh.
+		t := *s
+		t.Search = sub
+		t.resetState()
+		leaf := &leaves[i]
+		copy(t.decided, leaf.decided)
+		t.dfs(depth, leaf.usedSize, leaf.bestTimes, leaf.cur, -1, leaf.chosen, leaf.factUsed)
+		sols[i] = t.bestChosen
+		return t.Search
+	})
+	if win >= 0 {
+		s.bestChosen = sols[win]
+	}
+}
+
+// bound computes the node's admissible bound: the greedy relaxation, or
+// the larger of it and the Lagrangian bound when the latter is armed, plus
+// the penalty already committed. A full scan runs after an include (times
+// and budget both changed); an incremental update over the parent's
+// per-query picks runs after an exclude (only queries whose pick was just
+// excluded can change) — both paths produce bit-identical totals, for each
+// bound.
+func (s *solver) bound(pos int, usedSize int64, bestTimes []float64, excluded int) float64 {
+	s.row(pos)
+	full := excluded < 0 || pos == 0
+	var b float64
+	if full {
+		b = s.boundFull(bestTimes, usedSize, pos)
+	} else {
+		b = s.boundExcluded(bestTimes, usedSize, pos, excluded)
+	}
+	if s.lag != nil {
+		var lb float64
+		if full {
+			lb = s.lagBoundFull(bestTimes, usedSize, pos)
+		} else {
+			lb = s.lagBoundExcluded(bestTimes, usedSize, pos, excluded)
+		}
+		if lb > b {
+			if s.Cuts(lb) && !s.Cuts(b) {
+				s.lagWins++ // a prune the greedy bound alone would miss
+			}
+			b = lb
+		}
+	}
+	return b + s.lambda*float64(usedSize)
+}
+
+// boundQuery scans query q's ascending cost list for the first undecided
+// entry that fits the remaining budget and undercuts the weighted current
+// time, returning the optimistic cost and the candidate used (-1: none).
+// Included candidates are already folded into cur, so the scan stops
+// before reaching them and their share is never charged twice.
 func (s *solver) boundQuery(q int, cur float64, remaining int64) (float64, int32) {
-	best, pick := cur, int32(-1)
-	ts := s.perQTimes[q]
+	best, pick := s.weights[q]*cur, int32(-1)
+	cs := s.perQCost[q]
 	for r, m := range s.perQ[q] {
-		t := ts[r]
-		if t >= best {
+		c := cs[r]
+		if c >= best {
 			break // sorted ascending; nothing better follows
 		}
 		if s.decided[m] == 2 || s.sizes[m] > remaining {
 			continue
 		}
-		best, pick = t, int32(m)
+		best, pick = c, int32(m)
 		break
 	}
 	return best, pick
@@ -464,8 +559,7 @@ func (s *solver) boundFull(bestTimes []float64, usedSize int64, pos int) float64
 	picks, contrib := s.pickBuf[pos], s.contribBuf[pos]
 	total := 0.0
 	for q, cur := range bestTimes {
-		best, pick := s.boundQuery(q, cur, remaining)
-		c := s.weights[q] * best
+		c, pick := s.boundQuery(q, cur, remaining)
 		picks[q], contrib[q] = pick, c
 		total += c
 	}
@@ -487,8 +581,7 @@ func (s *solver) boundExcluded(bestTimes []float64, usedSize int64, pos, ex int)
 	total := 0.0
 	for q := range contrib {
 		if picks[q] == ex32 {
-			best, pick := s.boundQuery(q, bestTimes[q], remaining)
-			picks[q], contrib[q] = pick, s.weights[q]*best
+			contrib[q], picks[q] = s.boundQuery(q, bestTimes[q], remaining)
 		}
 		total += contrib[q]
 	}

@@ -81,7 +81,9 @@ type reduction struct {
 //  1. drop candidates larger than the whole budget (they can never be
 //     chosen);
 //  2. drop candidates that improve no query over base (the search would
-//     never include them — dfs only takes improving includes);
+//     never include them — dfs only takes improving includes) or, under
+//     SolvePenalized's λ > 0, whose solo benefit over base does not exceed
+//     λ·size (submodularity: they can never pay their penalty);
 //  3. drop candidates dominated by a same-group, same-or-smaller, at
 //     least-as-fast survivor (§5.3; a dominated candidate is never
 //     *necessary*: swapping in its dominator keeps feasibility and never
@@ -92,12 +94,13 @@ type reduction struct {
 //     survivors or none — fix every exclusion-free survivor (and every
 //     sole member of its fact group): the objective is monotone
 //     non-increasing in added candidates, so including them can only
-//     help. Only multi-member fact groups remain to search.
+//     help. Only multi-member fact groups remain to search. Skipped for
+//     λ > 0, where an added candidate costs its penalty.
 //
 // Folding fixed candidates into Base and searching the remainder yields
 // bit-identical objective values: min() is exact, and the weighted sum
 // stays in query order.
-func reduce(p *Problem, opts SolveOptions) *reduction {
+func reduce(p *Problem, lambda float64, opts SolveOptions) *reduction {
 	if opts.NoPreprocess || len(p.Cands) == 0 {
 		return &reduction{p: p}
 	}
@@ -112,14 +115,14 @@ func reduce(p *Problem, opts SolveOptions) *reduction {
 			drop[m] = true
 			continue
 		}
-		improves := false
+		improves, solo := false, 0.0
 		for q := 0; q < nQ; q++ {
-			if c.Times[q] < p.Base[q] {
+			if t := c.Times[q]; t < p.Base[q] {
 				improves = true
-				break
+				solo += p.weight(q) * (p.Base[q] - t)
 			}
 		}
-		if !improves {
+		if !improves || (lambda > 0 && solo <= lambda*float64(c.Size)) {
 			drop[m] = true
 		}
 	}
@@ -190,7 +193,7 @@ func reduce(p *Problem, opts SolveOptions) *reduction {
 	// mutually redundant survivors (each improving versus base but not
 	// versus the earlier picks) don't bloat the chosen set.
 	var forced []int
-	if total <= p.Budget {
+	if total <= p.Budget && lambda <= 0 {
 		fixable := make([]bool, n)
 		kept := active[:0]
 		for _, m := range active {
@@ -332,12 +335,12 @@ func (r *reduction) lift(p *Problem, s *solver) *Solution {
 	}
 	sol := &Solution{
 		Chosen:           chosen,
-		Objective:        s.bestObj,
+		Objective:        s.Best,
 		Size:             p.SizeOf(chosen),
-		Proven:           s.proven,
-		Nodes:            s.nodes,
-		Pruned:           s.pruned,
-		IncumbentUpdates: s.incumbents,
+		Proven:           s.Proven,
+		Nodes:            s.Nodes,
+		Pruned:           s.Pruned,
+		IncumbentUpdates: s.Incumbents,
 	}
 	sol.PerQuery = perQueryRouting(p, sol.Chosen)
 	return sol

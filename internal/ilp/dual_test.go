@@ -80,6 +80,33 @@ func TestSolvePenalizedWarmStart(t *testing.T) {
 	}
 }
 
+// TestSolvePenalizedWarmNeverExploresMoreNodes extends the warm-start
+// guarantee of TestWarmStartNeverExploresMoreNodes to λ > 0: seeding the
+// penalized search with its own optimum never costs nodes, and helps on at
+// least some instances the cold solve had to branch on.
+func TestSolvePenalizedWarmNeverExploresMoreNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(137))
+	branched, strictWins := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		p := hardRandomProblem(rng, 4+rng.Intn(14), 2+rng.Intn(6))
+		lambda := 0.002 + rng.Float64()*0.05
+		cold := SolvePenalized(p, lambda, SolveOptions{})
+		warm := SolvePenalized(p, lambda, SolveOptions{WarmStart: cold.Chosen})
+		if warm.Nodes > cold.Nodes {
+			t.Fatalf("trial %d (λ=%.4f): warm solve explored %d nodes > cold %d", trial, lambda, warm.Nodes, cold.Nodes)
+		}
+		if cold.Nodes > 4 {
+			branched++
+			if warm.Nodes < cold.Nodes {
+				strictWins++
+			}
+		}
+	}
+	if branched == 0 || strictWins == 0 {
+		t.Errorf("optimum-seeded warm start reduced nodes on %d of %d branching instances", strictWins, branched)
+	}
+}
+
 // multiInstance builds N small problems sharing one global budget (each
 // problem's own Budget is the global one, as internal/tenant sets it).
 func multiInstance(rng *rand.Rand, n int) ([]*Problem, int64) {

@@ -197,6 +197,51 @@ func Greedy(p *Problem, seedM, k int) *Solution {
 	return sol
 }
 
+// penalizedGreedy seeds SolvePenalized: repeatedly add the candidate with
+// the best marginal gain net of its penalty lambda·size, while positive,
+// scanning in the given order (ties keep the earlier candidate). It
+// returns the chosen set and its penalized value obj + lambda·size.
+func penalizedGreedy(p *Problem, lambda float64, order []int) ([]int, float64) {
+	times := append([]float64(nil), p.Base...)
+	var chosen []int
+	var used int64
+	factUsed := map[int]bool{}
+	inSet := make([]bool, len(p.Cands))
+	for {
+		best, bestGain := -1, 0.0
+		for _, m := range order {
+			c := &p.Cands[m]
+			if inSet[m] || used+c.Size > p.Budget || (c.FactGroup > 0 && factUsed[c.FactGroup]) {
+				continue
+			}
+			gain := -lambda * float64(c.Size)
+			for q, cur := range times {
+				if t := c.Times[q]; t < cur {
+					gain += p.weight(q) * (cur - t)
+				}
+			}
+			if gain > bestGain+1e-12 {
+				best, bestGain = m, gain
+			}
+		}
+		if best < 0 {
+			return chosen, p.Objective(chosen) + lambda*float64(used)
+		}
+		c := &p.Cands[best]
+		inSet[best] = true
+		chosen = append(chosen, best)
+		used += c.Size
+		if c.FactGroup > 0 {
+			factUsed[c.FactGroup] = true
+		}
+		for q, cur := range times {
+			if t := c.Times[q]; t < cur {
+				times[q] = t
+			}
+		}
+	}
+}
+
 // polishLimit caps the pool size the incumbent polish runs on: the swap
 // scan is O(n·k) objective evaluations per round, which huge pools (where
 // greedy is near-optimal anyway) should not pay.

@@ -1,8 +1,6 @@
 package ilp
 
 import (
-	"fmt"
-	"os"
 	"sort"
 )
 
@@ -56,16 +54,11 @@ func newLagrangian(p *Problem, s *solver, ub float64) *lagrangian {
 	nQ := p.numQueries()
 	budget := float64(p.Budget)
 
-	// Weighted per-query times and bases, aligned with s.perQ.
-	wTimes := make([][]float64, nQ)
+	// Weighted per-query times (aligned with s.perQ) and bases.
+	wTimes := s.perQCost
 	wBase := make([]float64, nQ)
 	for q := 0; q < nQ; q++ {
 		wBase[q] = s.weights[q] * p.Base[q]
-		ts := make([]float64, len(s.perQ[q]))
-		for r := range s.perQ[q] {
-			ts[r] = s.weights[q] * s.perQTimes[q][r]
-		}
-		wTimes[q] = ts
 	}
 	// charge[q][r] = φ_{q,m}·size(m) for m = perQ[q][r], initialized to the
 	// uniform split over the queries m improves at the root.
@@ -190,14 +183,8 @@ func newLagrangian(p *Problem, s *solver, ub float64) *lagrangian {
 	// Arm only when the tuned dual beats the greedy bound at the root.
 	rootGreedy := 0.0
 	for q := 0; q < nQ; q++ {
-		b, _ := s.boundQuery(q, p.Base[q], p.Budget)
-		rootGreedy += s.weights[q] * b
-	}
-	if os.Getenv("CORADD_LAG_DEBUG") != "" {
-		// Stderr: stdout carries the experiment tables, which must stay
-		// byte-diffable.
-		fmt.Fprintf(os.Stderr, "lag: budget=%d ub=%.9f rootGreedy=%.9f L(lambda*)=%.9f lambda*=%g\n",
-			p.Budget, ub, rootGreedy, bestL, bestLambda)
+		c, _ := s.boundQuery(q, p.Base[q], p.Budget)
+		rootGreedy += c
 	}
 	if bestLambda <= 0 || bestL-rootGreedy <= lagGapFraction*(ub-rootGreedy) {
 		return nil

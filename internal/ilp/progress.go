@@ -3,80 +3,14 @@ package ilp
 import (
 	"fmt"
 	"strings"
+
+	"coradd/internal/bnb"
 )
 
-// ProgressSample is one deterministic snapshot of an exact solve's
-// search state, emitted through SolveOptions.Progress. Samples are keyed
-// to node ordinals — never wall clock — so for a fixed (problem,
-// options) pair the emitted sequence is bit-identical run to run, and a
-// nil sink is a byte-identical no-op (the solver takes the exact code
-// paths it takes unobserved; the only sink-on side effect is scratch-
-// buffer allocation).
-//
-// Phases:
-//
-//	"root"      before the first node: the initial incumbent (greedy or
-//	            warm-started) against the root lower bound
-//	"search"    every ProgressEvery nodes during depth-first search
-//	"incumbent" a strict incumbent improvement was just adopted
-//	"subtree"   one parallel subtree merged (Subtree is its ordinal;
-//	            counters are the running merged totals)
-//	"dual"      one DualDecompose λ-probe completed (Subtree is the
-//	            probe ordinal, Bound the probe's dual value)
-//	"final"     the search finished (proven, capped, or interrupted)
-type ProgressSample struct {
-	Phase      string
-	Nodes      int
-	Pruned     int
-	Incumbents int
-	// Incumbent is the best objective known at the sample (weighted
-	// workload seconds; 0 in "dual" probes, which carry only a bound).
-	Incumbent float64
-	// Bound is an admissible lower bound on the optimum: the root
-	// relaxation for tree samples (constant across one solve), the
-	// probe's dual value L(λ) for "dual" samples. 0 when unknown.
-	Bound float64
-	// Subtree is the parallel subtree or dual probe ordinal, -1 for
-	// sequential tree samples.
-	Subtree int
-}
-
-// Gap is the absolute incumbent-vs-bound optimality gap (0 when no
-// bound is known or the bound already meets the incumbent).
-func (ps ProgressSample) Gap() float64 {
-	if ps.Bound == 0 || ps.Incumbent == 0 {
-		return 0
-	}
-	if g := ps.Incumbent - ps.Bound; g > 0 {
-		return g
-	}
-	return 0
-}
-
-// String renders one sample as a compact fixed-order line.
-func (ps ProgressSample) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s nodes=%d pruned=%d incumbents=%d", ps.Phase, ps.Nodes, ps.Pruned, ps.Incumbents)
-	if ps.Incumbent != 0 {
-		fmt.Fprintf(&b, " obj=%.6f", ps.Incumbent)
-	}
-	if ps.Bound != 0 {
-		fmt.Fprintf(&b, " bound=%.6f", ps.Bound)
-		if g := ps.Gap(); g > 0 {
-			fmt.Fprintf(&b, " gap=%.6f", g)
-		}
-	}
-	if ps.Subtree >= 0 {
-		fmt.Fprintf(&b, " subtree=%d", ps.Subtree)
-	}
-	return b.String()
-}
-
-// DefaultProgressEvery is the node cadence used when SolveOptions.
-// Progress is set but ProgressEvery is 0 — frequent enough to see the
-// incumbent trajectory on the Fig9/Fig11 node-cap instances (5M nodes →
-// ~76 samples) without drowning a trace ring.
-const DefaultProgressEvery = 65536
+// ProgressSample is the driver's search snapshot (see bnb.Sample for the
+// phases), emitted through SolveOptions.Progress, deploy.Options.Progress
+// and DualOptions.Progress.
+type ProgressSample = bnb.Sample
 
 // SolveProfile accumulates the progress samples of one or more solves
 // into a textual dump — the cmd/experiments -solveprof surface. A nil
@@ -128,21 +62,4 @@ func (p *SolveProfile) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// emit publishes one sample when a sink is attached. subtree is -1 for
-// sequential tree samples.
-func (s *solver) emit(phase string, subtree int) {
-	if s.progress == nil {
-		return
-	}
-	s.progress(ProgressSample{
-		Phase:      phase,
-		Nodes:      s.nodes,
-		Pruned:     s.pruned,
-		Incumbents: s.incumbents,
-		Incumbent:  s.bestObj,
-		Bound:      s.rootBound,
-		Subtree:    subtree,
-	})
 }

@@ -287,7 +287,7 @@ func TestReduceFixesWhenEverythingFits(t *testing.T) {
 		},
 		Budget: 1000,
 	}
-	red := reduce(p, SolveOptions{})
+	red := reduce(p, 0, SolveOptions{})
 	if len(red.forced) != 2 {
 		t.Fatalf("forced = %v, want the two exclusion-free improving candidates", red.forced)
 	}
@@ -316,7 +316,7 @@ func TestReduceDropsOversizedAndUseless(t *testing.T) {
 		},
 		Budget: 50,
 	}
-	red := reduce(p, SolveOptions{})
+	red := reduce(p, 0, SolveOptions{})
 	// Only 'fits' survives the drops; since it fits the budget outright it
 	// is then fixed, leaving nothing to search.
 	if len(red.forced) != 1 || red.forced[0] != 0 {

@@ -77,9 +77,9 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 //
 // Claim order is part of the contract: indexes are handed to workers in
 // ascending order (a shared atomic counter), so when fn(i) starts, every
-// fn(j) with j < i has already started. The ILP solver's deterministic
-// parallel subtree search relies on this to let task i block on the
-// completion of tasks ≤ i−workers without deadlock (ilp/parallel.go).
+// fn(j) with j < i has already started. The branch-and-bound driver's
+// deterministic parallel subtree search relies on this to let task i block
+// on the completion of tasks ≤ i−workers without deadlock (bnb.Split).
 func ForEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return

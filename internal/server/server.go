@@ -408,27 +408,32 @@ func (s *Server) observe(q *query.Query) {
 // loop is the controller goroutine: the only code that touches ctl. It
 // consumes observations, advances the adaptive timeline, swaps the
 // serving snapshot when a migration step lands, and checkpoints on
-// structural change (and every CheckpointEvery observations). On an
-// injected crash it writes the final checkpoint — journal intact, the
-// just-completed build journaled — then hands control to OnCrash.
+// structural change (and every CheckpointEvery observations).
+//
+// Crash contract: on an injected crash the server stops serving first,
+// then writes the final checkpoint — journal intact, the just-completed
+// build journaled — and publishes nothing: no view, no snapshot, no
+// observed count. Whatever the crashing Process call changed is visible
+// only through the checkpoint, so a client polling the dying process can
+// never observe a state (a build, a finished migration) that a restart
+// from that checkpoint does not also carry. Control then passes to
+// OnCrash.
 func (s *Server) loop() {
 	defer close(s.loopDone)
 	for q := range s.obs {
 		_, err := s.ctl.Process(q)
 		if err != nil && errors.Is(err, fault.ErrCrash) {
-			if cerr := s.checkpoint(); cerr != nil {
-				s.logf("checkpoint at crash: %v", cerr)
-			}
-			s.publishAfterProcess()
-			s.observed.Add(1)
-			s.logf("injected crash: %v", err)
-			// The controller is dead: stop serving and stop the loop so
-			// queued observations cannot advance past the crash point or
+			// The controller is dead: returning stops the loop, so queued
+			// observations cannot advance past the crash point or
 			// overwrite the crash checkpoint. The daemon's OnCrash exits
 			// the process; in-process harnesses observe the call and
 			// restart from the checkpoint, exactly like a new process.
 			s.ready.Store(false)
 			s.state.Store("crashed")
+			if cerr := s.checkpoint(); cerr != nil {
+				s.logf("checkpoint at crash: %v", cerr)
+			}
+			s.logf("injected crash: %v", err)
 			if s.cfg.OnCrash != nil {
 				s.cfg.OnCrash(err)
 			}

@@ -18,6 +18,7 @@ import (
 	"coradd/internal/designer"
 	"coradd/internal/durable"
 	"coradd/internal/feedback"
+	"coradd/internal/obs"
 	"coradd/internal/query"
 	"coradd/internal/ssb"
 	"coradd/internal/stats"
@@ -263,7 +264,8 @@ func TestConcurrentQueriesAcrossMigration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	s := startServer(t, Config{}, nil)
+	reg := obs.NewRegistry()
+	s := startServer(t, Config{Metrics: reg}, nil)
 	h := s.Handler()
 
 	// Phase A sequentially: a stable baseline mix for drift detection.
@@ -309,7 +311,11 @@ func TestConcurrentQueriesAcrossMigration(t *testing.T) {
 	if st.Redesigns == 0 {
 		t.Error("the shifted mix never triggered a redesign through the serving path")
 	}
-	if st.BuildsDone == 0 {
+	// The lifetime counter, not Status.BuildsDone: that one counts the
+	// current migration's journal, which is legitimately empty when the
+	// racing arrival order makes the controller redesign again near the
+	// end of the stream.
+	if reg.Counter("coradd_adapt_builds_total", "").Value() == 0 {
 		t.Error("no migration build landed — the snapshot swap path went unexercised")
 	}
 	if st.Panics != 0 {
