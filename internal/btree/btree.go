@@ -9,7 +9,9 @@
 package btree
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"coradd/internal/storage"
@@ -40,17 +42,22 @@ type Tree struct {
 	innerPages              int
 }
 
-// Build bulk-loads a tree from entries (taking ownership). keyBytes is the
-// logical width of one key in bytes; it controls fanout and therefore page
-// counts and height.
+// Build bulk-loads a tree from entries (taking ownership), sorting them by
+// key then RID. keyBytes is the logical width of one key in bytes; it
+// controls fanout and therefore page counts and height.
 func Build(entries []Entry, keyBytes int) *Tree {
-	sort.SliceStable(entries, func(i, j int) bool {
-		c := value.CompareKeys(entries[i].Key, entries[j].Key)
-		if c != 0 {
-			return c < 0
+	slices.SortFunc(entries, func(a, b Entry) int {
+		if c := value.CompareKeys(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return entries[i].RID < entries[j].RID
+		return cmp.Compare(a.RID, b.RID)
 	})
+	return bulkLoad(entries, keyBytes)
+}
+
+// bulkLoad lays the page structure over entries already in (key, RID)
+// order.
+func bulkLoad(entries []Entry, keyBytes int) *Tree {
 	t := &Tree{entries: entries, keyBytes: keyBytes}
 	entryBytes := keyBytes + 4 + perEntryOverhead // key + rid + overhead
 	t.leafFanout = storage.PageSize / entryBytes
@@ -77,13 +84,25 @@ func Build(entries []Entry, keyBytes int) *Tree {
 }
 
 // BuildFromRelation indexes columns cols of rel: one entry per tuple
-// (a dense conventional secondary index).
+// (a dense conventional secondary index). The leaf keys are gathered in
+// index order into one backing array.
 func BuildFromRelation(rel *storage.Relation, cols []int) *Tree {
+	order := rel.SortedRIDs(cols)
+	k := len(cols)
+	keys := make([]value.V, len(rel.Rows)*k)
 	entries := make([]Entry, len(rel.Rows))
-	for i, row := range rel.Rows {
-		entries[i] = Entry{Key: value.KeyOf(row, cols), RID: int32(i)}
+	for i := range entries {
+		rid := int32(i)
+		if order != nil {
+			rid = order[i]
+		}
+		row, key := rel.Rows[rid], keys[i*k:(i+1)*k:(i+1)*k]
+		for j, c := range cols {
+			key[j] = row[c]
+		}
+		entries[i] = Entry{Key: key, RID: rid}
 	}
-	return Build(entries, rel.Schema.SubsetBytes(cols))
+	return bulkLoad(entries, rel.Schema.SubsetBytes(cols))
 }
 
 // NumEntries returns the leaf entry count.

@@ -2,6 +2,9 @@ package btree
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -162,5 +165,50 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if tree.Pages() < 1 {
 		t.Error("empty tree must still occupy a page")
+	}
+}
+
+// referenceEntries is the pre-arena bulk load's entry order, kept as the
+// differential reference: a key allocated per row, then a reflective
+// stable sort by key and RID.
+func referenceEntries(rel *storage.Relation, cols []int) []Entry {
+	entries := make([]Entry, len(rel.Rows))
+	for i, row := range rel.Rows {
+		entries[i] = Entry{Key: value.KeyOf(row, cols), RID: int32(i)}
+	}
+	sort.SliceStable(entries, func(i, j int) bool {
+		c := value.CompareKeys(entries[i].Key, entries[j].Key)
+		if c != 0 {
+			return c < 0
+		}
+		return entries[i].RID < entries[j].RID
+	})
+	return entries
+}
+
+func TestBuildEntryOrderMatchesReference(t *testing.T) {
+	s := schema.New(
+		schema.Column{Name: "a", ByteSize: 4},
+		schema.Column{Name: "b", ByteSize: 4},
+		schema.Column{Name: "c", ByteSize: 4},
+	)
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 2, 1000} {
+		rows := make([]value.Row, n)
+		for i := range rows {
+			rows[i] = value.Row{value.V(rng.Intn(7) - 3), value.V(rng.Intn(3)), value.V(i)}
+		}
+		rel := storage.NewRelation("t", s, s.ColSet("c"), rows)
+		for _, cols := range [][]int{{0}, {1, 0}, {2}, {0, 1, 2}} {
+			want := referenceEntries(rel, cols)
+			if got := BuildFromRelation(rel, cols).entries; !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d cols=%v: BuildFromRelation entry order differs from the reference", n, cols)
+			}
+			shuffled := slices.Clone(want)
+			rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			if got := Build(shuffled, 4).entries; !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d cols=%v: Build entry order differs from the reference", n, cols)
+			}
+		}
 	}
 }

@@ -7,7 +7,7 @@
 package cm
 
 import (
-	"sort"
+	"slices"
 
 	"coradd/internal/query"
 	"coradd/internal/storage"
@@ -35,14 +35,11 @@ type CM struct {
 
 	keyBytes int
 	numPages int // heap pages of the indexed relation at build time
-	// pairs are the distinct (bucketed key, clustered bucket) co-occurrences
-	// sorted by key then bucket.
-	pairs []pair
-}
-
-type pair struct {
-	key    []value.V
-	bucket int32
+	// keys and buckets are the distinct (bucketed key, clustered bucket)
+	// co-occurrences sorted by key then bucket: pair i is
+	// keys[i*len(KeyCols):(i+1)*len(KeyCols)] with buckets[i].
+	keys    []value.V
+	buckets []int32
 }
 
 // Build constructs the CM for rel over keyCols with the given bucket
@@ -58,37 +55,43 @@ func Build(rel *storage.Relation, keyCols []int, keyWidths []value.V, clusterPag
 		keyBytes:              rel.Schema.SubsetBytes(keyCols),
 		numPages:              rel.NumPages(),
 	}
-	// Rows are scanned in clustered order, so the clustered bucket is a
-	// simple division (hoisted out of the loop: PageOfRow recomputes the
-	// tuples-per-page quotient per call).
+	// Rows are scanned in clustered order, one clustered bucket — a few
+	// thousand rows — at a time, and each bucket's keys are deduplicated
+	// while they are cache-resident.
 	rowsPerBucket := rel.TuplesPerPage() * clusterPagesPerBucket
 	pc := newPairCollector(len(keyCols))
-	for i, row := range rel.Rows {
-		bucket := int32(i / rowsPerBucket)
-		for j, c := range keyCols {
-			pc.key[j] = BucketValue(row[c], keyWidths[j])
+	for lo := 0; lo < len(rel.Rows); lo += rowsPerBucket {
+		bucket := int32(lo / rowsPerBucket)
+		for _, row := range rel.Rows[lo:min(lo+rowsPerBucket, len(rel.Rows))] {
+			for j, c := range keyCols {
+				pc.key[j] = BucketValue(row[c], keyWidths[j])
+			}
+			pc.add(bucket)
 		}
-		pc.add(bucket)
+		pc.flush()
 	}
-	m.pairs = pc.finish()
+	m.keys, m.buckets = pc.finish()
 	return m
 }
 
 // pairCollector accumulates distinct (bucketed key, clustered bucket)
-// pairs. The caller writes each candidate key into pc.key and calls add.
-// Dedup is sort-based: add appends (key, bucket) rows — keys into one
-// flat arena, so the whole collection costs O(1) allocations — and finish
-// sorts by key then bucket and compacts equal neighbours. Consecutive
-// repeats — the dominant case when the key correlates with the clustered
-// order, exactly what CMs exist for — are dropped at append time by a
-// previous-pair run check, so the sorted volume stays near the distinct
-// count. Build and Derive share this; the final pair set is exactly the
-// distinct set in (key, bucket) order, bit-identical to the old hash-based
-// collection.
+// pairs for keys of any length. The caller writes each candidate key into
+// pc.key and calls add, and calls flush wherever the input has locality —
+// Build after every clustered bucket, whose keys repeat (that they do is
+// what a CM exists for). flush sorts and compacts only the pairs added
+// since the last one, so the row-scale input is deduplicated in small
+// cache-resident runs and only the survivors, near the distinct count, are
+// sorted globally by finish. Consecutive repeats are dropped before they
+// enter a run at all. The result is exactly the distinct pair set in
+// (key, bucket) order, wherever the flushes fall.
 type pairCollector struct {
-	key     []value.V
-	arena   []value.V // appended keys, keyLen values each
-	buckets []int32
+	key []value.V
+	// run are the pairs added since the last flush and out the survivors of
+	// earlier flushes: Lead is the key's first value, Tie the clustered
+	// bucket, and Pos locates the key's remaining len(key)-1 values in
+	// runRest / outRest.
+	run, out         []value.Ref
+	runRest, outRest []value.V
 }
 
 func newPairCollector(keyLen int) *pairCollector {
@@ -96,59 +99,46 @@ func newPairCollector(keyLen int) *pairCollector {
 }
 
 func (pc *pairCollector) add(bucket int32) {
-	k := len(pc.key)
-	if n := len(pc.buckets); n > 0 && pc.buckets[n-1] == bucket {
-		prev := pc.arena[len(pc.arena)-k:]
-		same := true
-		for i, v := range pc.key {
-			if prev[i] != v {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
+	w := len(pc.key) - 1
+	if n := len(pc.run); n > 0 && pc.run[n-1].Tie == bucket && pc.run[n-1].Lead == pc.key[0] &&
+		slices.Equal(pc.runRest[(n-1)*w:], pc.key[1:]) {
+		return
 	}
-	pc.arena = append(pc.arena, pc.key...)
-	pc.buckets = append(pc.buckets, bucket)
+	pc.run = append(pc.run, value.Ref{Lead: pc.key[0], Tie: bucket, Pos: int32(len(pc.run))})
+	pc.runRest = append(pc.runRest, pc.key[1:]...)
 }
 
-func (pc *pairCollector) finish() []pair {
-	k := len(pc.key)
-	pairs := make([]pair, len(pc.buckets))
-	for i := range pairs {
-		pairs[i] = pair{key: pc.arena[i*k : (i+1)*k : (i+1)*k], bucket: pc.buckets[i]}
+// flush moves the distinct pairs of the current run to the survivors.
+func (pc *pairCollector) flush() {
+	w := len(pc.key) - 1
+	for _, r := range sortCompact(pc.run, pc.runRest, w) {
+		pc.out = append(pc.out, value.Ref{Lead: r.Lead, Tie: r.Tie, Pos: int32(len(pc.out))})
+		pc.outRest = append(pc.outRest, pc.runRest[int(r.Pos)*w:][:w]...)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		c := value.CompareKeys(pairs[i].key, pairs[j].key)
-		if c != 0 {
-			return c < 0
-		}
-		return pairs[i].bucket < pairs[j].bucket
-	})
-	// Compact duplicates in place: rows are sorted, so equals are adjacent.
-	out := pairs[:0]
-	for i := range pairs {
-		if i > 0 {
-			last := &out[len(out)-1]
-			if last.bucket == pairs[i].bucket && value.CompareKeys(last.key, pairs[i].key) == 0 {
-				continue
-			}
-		}
-		out = append(out, pairs[i])
+	pc.run, pc.runRest = pc.run[:0], pc.runRest[:0]
+}
+
+// sortCompact sorts refs by (key, bucket) and drops repeated pairs, in
+// place.
+func sortCompact(refs []value.Ref, rest []value.V, w int) []value.Ref {
+	value.SortRefs(refs, rest, w)
+	return slices.CompactFunc(refs, func(a, b value.Ref) bool { return value.CompareRefs(a, b, rest, w) == 0 })
+}
+
+// finish flushes the last run and returns the distinct pairs in (key,
+// bucket) order as flat arrays sized by the survivors: the collector's
+// buffers grew with the input, the CM must retain only O(distinct).
+func (pc *pairCollector) finish() (keys []value.V, buckets []int32) {
+	pc.flush()
+	w := len(pc.key) - 1
+	sorted := sortCompact(pc.out, pc.outRest, w)
+	keys = make([]value.V, 0, len(sorted)*(w+1))
+	buckets = make([]int32, len(sorted))
+	for i, r := range sorted {
+		keys = append(append(keys, r.Lead), pc.outRest[int(r.Pos)*w:][:w]...)
+		buckets[i] = r.Tie
 	}
-	// Re-copy into right-sized storage: the compacted pairs still alias
-	// the append arena, which is O(rows) when the key anti-correlates
-	// with the clustered order — the CM must retain only O(distinct).
-	arena := make([]value.V, len(out)*k)
-	res := make([]pair, len(out))
-	for i := range out {
-		dst := arena[i*k : (i+1)*k : (i+1)*k]
-		copy(dst, out[i].key)
-		res[i] = pair{key: dst, bucket: out[i].bucket}
-	}
-	return res
+	return keys, buckets
 }
 
 // Derive builds the CM for coarser bucket widths from an exact (all widths
@@ -172,15 +162,15 @@ func Derive(base *CM, widths []value.V) *CM {
 		keyBytes:              base.keyBytes,
 		numPages:              base.numPages,
 	}
-	pc := newPairCollector(len(base.KeyCols))
-	for i := range base.pairs {
-		p := &base.pairs[i]
-		for j := range pc.key {
-			pc.key[j] = BucketValue(p.key[j], widths[j])
+	k := len(base.KeyCols)
+	pc := newPairCollector(k)
+	for i, bucket := range base.buckets {
+		for j, v := range base.keys[i*k : (i+1)*k] {
+			pc.key[j] = BucketValue(v, widths[j])
 		}
-		pc.add(p.bucket)
+		pc.add(bucket)
 	}
-	m.pairs = pc.finish()
+	m.keys, m.buckets = pc.finish()
 	return m
 }
 
@@ -200,12 +190,12 @@ func BucketValue(v, width value.V) value.V {
 }
 
 // NumPairs returns the number of stored (key, bucket) co-occurrences.
-func (m *CM) NumPairs() int { return len(m.pairs) }
+func (m *CM) NumPairs() int { return len(m.buckets) }
 
 // Bytes is the CM size: one entry per distinct pair, unlike a dense B+Tree
 // which stores one entry per tuple.
 func (m *CM) Bytes() int64 {
-	return int64(len(m.pairs)) * int64(m.keyBytes+entryOverhead)
+	return int64(len(m.buckets)) * int64(m.keyBytes+entryOverhead)
 }
 
 // Pages is the CM size in disk pages (minimum 1).
@@ -241,26 +231,18 @@ func (m *CM) Covers(cols []int) bool {
 // positives but no false negatives.
 func (m *CM) Buckets(preds []*query.Predicate) []int32 {
 	var out []int32
-	seen := make(map[int32]bool)
-	for i := range m.pairs {
-		p := &m.pairs[i]
-		ok := true
+	k := len(m.KeyCols)
+pairs:
+	for i, bucket := range m.buckets {
 		for j, pred := range preds {
-			if pred == nil {
-				continue
-			}
-			if !BucketMayMatch(p.key[j], m.KeyWidths[j], pred) {
-				ok = false
-				break
+			if pred != nil && !BucketMayMatch(m.keys[i*k+j], m.KeyWidths[j], pred) {
+				continue pairs
 			}
 		}
-		if ok && !seen[p.bucket] {
-			seen[p.bucket] = true
-			out = append(out, p.bucket)
-		}
+		out = append(out, bucket)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // BucketMayMatch reports whether the value bucket b (of the given width)

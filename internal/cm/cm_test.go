@@ -1,7 +1,10 @@
 package cm
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -214,12 +217,8 @@ func TestDeriveMatchesBuild(t *testing.T) {
 			if built.Bytes() != derived.Bytes() {
 				t.Errorf("cols=%v w=%d: bytes %d vs %d", cols, w, built.Bytes(), derived.Bytes())
 			}
-			for i := range built.pairs {
-				if value.CompareKeys(built.pairs[i].key, derived.pairs[i].key) != 0 ||
-					built.pairs[i].bucket != derived.pairs[i].bucket {
-					t.Fatalf("cols=%v w=%d: pair %d differs: %v/%d vs %v/%d", cols, w, i,
-						built.pairs[i].key, built.pairs[i].bucket, derived.pairs[i].key, derived.pairs[i].bucket)
-				}
+			if !reflect.DeepEqual(built.keys, derived.keys) || !reflect.DeepEqual(built.buckets, derived.buckets) {
+				t.Fatalf("cols=%v w=%d: derived pairs differ from built", cols, w)
 			}
 		}
 	}
@@ -246,17 +245,87 @@ func TestPairCollectorAlternatingDuplicates(t *testing.T) {
 		pc.key[0] = s.k
 		pc.add(s.b)
 	}
-	pairs := pc.finish()
-	want := []struct {
-		k value.V
-		b int32
-	}{{1, 0}, {1, 1}, {2, 0}, {2, 1}}
-	if len(pairs) != len(want) {
-		t.Fatalf("got %d pairs, want %d", len(pairs), len(want))
+	pc.flush() // mid-stream: the (1,1) after it repeats across runs
+	pc.key[0] = 1
+	pc.add(1)
+	keys, buckets := pc.finish()
+	if !reflect.DeepEqual(keys, []value.V{1, 1, 2, 2}) || !reflect.DeepEqual(buckets, []int32{0, 1, 0, 1}) {
+		t.Fatalf("got keys %v buckets %v, want (1,0) (1,1) (2,0) (2,1)", keys, buckets)
 	}
-	for i, w := range want {
-		if pairs[i].key[0] != w.k || pairs[i].bucket != w.b {
-			t.Errorf("pair %d = (%d,%d), want (%d,%d)", i, pairs[i].key[0], pairs[i].bucket, w.k, w.b)
+}
+
+// referencePairs is the map-based distinct-pair builder, kept as the
+// differential reference for Build and Derive: one map insert per row,
+// then a reflective sort of the distinct pairs.
+func referencePairs(rel *storage.Relation, keyCols []int, widths []value.V, pagesPerBucket int) (keys []value.V, buckets []int32) {
+	type pair struct {
+		key    []value.V
+		bucket int32
+	}
+	rowsPerBucket := rel.TuplesPerPage() * pagesPerBucket
+	seen := make(map[string]bool)
+	var pairs []pair
+	for i, row := range rel.Rows {
+		p := pair{key: make([]value.V, len(keyCols)), bucket: int32(i / rowsPerBucket)}
+		for j, c := range keyCols {
+			p.key[j] = BucketValue(row[c], widths[j])
+		}
+		if id := fmt.Sprint(p.key, p.bucket); !seen[id] {
+			seen[id] = true
+			pairs = append(pairs, p)
+		}
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if c := value.CompareKeys(pairs[i].key, pairs[j].key); c != 0 {
+			return c < 0
+		}
+		return pairs[i].bucket < pairs[j].bucket
+	})
+	keys, buckets = []value.V{}, make([]int32, len(pairs))
+	for i, p := range pairs {
+		keys = append(keys, p.key...)
+		buckets[i] = p.bucket
+	}
+	return keys, buckets
+}
+
+// TestBuildMatchesMapReference checks Build and Derive against the
+// reference on seeded relations: keys that follow the clustered order
+// (few pairs per bucket), keys that oppose it (every bucket sees every
+// value) and independent ones, negative values, key lengths 1-4, sizes
+// around one clustered bucket, and widths 1, 4 and 64.
+func TestBuildMatchesMapReference(t *testing.T) {
+	names := []string{"clu", "with", "against", "rand", "wide"}
+	cols := make([]schema.Column, len(names))
+	for i, n := range names {
+		cols[i] = schema.Column{Name: n, ByteSize: 8}
+	}
+	s := schema.New(cols...)
+	const pagesPerBucket = 2
+	rowsPerBucket := storage.PageSize / s.RowBytes() * pagesPerBucket
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, rowsPerBucket - 1, rowsPerBucket, rowsPerBucket + 1, 20 * rowsPerBucket} {
+		rows := make([]value.Row, n)
+		for i := range rows {
+			clu := value.V(rng.Intn(400) - 200)
+			rows[i] = value.Row{clu, clu / 7, value.V(i%13 - 6), value.V(rng.Intn(9) - 4), value.V(rng.Intn(5000) - 2500)}
+		}
+		rel := storage.NewRelation("t", s, []int{0}, rows)
+		for _, keyCols := range [][]int{{1}, {2}, {3}, {4}, {1, 3}, {2, 1}, {4, 2, 3}, {3, 2, 1, 4}} {
+			base := Build(rel, keyCols, onesFor(keyCols), pagesPerBucket)
+			for _, w := range []value.V{1, 4, 64} {
+				widths := make([]value.V, len(keyCols))
+				for i := range widths {
+					widths[i] = w
+				}
+				wantKeys, wantBuckets := referencePairs(rel, keyCols, widths, pagesPerBucket)
+				for name, m := range map[string]*CM{"Build": Build(rel, keyCols, widths, pagesPerBucket), "Derive": Derive(base, widths)} {
+					if !reflect.DeepEqual(m.keys, wantKeys) || !reflect.DeepEqual(m.buckets, wantBuckets) {
+						t.Fatalf("n=%d cols=%v w=%d: %s has %d pairs, the reference %d, or they differ",
+							n, keyCols, w, name, m.NumPairs(), len(wantBuckets))
+					}
+				}
+			}
 		}
 	}
 }

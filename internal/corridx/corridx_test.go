@@ -1,10 +1,14 @@
 package corridx
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"coradd/internal/btree"
 	"coradd/internal/query"
 	"coradd/internal/schema"
+	"coradd/internal/ssb"
 	"coradd/internal/storage"
 	"coradd/internal/value"
 )
@@ -140,5 +144,104 @@ func TestBytesFarSmallerThanDenseIndex(t *testing.T) {
 	densePages := int64(100_000*(4+4+8)) / storage.PageSize
 	if x.Bytes()*10 > densePages*storage.PageSize {
 		t.Fatalf("corridx %d bytes is not ≪ dense index ~%d bytes", x.Bytes(), densePages*storage.PageSize)
+	}
+}
+
+// referenceBuild is Build with a reflective sort.Slice of the (bucket,
+// host, rid) triples and one key allocation per outlier, kept as the
+// differential reference.
+func referenceBuild(rel *storage.Relation, targetCol int, cfg Config) *Index {
+	cfg = normalize(cfg)
+	host := rel.ClusterKey[0]
+	idx := &Index{TargetCol: targetCol, HostCol: host, TargetWidth: cfg.TargetWidth}
+	type triple struct {
+		bucket, host value.V
+		rid          int32
+	}
+	triples := make([]triple, len(rel.Rows))
+	for i, row := range rel.Rows {
+		triples[i] = triple{bucket: BucketOf(row[targetCol], cfg.TargetWidth), host: row[host], rid: int32(i)}
+	}
+	sort.Slice(triples, func(i, j int) bool {
+		if triples[i].bucket != triples[j].bucket {
+			return triples[i].bucket < triples[j].bucket
+		}
+		if triples[i].host != triples[j].host {
+			return triples[i].host < triples[j].host
+		}
+		return triples[i].rid < triples[j].rid
+	})
+	var outliers []btree.Entry
+	for lo := 0; lo < len(triples); {
+		hi := lo
+		for hi < len(triples) && triples[hi].bucket == triples[lo].bucket {
+			hi++
+		}
+		group := triples[lo:hi]
+		coreLo, coreHi := trimBucket(group, cfg, func(t triple) value.V { return t.host })
+		idx.entries = append(idx.entries, mapEntry{
+			bucket: group[0].bucket,
+			hostLo: group[coreLo].host,
+			hostHi: group[coreHi-1].host,
+		})
+		for i, t := range group {
+			if i < coreLo || i >= coreHi {
+				outliers = append(outliers, btree.Entry{Key: []value.V{rel.Rows[t.rid][targetCol]}, RID: t.rid})
+			}
+		}
+		lo = hi
+	}
+	if len(outliers) > 0 {
+		idx.numOutliers = len(outliers)
+		idx.Outliers = btree.Build(outliers, rel.Schema.Columns[targetCol].ByteSize)
+	}
+	return idx
+}
+
+// TestBuildMatchesReference compares whole indexes — mapping entries and
+// the outlier tree's leaf order — on the chrono-loaded fact, where dates
+// track the clustered orderkey up to a few days of jitter, and on the
+// hierarchy with planted outliers.
+func TestBuildMatchesReference(t *testing.T) {
+	chrono := ssb.Generate(ssb.Config{Rows: 20_000, Customers: 800, Suppliers: 60, Parts: 500, Seed: 3, ChronoDates: true})
+	sch := chrono.Schema
+	byDate := chrono.Project("by-date", []int{sch.MustCol(ssb.ColOrderDate), sch.MustCol(ssb.ColOrderKey), sch.MustCol(ssb.ColYear)}, []int{0})
+	// target = host/100 except every 50th row, which lands in a far bucket:
+	// each bucket is a tight core plus a few rows worth trimming.
+	rows := make([]value.Row, 10000)
+	for i := range rows {
+		rows[i] = value.Row{value.V(i), value.V(i / 100), value.V(i)}
+		if i%50 == 7 {
+			rows[i][1] = value.V(i / 50 * 37 % 100)
+		}
+	}
+	noisy := storage.NewRelation("noisy", hierRelation(0, 0).Schema, []int{0}, rows)
+	cases := []struct {
+		name   string
+		rel    *storage.Relation
+		target int
+	}{
+		{"chrono year", chrono, sch.MustCol(ssb.ColYear)},
+		{"chrono orderdate", chrono, sch.MustCol(ssb.ColOrderDate)},
+		{"chrono discount (uncorrelated)", chrono, sch.MustCol(ssb.ColDiscount)},
+		{"by-date orderkey", byDate, 1},
+		{"hierarchy with scattered rows", hierRelation(10000, 100), 1},
+		{"noisy dependency", noisy, 1},
+	}
+	if x, _ := Build(noisy, 1, Config{}); x.NumOutliers() == 0 {
+		t.Fatal("the noisy dependency must exile rows to the outlier tree")
+	}
+	for _, c := range cases {
+		for _, w := range []value.V{1, 4, 64} {
+			cfg := Config{TargetWidth: w}
+			got, err := Build(c.rel, c.target, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceBuild(c.rel, c.target, cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s width %d: Build differs from the reference (%d/%d entries, %d/%d outliers)",
+					c.name, w, got.NumEntries(), want.NumEntries(), got.NumOutliers(), want.NumOutliers())
+			}
+		}
 	}
 }

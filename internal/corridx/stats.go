@@ -1,7 +1,8 @@
 package corridx
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"coradd/internal/btree"
 	"coradd/internal/cm"
@@ -89,11 +90,11 @@ func SampleIntervals(sorted []value.Row, targetCol, hostCol int, width value.V, 
 		outlierRows += len(ranks) - (hi - lo)
 		intervals = append(intervals, [2]int{ranks[lo], ranks[hi-1] + 1})
 	}
-	sort.Slice(intervals, func(i, j int) bool {
-		if intervals[i][0] != intervals[j][0] {
-			return intervals[i][0] < intervals[j][0]
+	slices.SortFunc(intervals, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return intervals[i][1] < intervals[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	merged := intervals[:0]
 	for _, iv := range intervals {
@@ -124,7 +125,7 @@ func bucketGroups(sorted []value.Row, targetCol int, width value.V, pred *query.
 	for b := range byBucket {
 		buckets = append(buckets, b)
 	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
+	slices.Sort(buckets)
 	out := make([][]int, len(buckets))
 	for i, b := range buckets {
 		out[i] = byBucket[b]

@@ -75,7 +75,8 @@ func NewEvaluator(fact *storage.Relation, w query.Workload, disk storage.DiskPar
 // Materialize deploys the design. Physical structures are drawn from the
 // evaluator's cache: designs sharing an MV's structure (columns, clustered
 // key, secondary structures) share one physical object, so only the first
-// deployment pays for projection, sorting and index/CM construction.
+// deployment pays for projection, sorting and index/CM construction. The
+// design's objects are built concurrently on the worker pool.
 func (e *Evaluator) Materialize(d *Design) (*Materialized, error) {
 	// Support zero-value (non-NewEvaluator) construction race-free:
 	// concurrent Measure calls are an intended pattern.
@@ -87,15 +88,19 @@ func (e *Evaluator) Materialize(d *Design) (*Materialized, error) {
 			e.base = exec.NewObject(e.Fact)
 		}
 	})
-	m := &Materialized{}
-	m.Base = e.base
-	// Materialize chosen objects.
-	for _, md := range d.Chosen {
-		obj, err := e.materializeObject(d, md)
-		if err != nil {
-			return nil, err
-		}
-		m.Objects = append(m.Objects, obj)
+	m := &Materialized{Base: e.base, Objects: make([]*exec.Object, len(d.Chosen))}
+	// Objects are independent builds: fan them across the pool, then
+	// account for them in Chosen order.
+	err := par.ForEachErr(len(d.Chosen), e.Workers, func(i int) error {
+		var err error
+		m.Objects[i], err = e.materializeObject(d, d.Chosen[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, md := range d.Chosen {
+		obj := m.Objects[i]
 		m.Bytes += obj.Bytes()
 		if md.FactRecluster || md.FactOverlay {
 			// The re-clustered heap replaces the base heap (and an overlay

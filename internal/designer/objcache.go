@@ -47,9 +47,10 @@ const cacheBytesEnv = "CORADD_CACHE_BYTES"
 // order once the configured capacity is exceeded, so the working set stays
 // bounded; an evicted artifact is simply rebuilt — deterministically — on
 // its next use. All methods are safe for concurrent use; the parallel
-// evaluator fans Measure calls across goroutines. Concurrent misses on the
-// same key may build the same artifact twice — the build is deterministic,
-// so whichever write lands last is indistinguishable from the other.
+// evaluator fans Measure calls, and Materialize a design's objects, across
+// goroutines. Concurrent misses on the same key build once: the first
+// requester builds, the others wait for its result (single flight), so a
+// fan-out never duplicates a row-scale sort.
 // Cached artifacts are shared and must be treated as immutable by callers.
 type ObjectCache struct {
 	mu      sync.Mutex
@@ -57,8 +58,19 @@ type ObjectCache struct {
 	used    int64
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
+	// inflight holds the builds in progress, by key.
+	inflight map[string]*flight
 
 	hits, misses, evictions int
+}
+
+// flight is one build in progress. done is closed when the build ends; ok
+// then says whether val holds its result (false: the build failed or
+// panicked, and a waiter builds for itself).
+type flight struct {
+	done chan struct{}
+	val  any
+	ok   bool
 }
 
 // cacheEntry is one LRU node. deps lists the cache keys of the artifacts
@@ -70,10 +82,11 @@ type ObjectCache struct {
 // independent request; instead the object entry goes first, releasing
 // its pins so the components become evictable. Pins are taken when the
 // dependent entry is stored, so a component built during a still-running
-// object assembly is briefly unpinned and may be evicted under a very
-// tight cap with concurrent builds — the bound is soft by up to the
-// in-flight components, never incorrect (the dep loop skips missing keys
-// and a later miss rebuilds deterministically).
+// object assembly is unpinned until the assembly ends and may be evicted
+// meanwhile under a cap smaller than one design's objects, all of which
+// assemble concurrently — the bound is soft by up to the in-flight
+// components, never incorrect (the dep loop skips missing keys and a
+// later miss rebuilds deterministically).
 type cacheEntry struct {
 	key   string
 	bytes int64
@@ -111,9 +124,10 @@ func NewObjectCache() *ObjectCache {
 		max = parsed
 	}
 	return &ObjectCache{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
+		max:      max,
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
+		inflight: make(map[string]*flight),
 	}
 }
 
@@ -205,44 +219,65 @@ func (c *ObjectCache) evictLocked() {
 	}
 }
 
-// memoGetDeps is the one lock/hit/miss/build/store protocol behind every
-// accessor. build returning ok=false means "do not cache" (used for
+// memoGetDeps is the one lock/hit/wait/miss/build/store protocol behind
+// every accessor. build returning ok=false means "do not cache" (used for
 // fallible builds) and may report the dependency keys of the built
-// artifact; bytes reports the artifact's footprint charge. Concurrent
-// misses may build twice, deterministically.
+// artifact; bytes reports the artifact's footprint charge. A request that
+// finds the key being built waits for that build and counts as a hit, so
+// there is exactly one miss per built artifact at any concurrency.
 func memoGetDeps[V any](c *ObjectCache, key string, build func() (V, bool, []string), bytes func(V) int64) V {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		for _, d := range e.deps {
-			if del, ok := c.entries[d]; ok {
-				c.lru.MoveToFront(del)
+	for {
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.hits++
+			c.lru.MoveToFront(el)
+			e := el.Value.(*cacheEntry)
+			for _, d := range e.deps {
+				if del, ok := c.entries[d]; ok {
+					c.lru.MoveToFront(del)
+				}
 			}
+			v := e.val.(V)
+			c.mu.Unlock()
+			return v
 		}
-		v := e.val.(V)
+		f, building := c.inflight[key]
+		if !building {
+			break
+		}
 		c.mu.Unlock()
-		return v
+		<-f.done
+		if f.ok {
+			c.mu.Lock()
+			c.hits++
+			c.mu.Unlock()
+			return f.val.(V)
+		}
 	}
+	f := &flight{done: make(chan struct{})}
+	c.inflight[key] = f
 	c.misses++
 	c.mu.Unlock()
+	// Deferred so that a panicking build releases its waiters too.
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(f.done)
+	}()
 	v, ok, deps := build()
 	if !ok {
 		return v
 	}
+	f.val, f.ok = v, true
 	b := bytes(v)
 	if b < int64(len(key))+64 {
 		b = int64(len(key)) + 64 // floor: map key + bookkeeping
 	}
 	c.mu.Lock()
-	if el, exists := c.entries[key]; exists {
-		// A concurrent miss stored first; adopt the charge bookkeeping.
-		c.lru.MoveToFront(el)
-	} else if c.max > 0 && b > c.max {
-		// Never cache an artifact larger than the whole capacity: storing
-		// it would drain every other entry and then evict itself.
-	} else {
+	// Never cache an artifact larger than the whole capacity: storing it
+	// would drain every other entry and then evict itself.
+	if c.max <= 0 || b <= c.max {
 		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, bytes: b, val: v, deps: deps})
 		for _, d := range deps {
 			if del, ok := c.entries[d]; ok {

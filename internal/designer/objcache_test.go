@@ -1,9 +1,13 @@
 package designer
 
 import (
+	"errors"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"coradd/internal/corridx"
 	"coradd/internal/costmodel"
 	"coradd/internal/feedback"
 	"coradd/internal/par"
@@ -199,6 +203,68 @@ func TestParallelEvaluationDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConcurrentMissesBuildOnce starts every other requester of a key while
+// its first build is held open: the build must run once, everyone must get
+// its result, and the others — waiting on the flight or arriving after it
+// landed — count as hits. A failed build hands its waiters nothing; each
+// then builds for itself.
+func TestConcurrentMissesBuildOnce(t *testing.T) {
+	const n = 8
+	c := NewObjectCache()
+	var builds atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	want := &storage.Relation{Name: "built once", Schema: schema.New(schema.Column{Name: "a", ByteSize: 4})}
+	got := make([]*storage.Relation, n)
+	var wg sync.WaitGroup
+	request := func(i int) {
+		defer wg.Done()
+		got[i] = c.relation("k", func() *storage.Relation {
+			builds.Add(1)
+			close(started)
+			<-release
+			return want
+		})
+	}
+	wg.Add(n)
+	go request(0)
+	<-started // the flight for "k" is registered from here on
+	for i := 1; i < n; i++ {
+		go request(i)
+	}
+	close(release)
+	wg.Wait()
+	if b := builds.Load(); b != 1 {
+		t.Fatalf("%d goroutines missing one key ran %d builds, want 1", n, b)
+	}
+	for i, r := range got {
+		if r != want {
+			t.Fatalf("requester %d got %p, want the one built relation %p", i, r, want)
+		}
+	}
+	if hits, misses := c.Stats(); hits != n-1 || misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want %d/1", hits, misses, n-1)
+	}
+
+	builds.Store(0)
+	boom := errors.New("boom")
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			if _, err := c.corrIdx("bad", func() (*corridx.Index, error) {
+				builds.Add(1)
+				return nil, boom
+			}); err != boom {
+				t.Errorf("failed build returned %v, want its own error", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if b := builds.Load(); b != n {
+		t.Errorf("a failed build was shared: %d builds for %d requesters", b, n)
 	}
 }
 

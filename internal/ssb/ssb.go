@@ -148,10 +148,23 @@ func Generate(cfg Config) *storage.Relation {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := Schema()
+	// Column positions are resolved once, and all rows slice into one
+	// backing array.
+	var (
+		cOrder, cCust, cSupp, cPart = s.MustCol(ColOrderKey), s.MustCol(ColCustKey), s.MustCol(ColSuppKey), s.MustCol(ColPartKey)
+		cDate, cCommit              = s.MustCol(ColOrderDate), s.MustCol(ColCommitDate)
+		cYear, cYearMonth, cWeek    = s.MustCol(ColYear), s.MustCol(ColYearMonth), s.MustCol(ColWeekNum)
+		cQty, cDisc                 = s.MustCol(ColQuantity), s.MustCol(ColDiscount)
+		cRev, cPrice, cSupplyCost   = s.MustCol(ColRevenue), s.MustCol(ColExtPrice), s.MustCol(ColSupplyCost)
+		cCCity, cCNation, cCRegion  = s.MustCol(ColCCity), s.MustCol(ColCNation), s.MustCol(ColCRegion)
+		cSCity, cSNation, cSRegion  = s.MustCol(ColSCity), s.MustCol(ColSNation), s.MustCol(ColSRegion)
+		cMfgr, cCategory, cBrand    = s.MustCol(ColPMfgr), s.MustCol(ColPCategory), s.MustCol(ColPBrand)
+	)
+	width := len(s.Columns)
+	arena := make([]value.V, cfg.Rows*width)
 	rows := make([]value.Row, cfg.Rows)
-	cOrder := s.MustCol(ColOrderKey)
 	for i := 0; i < cfg.Rows; i++ {
-		row := make(value.Row, len(s.Columns))
+		row := arena[i*width : (i+1)*width : (i+1)*width]
 		ck := value.V(rng.Intn(cfg.Customers))
 		sk := value.V(rng.Intn(cfg.Suppliers))
 		pk := value.V(rng.Intn(cfg.Parts))
@@ -180,39 +193,39 @@ func Generate(cfg Config) *storage.Relation {
 		rev := price * (100 - disc) / 100
 
 		row[cOrder] = value.V(i) // unique PK (order line id)
-		row[s.MustCol(ColCustKey)] = ck
-		row[s.MustCol(ColSuppKey)] = sk
-		row[s.MustCol(ColPartKey)] = pk
-		row[s.MustCol(ColOrderDate)] = date
-		row[s.MustCol(ColCommitDate)] = commit
-		row[s.MustCol(ColYear)] = year
-		row[s.MustCol(ColYearMonth)] = ym
-		row[s.MustCol(ColWeekNum)] = wk
-		row[s.MustCol(ColQuantity)] = qty
-		row[s.MustCol(ColDiscount)] = disc
-		row[s.MustCol(ColRevenue)] = rev
-		row[s.MustCol(ColExtPrice)] = price
-		row[s.MustCol(ColSupplyCost)] = price * 6 / 10
+		row[cCust] = ck
+		row[cSupp] = sk
+		row[cPart] = pk
+		row[cDate] = date
+		row[cCommit] = commit
+		row[cYear] = year
+		row[cYearMonth] = ym
+		row[cWeek] = wk
+		row[cQty] = qty
+		row[cDisc] = disc
+		row[cRev] = rev
+		row[cPrice] = price
+		row[cSupplyCost] = price * 6 / 10
 
 		// Customer geography hierarchy: city → nation → region. The
 		// within-nation city digit comes from the key's high part so that
 		// nation (low part) and digit are independent and every city value
 		// occurs.
 		cn := ck % NumNations
-		row[s.MustCol(ColCCity)] = cn*10 + (ck/NumNations)%10
-		row[s.MustCol(ColCNation)] = cn
-		row[s.MustCol(ColCRegion)] = cn / 5
+		row[cCCity] = cn*10 + (ck/NumNations)%10
+		row[cCNation] = cn
+		row[cCRegion] = cn / 5
 
 		sn := sk % NumNations
-		row[s.MustCol(ColSCity)] = sn*10 + (sk/NumNations)%10
-		row[s.MustCol(ColSNation)] = sn
-		row[s.MustCol(ColSRegion)] = sn / 5
+		row[cSCity] = sn*10 + (sk/NumNations)%10
+		row[cSNation] = sn
+		row[cSRegion] = sn / 5
 
 		// Product hierarchy: brand → category → mfgr.
 		cat := pk % NumCategories
-		row[s.MustCol(ColPMfgr)] = cat / 5
-		row[s.MustCol(ColPCategory)] = cat
-		row[s.MustCol(ColPBrand)] = cat*40 + (pk/NumCategories)%40
+		row[cMfgr] = cat / 5
+		row[cCategory] = cat
+		row[cBrand] = cat*40 + (pk/NumCategories)%40
 
 		rows[i] = row
 	}

@@ -16,6 +16,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"coradd/internal/schema"
@@ -97,15 +98,64 @@ func NewRelation(name string, s *schema.Schema, clusterKey []int, rows []value.R
 	return r
 }
 
-// Recluster re-sorts the heap on a new clustered key.
+// Recluster re-sorts the heap on a new clustered key. Rows with equal keys
+// keep their relative order.
 func (r *Relation) Recluster(key []int) {
 	r.ClusterKey = key
-	if len(key) == 0 {
-		return
+	if order := r.SortedRIDs(key); order != nil {
+		all := make([]int, len(r.Schema.Columns))
+		for i := range all {
+			all[i] = i
+		}
+		r.Rows = gather(r.Rows, order, all)
 	}
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		return value.CompareRows(r.Rows[i], r.Rows[j], key) < 0
-	})
+}
+
+// SortedRIDs returns the row positions ordered by the values of cols, rows
+// with equal values in position order (the stable order), or nil when the
+// rows already are in that order. Only the cols values are extracted and
+// sorted; no row moves.
+func (r *Relation) SortedRIDs(cols []int) []int32 {
+	if slices.IsSortedFunc(r.Rows, func(a, b value.Row) int { return value.CompareRows(a, b, cols) }) {
+		return nil
+	}
+	w := len(cols) - 1
+	refs := make([]value.Ref, len(r.Rows))
+	rest := make([]value.V, len(r.Rows)*w)
+	for i, row := range r.Rows {
+		refs[i] = value.Ref{Lead: row[cols[0]], Tie: int32(i), Pos: int32(i)}
+		for j, c := range cols[1:] {
+			rest[i*w+j] = row[c]
+		}
+	}
+	value.SortRefs(refs, rest, w)
+	order := make([]int32, len(refs))
+	for i := range refs {
+		order[i] = refs[i].Pos
+	}
+	return order
+}
+
+// gather copies cols of rows, taken in the given order (nil = as they
+// are), into one backing array the returned rows slice into: one
+// allocation instead of one per row, and a scan of the result walks memory
+// sequentially.
+func gather(rows []value.Row, order []int32, cols []int) []value.Row {
+	w := len(cols)
+	arena := make([]value.V, len(rows)*w)
+	out := make([]value.Row, len(rows))
+	for i := range out {
+		src := rows[i]
+		if order != nil {
+			src = rows[order[i]]
+		}
+		dst := arena[i*w : (i+1)*w : (i+1)*w]
+		for j, c := range cols {
+			dst[j] = src[c]
+		}
+		out[i] = dst
+	}
+	return out
 }
 
 // NumRows returns the tuple count.
@@ -140,30 +190,14 @@ func (r *Relation) HeapBytes() int64 {
 // materialize MVs: an MV is a projection of the (pre-joined) fact relation
 // re-sorted on its own clustered key.
 func (r *Relation) Project(name string, cols []int, newKey []int) *Relation {
-	s := r.Schema.Project(cols)
-	rows := make([]value.Row, len(r.Rows))
-	for i, src := range r.Rows {
-		row := make(value.Row, len(cols))
-		for j, c := range cols {
-			row[j] = src[c]
-		}
-		rows[i] = row
+	srcKey := make([]int, len(newKey))
+	for i, k := range newKey {
+		srcKey[i] = cols[k]
 	}
-	return NewRelation(name, s, newKey, rows)
-}
-
-// EqualRange returns the half-open row-index range [lo,hi) of rows whose
-// clustered-key prefix of length len(key) equals key. The relation must be
-// clustered; key must be a prefix-aligned composite value.
-func (r *Relation) EqualRange(key []value.V) (lo, hi int) {
-	pre := r.ClusterKey[:len(key)]
-	lo = sort.Search(len(r.Rows), func(i int) bool {
-		return value.CompareKeys(value.KeyOf(r.Rows[i], pre), key) >= 0
-	})
-	hi = sort.Search(len(r.Rows), func(i int) bool {
-		return value.CompareKeys(value.KeyOf(r.Rows[i], pre), key) > 0
-	})
-	return lo, hi
+	return &Relation{
+		Name: name, Schema: r.Schema.Project(cols), ClusterKey: newKey,
+		Rows: gather(r.Rows, r.SortedRIDs(srcKey), cols),
+	}
 }
 
 // PrefixRange returns the row-index range [lo,hi) of rows whose first

@@ -2,9 +2,9 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"coradd/internal/schema"
 	"coradd/internal/value"
@@ -61,32 +61,6 @@ func TestPageMath(t *testing.T) {
 	}
 	if rel.HeapBytes() != int64(wantPages)*PageSize {
 		t.Errorf("HeapBytes = %d", rel.HeapBytes())
-	}
-}
-
-func TestEqualRangeMatchesLinearScan(t *testing.T) {
-	rel := makeRel(3000, 4, "k")
-	prop := func(key uint8) bool {
-		k := value.V(key % 110) // includes absent values
-		lo, hi := rel.EqualRange([]value.V{k})
-		count := 0
-		for _, r := range rel.Rows {
-			if r[0] == k {
-				count++
-			}
-		}
-		if hi-lo != count {
-			return false
-		}
-		for i := lo; i < hi; i++ {
-			if rel.Rows[i][0] != k {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -148,5 +122,65 @@ func TestUnclusteredRelationKeepsLoadOrder(t *testing.T) {
 	rel := NewRelation("t", s, nil, rows)
 	if rel.Rows[0][0] != 5 || rel.Rows[2][0] != 3 {
 		t.Error("unclustered relation was reordered")
+	}
+}
+
+// referenceProject is the pre-arena kernel, kept as the differential
+// reference: one allocation per projected row, then a reflective stable
+// sort of the row headers.
+func referenceProject(rows []value.Row, cols, newKey []int) []value.Row {
+	out := make([]value.Row, len(rows))
+	for i, src := range rows {
+		out[i] = value.KeyOf(src, cols)
+	}
+	if len(newKey) > 0 {
+		sort.SliceStable(out, func(i, j int) bool {
+			return value.CompareRows(out[i], out[j], newKey) < 0
+		})
+	}
+	return out
+}
+
+// TestProjectMatchesStableSortReference checks Project and Recluster, row
+// for row, against the reference on relations whose keys repeat heavily
+// (every other column differs, so a stability slip is visible), with key
+// lengths 0-4, negative values and the sizes around a CM bucket boundary.
+func TestProjectMatchesStableSortReference(t *testing.T) {
+	cols := make([]schema.Column, 6)
+	for i := range cols {
+		cols[i] = schema.Column{Name: string(rune('a' + i)), ByteSize: 4}
+	}
+	s := schema.New(cols...)
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 203, 204, 205, 5000} {
+		for keyLen := 0; keyLen <= 4; keyLen++ {
+			rows := make([]value.Row, n)
+			for i := range rows {
+				rows[i] = value.Row{value.V(rng.Intn(5) - 2), value.V(rng.Intn(3) - 1), value.V(rng.Intn(2)),
+					value.V(rng.Intn(4)), value.V(i), value.V(rng.Int63())}
+			}
+			if keyLen == 4 && n == 5000 { // already sorted: the no-move path
+				rows = referenceProject(rows, []int{0, 1, 2, 3, 4, 5}, []int{3, 1, 0, 2})
+			}
+			proj := rng.Perm(6)[:4+rng.Intn(3)]
+			for len(proj) < keyLen {
+				proj = rng.Perm(6)
+			}
+			newKey := rng.Perm(len(proj))[:keyLen]
+			rel := &Relation{Name: "t", Schema: s, Rows: rows}
+			got := rel.Project("p", proj, newKey)
+			if want := referenceProject(rows, proj, newKey); !reflect.DeepEqual(got.Rows, want) {
+				t.Fatalf("n=%d cols=%v key=%v: Project differs from the stable-sort reference", n, proj, newKey)
+			}
+			if !reflect.DeepEqual(got.ClusterKey, newKey) || len(got.Schema.Columns) != len(proj) {
+				t.Fatalf("n=%d: projected relation has key %v over %d columns", n, got.ClusterKey, len(got.Schema.Columns))
+			}
+			key := []int{3, 1, 0, 2}[:keyLen]
+			want := referenceProject(rows, []int{0, 1, 2, 3, 4, 5}, key)
+			rel.Recluster(key)
+			if !reflect.DeepEqual(rel.Rows, want) {
+				t.Fatalf("n=%d key=%v: Recluster differs from the stable-sort reference", n, key)
+			}
+		}
 	}
 }

@@ -10,6 +10,11 @@
 // distinct strings.
 package value
 
+import (
+	"cmp"
+	"slices"
+)
+
 // V is a single attribute value. The zero value is a valid value (0).
 type V = int64
 
@@ -84,4 +89,46 @@ func CloneRow(r Row) Row {
 	c := make(Row, len(r))
 	copy(c, r)
 	return c
+}
+
+// Ref is one record of a bulk sort over composite keys: the key's leading
+// value held inline — so most comparisons never leave the slice being
+// sorted — the position of its remaining values in a flat side array, and
+// an int32 tie-break that makes the order total. The row-scale build
+// kernels whose key length varies (recluster, B+Tree bulk load,
+// correlation maps) sort Refs instead of rows, so none of them allocates a
+// key per row or sorts through a reflective swapper.
+type Ref struct {
+	Lead V
+	Tie  int32
+	Pos  int32
+}
+
+// CompareRefs orders a and b by (Lead, rest[Pos*w:(Pos+1)*w], Tie), where
+// rest holds the w non-leading key values of every record.
+func CompareRefs(a, b Ref, rest []V, w int) int {
+	if a.Lead != b.Lead {
+		if a.Lead < b.Lead {
+			return -1
+		}
+		return 1
+	}
+	if w > 0 && a.Pos != b.Pos {
+		ra, rb := rest[int(a.Pos)*w:][:w], rest[int(b.Pos)*w:][:w]
+		for i, av := range ra {
+			if bv := rb[i]; av != bv {
+				if av < bv {
+					return -1
+				}
+				return 1
+			}
+		}
+	}
+	return cmp.Compare(a.Tie, b.Tie)
+}
+
+// SortRefs sorts refs in CompareRefs order. With Tie set to the record's
+// input position the result is the stable order of the keys.
+func SortRefs(refs []Ref, rest []V, w int) {
+	slices.SortFunc(refs, func(a, b Ref) int { return CompareRefs(a, b, rest, w) })
 }
