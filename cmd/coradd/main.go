@@ -16,13 +16,12 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"coradd/internal/apb"
 	"coradd/internal/candgen"
 	"coradd/internal/designer"
 	"coradd/internal/feedback"
 	"coradd/internal/query"
-	"coradd/internal/ssb"
-	"coradd/internal/stats"
+	"coradd/internal/scenario"
+	"coradd/internal/scenario/apbenv"
 	"coradd/internal/storage"
 )
 
@@ -37,31 +36,26 @@ func main() {
 	sample := flag.Int("sample", 4096, "statistics synopsis size")
 	seed := flag.Int64("seed", 42, "data generation seed")
 	flag.Parse()
+	if _, err := scenario.SolverMaxNodes(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
-	var rel *storage.Relation
-	var w query.Workload
-	var pk []int
+	s := scenario.Scale{SSBRows: *rows, APBRows: *rows, Sample: *sample, Seed: *seed}
+	var env *scenario.Env
 	switch strings.ToLower(*workload) {
 	case "ssb":
-		rel = ssb.Generate(ssb.Config{Rows: *rows, Customers: *rows / 30, Suppliers: *rows / 400, Parts: *rows / 40, Seed: *seed})
-		w = ssb.Queries()
-		pk = ssb.PKCols(rel.Schema)
+		env = scenario.SSB(s, false)
 	case "ssb52":
-		rel = ssb.Generate(ssb.Config{Rows: *rows, Customers: *rows / 30, Suppliers: *rows / 400, Parts: *rows / 40, Seed: *seed})
-		w = ssb.AugmentedQueries()
-		pk = ssb.PKCols(rel.Schema)
+		env = scenario.SSB(s, true)
 	case "apb":
-		rel = apb.Generate(apb.Config{Rows: *rows, Seed: *seed})
-		w = apb.Queries()
-		pk = apb.PKCols(rel.Schema)
+		env = apbenv.New(s)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
 		os.Exit(2)
 	}
-
-	st := stats.New(rel, *sample, *seed+1)
-	disk := storage.DefaultDiskParams()
-	common := designer.Common{St: st, W: w, Disk: disk, PKCols: pk, BaseKey: rel.ClusterKey}
+	rel, w, common := env.Rel, env.W, env.Common
+	disk := common.Disk
 	budget := int64(*budgetMult * float64(rel.HeapBytes()))
 
 	fmt.Printf("fact table: %s, %d rows, %d pages (%.1f MB heap)\n",

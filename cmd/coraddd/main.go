@@ -77,10 +77,10 @@ import (
 	"coradd/internal/adapt"
 	"coradd/internal/designer"
 	"coradd/internal/durable"
-	"coradd/internal/exp"
 	"coradd/internal/fault"
 	"coradd/internal/feedback"
 	"coradd/internal/obs"
+	"coradd/internal/scenario"
 	"coradd/internal/server"
 	"coradd/internal/workload"
 )
@@ -109,6 +109,9 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "coraddd ", log.LstdFlags|log.Lmsgprefix)
+	if _, err := scenario.SolverMaxNodes(); err != nil {
+		logger.Fatal(err)
+	}
 
 	var inj *fault.Injector
 	if *crashAfter != "" {
@@ -119,7 +122,7 @@ func main() {
 		inj = fault.New(fault.Config{CrashAfterBuilds: ordinals})
 	}
 
-	scale := exp.QuickScale()
+	scale := scenario.QuickScale()
 	scale.SSBRows = *rows
 
 	srv := server.NewStarting(server.Config{
@@ -200,9 +203,9 @@ func main() {
 
 // boot generates the environment, then either resumes from a checkpoint
 // or solves the initial design cold, and starts the controller loop.
-func boot(srv *server.Server, scale exp.Scale, budgetMult float64, ckptPath string, logger *log.Logger) error {
+func boot(srv *server.Server, scale scenario.Scale, budgetMult float64, ckptPath string, logger *log.Logger) error {
 	start := time.Now()
-	env := exp.NewSSBEnv(scale, false)
+	env := scenario.SSB(scale, false)
 	logger.Printf("generated SSB (%d rows, %d catalog queries) in %s",
 		scale.SSBRows, len(env.W), time.Since(start).Round(time.Millisecond))
 	budget := int64(budgetMult * float64(env.Rel.HeapBytes()))

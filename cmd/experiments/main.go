@@ -23,40 +23,14 @@
 //	          introduced; promoted to a first-class switch in PR 4)
 //	-ssbrows / -apbrows  fact-table row overrides
 //
-// Environment knobs (each applies to every experiment this command runs):
+// Environment:
 //
-//	CORADD_SOLVER_WORKERS   parallel exact solves with this many workers
-//	                        (deterministic; results identical to the
-//	                        sequential default, only wall time changes —
-//	                        useful on multi-core hardware, idle on 1-CPU
-//	                        runners). A non-negative integer; 0/unset = the
-//	                        sequential search. Negative or non-integer
-//	                        values are rejected at startup — see
-//	                        exp.ParseSolverWorkers.
 //	CORADD_SOLVER_MAXNODES  branch-and-bound node cap per exact solve
 //	                        (0/unset = the 5M default, negative =
-//	                        unlimited — the off-runner escape hatch for
-//	                        running the Figure 9/11 mid-budget instances
-//	                        to proven optimality alongside -full)
-//	CORADD_SOLVER_TIMELIMIT wall-clock deadline per exact solve, as a
-//	                        Go duration ("30s", "2m"; unset = none). A
-//	                        triggered deadline keeps the solver's best
-//	                        incumbent and marks the solve unproven —
-//	                        such rows carry a * in the Figure 9/11
-//	                        tables. Zero, negative or non-duration
-//	                        values are rejected at startup.
-//	CORADD_CACHE_BYTES      materialization-cache capacity: a
-//	                        non-negative integer byte count (0 =
-//	                        unlimited; unset = the 1 GiB default).
-//	                        Negative or non-integer values are rejected
-//	                        at startup — see designer.ObjectCache.
-//	CORADD_TENANT_WORKERS   worker count for the tenant ablation's
-//	                        cross-tenant fan-outs (pool mining and the
-//	                        dual's per-probe subproblem solves). A
-//	                        non-negative integer; 0/unset = one per CPU.
-//	                        Results are identical at any setting.
-//	                        Negative or non-integer values are rejected
-//	                        at startup — see exp.ParseTenantWorkers.
+//	                        unlimited — for running the Figure 9/11
+//	                        mid-budget instances to proven optimality
+//	                        alongside -full). Anything but a base-10
+//	                        integer is rejected at startup.
 package main
 
 import (
@@ -68,6 +42,8 @@ import (
 
 	"coradd/internal/exp"
 	"coradd/internal/ilp"
+	"coradd/internal/scenario"
+	"coradd/internal/scenario/apbenv"
 )
 
 func main() {
@@ -79,10 +55,14 @@ func main() {
 	optQueries := flag.Int("optqueries", 8, "workload size for the Figure 7 OPT brute force")
 	solveProf := flag.Bool("solveprof", false, "dump the solver search profile after the calib experiment")
 	flag.Parse()
+	if _, err := scenario.SolverMaxNodes(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
-	scale := exp.QuickScale()
+	scale := scenario.QuickScale()
 	if *full {
-		scale = exp.FullScale()
+		scale = scenario.FullScale()
 	}
 	if *ssbRows > 0 {
 		scale.SSBRows = *ssbRows
@@ -95,22 +75,22 @@ func main() {
 	want := func(id string) bool { return *run == "all" || strings.EqualFold(*run, id) }
 	out := os.Stdout
 
-	var ssbEnv, ssbAugEnv, apbEnv *exp.Env
-	getSSB := func() *exp.Env {
+	var ssbEnv, ssbAugEnv, apbEnv *scenario.Env
+	getSSB := func() *scenario.Env {
 		if ssbEnv == nil {
-			ssbEnv = exp.NewSSBEnv(scale, false)
+			ssbEnv = scenario.SSB(scale, false)
 		}
 		return ssbEnv
 	}
-	getSSBAug := func() *exp.Env {
+	getSSBAug := func() *scenario.Env {
 		if ssbAugEnv == nil {
-			ssbAugEnv = exp.NewSSBEnv(scale, true)
+			ssbAugEnv = scenario.SSB(scale, true)
 		}
 		return ssbAugEnv
 	}
-	getAPB := func() *exp.Env {
+	getAPB := func() *scenario.Env {
 		if apbEnv == nil {
-			apbEnv = exp.NewAPBEnv(scale)
+			apbEnv = apbenv.New(scale)
 		}
 		return apbEnv
 	}
@@ -128,7 +108,7 @@ func main() {
 		// Release this phase's materialized objects: the next experiment
 		// rebuilds what it needs, so a full -run all sweep never holds
 		// every phase's working set at once.
-		for _, env := range []*exp.Env{ssbEnv, ssbAugEnv, apbEnv} {
+		for _, env := range []*scenario.Env{ssbEnv, ssbAugEnv, apbEnv} {
 			if env != nil {
 				env.FlushCaches()
 			}

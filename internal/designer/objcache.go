@@ -2,7 +2,6 @@ package designer
 
 import (
 	"container/list"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"coradd/internal/btree"
 	"coradd/internal/cm"
 	"coradd/internal/corridx"
-	"coradd/internal/envknob"
 	"coradd/internal/exec"
 	"coradd/internal/storage"
 )
@@ -18,14 +16,8 @@ import (
 // DefaultCacheBytes is the default ObjectCache capacity. Projected
 // relations and dense B+Trees dominate the footprint; a long budget sweep
 // at large scale factors would otherwise retain every distinct MV
-// projection it ever materialized. Override per cache with SetMaxBytes or
-// globally with the CORADD_CACHE_BYTES environment variable (a
-// non-negative integer byte count; 0 means unlimited; anything else is
-// rejected at cache construction — see ParseCacheBytes).
+// projection it ever materialized. Override per cache with SetMaxBytes.
 const DefaultCacheBytes = 1 << 30
-
-// cacheBytesEnv names the environment override for the capacity.
-const cacheBytesEnv = "CORADD_CACHE_BYTES"
 
 // ObjectCache reuses physical design artifacts across the many designs a
 // budget sweep evaluates. The designs CORADD, Commercial and Naive pick at
@@ -95,36 +87,11 @@ type cacheEntry struct {
 	pins  int
 }
 
-// ParseCacheBytes validates a CORADD_CACHE_BYTES value: a base-10
-// non-negative integer byte count, where 0 means unlimited. Negative
-// values and garbage are errors — an operator typo must fail loudly, not
-// silently run with a default capacity that masks the intent.
-func ParseCacheBytes(v string) (int64, error) {
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, envknob.Reject(cacheBytesEnv, v, "not a base-10 integer byte count: %v", err)
-	}
-	if n < 0 {
-		return 0, envknob.Reject(cacheBytesEnv, v, "capacity must be non-negative (0 = unlimited)")
-	}
-	return n, nil
-}
-
-// NewObjectCache returns an empty cache with the default (or
-// environment-overridden) capacity. An invalid CORADD_CACHE_BYTES value
-// panics with the ParseCacheBytes error: every run would otherwise
-// silently ignore the operator's capacity request.
+// NewObjectCache returns an empty cache with the DefaultCacheBytes
+// capacity.
 func NewObjectCache() *ObjectCache {
-	max := int64(DefaultCacheBytes)
-	if v := os.Getenv(cacheBytesEnv); v != "" {
-		parsed, err := ParseCacheBytes(v)
-		if err != nil {
-			panic("designer: " + err.Error())
-		}
-		max = parsed
-	}
 	return &ObjectCache{
-		max:      max,
+		max:      DefaultCacheBytes,
 		entries:  make(map[string]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[string]*flight),

@@ -2,7 +2,6 @@ package designer
 
 import (
 	"errors"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,17 +299,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheEnvOverride(t *testing.T) {
-	t.Setenv("CORADD_CACHE_BYTES", "12345")
-	c := NewObjectCache()
-	c.mu.Lock()
-	max := c.max
-	c.mu.Unlock()
-	if max != 12345 {
-		t.Fatalf("max = %d, want 12345 from env", max)
-	}
-}
-
 // tinyRel builds a one-page relation for cache-accounting tests.
 func tinyRel(name string) *storage.Relation {
 	s := schema.New(schema.Column{Name: "k", ByteSize: 8})
@@ -321,15 +309,14 @@ func tinyRel(name string) *storage.Relation {
 	return storage.NewRelation(name, s, []int{0}, rows)
 }
 
-// TestCacheEvictionOrderLRU pins the eviction order under byte pressure
-// configured through CORADD_CACHE_BYTES: with room for three one-page
-// relations, inserting a fourth evicts exactly the least recently used
-// entry — a recent hit protects its entry, and survivors are served from
-// cache without rebuilding.
+// TestCacheEvictionOrderLRU pins the eviction order under byte pressure:
+// with room for three one-page relations, inserting a fourth evicts
+// exactly the least recently used entry — a recent hit protects its
+// entry, and survivors are served from cache without rebuilding.
 func TestCacheEvictionOrderLRU(t *testing.T) {
 	page := int64(storage.PageSize)
-	t.Setenv("CORADD_CACHE_BYTES", strconv.FormatInt(4*page-1, 10))
 	c := NewObjectCache()
+	c.SetMaxBytes(4*page - 1)
 	builds := map[string]int{}
 	get := func(sig string) *storage.Relation {
 		return c.relation(sig, func() *storage.Relation {
@@ -395,60 +382,5 @@ func TestCacheFlushBetweenPhases(t *testing.T) {
 			t.Fatalf("query %d differs after inter-phase flush: %v/%v vs %v/%v",
 				qi, r1.Sums[qi], r1.PerQuery[qi], r1b.Sums[qi], r1b.PerQuery[qi])
 		}
-	}
-}
-
-// TestParseCacheBytes pins the CORADD_CACHE_BYTES validation: explicit
-// byte counts and the 0-unlimited form parse; negatives and garbage are
-// rejected with a clear error instead of a silent fallback.
-func TestParseCacheBytes(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int64
-		ok   bool
-	}{
-		{"0", 0, true},
-		{"1", 1, true},
-		{"1073741824", 1 << 30, true},
-		{"-1", 0, false},
-		{"-1073741824", 0, false},
-		{"", 0, false},
-		{"1GB", 0, false},
-		{"lots", 0, false},
-		{"1.5", 0, false},
-		{"99999999999999999999999999", 0, false},
-	} {
-		got, err := ParseCacheBytes(tc.in)
-		if tc.ok && (err != nil || got != tc.want) {
-			t.Errorf("ParseCacheBytes(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("ParseCacheBytes(%q) accepted, want error", tc.in)
-		}
-	}
-}
-
-// TestNewObjectCacheRejectsBadEnv: a malformed capacity override must
-// fail loudly at construction, and a valid one must be honored.
-func TestNewObjectCacheRejectsBadEnv(t *testing.T) {
-	t.Setenv("CORADD_CACHE_BYTES", "4096")
-	c := NewObjectCache()
-	c.mu.Lock()
-	max := c.max
-	c.mu.Unlock()
-	if max != 4096 {
-		t.Fatalf("valid override ignored: max = %d, want 4096", max)
-	}
-
-	for _, bad := range []string{"-1", "zilch", "2MB"} {
-		t.Setenv("CORADD_CACHE_BYTES", bad)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("CORADD_CACHE_BYTES=%q: NewObjectCache did not panic", bad)
-				}
-			}()
-			NewObjectCache()
-		}()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coradd/internal/adapt"
+	"coradd/internal/scenario"
 )
 
 // TestAdaptAblationShape is the adaptive-loop acceptance gate: on the
@@ -18,7 +19,7 @@ func TestAdaptAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, table, err := AdaptAblation(QuickScale())
+	res, table, err := AdaptAblation(scenario.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

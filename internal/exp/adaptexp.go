@@ -10,6 +10,7 @@ import (
 	"coradd/internal/feedback"
 	"coradd/internal/ilp"
 	"coradd/internal/query"
+	"coradd/internal/scenario"
 	"coradd/internal/ssb"
 	"coradd/internal/workload"
 )
@@ -75,7 +76,7 @@ func adaptStream(phaseA, phaseB int) (stream []*query.Query, aEvents int) {
 // adapt and chaos ablations, calibrating the monitor's half-life to the
 // stream's simulated timescale (roughly four base-mix rounds). model/d
 // supply the measurement the calibration prices the base mix with.
-func adaptLoopConfig(env *Env, budget int64, cache *designer.ObjectCache,
+func adaptLoopConfig(env *scenario.Env, budget int64, cache *designer.ObjectCache,
 	model costmodel.Model, d *designer.Design) (adapt.Config, error) {
 
 	roundSec := 0.0
@@ -90,7 +91,7 @@ func adaptLoopConfig(env *Env, budget int64, cache *designer.ObjectCache,
 		Budget: budget,
 		Cand:   env.Scale.Cand,
 		FB:     feedback.Config{MaxIters: env.Scale.FB.MaxIters},
-		Deploy: deploy.Options{Workers: solverWorkers(), MaxNodes: solverMaxNodes()},
+		Deploy: deploy.Options{MaxNodes: env.Common.Solve.MaxNodes},
 		Monitor: workload.Config{
 			// The half-life spans several augmented sweeps, so the decayed
 			// distribution averages over whole mix cycles instead of
@@ -116,8 +117,8 @@ func adaptLoopConfig(env *Env, budget int64, cache *designer.ObjectCache,
 // state serves it (adapt.MeasureTemplate, one shared materialization
 // cache) — cumulative workload-seconds, the deploy objective extended to
 // the whole serving timeline.
-func AdaptAblation(s Scale) (*AdaptResult, *Table, error) {
-	env := NewSSBChronoEnv(s)
+func AdaptAblation(s scenario.Scale) (*AdaptResult, *Table, error) {
+	env := scenario.SSBChrono(s)
 	budget := int64(AdaptBudgetMult * float64(env.Rel.HeapBytes()))
 	cache := env.Evaluator().Cache
 

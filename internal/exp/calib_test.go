@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"coradd/internal/ilp"
+	"coradd/internal/scenario"
 )
 
 // TestAdaptCalibrationFlags is the calibration-report acceptance gate: on
@@ -18,7 +19,7 @@ func TestAdaptCalibrationFlags(t *testing.T) {
 		t.Skip("short mode")
 	}
 	prof := &ilp.SolveProfile{Label: "calib"}
-	rep, table, err := AdaptCalibration(QuickScale(), prof)
+	rep, table, err := AdaptCalibration(scenario.QuickScale(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}

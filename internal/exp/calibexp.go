@@ -7,6 +7,7 @@ import (
 	"coradd/internal/adapt"
 	"coradd/internal/designer"
 	"coradd/internal/ilp"
+	"coradd/internal/scenario"
 )
 
 // AdaptCalibration drives the adapt scenario's drifting chrono-SSB stream
@@ -22,7 +23,7 @@ import (
 // search-progress samples (incumbent trajectory and bound gap, keyed to
 // node ordinals) — the cmd/experiments -solveprof surface.
 func AdaptCalibration(s Scale, prof *ilp.SolveProfile) (*designer.CalibrationReport, *Table, error) {
-	env := NewSSBChronoEnv(s)
+	env := scenario.SSBChrono(s)
 	budget := int64(AdaptBudgetMult * float64(env.Rel.HeapBytes()))
 	cache := env.Evaluator().Cache
 

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"testing"
+
+	"coradd/internal/scenario"
 )
 
 // TestChaosAblationShape is the robustness acceptance gate: under the
@@ -15,7 +17,7 @@ func TestChaosAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, table, err := ChaosAblation(QuickScale())
+	res, table, err := ChaosAblation(scenario.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"coradd/internal/adapt"
 	"coradd/internal/designer"
 	"coradd/internal/fault"
+	"coradd/internal/scenario"
 )
 
 // ChaosResult is the chaos ablation's typed outcome: the same drifting
@@ -95,8 +96,8 @@ func sameDesignObjects(a, b *designer.Design) bool {
 // step journal (adapt.Resume). The faulted run must converge to the same
 // final design and stay within ChaosCumBound of the fault-free bill —
 // robustness as a measured property, not a hope.
-func ChaosAblation(s Scale) (*ChaosResult, *Table, error) {
-	env := NewSSBChronoEnv(s)
+func ChaosAblation(s scenario.Scale) (*ChaosResult, *Table, error) {
+	env := scenario.SSBChrono(s)
 	budget := int64(AdaptBudgetMult * float64(env.Rel.HeapBytes()))
 	cache := env.Evaluator().Cache
 

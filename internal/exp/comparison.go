@@ -3,12 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"coradd/internal/apb"
 	"coradd/internal/designer"
-	"coradd/internal/ilp"
 	"coradd/internal/par"
-	"coradd/internal/stats"
-	"coradd/internal/storage"
+	"coradd/internal/scenario"
 )
 
 // ComparisonPoint is one budget point of Figures 9 and 11: real and
@@ -26,28 +23,10 @@ type ComparisonPoint struct {
 	CORADDProven bool
 }
 
-// NewAPBEnv generates the APB-1 environment.
-func NewAPBEnv(s Scale) *Env {
-	rel := apb.Generate(apb.Config{Rows: s.APBRows, Seed: s.Seed + 2})
-	st := stats.New(rel, s.Sample, s.Seed+3)
-	w := apb.Queries()
-	return &Env{
-		Rel: rel, St: st, W: w, Scale: s,
-		Common: designer.Common{
-			St: st, W: w, Disk: storage.DefaultDiskParams(),
-			PKCols: apb.PKCols(rel.Schema), BaseKey: rel.ClusterKey,
-			Solve: ilp.SolveOptions{
-				Workers: solverWorkers(), MaxNodes: solverMaxNodes(),
-				TimeLimit: solverTimeLimit(),
-			},
-		},
-	}
-}
-
 // APBComparison reproduces Figure 9: on APB-1, total real runtime and each
 // tool's own cost-model estimate, for CORADD and the Commercial baseline,
 // across space budgets.
-func APBComparison(env *Env) ([]ComparisonPoint, *Table, error) {
+func APBComparison(env *scenario.Env) ([]ComparisonPoint, *Table, error) {
 	pts, t, err := runComparison(env, false)
 	if err != nil {
 		return nil, nil, err
@@ -61,7 +40,7 @@ func APBComparison(env *Env) ([]ComparisonPoint, *Table, error) {
 
 // SSBComparison reproduces Figure 11: the augmented 52-query SSB workload,
 // CORADD vs Naive vs Commercial real totals across budgets.
-func SSBComparison(env *Env) ([]ComparisonPoint, *Table, error) {
+func SSBComparison(env *scenario.Env) ([]ComparisonPoint, *Table, error) {
 	pts, t, err := runComparison(env, true)
 	if err != nil {
 		return nil, nil, err
@@ -79,7 +58,7 @@ func SSBComparison(env *Env) ([]ComparisonPoint, *Table, error) {
 // measurement only reads the designs and the evaluator's race-safe
 // materialization cache. The table is assembled in budget order afterwards,
 // so its bytes are identical to a fully sequential run.
-func runComparison(env *Env, withNaive bool) ([]ComparisonPoint, *Table, error) {
+func runComparison(env *scenario.Env, withNaive bool) ([]ComparisonPoint, *Table, error) {
 	coradd := newCoradd(env, env.Scale.FB.MaxIters)
 	commercial := designer.NewCommercial(env.Common, env.Scale.Cand)
 	var naive *designer.Naive
@@ -167,10 +146,9 @@ func runComparison(env *Env, withNaive bool) ([]ComparisonPoint, *Table, error) 
 			CORADDNodes:     runs[i].dc.SolverNodes,
 			CORADDProven:    runs[i].dc.SolverProven,
 		}
-		// An unproven selection (node cap or CORADD_SOLVER_TIMELIMIT hit)
-		// is still the solver's best incumbent, but the row must say so:
-		// a capped solve silently printed as if optimal would overstate
-		// the comparison.
+		// An unproven selection (node cap hit) is still the solver's best
+		// incumbent, but the row must say so: a capped solve silently
+		// printed as if optimal would overstate the comparison.
 		coraddCell := f3(p.CORADD)
 		if !p.CORADDProven {
 			coraddCell += "*"
@@ -208,7 +186,7 @@ type MergeAblationPoint struct {
 // MergeAblation quantifies §4.2's claim that concatenation-only merging
 // (prior work) produces designs up to 90% slower than interleaved merging,
 // holding everything else in the pipeline fixed.
-func MergeAblation(env *Env) ([]MergeAblationPoint, *Table) {
+func MergeAblation(env *scenario.Env) ([]MergeAblationPoint, *Table) {
 	inter := newCoradd(env, -1)
 	concCfg := env.Scale.Cand
 	concCfg.ConcatOnly = true

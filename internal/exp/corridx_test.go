@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"testing"
+
+	"coradd/internal/scenario"
 )
 
 // TestCorrIdxAblationShape is the corridx acceptance gate: on the
@@ -11,7 +13,7 @@ import (
 // design worse than the corridx-free pipeline, and must be far smaller
 // than the dense secondary B+Trees they replace.
 func TestCorrIdxAblationShape(t *testing.T) {
-	pts, table, err := CorrIdxAblation(QuickScale())
+	pts, table, err := CorrIdxAblation(scenario.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

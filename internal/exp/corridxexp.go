@@ -6,6 +6,7 @@ import (
 	"coradd/internal/btree"
 	"coradd/internal/corridx"
 	"coradd/internal/designer"
+	"coradd/internal/scenario"
 )
 
 // CorrIdxPoint is one budget point of the correlation-index ablation: the
@@ -39,8 +40,8 @@ var CorrIdxBudgetMults = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2, 4}
 // loaded SSB variant (NewSSBChronoEnv), where the fact table's existing
 // orderkey clustering correlates with the date hierarchy — the load-order
 // correlation a dense secondary index wastes megabytes ignoring.
-func CorrIdxAblation(s Scale) ([]CorrIdxPoint, *Table, error) {
-	env := NewSSBChronoEnv(s)
+func CorrIdxAblation(s scenario.Scale) ([]CorrIdxPoint, *Table, error) {
+	env := scenario.SSBChrono(s)
 	without := newCoradd(env, env.Scale.FB.MaxIters)
 	withCfg := env.Scale.Cand
 	withCfg.CorrIdx = true

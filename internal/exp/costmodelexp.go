@@ -6,6 +6,7 @@ import (
 	"coradd/internal/costmodel"
 	"coradd/internal/exec"
 	"coradd/internal/query"
+	"coradd/internal/scenario"
 	"coradd/internal/ssb"
 )
 
@@ -26,7 +27,7 @@ type CostModelPoint struct {
 // B+Tree index on commitdate, with the lineorder table re-clustered on
 // keys of decreasing correlation. Real runtime spans a wide range; the
 // commercial model predicts nearly the same cost everywhere.
-func CostModelError(env *Env) ([]CostModelPoint, *Table) {
+func CostModelError(env *scenario.Env) ([]CostModelPoint, *Table) {
 	s := env.Rel.Schema
 	q := &query.Query{
 		Name: "F10", Fact: env.Rel.Name, AggCol: ssb.ColRevenue,
@@ -91,7 +92,7 @@ type AccessGapResult struct {
 // AccessPatternGap measures the same secondary-index lookup on commitdate
 // with the heap clustered on orderdate (correlated; the paper measures 6 s)
 // versus orderkey (uncorrelated; 150 s).
-func AccessPatternGap(env *Env) (*AccessGapResult, *Table) {
+func AccessPatternGap(env *scenario.Env) (*AccessGapResult, *Table) {
 	s := env.Rel.Schema
 	q := &query.Query{
 		Name: "A2", Fact: env.Rel.Name, AggCol: ssb.ColRevenue,

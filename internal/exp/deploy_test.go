@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coradd/internal/deploy"
+	"coradd/internal/scenario"
 )
 
 // TestDeployAblationShape is the deployment-scheduler acceptance gate: on
@@ -17,7 +18,7 @@ func TestDeployAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, table, err := DeployAblation(QuickScale())
+	res, table, err := DeployAblation(scenario.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"coradd/internal/deploy"
 	"coradd/internal/designer"
+	"coradd/internal/scenario"
 	"coradd/internal/ssb"
 )
 
@@ -56,8 +57,8 @@ const DeployBudgetMult = 2.0
 // prefix is materialized through the evaluator's object cache and the
 // full workload executed on it, so the cumulative-cost curves are real
 // simulated workload-seconds, not model estimates.
-func DeployAblation(s Scale) (*DeployResult, *Table, error) {
-	env := NewSSBEnv(s, true) // phase 2: the augmented 52-query workload
+func DeployAblation(s scenario.Scale) (*DeployResult, *Table, error) {
+	env := scenario.SSB(s, true) // phase 2: the augmented 52-query workload
 	budget := int64(DeployBudgetMult * float64(env.Rel.HeapBytes()))
 
 	// Phase 1: the base SSB workload over the same fact table and stats.
@@ -77,7 +78,7 @@ func DeployAblation(s Scale) (*DeployResult, *Table, error) {
 	}
 
 	plan, err := designer.PlanMigration(env.St, env.Common.Disk, env.W, des2.Model, d1, d2,
-		deploy.Options{Workers: solverWorkers(), MaxNodes: solverMaxNodes()})
+		deploy.Options{MaxNodes: env.Common.Solve.MaxNodes})
 	if err != nil {
 		return nil, nil, err
 	}

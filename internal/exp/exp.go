@@ -8,75 +8,20 @@ package exp
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"strings"
 	"text/tabwriter"
-	"time"
 
-	"coradd/internal/candgen"
 	"coradd/internal/designer"
-	"coradd/internal/envknob"
-	"coradd/internal/feedback"
-	"coradd/internal/ilp"
-	"coradd/internal/query"
-	"coradd/internal/ssb"
-	"coradd/internal/stats"
-	"coradd/internal/storage"
+	"coradd/internal/scenario"
 )
 
-// Scale sets experiment sizes. Quick is used by tests and benches; Full by
-// cmd/experiments -full.
-type Scale struct {
-	// SSBRows / APBRows are fact-table sizes.
-	SSBRows, APBRows int
-	// Sample is the statistics synopsis size.
-	Sample int
-	// BudgetMults are space budgets as multiples of the fact heap size
-	// (the paper sweeps 0–22 GB against a 2.5 GB heap).
-	BudgetMults []float64
-	// Cand configures candidate generation.
-	Cand candgen.Config
-	// FB configures ILP feedback.
-	FB feedback.Config
-	// Seed drives all data generation.
-	Seed int64
-	// ChronoSSB switches every SSB environment to the chronologically
-	// loaded variant (ssb.Config.ChronoDates: orderdate nearly monotone in
-	// the orderkey clustering) — the load-order-correlation scenario,
-	// promoted from the cidx ablation to a first-class flag
-	// (cmd/experiments -chrono).
-	ChronoSSB bool
-}
+// The three aliases below are kept for bench/ only: the benchmark module
+// compiles against exp.Env, exp.Scale and exp.QuickScale. Everything in
+// this repository uses internal/scenario directly.
+type Env = scenario.Env
+type Scale = scenario.Scale
 
-// QuickScale is small enough for the test suite.
-func QuickScale() Scale {
-	cand := candgen.DefaultConfig()
-	cand.Alphas = []float64{0, 0.25}
-	cand.Restarts = 2
-	cand.MaxInterleavings = 16
-	return Scale{
-		SSBRows:     60_000,
-		APBRows:     50_000,
-		Sample:      1024,
-		BudgetMults: []float64{0.5, 1, 2, 4, 6},
-		Cand:        cand,
-		FB:          feedback.Config{MaxIters: 1},
-		Seed:        42,
-	}
-}
-
-// FullScale mirrors the paper's sweeps more closely.
-func FullScale() Scale {
-	s := QuickScale()
-	s.SSBRows = 200_000
-	s.APBRows = 150_000
-	s.Sample = 4096
-	s.BudgetMults = []float64{0.25, 0.5, 1, 2, 3, 4, 6, 8, 10}
-	s.Cand = candgen.DefaultConfig()
-	s.FB = feedback.Config{MaxIters: 3}
-	return s
-}
+var QuickScale = scenario.QuickScale
 
 // Table is a printable experiment result.
 type Table struct {
@@ -102,227 +47,9 @@ func (t *Table) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Env bundles a generated dataset with its statistics and designer inputs.
-type Env struct {
-	Rel    *storage.Relation
-	St     *stats.Stats
-	W      query.Workload
-	Common designer.Common
-	Scale  Scale
-
-	evaluator *designer.Evaluator
-}
-
-// Evaluator returns the environment's shared design evaluator, created on
-// first use. Sharing it across experiments (and across repeated runs of
-// one experiment, as the benchmarks do) lets the materialization cache
-// reuse physical objects wherever designs overlap.
-func (e *Env) Evaluator() *designer.Evaluator {
-	if e.evaluator == nil {
-		e.evaluator = designer.NewEvaluator(e.Rel, e.W, e.Common.Disk)
-	}
-	return e.evaluator
-}
-
-// FlushCaches drops the environment's materialization cache, releasing
-// the previous experiment phase's physical objects. Call between phases
-// of a long sweep; repeated runs of one experiment (the benchmarks) keep
-// the cache warm on purpose.
-func (e *Env) FlushCaches() {
-	if e.evaluator != nil {
-		e.evaluator.Cache.Flush()
-	}
-}
-
-// Budgets converts the scale's multipliers into byte budgets for the
-// environment's fact heap.
-func (e *Env) Budgets() []int64 {
-	out := make([]int64, len(e.Scale.BudgetMults))
-	for i, m := range e.Scale.BudgetMults {
-		out[i] = int64(m * float64(e.Rel.HeapBytes()))
-	}
-	return out
-}
-
-// solverWorkersEnv names the parallel-solve worker-count override.
-const solverWorkersEnv = "CORADD_SOLVER_WORKERS"
-
-// ParseSolverWorkers validates a CORADD_SOLVER_WORKERS value: a base-10
-// worker count ≥ 0, where 0 or 1 keeps the sequential search. Negative
-// and garbage values are errors — an operator typo must fail loudly, not
-// silently fall back to sequential solves that mask the intent (the
-// ParseCacheBytes/ParseSolverTimeLimit contract).
-func ParseSolverWorkers(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, envknob.Reject(solverWorkersEnv, v, "not a base-10 worker count: %v", err)
-	}
-	if n < 0 {
-		return 0, envknob.Reject(solverWorkersEnv, v, "worker count cannot be negative (unset it or use 0 for sequential)")
-	}
-	return n, nil
-}
-
-// solverWorkers reads the CORADD_SOLVER_WORKERS override: on multi-core
-// hardware it switches every designer's exact solves to the deterministic
-// parallel subtree search with that many workers. Unset or ≤ 1 keeps the
-// sequential search (the right default on this repo's 1-CPU runners).
-// Results are identical either way; only wall time changes. An invalid
-// value panics with the ParseSolverWorkers error.
-func solverWorkers() int {
-	v := os.Getenv(solverWorkersEnv)
-	if v == "" {
-		return 0
-	}
-	n, err := ParseSolverWorkers(v)
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-	return n
-}
-
-// tenantWorkersEnv names the multi-tenant coordinator's cross-tenant
-// fan-out worker-count override.
-const tenantWorkersEnv = "CORADD_TENANT_WORKERS"
-
-// ParseTenantWorkers validates a CORADD_TENANT_WORKERS value: a base-10
-// worker count ≥ 0, where 0 means one worker per CPU and 1 forces the
-// sequential fan-out. Negative and garbage values are errors — an
-// operator typo must fail loudly, not silently fall back to a default
-// that masks the intent (the ParseSolverWorkers contract).
-func ParseTenantWorkers(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, envknob.Reject(tenantWorkersEnv, v, "not a base-10 worker count: %v", err)
-	}
-	if n < 0 {
-		return 0, envknob.Reject(tenantWorkersEnv, v, "worker count cannot be negative (unset it or use 0 for one per CPU)")
-	}
-	return n, nil
-}
-
-// tenantWorkers reads the CORADD_TENANT_WORKERS override: the worker
-// count for the tenant coordinator's cross-tenant fan-outs (pool mining
-// and the dual's per-probe subproblem solves). Unset or 0 means one per
-// CPU. Results are identical at any setting — the coordinator's
-// determinism discipline — only wall time changes. An invalid value
-// panics with the ParseTenantWorkers error.
-func tenantWorkers() int {
-	v := os.Getenv(tenantWorkersEnv)
-	if v == "" {
-		return 0
-	}
-	n, err := ParseTenantWorkers(v)
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-	return n
-}
-
-// solverMaxNodes reads the CORADD_SOLVER_MAXNODES override: the
-// branch-and-bound node cap for every exact solve the experiment drivers
-// run (0/unset keeps the 5M default, negative means unlimited). The
-// escape hatch for running the Figure 9/11 mid-budget instances to proven
-// optimality off-runner, typically alongside -full.
-func solverMaxNodes() int {
-	if v := os.Getenv("CORADD_SOLVER_MAXNODES"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return 0
-}
-
-// solverTimeLimitEnv names the wall-clock solve deadline override.
-const solverTimeLimitEnv = "CORADD_SOLVER_TIMELIMIT"
-
-// ParseSolverTimeLimit validates a CORADD_SOLVER_TIMELIMIT value: a
-// positive time.ParseDuration string ("30s", "2m", "1h30m"). Zero,
-// negative and garbage values are errors — an operator typo must fail
-// loudly, not silently run with unlimited solves that mask the intent
-// (the ParseCacheBytes/ParseSolverWorkers contract; CORADD_SOLVER_MAXNODES
-// alone remains lenient — its negative-means-unlimited convention accepts
-// every integer, so there is less to reject).
-func ParseSolverTimeLimit(v string) (time.Duration, error) {
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, envknob.Reject(solverTimeLimitEnv, v, "not a duration (want e.g. \"30s\", \"2m\"): %v", err)
-	}
-	if d <= 0 {
-		return 0, envknob.Reject(solverTimeLimitEnv, v, "deadline must be positive (unset it for unlimited)")
-	}
-	return d, nil
-}
-
-// solverTimeLimit reads the CORADD_SOLVER_TIMELIMIT override: a wall-clock
-// deadline for every exact solve the experiment drivers run (unset means
-// none). A triggered deadline keeps the solver's incumbent and marks the
-// solve unproven — runComparison flags such rows — and is intentionally
-// nondeterministic, trading reproducibility for a bounded wall time on
-// the big -full instances. An invalid value panics with the
-// ParseSolverTimeLimit error.
-func solverTimeLimit() time.Duration {
-	v := os.Getenv(solverTimeLimitEnv)
-	if v == "" {
-		return 0
-	}
-	d, err := ParseSolverTimeLimit(v)
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-	return d
-}
-
-// NewSSBEnv generates the SSB environment; augmented selects the 52-query
-// workload.
-func NewSSBEnv(s Scale, augmented bool) *Env {
-	return newSSBEnv(s, augmented, false)
-}
-
-// NewSSBChronoEnv generates the SSB environment with chronologically
-// numbered orders (orderdate nearly monotone in the orderkey clustering),
-// the load-order correlation the corridx ablation exploits.
-func NewSSBChronoEnv(s Scale) *Env {
-	return newSSBEnv(s, false, true)
-}
-
-func newSSBEnv(s Scale, augmented, chrono bool) *Env {
-	rel := ssb.Generate(ssb.Config{
-		Rows:        s.SSBRows,
-		Customers:   maxInt(1000, s.SSBRows/30),
-		Suppliers:   maxInt(200, s.SSBRows/400),
-		Parts:       maxInt(1000, s.SSBRows/40),
-		Seed:        s.Seed,
-		ChronoDates: chrono || s.ChronoSSB,
-	})
-	st := stats.New(rel, s.Sample, s.Seed+1)
-	w := ssb.Queries()
-	if augmented {
-		w = ssb.AugmentedQueries()
-	}
-	return &Env{
-		Rel: rel, St: st, W: w, Scale: s,
-		Common: designer.Common{
-			St: st, W: w, Disk: storage.DefaultDiskParams(),
-			PKCols: ssb.PKCols(rel.Schema), BaseKey: rel.ClusterKey,
-			Solve: ilp.SolveOptions{
-				Workers: solverWorkers(), MaxNodes: solverMaxNodes(),
-				TimeLimit: solverTimeLimit(),
-			},
-		},
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // newCoradd builds a CORADD designer over the environment; fbIters == -1
 // disables feedback (plain ILP).
-func newCoradd(env *Env, fbIters int) *designer.CORADD {
+func newCoradd(env *scenario.Env, fbIters int) *designer.CORADD {
 	fb := env.Scale.FB
 	fb.MaxIters = fbIters
 	return designer.NewCORADD(env.Common, env.Scale.Cand, fb)

@@ -3,15 +3,17 @@ package exp
 import (
 	"bytes"
 	"testing"
+
+	"coradd/internal/scenario"
 )
 
 // quickEnv caches the SSB environment across tests in this package.
-var quickSSB *Env
+var quickSSB *scenario.Env
 
-func ssbEnv(t testing.TB) *Env {
+func ssbEnv(t testing.TB) *scenario.Env {
 	t.Helper()
 	if quickSSB == nil {
-		quickSSB = NewSSBEnv(QuickScale(), false)
+		quickSSB = scenario.SSB(scenario.QuickScale(), false)
 	}
 	return quickSSB
 }

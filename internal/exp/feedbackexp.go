@@ -5,6 +5,7 @@ import (
 
 	"coradd/internal/designer"
 	"coradd/internal/feedback"
+	"coradd/internal/scenario"
 )
 
 // FeedbackPoint is one budget point of Figure 7.
@@ -25,7 +26,7 @@ type FeedbackPoint struct {
 // brute-forced 13 queries on 4 servers for a week; we use the first
 // maxQueries SSB queries (default 8 → 255 groupings) so OPT completes in
 // seconds, which preserves the comparison's structure.
-func FeedbackVersusOPT(env *Env, maxQueries int) ([]FeedbackPoint, *Table, error) {
+func FeedbackVersusOPT(env *scenario.Env, maxQueries int) ([]FeedbackPoint, *Table, error) {
 	if maxQueries <= 0 {
 		maxQueries = 8
 	}

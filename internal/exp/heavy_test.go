@@ -2,6 +2,9 @@ package exp
 
 import (
 	"testing"
+
+	"coradd/internal/scenario"
+	"coradd/internal/scenario/apbenv"
 )
 
 // These tests exercise the full designer bake-offs. They are the slowest
@@ -46,7 +49,7 @@ func TestAPBComparisonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	env := NewAPBEnv(QuickScale())
+	env := apbenv.New(scenario.QuickScale())
 	pts, _, err := APBComparison(env)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +108,7 @@ func TestSSBComparisonShape(t *testing.T) {
 	}
 	// The augmented-workload bake-off is the slowest test in the repo
 	// (~2 min): 52 queries through three full designers at five budgets.
-	env := NewSSBEnv(QuickScale(), true)
+	env := scenario.SSB(scenario.QuickScale(), true)
 	pts, _, err := SSBComparison(env)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"coradd/internal/feedback"
 	"coradd/internal/ilp"
 	"coradd/internal/par"
+	"coradd/internal/scenario"
 )
 
 // SelectionPoint is one budget point of Figure 5.
@@ -24,7 +25,7 @@ type SelectionPoint struct {
 // ILPVersusGreedy reproduces Figure 5: on the SSB workload, the exact ILP
 // versus Greedy(m,k) over the identical candidate pool and cost model,
 // plotting expected total runtime against the space budget.
-func ILPVersusGreedy(env *Env) ([]SelectionPoint, *Table) {
+func ILPVersusGreedy(env *scenario.Env) ([]SelectionPoint, *Table) {
 	d := newCoradd(env, -1) // plain ILP, no feedback
 	t := &Table{
 		ID: "Figure 5", Title: "Optimal (ILP) versus Greedy(m,k), expected runtime vs budget",
@@ -39,7 +40,7 @@ func ILPVersusGreedy(env *Env) ([]SelectionPoint, *Table) {
 	par.ForEach(len(budgets), 0, func(i int) {
 		p := *prob
 		p.Budget = budgets[i]
-		exact := ilp.Solve(&p, ilp.SolveOptions{Workers: solverWorkers(), MaxNodes: solverMaxNodes()})
+		exact := ilp.Solve(&p, env.Common.Solve)
 		greedy := ilp.Greedy(&p, 2, 0)
 		pts[i] = SelectionPoint{
 			Budget: budgets[i], ILPExpected: exact.Objective, GreedyExpect: greedy.Objective,
@@ -81,15 +82,18 @@ func ILPSolverScaling(sizes []int, numQueries int, seed int64) ([]ScalingPoint, 
 		Header: []string{"candidates", "seconds", "nodes", "proven"},
 	}
 	// Figure 6 measures wall time under a fixed 2M-node cap; the
-	// CORADD_SOLVER_MAXNODES escape hatch still overrides it when set.
-	maxNodes := solverMaxNodes()
+	// CORADD_SOLVER_MAXNODES knob still overrides it when set.
+	maxNodes, err := scenario.SolverMaxNodes()
+	if err != nil {
+		panic("exp: " + err.Error())
+	}
 	if maxNodes == 0 {
 		maxNodes = 2_000_000
 	}
 	for _, n := range sizes {
 		prob := syntheticProblem(n, numQueries, seed)
 		start := time.Now()
-		sol := ilp.Solve(prob, ilp.SolveOptions{MaxNodes: maxNodes, Workers: solverWorkers()})
+		sol := ilp.Solve(prob, ilp.SolveOptions{MaxNodes: maxNodes})
 		el := time.Since(start).Seconds()
 		pts = append(pts, ScalingPoint{Candidates: n, Seconds: el, Nodes: sol.Nodes, Proven: sol.Proven})
 		t.Rows = append(t.Rows, []string{
@@ -147,7 +151,7 @@ type RelaxPoint struct {
 // ILP designers: relax the paper's formulation, round, and measure the
 // benefit lost versus the exact solution. (Papado et al. report a 32% loss
 // in one experiment.)
-func RelaxationError(env *Env, maxCands int) ([]RelaxPoint, *Table) {
+func RelaxationError(env *scenario.Env, maxCands int) ([]RelaxPoint, *Table) {
 	d := newCoradd(env, -1)
 	base := baseTimes(d)
 	noDesign := 0.0
@@ -162,7 +166,7 @@ func RelaxationError(env *Env, maxCands int) ([]RelaxPoint, *Table) {
 	for _, budget := range env.Budgets() {
 		prob, _ := feedback.BuildProblem(d.Gen, d.Candidates(), base, budget)
 		prob = truncateProblem(prob, maxCands)
-		exact := ilp.Solve(prob, ilp.SolveOptions{Workers: solverWorkers(), MaxNodes: solverMaxNodes()})
+		exact := ilp.Solve(prob, env.Common.Solve)
 		relax, err := ilp.SolveRelaxed(prob)
 		if err != nil {
 			continue

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"testing"
+
+	"coradd/internal/scenario"
 )
 
 // TestServingLatencyShape is the observability acceptance gate: the
@@ -14,7 +16,7 @@ func TestServingLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, table, err := ServingLatency(QuickScale())
+	res, table, err := ServingLatency(scenario.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,14 @@ import (
 	"time"
 
 	"coradd/internal/adapt"
-	"coradd/internal/candgen"
 	"coradd/internal/deploy"
 	"coradd/internal/designer"
 	"coradd/internal/feedback"
 	"coradd/internal/obs"
 	"coradd/internal/query"
+	"coradd/internal/scenario"
 	"coradd/internal/server"
 	"coradd/internal/ssb"
-	"coradd/internal/stats"
-	"coradd/internal/storage"
 	"coradd/internal/workload"
 )
 
@@ -91,8 +89,8 @@ var servingPhaseNames = [3]string{"before", "during", "after"}
 // /metrics scrape is checked against the served count. The replay owns
 // every number (simulated clock, single goroutine — byte-stable); the
 // live pass contributes only interleaving-invariant facts.
-func ServingLatency(s Scale) (*ServingResult, *Table, error) {
-	env := NewSSBChronoEnv(s)
+func ServingLatency(s scenario.Scale) (*ServingResult, *Table, error) {
+	env := scenario.SSBChrono(s)
 	budget := int64(AdaptBudgetMult * float64(env.Rel.HeapBytes()))
 	cache := env.Evaluator().Cache
 
@@ -180,27 +178,20 @@ func ServingLatency(s Scale) (*ServingResult, *Table, error) {
 // clients through the drift scenario and verifies the observability
 // plumbing end to end. Returned facts are interleaving-invariant.
 //
-// The pass runs on its own small environment (fixed 6000-row SSB, the
-// internal/server test scale, with a 200k-node solver cap) rather than
-// the replay's: the inline redesign must finish in seconds while
-// clients are live, and the replay above already owns every performance
-// number at full scale — this pass only proves the plumbing under real
-// concurrency.
-func servingLiveLoad(s Scale) (*LiveSummary, error) {
-	rel := ssb.Generate(ssb.Config{
-		Rows: 6000, Customers: 1000, Suppliers: 200, Parts: 800, Seed: s.Seed,
-	})
-	synop := stats.New(rel, 1024, s.Seed+1)
-	cand := candgen.DefaultConfig()
-	cand.Alphas = []float64{0, 0.25}
-	cand.Restarts = 2
-	cand.MaxInterleavings = 16
-	common := designer.Common{
-		St: synop, W: ssb.Queries(), Disk: storage.DefaultDiskParams(),
-		PKCols: ssb.PKCols(rel.Schema), BaseKey: rel.ClusterKey,
-	}
+// The pass runs on its own small environment (a 6000-row SSB at the
+// quick scale's seed and synopsis size, with a 200k-node solver cap)
+// rather than the replay's: the inline redesign must finish in seconds
+// while clients are live, and the replay above already owns every
+// performance number at full scale — this pass only proves the plumbing
+// under real concurrency.
+func servingLiveLoad(s scenario.Scale) (*LiveSummary, error) {
+	small := scenario.QuickScale()
+	small.SSBRows, small.Seed = 6000, s.Seed
+	env := scenario.SSB(small, false)
+	common := env.Common
 	common.Solve.MaxNodes = 200_000
-	budget := rel.HeapBytes() * 2
+	cand := small.Cand
+	budget := env.Rel.HeapBytes() * 2
 	des := designer.NewCORADD(common, cand, feedback.Config{MaxIters: 1})
 	dBase, err := des.Design(budget)
 	if err != nil {

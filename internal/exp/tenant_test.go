@@ -1,6 +1,10 @@
 package exp
 
-import "testing"
+import (
+	"testing"
+
+	"coradd/internal/scenario"
+)
 
 // TestTenantAblation pins the multi-tenant ablation's two claims in
 // strict form: the Lagrangian dual allocation strictly beats the naive
@@ -9,7 +13,7 @@ import "testing"
 // the monolithic pooled solve at the same global budget on the identical
 // instances — plus the telemetry a report would quote.
 func TestTenantAblation(t *testing.T) {
-	res, table, err := TenantAblation(QuickScale())
+	res, table, err := TenantAblation(scenario.QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

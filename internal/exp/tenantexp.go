@@ -8,6 +8,8 @@ import (
 	"coradd/internal/designer"
 	"coradd/internal/ilp"
 	"coradd/internal/query"
+	"coradd/internal/scenario"
+	"coradd/internal/scenario/apbenv"
 	"coradd/internal/ssb"
 	"coradd/internal/tenant"
 	"coradd/internal/workload"
@@ -64,7 +66,7 @@ func (c *tenantClock) now() float64 { c.t++; return c.t }
 // observed with a skewed repetition count.
 type tenantSpec struct {
 	name   string
-	env    *Env
+	env    *scenario.Env
 	qs     []*query.Query
 	rounds int
 }
@@ -76,7 +78,7 @@ type tenantSpec struct {
 // independently. The wide template sets are deliberate: they mine rich
 // candidate pools, which is what makes the monolithic pooled instance a
 // genuine combinatorial problem.
-func tenantStreams(ssbEnv, apbEnv *Env) []tenantSpec {
+func tenantStreams(ssbEnv, apbEnv *scenario.Env) []tenantSpec {
 	sq := ssb.AugmentedQueries()
 	aq := apbEnv.W
 	return []tenantSpec{
@@ -90,7 +92,7 @@ func tenantStreams(ssbEnv, apbEnv *Env) []tenantSpec {
 // measureTenant charges every snapshot template its measured simulated
 // seconds on d, weighted by the template's decayed rate — the measured
 // analogue of the selection objective.
-func measureTenant(env *Env, model *costmodel.Aware, d *designer.Design, w query.Workload) (float64, error) {
+func measureTenant(env *scenario.Env, model *costmodel.Aware, d *designer.Design, w query.Workload) (float64, error) {
 	total := 0.0
 	for _, q := range w {
 		sec, err := adapt.MeasureTemplate(env.St, env.Common.Disk, env.Evaluator().Cache, model, d, q)
@@ -104,7 +106,7 @@ func measureTenant(env *Env, model *costmodel.Aware, d *designer.Design, w query
 
 // tenantDesignFrom rebuilds a routed design from an alternative selection
 // over a tenant's priced instance (the candidates travel on Candidate.Ref).
-func tenantDesignFrom(name string, env *Env, model *costmodel.Aware, prob *ilp.Problem,
+func tenantDesignFrom(name string, env *scenario.Env, model *costmodel.Aware, prob *ilp.Problem,
 	chosen []int, w query.Workload, budget int64) *designer.Design {
 
 	ds := make([]*costmodel.MVDesign, len(chosen))
@@ -135,15 +137,14 @@ func tenantDesignFrom(name string, env *Env, model *costmodel.Aware, prob *ilp.P
 // Everything downstream of the generated datasets is deterministic: the
 // streams replay on an injected clock and the coordinator is forced down
 // the dual path (MonolithicLimit -1).
-func TenantAblation(s Scale) (*TenantAblationResult, *Table, error) {
-	ssbEnv := NewSSBEnv(s, false)
-	apbEnv := NewAPBEnv(s)
+func TenantAblation(s scenario.Scale) (*TenantAblationResult, *Table, error) {
+	ssbEnv := scenario.SSB(s, false)
+	apbEnv := apbenv.New(s)
 	specs := tenantStreams(ssbEnv, apbEnv)
 	budget := int64(TenantBudgetMult * float64(ssbEnv.Rel.HeapBytes()))
 
 	co := tenant.New(tenant.Config{
 		Budget:          budget,
-		Workers:         tenantWorkers(),
 		MonolithicLimit: -1, // always decompose: the ablation measures the dual itself
 		// Deep mining: low support threshold, wide set cap, three
 		// clusterings per mined group — the pools are rich enough that the
@@ -174,7 +175,7 @@ func TenantAblation(s Scale) (*TenantAblationResult, *Table, error) {
 	}
 
 	res := &TenantAblationResult{Alloc: alloc, Budget: budget, DualNodes: alloc.Nodes}
-	models := map[*Env]*costmodel.Aware{
+	models := map[*scenario.Env]*costmodel.Aware{
 		ssbEnv: costmodel.NewAware(ssbEnv.St, ssbEnv.Common.Disk),
 		apbEnv: costmodel.NewAware(apbEnv.St, apbEnv.Common.Disk),
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"coradd/internal/scenario"
 	"coradd/internal/ssb"
 )
 
@@ -22,7 +23,7 @@ type VectorsResult struct {
 
 // SelectivityVectors reproduces Table 1 (raw selectivity vectors of Q1.1–
 // Q1.3) and Table 2 (after selectivity propagation).
-func SelectivityVectors(env *Env) (*VectorsResult, *Table, *Table) {
+func SelectivityVectors(env *scenario.Env) (*VectorsResult, *Table, *Table) {
 	qs := []string{"Q1.1", "Q1.2", "Q1.3"}
 	res := &VectorsResult{Attrs: vectorCols, Strengths: map[string]float64{}}
 	t1 := &Table{

@@ -37,8 +37,8 @@ type Solution struct {
 // SolveOptions tunes the exact solver.
 type SolveOptions struct {
 	// MaxNodes caps search nodes; 0 means 5,000,000, negative means
-	// unlimited (the CORADD_SOLVER_MAXNODES escape hatch the experiment
-	// drivers plumb through for off-runner proven solves). In parallel
+	// unlimited (internal/scenario sets it from CORADD_SOLVER_MAXNODES for
+	// the experiments, the daemon and the CLI). In parallel
 	// mode the cap applies per subtree, so the total may exceed it.
 	MaxNodes int
 	// TimeLimit caps wall time; 0 means none. A triggered time limit is the

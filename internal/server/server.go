@@ -227,6 +227,10 @@ type Server struct {
 	lastDeploy *designer.Design
 	lastMig    bool
 
+	// names binds each query name served so far to its template
+	// fingerprint (the catalog's at Attach, a document's on first use).
+	names sync.Map
+
 	// metrics holds the per-request handles (metrics.go); all nil — and
 	// all updates no-ops — when Config.Metrics is unset.
 	metrics srvObs
@@ -277,6 +281,7 @@ func (s *Server) attach(common designer.Common, ctl *adapt.Controller, resumed b
 	s.catalog = make(map[string]*query.Query, len(s.cfg.Common.W))
 	for _, q := range s.cfg.Common.W {
 		s.catalog[q.Name] = q
+		s.names.Store(q.Name, workload.Fingerprint(q))
 	}
 	s.lastDeploy = ctl.Deployed()
 	s.lastMig = ctl.Migrating()
@@ -600,7 +605,67 @@ func (s *Server) resolve(body []byte) (*query.Query, error) {
 	if len(q.Predicates) == 0 && len(q.Targets) == 0 && q.AggCol == "" {
 		return nil, errors.New("query reads no columns")
 	}
+	if err := s.checkDocument(&q); err != nil {
+		return nil, err
+	}
+	// The designer identifies a template by its name (the cost model's
+	// estimates are memoized per name), so a name must keep meaning one
+	// template for the life of the process.
+	fp := workload.Fingerprint(&q)
+	if bound, loaded := s.names.LoadOrStore(q.Name, fp); loaded && bound != fp {
+		return nil, fmt.Errorf("query name %q already names a different template", q.Name)
+	}
 	return &q, nil
+}
+
+// checkDocument holds a client's query document to the invariants the
+// planner and the cost model assume of a catalog query: a name, columns
+// that exist, at most one predicate per column, a known operator, and a
+// non-empty IN set. IN sets are canonicalized (sorted, deduplicated) and an
+// equality's Hi is set to its Lo, as query.NewIn and query.NewEq build them.
+func (s *Server) checkDocument(q *query.Query) error {
+	if q.Name == "" {
+		return errors.New("query document has no name")
+	}
+	sch := s.cfg.Common.St.Rel.Schema
+	known := func(col string) error {
+		if sch.Col(col) < 0 {
+			return fmt.Errorf("unknown column %q", col)
+		}
+		return nil
+	}
+	seen := make(map[string]bool, len(q.Predicates))
+	for i := range q.Predicates {
+		p := &q.Predicates[i]
+		if err := known(p.Col); err != nil {
+			return err
+		}
+		if seen[p.Col] {
+			return fmt.Errorf("more than one predicate on column %q", p.Col)
+		}
+		seen[p.Col] = true
+		switch p.Op {
+		case query.Eq:
+			p.Hi = p.Lo
+		case query.Range:
+		case query.In:
+			if len(p.Set) == 0 {
+				return fmt.Errorf("empty IN list on column %q", p.Col)
+			}
+			*p = query.NewIn(p.Col, p.Set...)
+		default:
+			return fmt.Errorf("unknown operator %d on column %q", p.Op, p.Col)
+		}
+	}
+	for _, c := range q.Targets {
+		if err := known(c); err != nil {
+			return err
+		}
+	}
+	if q.AggCol != "" {
+		return known(q.AggCol)
+	}
+	return nil
 }
 
 // statuszTraceEvents bounds how many trace events /statusz renders;

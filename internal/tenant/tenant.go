@@ -49,8 +49,7 @@ type Config struct {
 	Budget int64
 	// Workers is the worker count for cross-tenant fan-outs (pool
 	// preparation and the dual's per-probe subproblem solves); ≤ 0 means
-	// one per CPU. Results are identical at any setting — the
-	// CORADD_TENANT_WORKERS knob plumbs through here.
+	// one per CPU. Results are identical at any setting.
 	Workers int
 	// MonolithicLimit is the pooled candidate count at or below which the
 	// coordinator solves the monolithic pooled instance exactly instead
