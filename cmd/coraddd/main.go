@@ -215,13 +215,12 @@ func boot(srv *server.Server, scale scenario.Scale, budgetMult float64, ckptPath
 		cp, err := durable.Load(ckptPath)
 		switch {
 		case err == nil:
-			ctl, err := cp.Controller(env.Common, srv.AdaptConfig())
-			if err != nil {
+			if err := srv.AttachResumed(env.Common, cp); err != nil {
 				return fmt.Errorf("resuming from %s: %w", ckptPath, err)
 			}
+			st := srv.Status()
 			logger.Printf("resumed from %s: design %s, migrating=%v",
-				ckptPath, ctl.Incumbent().Name, ctl.Migrating())
-			srv.AttachResumed(env.Common, ctl)
+				ckptPath, st.Design, st.Migrating)
 			return srv.Start()
 		case errors.Is(err, os.ErrNotExist):
 			logger.Printf("no checkpoint at %s: cold start", ckptPath)

@@ -27,8 +27,8 @@ import (
 // -crash-after-builds) and restarted against its checkpoint must replay
 // the interrupted migration's identical cumulative build sequence and
 // land on its identical deployed design, compared against a daemon that
-// was never killed. This is the process-level twin of internal/durable's
-// TestCrashCheckpointResumeProperty — same scope, too: the property is
+// was never killed. This is the process-level twin of internal/adapt's
+// TestCrashResumeProperty — same scope, too: the property is
 // per interrupted migration. Redesigns AFTER the resumed migration may
 // legitimately differ from the reference run (the crash abandons the
 // remainder of the observation that was in flight, so later drift checks
@@ -58,7 +58,7 @@ func buildDaemon(t *testing.T) string {
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-rows", "6000"}, args...)...)
-	// Same solver-node cap as the internal/server and internal/durable
+	// Same solver-node cap as the internal/server and internal/adapt
 	// test envs: at this scale the search proves identical optima within
 	// 200k nodes, ~5x faster, keeping dozens of daemon lives affordable.
 	cmd.Env = append(os.Environ(), "CORADD_SOLVER_MAXNODES=200000")

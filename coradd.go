@@ -28,7 +28,6 @@ import (
 	"coradd/internal/candgen"
 	"coradd/internal/cm"
 	"coradd/internal/corridx"
-	"coradd/internal/costmodel"
 	"coradd/internal/deploy"
 	"coradd/internal/designer"
 	"coradd/internal/durable"
@@ -68,12 +67,8 @@ type (
 	// Designer produces designs for varying budgets (CORADD, Commercial,
 	// Naive all implement it).
 	Designer = designer.Designer
-	// MVDesign is one recommended object (MV or fact re-clustering).
-	MVDesign = costmodel.MVDesign
 	// DiskParams converts simulated I/O into seconds.
 	DiskParams = storage.DiskParams
-	// IOStats is accumulated plan I/O (seeks, pages read).
-	IOStats = storage.IOStats
 	// RunResult is a measured design (per-query simulated seconds).
 	RunResult = designer.RunResult
 	// CM is a correlation map, the paper's compressed secondary index.
@@ -82,29 +77,19 @@ type (
 	// a bucketed range mapping from a target column onto the clustered
 	// lead, with an outlier B+Tree for rows that break the mapping.
 	CorrIndex = corridx.Index
-	// CorrIdxConfig tunes correlation-index construction.
-	CorrIdxConfig = corridx.Config
 	// Object is a materialized design object with its indexes and CMs.
 	Object = exec.Object
 	// MigrationPlan is an ordered build schedule migrating one design into
 	// another while the workload keeps running (internal/deploy).
 	MigrationPlan = designer.MigrationPlan
-	// MigrationStep is one build of a migration plan.
-	MigrationStep = designer.MigrationStep
 	// DeployOptions tunes the deployment scheduler's branch-and-bound.
 	DeployOptions = deploy.Options
 	// DeploySchedule is a solved (or explicitly evaluated) build order
 	// with its cumulative-cost accounting.
 	DeploySchedule = deploy.Schedule
-	// WorkloadMonitor is the online workload monitor: query templating,
-	// EWMA frequency tracking, recent literal bindings and deterministic
-	// drift detection (internal/workload).
-	WorkloadMonitor = workload.Monitor
-	// MonitorConfig tunes a WorkloadMonitor (half-life, reservoir size,
-	// drift thresholds).
+	// MonitorConfig tunes the online workload monitor (half-life,
+	// reservoir size, drift thresholds).
 	MonitorConfig = workload.Config
-	// DriftReport is one drift decision with its evidence.
-	DriftReport = workload.DriftReport
 	// TemplateInfo is one observed query template's public view.
 	TemplateInfo = workload.TemplateInfo
 	// AdaptiveController runs the observe → drift → redesign → migrate →
@@ -115,8 +100,10 @@ type (
 	// AdaptiveReport is the controller's telemetry (trace, counters,
 	// cumulative workload-seconds).
 	AdaptiveReport = adapt.Report
-	// AdaptiveEvent is one trace entry of an adaptive run.
-	AdaptiveEvent = adapt.Event
+	// AdaptiveState is an adaptive controller's restart state
+	// (AdaptiveController.State): the active design, the in-flight
+	// migration journal and the monitor snapshot.
+	AdaptiveState = adapt.State
 	// FaultInjector is the deterministic fault layer (internal/fault): a
 	// nil injector disables every fault path, byte for byte. Wire one into
 	// AdaptiveConfig.Faults to fail/delay builds, time out solves and
@@ -128,14 +115,10 @@ type (
 	// RetryPolicy is the capped exponential backoff failed builds retry
 	// under (AdaptiveConfig.Retry; zero value = the defaults).
 	RetryPolicy = fault.RetryPolicy
-	// MigrationJournal is a migration's durable step journal: enough to
-	// resume an interrupted migration from the completed prefix
-	// (AdaptiveController.Journal, ResumeAdaptive).
-	MigrationJournal = deploy.Journal
-	// Checkpoint is the adaptive controller's persisted crash-state: the
-	// active design, the in-flight migration journal and the monitor
-	// snapshot (internal/durable). Saved with write-temp-fsync-rename and
-	// a checksum; LoadCheckpoint rejects torn or foreign files loudly.
+	// Checkpoint is an AdaptiveState a Server persisted: written
+	// write-temp-fsync-rename inside a checksummed envelope
+	// (internal/durable); LoadCheckpoint rejects torn or foreign files
+	// loudly.
 	Checkpoint = durable.Checkpoint
 	// Server is the durable serving daemon core (internal/server):
 	// concurrent query execution against an atomic design snapshot, panic
@@ -145,8 +128,6 @@ type (
 	// ServerConfig tunes a Server (admission rate, request timeout,
 	// checkpoint path and cadence, the adaptive tuning underneath).
 	ServerConfig = server.Config
-	// ServerStatus is the daemon's observable state (/statusz).
-	ServerStatus = server.Status
 	// MetricsRegistry is the dependency-free metrics registry
 	// (internal/obs): counters, gauges and log-linear latency histograms
 	// with Prometheus text exposition. Wire one into ServerConfig.Metrics
@@ -157,8 +138,6 @@ type (
 	// (internal/obs): typed simulated-clock events from the adaptive
 	// controller, rendered in /statusz. nil disables it.
 	EventTracer = obs.Tracer
-	// TraceEvent is one recorded tracer event.
-	TraceEvent = obs.Event
 	// TenantCoordinator is the multi-tenant design coordinator
 	// (internal/tenant): N per-tenant workload monitors feed mined
 	// candidate pools, and one shared space budget is split across tenants
@@ -172,40 +151,16 @@ type (
 	// Tenant is one registered tenant workload: its monitor and its
 	// accumulated mined candidate pool.
 	Tenant = tenant.Tenant
-	// TenantAllocation is one shared-budget redesign outcome: per-tenant
-	// designs with their budget shares plus the dual's certificate
-	// (λ, duality gap, iteration and node counts).
-	TenantAllocation = tenant.Allocation
-	// TenantResult is one tenant's slice of a TenantAllocation.
-	TenantResult = tenant.TenantResult
 )
 
 // ErrCrash is the injected-crash sentinel: an AdaptiveController whose
 // Process returns an error wrapping ErrCrash died mid-migration with its
-// journal intact — rebuild it with System.ResumeAdaptive.
+// journal intact — rebuild it from its State with System.RestoreAdaptive.
 var ErrCrash = fault.ErrCrash
 
-// Checkpoint error sentinels: a checkpoint that failed structural or
-// checksum validation, and one written by a layout this build does not
-// read. Both demand operator attention — never a silent cold restart.
-var (
-	ErrCheckpointCorrupt = durable.ErrCorrupt
-	ErrCheckpointVersion = durable.ErrVersion
-)
-
-// CaptureCheckpoint snapshots an adaptive controller's durable state.
-// Call it from the goroutine driving the controller, never concurrently
-// with Process.
-func CaptureCheckpoint(c *AdaptiveController) (*Checkpoint, error) { return durable.Capture(c) }
-
-// SaveCheckpoint persists a checkpoint with the write-temp-fsync-rename
-// protocol: a crash mid-save leaves the previous checkpoint intact.
-func SaveCheckpoint(path string, cp *Checkpoint) error { return durable.Save(path, cp) }
-
 // LoadCheckpoint reads and validates a checkpoint. A missing file
-// returns os.ErrNotExist (a fresh start); torn, truncated, bit-flipped
-// or foreign files fail with ErrCheckpointCorrupt, unknown layout
-// versions with ErrCheckpointVersion.
+// returns os.ErrNotExist (a fresh start); torn, truncated, bit-flipped,
+// foreign or future-versioned files fail loudly.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return durable.Load(path) }
 
 // NewFaultInjector builds a deterministic fault injector from a schedule.
@@ -229,16 +184,8 @@ type (
 	PlanSpec = exec.PlanSpec
 	// ExecResult is the outcome of executing a query on an object.
 	ExecResult = exec.Result
-	// GroupedResult is a per-group aggregate execution result.
-	GroupedResult = exec.GroupedResult
-	// GroupCell is one group of a grouped aggregate.
-	GroupCell = exec.GroupCell
 	// MultiFact bundles one fact table's inputs for multi-fact design.
 	MultiFact = designer.Fact
-	// MultiDesign is a combined design over several fact tables.
-	MultiDesign = designer.MultiDesign
-	// Correlation is one discovered soft functional dependency.
-	Correlation = stats.Correlation
 )
 
 // Predicate constructors.
@@ -247,8 +194,6 @@ var (
 	Eq = query.NewEq
 	// Range builds lo ≤ col ≤ hi.
 	Range = query.NewRange
-	// In builds col ∈ {vs...}.
-	In = query.NewIn
 )
 
 // NewSchema builds a schema from columns (names must be unique).
@@ -314,17 +259,6 @@ func BuildCorrIdx(rel *Relation, target string) (*CorrIndex, error) {
 	return corridx.Build(rel, rel.Schema.MustCol(target), corridx.DefaultConfig())
 }
 
-// BuildFromObject materializes a new design relation by scanning src —
-// the deployment scheduler's build-from-object path: an index or
-// narrower MV is constructed from an already-deployed MV instead of
-// re-reading the fact table. cols are column positions in src's schema,
-// newKey the clustered key in the new schema. Returns the relation and
-// the simulated build I/O (the heap component of the scheduler's
-// build-cost model).
-func BuildFromObject(src *Object, name string, cols []int, newKey []int) (*Relation, IOStats) {
-	return exec.BuildFrom(src, name, cols, newKey)
-}
-
 // ExecuteBest runs q on o through the cheapest feasible plan and returns
 // the result with its simulated I/O.
 func ExecuteBest(o *Object, q *Query, disk DiskParams) (ExecResult, error) {
@@ -346,13 +280,6 @@ func NewStats(rel *Relation, sampleSize int, seed int64) *Stats {
 	return stats.New(rel, sampleSize, seed)
 }
 
-// ExecuteGrouped runs q on o with the chosen plan, aggregating per
-// distinct combination of the groupBy columns (the paper's GROUP BY
-// queries). I/O accounting matches Execute.
-func ExecuteGrouped(o *Object, q *Query, spec PlanSpec, groupBy []string) (*GroupedResult, error) {
-	return exec.ExecuteGrouped(o, q, spec, groupBy)
-}
-
 // NewMultiSystem builds per-fact CORADD designers over a workload spanning
 // several fact tables, splitting budgets in proportion to heap sizes
 // (§7.1). Use designer.SplitQuery to break two-fact queries into per-fact
@@ -372,7 +299,6 @@ func NewMultiSystem(facts map[string]MultiFact, w Workload, cfg SystemConfig) (*
 // Plan-kind constants for Execute.
 const (
 	SeqScan       = exec.SeqScan
-	ClusteredScan = exec.ClusteredScan
 	SecondaryScan = exec.SecondaryScan
 	CMScan        = exec.CMScan
 	CorrIdxScan   = exec.CorrIdxScan
@@ -479,7 +405,7 @@ func (s *System) Measure(d *Design) (*RunResult, error) {
 
 // Baselines returns ready-made Commercial and Naive designers over the
 // same inputs, for comparisons like the paper's Figures 9 and 11.
-func (s *System) Baselines(cfg SystemConfig) (commercial, naive designer.Designer) {
+func (s *System) Baselines(cfg SystemConfig) (commercial, naive Designer) {
 	cfg.Candidates = fillCandidateDefaults(cfg.Candidates)
 	common := designer.Common{
 		St: s.St, W: s.W, Disk: s.Disk,
@@ -516,15 +442,6 @@ func EvaluateSchedule(plan *MigrationPlan, order []int) (*DeploySchedule, error)
 	return deploy.Evaluate(plan.Problem, order)
 }
 
-// NewWorkloadMonitor builds an online workload monitor with the given
-// clock (seconds; inject a fake for deterministic replays). Feed it the
-// executed query stream with Observe, read Drift for redesign decisions
-// and Snapshot for the decayed workload a redesign should solve for.
-// A nil clock is a configuration error, reported rather than panicking.
-func NewWorkloadMonitor(cfg MonitorConfig, clock func() float64) (*WorkloadMonitor, error) {
-	return workload.New(cfg, clock)
-}
-
 // Adaptive builds the adaptive redesign controller over this system:
 // initial is the currently deployed design (e.g. the result of Design for
 // the mix being served today) and cfg.Budget the space budget every
@@ -532,29 +449,26 @@ func NewWorkloadMonitor(cfg MonitorConfig, clock func() float64) (*WorkloadMonit
 // inherits the system's. Drive it with Process/Run over the live query
 // stream; see internal/adapt for the loop's semantics.
 func (s *System) Adaptive(initial *Design, cfg AdaptiveConfig) (*AdaptiveController, error) {
-	cfg.Cand = fillCandidateDefaults(cfg.Cand)
-	if cfg.FB.MaxIters == 0 {
-		cfg.FB.MaxIters = s.coradd.Feedback.MaxIters
-	}
-	return adapt.New(s.coradd.Common, initial, cfg)
+	return adapt.New(s.coradd.Common, initial, s.adaptConfig(cfg))
 }
 
-// ResumeAdaptive rebuilds an adaptive controller after a crash (an
-// AdaptiveController.Process error wrapping ErrCrash): w is the workload
-// the resumed controller redesigns for — typically the crashed
-// controller's Mon.Snapshot() — to the design the journaled migration was
-// deploying (the crashed controller's Incumbent), and j its step journal.
-// The resumed migration follows the journaled build order from the
-// completed prefix; the monitor is re-seeded from w so drift detection
-// continues the crashed trajectory instead of restarting cold.
-func (s *System) ResumeAdaptive(w Workload, to *Design, j *MigrationJournal, cfg AdaptiveConfig) (*AdaptiveController, error) {
+// RestoreAdaptive rebuilds an adaptive controller from the State of a
+// crashed one (its Process returned an error wrapping ErrCrash). An
+// interrupted migration follows its journaled build order from the
+// completed prefix; the monitor is re-seeded from the state's snapshot so
+// drift detection continues the crashed trajectory instead of restarting
+// cold.
+func (s *System) RestoreAdaptive(st AdaptiveState, cfg AdaptiveConfig) (*AdaptiveController, error) {
+	return adapt.Restore(s.coradd.Common, st, s.adaptConfig(cfg))
+}
+
+// adaptConfig fills unset candidate/feedback tuning from the system's.
+func (s *System) adaptConfig(cfg AdaptiveConfig) AdaptiveConfig {
 	cfg.Cand = fillCandidateDefaults(cfg.Cand)
 	if cfg.FB.MaxIters == 0 {
 		cfg.FB.MaxIters = s.coradd.Feedback.MaxIters
 	}
-	common := s.coradd.Common
-	common.W = w
-	return adapt.Resume(common, to, j, cfg)
+	return cfg
 }
 
 // ServeAdaptive assembles the durable serving daemon core over this
@@ -567,17 +481,12 @@ func (s *System) ResumeAdaptive(w Workload, to *Design, j *MigrationJournal, cfg
 // For staged boot (probes answering while data generation runs), use
 // internal/server's NewStarting/Attach directly from the daemon.
 func (s *System) ServeAdaptive(initial *Design, cp *Checkpoint, cfg ServerConfig) (*Server, error) {
-	cfg.Adapt.Cand = fillCandidateDefaults(cfg.Adapt.Cand)
-	if cfg.Adapt.FB.MaxIters == 0 {
-		cfg.Adapt.FB.MaxIters = s.coradd.Feedback.MaxIters
-	}
+	cfg.Adapt = s.adaptConfig(cfg.Adapt)
 	srv := server.NewStarting(cfg)
 	if cp != nil {
-		ctl, err := cp.Controller(s.coradd.Common, srv.AdaptConfig())
-		if err != nil {
+		if err := srv.AttachResumed(s.coradd.Common, cp); err != nil {
 			return nil, err
 		}
-		srv.AttachResumed(s.coradd.Common, ctl)
 	} else {
 		ctl, err := adapt.New(s.coradd.Common, initial, srv.AdaptConfig())
 		if err != nil {
@@ -605,13 +514,6 @@ func MultiTenant(cfg TenantConfig) *TenantCoordinator { return tenant.New(cfg) }
 // monitor observes — this system's configured workload is not consulted.
 func (s *System) AddTenant(co *TenantCoordinator, name string, mcfg MonitorConfig, clock func() float64) (*Tenant, error) {
 	return co.Add(name, s.coradd.Common, mcfg, clock)
-}
-
-// DiscoverCorrelations runs the CORDS-style discovery pass over the fact
-// table, returning soft functional dependencies of at least minStrength
-// (0 selects the default threshold), strongest first.
-func (s *System) DiscoverCorrelations(minStrength float64) []Correlation {
-	return s.St.DiscoverCorrelations(stats.DiscoverOptions{MinStrength: minStrength})
 }
 
 // Strength exposes the CORDS correlation strength statistic

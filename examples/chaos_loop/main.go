@@ -3,8 +3,8 @@
 // the controller, but now migration builds fail (and are retried with
 // capped exponential backoff charged to the simulated timeline), builds
 // run slow, and the controller process is killed mid-migration. Because
-// every migration writes a step journal, the harness rebuilds the
-// controller from the journal and the migration resumes from the
+// every migration writes a step journal, the harness restores the
+// controller from its captured State and the migration resumes from the
 // completed prefix — the loop converges to the same destination design,
 // just later and at a bounded extra cost. Everything is deterministic:
 // the injector draws from its own seeded stream, so a replay fails the
@@ -79,8 +79,8 @@ func main() {
 
 	// Drive the stream one event at a time so an injected crash can be
 	// caught and recovered: a crash ends the controller's life with the
-	// journal intact; the harness rebuilds from the journal and re-runs
-	// the query whose execution the crash destroyed.
+	// journal intact; the harness restores from the controller's State and
+	// re-runs the query whose execution the crash destroyed.
 	var (
 		cum     float64
 		lives   []coradd.AdaptiveReport
@@ -98,11 +98,11 @@ func main() {
 		rep := ctl.Report()
 		lives = append(lives, rep)
 		cum += rep.Cum
-		j := ctl.Journal()
+		st := ctl.State()
 		fmt.Printf("*** crash at t=%.2fs (event %d): %v\n", rep.Clock, i+1, err)
-		fmt.Printf("*** journal: %d builds done, %d remaining — resuming\n\n",
-			len(j.Done), len(j.Next))
-		ctl, err = sys.ResumeAdaptive(ctl.Mon.Snapshot(), ctl.Incumbent(), j, acfg)
+		fmt.Printf("*** restoring on design %s, migration in flight: %v\n\n",
+			st.Design.Name, st.Journal != nil)
+		ctl, err = sys.RestoreAdaptive(st, acfg)
 		must(err)
 		resumes++
 	}
@@ -125,7 +125,7 @@ func main() {
 		redesigns += r.Redesigns
 	}
 	fmt.Printf("\nchaos run: %.2f cumulative workload-seconds across %d controller lives\n", cum, len(lives))
-	fmt.Printf("%d redesigns, %d builds deployed, %d retries, %d skipped builds, %d journal resumes\n",
+	fmt.Printf("%d redesigns, %d builds deployed, %d retries, %d skipped builds; restored %d time(s)\n",
 		redesigns, builds, retries, skips, resumes)
 	fmt.Printf("final design: %s (%d objects), migrating at end: %v\n",
 		ctl.Incumbent().Name, len(ctl.Incumbent().Chosen), ctl.Migrating())

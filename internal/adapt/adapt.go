@@ -139,7 +139,7 @@ const (
 	// EventSolveDegraded is a redesign whose solve hit its deadline: the
 	// unproven warm-started incumbent was adopted.
 	EventSolveDegraded
-	// EventResume is a controller rebuilt from a migration journal.
+	// EventResume is a controller rebuilt by Restore.
 	EventResume
 )
 
@@ -347,8 +347,7 @@ func (c *Controller) Migrating() bool { return c.mig != nil }
 
 // Journal returns a deep copy of the latest migration's step journal (the
 // durable record a real deployment would fsync per step), or nil if no
-// migration has started. After a crash (fault.ErrCrash from Process) this
-// is the state Resume restarts from.
+// migration has started.
 func (c *Controller) Journal() *deploy.Journal { return c.journal.Clone() }
 
 // Report returns a snapshot of the telemetry.
@@ -384,7 +383,7 @@ func (c *Controller) event(kind EventKind, format string, args ...any) {
 // the worker's original stack) — is recovered into the returned error, so
 // one poisoned query poisons one Process call, not the process. An
 // injected crash surfaces as an error wrapping fault.ErrCrash with the
-// migration journal intact; rebuild with Resume to continue.
+// migration journal intact; rebuild with State and Restore to continue.
 func (c *Controller) Process(q *query.Query) (sec float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -824,97 +823,6 @@ func (c *Controller) redesign(drift workload.DriftReport) error {
 	c.obs.remainingBuilds.Set(int64(len(c.mig.order)))
 	c.scheduleHead(c.clock)
 	return nil
-}
-
-// RestartIdle rebuilds a controller after a process restart that landed
-// *between* migrations: deployed is the design that was serving at the
-// last checkpoint and common.W the checkpointed monitor snapshot. The
-// monitor is re-seeded from the snapshot (whose weights are the crashed
-// monitor's decayed rates) and the drift baseline re-anchored on it, so
-// detection continues the old trajectory instead of reading the first few
-// post-restart observations as drift. The counterpart of Resume for
-// checkpoints that carry no in-flight journal (internal/durable).
-func RestartIdle(common designer.Common, deployed *designer.Design, cfg Config) (*Controller, error) {
-	if len(common.W) == 0 {
-		return nil, fmt.Errorf("adapt: restart needs a baseline workload (the checkpointed monitor snapshot)")
-	}
-	c, err := New(common, deployed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.Mon.PrimeRates(common.W)
-	c.Mon.Rebase(c.costOf(deployed))
-	c.obs.resumes.Inc()
-	c.event(EventResume, "restarted idle on design %s: %d templates primed", deployed.Name, len(common.W))
-	return c, nil
-}
-
-// Resume rebuilds a controller from a migration journal after a crash
-// (an injected fault.ErrCrash, or a real process death whose journal
-// survived). to is the crashed migration's target design — in a real
-// deployment reloaded from the durable design catalog — and common.W the
-// restarted monitor's baseline workload. The resumed controller serves
-// from the journaled prefix design and follows the journaled remaining
-// order rather than re-deciding it, so an interrupted run's step sequence
-// matches the uninterrupted run's exactly. The simulated clock restarts
-// at zero: a resumed timeline is a new timeline.
-func Resume(common designer.Common, to *designer.Design, j *deploy.Journal, cfg Config) (*Controller, error) {
-	if j == nil {
-		return nil, fmt.Errorf("adapt: a journal is required to resume")
-	}
-	if len(common.W) == 0 {
-		return nil, fmt.Errorf("adapt: resume needs a baseline workload (the crashed monitor's last snapshot)")
-	}
-	c, err := New(common, to, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The restarted monitor must continue the crashed monitor's EWMA
-	// trajectory, not start empty: seed the template rates from the
-	// snapshot (whose weights are the crashed monitor's decayed rates) and
-	// re-anchor drift on the seeded table. An empty table would converge
-	// to the first few post-restart observations and read as drift the
-	// crashed monitor never saw.
-	c.Mon.PrimeRates(common.W)
-	c.Mon.Rebase(c.costOf(to))
-	plan, err := designer.ResumeMigration(common.St, common.Disk, common.W, c.model, to, j)
-	if err != nil {
-		return nil, err
-	}
-	c.journal = j.Clone()
-	c.deployed = plan.PrefixDesign(c.model, common.W, j.Done)
-	c.rates = make(map[string]float64)
-	c.obs.resumes.Inc()
-	c.obs.journalReplays.Add(len(j.Done))
-	c.event(EventResume, "resumed migration %s → %s from journal: %d built, %d remaining, %d skipped",
-		j.From, j.To, len(j.Done), len(j.Next), len(j.Skipped))
-	if len(j.Next) == 0 {
-		// The crash landed after the final build: nothing left in flight.
-		if len(j.Skipped) > 0 {
-			c.incumbent = c.deployed
-			c.Mon.Rebase(c.costOf(c.deployed))
-		}
-		c.event(EventMigrationDone, "migration to %s complete", c.incumbent.Name)
-		return c, nil
-	}
-	// The resumed plan priced the order Done ++ Next ++ Skipped; slice out
-	// Next's span for the in-flight remainder.
-	sched := plan.Schedule
-	lo, hi := len(j.Done), len(j.Done)+len(j.Next)
-	c.mig = &migration{
-		plan:     plan,
-		order:    append([]int(nil), j.Next...),
-		builds:   append([]float64(nil), sched.Builds[lo:hi]...),
-		rates:    append([]float64(nil), sched.Rates[lo:hi]...),
-		wTotal:   totalWeight(common.W),
-		done:     append([]int(nil), j.Done...),
-		skipped:  append([]int(nil), j.Skipped...),
-		attempts: make(map[string]int),
-	}
-	c.obs.migInFlight.Set(1)
-	c.obs.remainingBuilds.Set(int64(len(c.mig.order)))
-	c.scheduleHead(c.clock)
-	return c, nil
 }
 
 // costOf builds the monitor's cost function for incumbent design d: cur

@@ -24,14 +24,16 @@ func buildEvents(rep Report) []string {
 }
 
 // TestCrashResumeProperty is the crash-recovery property test: killing
-// the controller after every possible completed build and resuming from
-// the journal replays the interrupted migration to the same step sequence
+// the controller after every possible completed build and restoring from
+// its State replays the interrupted migration to the same step sequence
 // and the same deployed design as the uninterrupted run. Replanning is
 // disabled so every run follows its plan order — the property under test
 // is journal fidelity, not replanning. The comparison is scoped to the
-// migration the journal describes: after it completes, a resumed
+// migration the journal describes: after it completes, a restored
 // controller's restarted monitor is legitimately a new observer and later
-// redesigns may differ.
+// redesigns may differ. internal/durable's
+// TestCrashCheckpointResumeProperty runs the same property through a
+// checkpoint file.
 func TestCrashResumeProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -39,6 +41,7 @@ func TestCrashResumeProperty(t *testing.T) {
 	common, initial, cfg := smallEnv(t, 6000)
 	cfg.FB.MaxIters = -1
 	cfg.ReplanTolerance = -1
+	cfg.Cache = designer.NewObjectCache()
 	stream := drivingStream(39, 156)
 
 	// Uninterrupted reference run, snapshotting the cumulative build
@@ -74,7 +77,7 @@ func TestCrashResumeProperty(t *testing.T) {
 
 	for k := 1; k <= total; k++ {
 		// Crash the controller after completed build k (counted across the
-		// run), then resume from the journal and finish the interrupted
+		// run), then restore from its State and finish the interrupted
 		// migration.
 		cfgCrash := cfg
 		cfgCrash.Faults = fault.New(fault.Config{CrashAfterBuilds: []int{k}})
@@ -95,39 +98,30 @@ func TestCrashResumeProperty(t *testing.T) {
 		if crashed < 0 {
 			t.Fatalf("crash %d never fired", k)
 		}
-		j := c.Journal()
-		if j == nil {
-			t.Fatalf("crash %d: no journal at crash time", k)
-		}
-		if err := j.Validate(); err != nil {
-			t.Fatalf("crash %d: invalid journal: %v", k, err)
-		}
 		got := buildEvents(c.Report())
 		if len(got) != k {
 			t.Fatalf("crash %d: crashed run completed %d builds", k, len(got))
 		}
 
-		commonR := common
-		commonR.W = c.Mon.Snapshot()
-		rc, err := Resume(commonR, c.Incumbent(), j, cfg)
+		rc, err := Restore(common, c.State(), cfg)
 		if err != nil {
-			t.Fatalf("crash %d: resume failed: %v", k, err)
+			t.Fatalf("crash %d: restore failed: %v", k, err)
 		}
 		for _, q := range stream[crashed+1:] {
 			if !rc.Migrating() {
 				break
 			}
 			if _, err := rc.Process(q); err != nil {
-				t.Fatalf("crash %d: resumed run failed: %v", k, err)
+				t.Fatalf("crash %d: restored run failed: %v", k, err)
 			}
 		}
 		if rc.Migrating() {
-			t.Fatalf("crash %d: resumed migration wedged — still in flight after the stream", k)
+			t.Fatalf("crash %d: restored migration wedged — still in flight after the stream", k)
 		}
 		got = append(got, buildEvents(rc.Report())...)
 
 		// The journaled migration is the first reference migration with at
-		// least k builds; crash + resume must reproduce its cumulative
+		// least k builds; crash + restore must reproduce its cumulative
 		// sequence and land on its deployed design.
 		var want migDone
 		for _, md := range refDones {
@@ -137,7 +131,7 @@ func TestCrashResumeProperty(t *testing.T) {
 			}
 		}
 		if len(got) != len(want.builds) {
-			t.Fatalf("crash %d: %d builds across crash+resume, reference migration had %d:\n%v\nvs\n%v",
+			t.Fatalf("crash %d: %d builds across crash+restore, reference migration had %d:\n%v\nvs\n%v",
 				k, len(got), len(want.builds), got, want.builds)
 		}
 		for i := range want.builds {
@@ -146,7 +140,7 @@ func TestCrashResumeProperty(t *testing.T) {
 			}
 		}
 		if !sameObjects(want.design, rc.Deployed()) {
-			t.Errorf("crash %d: resumed design %s differs from reference %s",
+			t.Errorf("crash %d: restored design %s differs from reference %s",
 				k, rc.Deployed().Name, want.design.Name)
 		}
 	}

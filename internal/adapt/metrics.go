@@ -27,7 +27,7 @@ type ctlObs struct {
 	solverNodes      *obs.Counter
 	solverPruned     *obs.Counter
 	solverIncumbents *obs.Counter
-	// journalReplays counts builds adopted from a journal by Resume
+	// journalReplays counts builds adopted from a journal by Restore
 	// instead of being rebuilt — the crash-recovery savings.
 	journalReplays *obs.Counter
 

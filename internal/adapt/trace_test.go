@@ -12,7 +12,7 @@ import (
 // chaosSchedule is the chaos ablation's seed-42 fault schedule at test
 // scale: probabilistic build failures capped below the retry budget,
 // probabilistic delays, and one crash after the second completed build,
-// recovered from the journal.
+// restored from the controller's State.
 func chaosSchedule() (fault.Config, fault.RetryPolicy) {
 	return fault.Config{
 			Seed:             42,
@@ -28,7 +28,7 @@ func chaosSchedule() (fault.Config, fault.RetryPolicy) {
 
 // TestTraceDeterminism: the controller's structured event trace is part
 // of the deterministic replay surface. Driving the chaos schedule —
-// injected failures, delays, a crash and a journal resume — twice with
+// injected failures, delays, a crash and a restore — twice with
 // fresh tracers must produce bit-identical event sequences: same
 // length, same seqs, same clocks (to the bit), same kinds, same
 // rendered fields. The trace only ever records the simulated timeline,
@@ -64,10 +64,7 @@ func TestTraceDeterminism(t *testing.T) {
 			if !errors.Is(err, fault.ErrCrash) {
 				t.Fatal(err)
 			}
-			j := ctl.Journal()
-			commonR := common
-			commonR.W = ctl.Mon.Snapshot()
-			ctl, err = Resume(commonR, ctl.Incumbent(), j, c)
+			ctl, err = Restore(common, ctl.State(), c)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,8 +48,8 @@ const (
 )
 
 // journalFile is the stable serialized form: the format tag and version
-// wrap the journal fields. internal/durable embeds exactly this encoding
-// inside its checkpoints, so there is one on-disk journal layout.
+// wrap the journal fields. A controller checkpoint (adapt.State) embeds
+// exactly this encoding, so there is one on-disk journal layout.
 //
 // Structural keys (costmodel.MVDesign.Key) are arbitrary byte strings —
 // they contain 0xff separators that are not valid UTF-8, and Go's JSON
@@ -97,8 +97,8 @@ func unhexKeys(field string, keys []string) ([]string, error) {
 
 // Encode renders the journal in its stable serialized form (versioned,
 // format-tagged JSON, hex-encoded structural keys) — the durable
-// representation a controller fsyncs per step and internal/durable embeds
-// in checkpoints.
+// representation a controller fsyncs per step and embeds in its
+// checkpoints.
 func (j *Journal) Encode() ([]byte, error) {
 	return json.Marshal(journalFile{
 		Format:  JournalFormat,
@@ -144,6 +144,21 @@ func DecodeJournal(data []byte) (*Journal, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// MarshalJSON renders the journal in its stable serialized form (Encode),
+// so a journal embedded in a larger document keeps its structural keys.
+func (j *Journal) MarshalJSON() ([]byte, error) { return j.Encode() }
+
+// UnmarshalJSON parses and validates the stable serialized form
+// (DecodeJournal).
+func (j *Journal) UnmarshalJSON(data []byte) error {
+	d, err := DecodeJournal(data)
+	if err != nil {
+		return err
+	}
+	*j = *d
+	return nil
 }
 
 // Validate checks structural well-formedness: Done, Skipped and Next must

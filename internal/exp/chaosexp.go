@@ -21,10 +21,10 @@ type ChaosResult struct {
 	FreeCum, ChaosCum float64
 	// FreeReport is the fault-free controller's trace; ChaosLives one
 	// trace per controller lifetime of the faulted run (a crash ends a
-	// life, Resume starts the next).
+	// life, Restore starts the next).
 	FreeReport adapt.Report
 	ChaosLives []adapt.Report
-	// Resumes counts journal recoveries; the remaining counters aggregate
+	// Resumes counts restores after a crash; the remaining counters aggregate
 	// the faulted run's lives.
 	Resumes       int
 	Retries       int
@@ -93,9 +93,9 @@ func sameDesignObjects(a, b *designer.Design) bool {
 // failures retried with capped exponential backoff (waits charged to the
 // simulated timeline), injected build slowdowns, and an injected process
 // crash mid-migration recovered by rebuilding the controller from its
-// step journal (adapt.Resume). The faulted run must converge to the same
-// final design and stay within ChaosCumBound of the fault-free bill —
-// robustness as a measured property, not a hope.
+// captured state (adapt.State → adapt.Restore). The faulted run must
+// converge to the same final design and stay within ChaosCumBound of the
+// fault-free bill — robustness as a measured property, not a hope.
 func ChaosAblation(s scenario.Scale) (*ChaosResult, *Table, error) {
 	env := scenario.SSBChrono(s)
 	budget := int64(AdaptBudgetMult * float64(env.Rel.HeapBytes()))
@@ -132,8 +132,8 @@ func ChaosAblation(s scenario.Scale) (*ChaosResult, *Table, error) {
 
 	// Faulted run: same stream, same config, plus the injected schedule.
 	// A crash ends the controller's life with the journal intact; the
-	// harness rebuilds from the journal and re-executes the query whose
-	// execution the crash destroyed.
+	// harness restores from the captured state and re-executes the query
+	// whose execution the crash destroyed.
 	cfgF := cfg
 	cfgF.Faults = fault.New(res.Faults)
 	cfgF.Retry = res.Retry
@@ -153,10 +153,7 @@ func ChaosAblation(s scenario.Scale) (*ChaosResult, *Table, error) {
 		rep := ctl.Report()
 		res.ChaosLives = append(res.ChaosLives, rep)
 		res.ChaosCum += rep.Cum
-		j := ctl.Journal()
-		commonR := env.Common
-		commonR.W = ctl.Mon.Snapshot()
-		ctl, err = adapt.Resume(commonR, ctl.Incumbent(), j, cfgF)
+		ctl, err = adapt.Restore(env.Common, ctl.State(), cfgF)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -26,7 +26,8 @@
 //     controller adopts the best warm-started incumbent unproven.
 //   - Crashes (CrashAfterBuilds): after the scheduled completed-build
 //     ordinal the controller surfaces ErrCrash; the harness restarts it
-//     from the migration journal (deploy.Journal via adapt.Resume).
+//     from its captured state, migration journal included (adapt.State
+//     via adapt.Restore).
 //
 // A nil *Injector is the disabled layer: every hook is nil-receiver safe
 // and draws nothing, so fault-free runs are byte-identical to builds

@@ -136,6 +136,65 @@ type Query struct {
 	Weight float64
 }
 
+// Validate holds q to the invariants the planner and the cost model
+// assume of a catalog query: a name, at least one column read, columns
+// that exist under col (a name→position mapping such as
+// (*schema.Schema).Col), at most one predicate per column, a known
+// operator, and predicates in the canonical form NewEq and NewIn build —
+// an equality's Hi equal to its Lo, a non-empty IN set sorted ascending
+// without repeats.
+func (q *Query) Validate(col func(string) int) error {
+	if q.Name == "" {
+		return fmt.Errorf("query document has no name")
+	}
+	if len(q.Predicates) == 0 && len(q.Targets) == 0 && q.AggCol == "" {
+		return fmt.Errorf("query reads no columns")
+	}
+	known := func(c string) error {
+		if col(c) < 0 {
+			return fmt.Errorf("unknown column %q", c)
+		}
+		return nil
+	}
+	seen := make(map[string]bool, len(q.Predicates))
+	for _, p := range q.Predicates {
+		if err := known(p.Col); err != nil {
+			return err
+		}
+		if seen[p.Col] {
+			return fmt.Errorf("more than one predicate on column %q", p.Col)
+		}
+		seen[p.Col] = true
+		switch p.Op {
+		case Eq:
+			if p.Hi != p.Lo {
+				return fmt.Errorf("equality on column %q has Hi %d != Lo %d", p.Col, p.Hi, p.Lo)
+			}
+		case Range:
+		case In:
+			if len(p.Set) == 0 {
+				return fmt.Errorf("empty IN list on column %q", p.Col)
+			}
+			for i := 1; i < len(p.Set); i++ {
+				if p.Set[i] <= p.Set[i-1] {
+					return fmt.Errorf("IN list on column %q is not sorted without repeats", p.Col)
+				}
+			}
+		default:
+			return fmt.Errorf("unknown operator %d on column %q", p.Op, p.Col)
+		}
+	}
+	for _, c := range q.Targets {
+		if err := known(c); err != nil {
+			return err
+		}
+	}
+	if q.AggCol != "" {
+		return known(q.AggCol)
+	}
+	return nil
+}
+
 // EffectiveWeight returns Weight, defaulting to 1.
 func (q *Query) EffectiveWeight() float64 {
 	if q.Weight <= 0 {

@@ -2,8 +2,9 @@
 // an HTTP daemon core that executes queries concurrently against a
 // read-mostly snapshot of the deployed design while a single controller
 // goroutine runs the observe → drift → redesign → migrate timeline, and
-// that persists the controller's crash-state (internal/durable) so a
-// killed process resumes its migration instead of restarting cold.
+// that persists the controller's restart state (adapt.State, framed by
+// internal/durable) so a killed process resumes its migration instead of
+// restarting cold.
 //
 // Concurrency contract: adapt.Controller is single-timeline, so exactly
 // one goroutine (the loop started by Start) ever touches it. Query
@@ -264,11 +265,22 @@ func (s *Server) Attach(common designer.Common, ctl *adapt.Controller) {
 	s.attach(common, ctl, false)
 }
 
-// AttachResumed wires a controller rebuilt from a checkpoint
-// (durable.Checkpoint.Controller): readiness reports the resume and
-// /statusz carries Resumed=true for the restart property tests.
-func (s *Server) AttachResumed(common designer.Common, ctl *adapt.Controller) {
+// AttachResumed restores the controller from a loaded checkpoint — its
+// body decoded as an adapt.State and rebuilt by adapt.Restore under
+// AdaptConfig — and wires it: readiness reports the resume and /statusz
+// carries Resumed=true for the restart property tests. A body that is not
+// a restorable state fails with durable.ErrCorrupt.
+func (s *Server) AttachResumed(common designer.Common, cp *durable.Checkpoint) error {
+	var st adapt.State
+	if err := cp.Decode(&st); err != nil {
+		return err
+	}
+	ctl, err := adapt.Restore(common, st, s.cfg.Adapt)
+	if err != nil {
+		return err
+	}
 	s.attach(common, ctl, true)
+	return nil
 }
 
 func (s *Server) attach(common designer.Common, ctl *adapt.Controller, resumed bool) {
@@ -602,10 +614,18 @@ func (s *Server) resolve(body []byte) (*query.Query, error) {
 		}
 		return &resolved, nil
 	}
-	if len(q.Predicates) == 0 && len(q.Targets) == 0 && q.AggCol == "" {
-		return nil, errors.New("query reads no columns")
+	// Canonicalize IN sets (sorted, deduplicated) and equalities (Hi = Lo)
+	// as query.NewIn and query.NewEq build them, then hold the document to
+	// a catalog query's invariants.
+	for i := range q.Predicates {
+		switch p := &q.Predicates[i]; p.Op {
+		case query.Eq:
+			p.Hi = p.Lo
+		case query.In:
+			*p = query.NewIn(p.Col, p.Set...)
+		}
 	}
-	if err := s.checkDocument(&q); err != nil {
+	if err := q.Validate(s.cfg.Common.St.Rel.Schema.Col); err != nil {
 		return nil, err
 	}
 	// The designer identifies a template by its name (the cost model's
@@ -616,56 +636,6 @@ func (s *Server) resolve(body []byte) (*query.Query, error) {
 		return nil, fmt.Errorf("query name %q already names a different template", q.Name)
 	}
 	return &q, nil
-}
-
-// checkDocument holds a client's query document to the invariants the
-// planner and the cost model assume of a catalog query: a name, columns
-// that exist, at most one predicate per column, a known operator, and a
-// non-empty IN set. IN sets are canonicalized (sorted, deduplicated) and an
-// equality's Hi is set to its Lo, as query.NewIn and query.NewEq build them.
-func (s *Server) checkDocument(q *query.Query) error {
-	if q.Name == "" {
-		return errors.New("query document has no name")
-	}
-	sch := s.cfg.Common.St.Rel.Schema
-	known := func(col string) error {
-		if sch.Col(col) < 0 {
-			return fmt.Errorf("unknown column %q", col)
-		}
-		return nil
-	}
-	seen := make(map[string]bool, len(q.Predicates))
-	for i := range q.Predicates {
-		p := &q.Predicates[i]
-		if err := known(p.Col); err != nil {
-			return err
-		}
-		if seen[p.Col] {
-			return fmt.Errorf("more than one predicate on column %q", p.Col)
-		}
-		seen[p.Col] = true
-		switch p.Op {
-		case query.Eq:
-			p.Hi = p.Lo
-		case query.Range:
-		case query.In:
-			if len(p.Set) == 0 {
-				return fmt.Errorf("empty IN list on column %q", p.Col)
-			}
-			*p = query.NewIn(p.Col, p.Set...)
-		default:
-			return fmt.Errorf("unknown operator %d on column %q", p.Op, p.Col)
-		}
-	}
-	for _, c := range q.Targets {
-		if err := known(c); err != nil {
-			return err
-		}
-	}
-	if q.AggCol != "" {
-		return known(q.AggCol)
-	}
-	return nil
 }
 
 // statuszTraceEvents bounds how many trace events /statusz renders;

@@ -88,11 +88,9 @@ func startServer(t *testing.T, cfg Config, cp *durable.Checkpoint) *Server {
 	cfg.Adapt = acfg
 	s := NewStarting(cfg)
 	if cp != nil {
-		ctl, err := cp.Controller(common, s.AdaptConfig())
-		if err != nil {
+		if err := s.AttachResumed(common, cp); err != nil {
 			t.Fatal(err)
 		}
-		s.AttachResumed(common, ctl)
 	} else {
 		ctl, err := adapt.New(common, initial, s.AdaptConfig())
 		if err != nil {

@@ -12,11 +12,14 @@ import (
 )
 
 // layers ranks the internal packages, low to high. A package may import
-// packages of its own rank or below, never above. scenario sits above the
-// designer it feeds and below the adaptive layers, but is importable only
-// by the experiments, the commands and the root package; exp, the
-// commands, the examples and the root package share the top rank.
+// packages of its own rank or below, never above. durable, the checkpoint
+// envelope, ranks alone at the bottom: it frames opaque bytes and imports
+// no package of the module. scenario sits above the designer it feeds and
+// below the adaptive layers, but is importable only by the experiments,
+// the commands and the root package; exp, the commands, the examples and
+// the root package share the top rank.
 var layers = [][]string{
+	{"durable"},
 	{"value", "par", "obs", "fault", "lp", "kmeans"},
 	{"schema", "query", "bnb", "workload"},
 	{"storage"},
@@ -28,7 +31,6 @@ var layers = [][]string{
 	{"designer"},
 	{"scenario"},
 	{"adapt", "tenant"},
-	{"durable"},
 	{"server"},
 }
 
