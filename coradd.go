@@ -148,8 +148,8 @@ type (
 	// TenantConfig tunes a TenantCoordinator (global budget, mining
 	// thresholds, dual iterations, the monolithic-fallback limit).
 	TenantConfig = tenant.Config
-	// Tenant is one registered tenant workload: its monitor and its
-	// accumulated mined candidate pool.
+	// Tenant is one registered tenant workload: its monitor, cost model
+	// and current design objects.
 	Tenant = tenant.Tenant
 )
 

@@ -18,7 +18,11 @@
 // exact solve from the incumbent design's objects (ilp.SolveOptions.
 // WarmStart via feedback.Config.Warm) — unchanged regions of the search
 // are pruned immediately, so a redesign never explores more solver nodes
-// than a cold design of the same instance.
+// than a cold design of the same instance. Every redesign prices through
+// the controller's one cost model, whose memo is keyed by query content:
+// a redesign is a function of the checkpointed state (snapshot,
+// incumbent, budget) alone, and re-pricing what an earlier redesign
+// already priced is free.
 //
 // Migration: designer.PlanMigration schedules the builds; while a build
 // runs, queries execute at the current prefix state's measured rate.
@@ -49,7 +53,6 @@ import (
 	"coradd/internal/obs"
 	"coradd/internal/query"
 	"coradd/internal/stats"
-	"coradd/internal/storage"
 	"coradd/internal/workload"
 )
 
@@ -254,8 +257,10 @@ type migration struct {
 type Controller struct {
 	cfg    Config
 	common designer.Common // W is replaced by each snapshot
-	model  *costmodel.Aware
-	cache  *designer.ObjectCache
+	// model prices everything the controller decides: redesigns, routing,
+	// migration schedules and drift costs.
+	model *costmodel.Aware
+	cache *designer.ObjectCache
 
 	// Mon is the workload monitor, exported for inspection; its clock is
 	// the controller's simulated clock.
@@ -747,7 +752,8 @@ func (c *Controller) redesign(drift workload.DriftReport) error {
 	if sink := c.solveSink("redesign"); sink != nil {
 		fb.Solve.Progress = sink
 	}
-	des := designer.NewCORADD(common, c.cfg.Cand, fb)
+	des := designer.NewCORADDWith(common, c.model, c.cfg.Cand, (*candgen.Generator).Generate)
+	des.Feedback = fb
 	d2, err := des.DesignFrom(c.cfg.Budget, c.incumbent)
 	if err != nil {
 		return err
@@ -790,7 +796,7 @@ func (c *Controller) redesign(drift workload.DriftReport) error {
 	if sink := c.solveSink("schedule"); sink != nil {
 		dep.Progress = sink
 	}
-	plan, err := designer.PlanMigration(c.common.St, c.common.Disk, w, des.Model,
+	plan, err := designer.PlanMigration(c.common.St, c.common.Disk, w, c.model,
 		c.incumbent, d2, dep)
 	if err != nil {
 		return err
@@ -875,26 +881,6 @@ func dedicatedMV(st *stats.Stats, q *query.Query) *costmodel.MVDesign {
 		key = cols[:1]
 	}
 	return &costmodel.MVDesign{Name: "lb(" + q.Name + ")", Cols: cols, ClusterKey: key}
-}
-
-// MeasureTemplate prices one query on a deployed design through the real
-// simulated substrate: the design is rerouted for the single-query
-// workload and measured through an evaluator sharing the given cache —
-// the one measurement procedure the controller (and the adapt ablation's
-// static baselines) charge stream events with, so every run prices a
-// (state, template) pair identically.
-func MeasureTemplate(st *stats.Stats, disk storage.DiskParams, cache *designer.ObjectCache,
-	model costmodel.Model, d *designer.Design, q *query.Query) (float64, error) {
-
-	w1 := query.Workload{q}
-	rd := designer.Reroute(d, model, w1)
-	ev := designer.NewEvaluator(st.Rel, w1, disk)
-	ev.Cache = cache
-	res, err := ev.Measure(rd)
-	if err != nil {
-		return 0, err
-	}
-	return res.PerQuery[0], nil
 }
 
 // sameObjects reports whether two designs deploy the same object set.

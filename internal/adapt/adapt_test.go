@@ -141,11 +141,11 @@ func TestControllerAdaptsToShift(t *testing.T) {
 	model := c.model
 	var before, after float64
 	for _, q := range aug {
-		b, err := MeasureTemplate(common.St, common.Disk, cache, model, initial, q)
+		b, _, err := MeasureTemplateTraced(common.St, common.Disk, cache, model, initial, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := MeasureTemplate(common.St, common.Disk, cache, model, c.Deployed(), q)
+		a, _, err := MeasureTemplateTraced(common.St, common.Disk, cache, model, c.Deployed(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,14 +17,16 @@ import (
 // at this threshold unless told otherwise.
 const DefaultCalibrationThreshold = 0.25
 
-// MeasureTemplateTraced is MeasureTemplate plus plan attribution: the same
-// reroute-and-execute procedure, returning the measured seconds together
-// with the exec.PlanTrace naming the design object and access path that
-// served the template, the rows it scanned versus returned, and the cost
-// model's estimate next to the measurement. The returned seconds are
-// bit-identical to MeasureTemplate's — both run the single routed plan
-// through exec.Execute and convert the same IOStats — so switching the
-// controller's pricing to the traced variant cannot move any table.
+// MeasureTemplateTraced prices one query on a deployed design through the
+// real simulated substrate — the design is rerouted for the single-query
+// workload, materialized through the given cache and the routed plan
+// executed — and returns the measured seconds together with the
+// exec.PlanTrace naming the design object and access path that served the
+// template, the rows it scanned versus returned, and the cost model's
+// estimate next to the measurement. It is the one measurement procedure
+// the controller, the server and the ablations' static baselines charge
+// stream events with, so every run prices a (state, template) pair
+// identically.
 func MeasureTemplateTraced(st *stats.Stats, disk storage.DiskParams, cache *designer.ObjectCache,
 	model costmodel.Model, d *designer.Design, q *query.Query) (float64, exec.PlanTrace, error) {
 
@@ -101,18 +103,6 @@ func (c *Controller) recordServe(key string, sec float64) {
 	rec.BaseSum += tr.BaseSec
 	c.obs.objServes.With(tr.Object).Inc()
 	c.obs.objSeconds.With(tr.Object).Add(sec)
-}
-
-// TraceFor returns the attribution trace of q's template on the currently
-// deployed state, pricing the template first if this state has not seen
-// it. Not safe concurrently with Process (single timeline, like every
-// controller method).
-func (c *Controller) TraceFor(q *query.Query) (exec.PlanTrace, error) {
-	_, key, err := c.priceTemplate(q)
-	if err != nil {
-		return exec.PlanTrace{}, err
-	}
-	return c.attr[key], nil
 }
 
 // Calibration builds the cumulative modeled-vs-measured report over every

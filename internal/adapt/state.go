@@ -130,11 +130,14 @@ func Restore(common designer.Common, st State, cfg Config) (*Controller, error) 
 	if primed {
 		common.W = st.Workload
 	}
-	d := designer.Reroute(st.Design.design(), costmodel.NewAware(common.St, common.Disk), common.W)
-	c, err := New(common, d, cfg)
+	c, err := New(common, st.Design.design(), cfg)
 	if err != nil {
 		return nil, err
 	}
+	// The record carries no routing; route it for the restored workload
+	// through the controller's own model.
+	d := designer.Reroute(c.incumbent, c.model, common.W)
+	c.incumbent, c.deployed = d, d
 	if primed {
 		c.Mon.PrimeRates(common.W)
 		c.Mon.Rebase(c.costOf(d))

@@ -1,8 +1,6 @@
 package costmodel
 
 import (
-	"sync"
-
 	"coradd/internal/cm"
 	"coradd/internal/corridx"
 	"coradd/internal/query"
@@ -33,27 +31,14 @@ type Aware struct {
 	// WithCM enables the CM path (CORADD always sets aside CM space, §5.4).
 	WithCM bool
 
-	// mu guards the memo map: candidate pricing fans out across goroutines
-	// (feedback.BuildProblem), so cache access must be race-safe. Concurrent
-	// misses may compute the same entry twice; the value is deterministic,
-	// so last-write-wins is safe.
-	mu sync.Mutex
-	// estCache memoizes Estimate per (design identity, query name): the
-	// same designs are re-priced on every ILP-feedback iteration.
-	estCache map[string]cached
-}
-
-type cached struct {
-	cost float64
-	kind PathKind
+	// memo holds every estimate made so far: the same designs are
+	// re-priced on every ILP-feedback iteration and every redesign.
+	memo memo
 }
 
 // NewAware builds the model over st.
 func NewAware(st *stats.Stats, disk storage.DiskParams) *Aware {
-	return &Aware{
-		St: st, Disk: disk, WithCM: true,
-		estCache: make(map[string]cached),
-	}
+	return &Aware{St: st, Disk: disk, WithCM: true}
 }
 
 // Name implements Model.
@@ -61,18 +46,7 @@ func (m *Aware) Name() string { return "correlation-aware" }
 
 // Estimate implements Model.
 func (m *Aware) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
-	ck := d.Key() + "|" + q.Name
-	m.mu.Lock()
-	if c, ok := m.estCache[ck]; ok {
-		m.mu.Unlock()
-		return c.cost, c.kind
-	}
-	m.mu.Unlock()
-	cost, kind := m.estimate(d, q)
-	m.mu.Lock()
-	m.estCache[ck] = cached{cost, kind}
-	m.mu.Unlock()
-	return cost, kind
+	return m.memo.get(d, q, m.estimate)
 }
 
 func (m *Aware) estimate(d *MVDesign, q *query.Query) (float64, PathKind) {

@@ -3,6 +3,7 @@ package costmodel
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"coradd/internal/exec"
@@ -224,4 +225,79 @@ func TestEstimateCacheConsistency(t *testing.T) {
 	if c1 != c2 || k1 != k2 {
 		t.Error("cache returned a different answer")
 	}
+}
+
+// TestEstimateKeyedByContentNotName: a model that already priced a query
+// name with one set of literals prices the same name with other literals
+// exactly as a fresh model does — the memo is keyed by what an estimate
+// depends on, so one model can be shared across redesigns.
+func TestEstimateKeyedByContentNotName(t *testing.T) {
+	st, _ := modelEnv(t, 200000)
+	disk := storage.DefaultDiskParams()
+	named := func(hi value.V) *query.Query {
+		return &query.Query{Name: "X", Fact: "t",
+			Predicates: []query.Predicate{query.NewRange("a", 0, hi)}, AggCol: "d"}
+	}
+	narrow, wide := named(5), named(80)
+	models := map[string]func() Model{
+		"aware":     func() Model { return NewAware(st, disk) },
+		"oblivious": func() Model { return NewOblivious(st, disk) },
+	}
+	for name, fresh := range models {
+		for _, key := range []string{"a", "b"} {
+			d := allColsDesign(st, key)
+			shared := fresh()
+			n, _ := shared.Estimate(d, narrow)
+			got, gotKind := shared.Estimate(d, wide)
+			want, wantKind := fresh().Estimate(d, wide)
+			if got != want || gotKind != wantKind {
+				t.Errorf("%s model clustered on %s: warmed %v (%v), fresh %v (%v)",
+					name, key, got, gotKind, want, wantKind)
+			}
+			if name == "aware" && n == want {
+				t.Errorf("clustered on %s: narrow and wide price alike (%v); the probe tests nothing", key, n)
+			}
+		}
+	}
+}
+
+// TestEstimateConcurrentMatchesSequential: goroutines sharing one model —
+// as feedback.BuildProblem's workers and the daemon's query handlers do —
+// read back exactly the estimates a sequential fresh model computes, for
+// distinct query pointers that carry equal content as well.
+func TestEstimateConcurrentMatchesSequential(t *testing.T) {
+	st, _ := modelEnv(t, 20000)
+	disk := storage.DefaultDiskParams()
+	var designs []*MVDesign
+	for _, key := range []string{"a", "b", "c", "pk"} {
+		designs = append(designs, allColsDesign(st, key))
+	}
+	var qs []*query.Query
+	for i := 0; i < 8; i++ {
+		qs = append(qs, &query.Query{Name: "q", Fact: "t", AggCol: "d",
+			Predicates: []query.Predicate{query.NewRange("a", 0, value.V(10*(i%4)+5))}})
+	}
+	fresh := NewAware(st, disk)
+	want := make(map[[2]int]float64)
+	for di, d := range designs {
+		for qi, q := range qs {
+			want[[2]int{di, qi}], _ = fresh.Estimate(d, q)
+		}
+	}
+	shared := NewAware(st, disk)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for di, d := range designs {
+				for qi, q := range qs {
+					if got, _ := shared.Estimate(d, q); got != want[[2]int{di, qi}] {
+						t.Errorf("design %d query %d: %v, want %v", di, qi, got, want[[2]int{di, qi}])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,8 +1,6 @@
 package costmodel
 
 import (
-	"sync"
-
 	"coradd/internal/btree"
 	"coradd/internal/query"
 	"coradd/internal/stats"
@@ -23,14 +21,12 @@ type Oblivious struct {
 	St   *stats.Stats
 	Disk storage.DiskParams
 
-	// mu guards estCache; see Aware.mu for the concurrency contract.
-	mu       sync.Mutex
-	estCache map[string]cached
+	memo memo
 }
 
 // NewOblivious builds the model over st.
 func NewOblivious(st *stats.Stats, disk storage.DiskParams) *Oblivious {
-	return &Oblivious{St: st, Disk: disk, estCache: make(map[string]cached)}
+	return &Oblivious{St: st, Disk: disk}
 }
 
 // Name implements Model.
@@ -38,18 +34,7 @@ func (m *Oblivious) Name() string { return "correlation-oblivious" }
 
 // Estimate implements Model.
 func (m *Oblivious) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
-	ck := d.Key() + "|" + q.Name
-	m.mu.Lock()
-	if c, ok := m.estCache[ck]; ok {
-		m.mu.Unlock()
-		return c.cost, c.kind
-	}
-	m.mu.Unlock()
-	cost, kind := m.estimate(d, q)
-	m.mu.Lock()
-	m.estCache[ck] = cached{cost, kind}
-	m.mu.Unlock()
-	return cost, kind
+	return m.memo.get(d, q, m.estimate)
 }
 
 func (m *Oblivious) estimate(d *MVDesign, q *query.Query) (float64, PathKind) {

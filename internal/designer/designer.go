@@ -167,13 +167,18 @@ func Reroute(d *Design, model costmodel.Model, w query.Workload) *Design {
 	return &nd
 }
 
-// CORADD is the paper's designer.
+// CORADD is the paper's designer, and the one redesign pipeline: batch
+// design, the adaptive controller and the multi-tenant coordinator all run
+// candidates → priced selection instance → solve → routed design through
+// it, differing only in the model they share and where candidates come
+// from.
 type CORADD struct {
 	Common
 	Model *costmodel.Aware
 	Gen   *candgen.Generator
 	// Feedback configures the ILP feedback loop; Feedback.MaxIters == -1
-	// disables feedback (plain ILP, used for the Figure 7 comparison).
+	// disables feedback (plain ILP, used for the Figure 7 comparison). A
+	// zero Feedback.Solve takes Common.Solve.
 	Feedback feedback.Config
 	// LastSolve is the final feedback result of the most recent Design /
 	// DesignFrom call — the selection instance and solution the adaptive
@@ -184,17 +189,28 @@ type CORADD struct {
 	base    []float64
 }
 
-// NewCORADD builds the designer and runs candidate generation once; the
-// same candidate pool is reused across budgets, as in the paper.
+// NewCORADD builds the batch designer: a fresh model and the full §4
+// candidate generation, run once; the same candidate pool is reused
+// across budgets, as in the paper.
 func NewCORADD(c Common, cfg candgen.Config, fb feedback.Config) *CORADD {
-	model := costmodel.NewAware(c.St, c.Disk)
+	d := NewCORADDWith(c, costmodel.NewAware(c.St, c.Disk), cfg, (*candgen.Generator).Generate)
+	d.Feedback = fb
+	return d
+}
+
+// NewCORADDWith builds the designer for workload c.W priced by model,
+// taking the initial candidate pool from src applied to a generator over
+// c.W. A redesign is then a function of (statistics, c.W, incumbent,
+// budget) alone: the model's memo is keyed by what an estimate depends on
+// (costmodel.Aware), so a model shared across redesigns prices exactly as
+// a fresh one would. Feedback is left zero; set it before Design.
+func NewCORADDWith(c Common, model *costmodel.Aware, cfg candgen.Config,
+	src func(*candgen.Generator) []*costmodel.MVDesign) *CORADD {
+
 	gen := candgen.New(c.St, model, c.W, cfg)
 	gen.PKCols = c.PKCols
-	if fb.Solve.IsZero() {
-		fb.Solve = c.Solve
-	}
-	d := &CORADD{Common: c, Model: model, Gen: gen, Feedback: fb}
-	d.initial = gen.Generate()
+	d := &CORADD{Common: c, Model: model, Gen: gen}
+	d.initial = src(gen)
 	d.base = d.baseTimes(model)
 	return d
 }
@@ -237,19 +253,50 @@ func (d *CORADD) designWith(budget int64, fb feedback.Config) (*Design, error) {
 	if len(d.W) == 0 {
 		return nil, fmt.Errorf("designer: empty workload")
 	}
+	if fb.Solve.IsZero() {
+		fb.Solve = d.Solve
+	}
 	var res *feedback.Result
 	if fb.MaxIters == -1 {
-		prob, aligned := feedback.BuildProblem(d.Gen, d.initial, d.base, budget)
-		sol := ilp.Solve(prob, feedback.SolveOpts(fb.Solve, aligned, fb.Warm))
-		res = &feedback.Result{Sol: sol, Prob: prob, Designs: aligned, Nodes: sol.Nodes, Proven: sol.Proven}
+		p := d.Problem(budget, fb.Warm)
+		so := fb.Solve
+		so.WarmStart = p.Warm
+		sol := ilp.Solve(p.ILP, so)
+		res = &feedback.Result{Sol: sol, Prob: p.ILP, Designs: p.Designs, Nodes: sol.Nodes, Proven: sol.Proven}
 	} else {
 		res = feedback.Run(d.Gen, d.initial, d.base, budget, fb)
 	}
 	d.LastSolve = res
-	design := routedDesign(d.Name(), StyleCORADD, &d.Common, d.Model, budget, res.Designs, res.Sol)
+	design := d.Routed(d.Name(), budget, res.Designs, res.Sol)
 	// Aggregate telemetry: nodes summed and proven ANDed across every
 	// solve the feedback loop ran.
 	design.SolverNodes = res.Nodes
 	design.SolverProven = res.Proven
 	return design, nil
+}
+
+// Problem is a priced selection instance over the designer's initial
+// pool, for a caller that solves it elsewhere (the multi-tenant dual).
+type Problem struct {
+	// ILP is the instance, dominated candidates pruned (§5.3); Designs are
+	// aligned with ILP.Cands.
+	ILP     *ilp.Problem
+	Designs []*costmodel.MVDesign
+	// Warm indexes the incumbent objects found in the pool, in incumbent
+	// order: the solve's ilp.SolveOptions.WarmStart.
+	Warm []int
+}
+
+// Problem prices the initial pool for budget and matches the incumbent's
+// objects (warm, possibly empty) into it by structural key.
+func (d *CORADD) Problem(budget int64, warm []*costmodel.MVDesign) *Problem {
+	prob, aligned := feedback.BuildProblem(d.Gen, d.initial, d.base, budget)
+	return &Problem{ILP: prob, Designs: aligned, Warm: feedback.WarmIndexes(aligned, warm)}
+}
+
+// Routed assembles the design that deploys sol.Chosen out of designs (the
+// candidates aligned with the solved instance) under budget, every query
+// routed to its fastest object under the designer's model.
+func (d *CORADD) Routed(name string, budget int64, designs []*costmodel.MVDesign, sol *ilp.Solution) *Design {
+	return routedDesign(name, StyleCORADD, &d.Common, d.Model, budget, designs, sol)
 }

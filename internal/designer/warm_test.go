@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"coradd/internal/candgen"
+	"coradd/internal/costmodel"
 	"coradd/internal/feedback"
+	"coradd/internal/ilp"
 	"coradd/internal/query"
 	"coradd/internal/ssb"
 )
@@ -95,5 +98,76 @@ func TestRerouteMatchesFreshRouting(t *testing.T) {
 	}
 	if len(d.Routing) != len(c.W) {
 		t.Error("Reroute mutated the original design")
+	}
+}
+
+// TestRedesignOnWarmedModelMatchesFresh: a redesign priced by a model that
+// an earlier redesign already warmed on another stream — the same query
+// names over other literals, priced on the very candidates the redesign
+// will generate — chooses, routes and searches exactly like a redesign on
+// a fresh model. The model's memo is keyed by query content, so the adaptive
+// controller shares one model across all its redesigns.
+func TestRedesignOnWarmedModelMatchesFresh(t *testing.T) {
+	rel, _, c := smallSSB(t, 20000)
+	c.Solve = ilp.SolveOptions{MaxNodes: 200_000}
+	budget := rel.HeapBytes() * 2
+	fb := feedback.Config{MaxIters: 1}
+	fresh := NewCORADD(c, smallCandCfg(), fb)
+	want, err := fresh.Design(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same names over other literals: every predicate bound to values
+	// outside its column's domain, so each covered candidate prices the
+	// stream far cheaper than the real one.
+	other := make(query.Workload, len(c.W))
+	for i, q := range c.W {
+		moved := *q
+		moved.Predicates = nil
+		for _, p := range q.Predicates {
+			switch p.Op {
+			case query.Eq:
+				p = query.NewEq(p.Col, -1)
+			case query.Range:
+				p = query.NewRange(p.Col, -10, -1)
+			case query.In:
+				p = query.NewIn(p.Col, -2, -1)
+			}
+			moved.Predicates = append(moved.Predicates, p)
+		}
+		other[i] = &moved
+	}
+	model := costmodel.NewAware(c.St, c.Disk)
+	cOther := c
+	cOther.W = other
+	warmup := NewCORADDWith(cOther, model, smallCandCfg(),
+		func(*candgen.Generator) []*costmodel.MVDesign { return fresh.Candidates() })
+	warmup.Feedback = fb
+	if _, err := warmup.Design(budget); err != nil {
+		t.Fatal(err)
+	}
+
+	shared := NewCORADDWith(c, model, smallCandCfg(), (*candgen.Generator).Generate)
+	shared.Feedback = fb
+	got, err := shared.Design(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Chosen) != len(want.Chosen) || got.Size != want.Size || got.SolverNodes != want.SolverNodes {
+		t.Fatalf("warmed model chose %d objects (%d bytes, %d nodes), fresh model %d (%d bytes, %d nodes)",
+			len(got.Chosen), got.Size, got.SolverNodes, len(want.Chosen), want.Size, want.SolverNodes)
+	}
+	for i := range want.Chosen {
+		if got.Chosen[i].Key() != want.Chosen[i].Key() {
+			t.Errorf("object %d: warmed model chose %s, fresh model %s", i, got.Chosen[i], want.Chosen[i])
+		}
+	}
+	for qi, q := range c.W {
+		if got.Routing[qi] != want.Routing[qi] || got.Paths[qi] != want.Paths[qi] ||
+			math.Float64bits(got.Expected[qi]) != math.Float64bits(want.Expected[qi]) {
+			t.Errorf("%s: warmed model routes (%d,%v,%v), fresh model (%d,%v,%v)", q.Name,
+				got.Routing[qi], got.Paths[qi], got.Expected[qi], want.Routing[qi], want.Paths[qi], want.Expected[qi])
+		}
 	}
 }

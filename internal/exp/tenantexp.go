@@ -25,9 +25,8 @@ const TenantBudgetMult = 0.5
 type TenantRow struct {
 	Name      string
 	Templates int
-	// PoolSize/Mined are the tenant's accumulated mined pool and this
-	// round's fresh candidates.
-	PoolSize, Mined int
+	// PoolSize is the tenant's mined candidate pool.
+	PoolSize int
 	// DualSize/EqSize are the budget shares granted by the Lagrangian
 	// allocation and by the naive equal split.
 	DualSize, EqSize int64
@@ -95,7 +94,7 @@ func tenantStreams(ssbEnv, apbEnv *scenario.Env) []tenantSpec {
 func measureTenant(env *scenario.Env, model *costmodel.Aware, d *designer.Design, w query.Workload) (float64, error) {
 	total := 0.0
 	for _, q := range w {
-		sec, err := adapt.MeasureTemplate(env.St, env.Common.Disk, env.Evaluator().Cache, model, d, q)
+		sec, _, err := adapt.MeasureTemplateTraced(env.St, env.Common.Disk, env.Evaluator().Cache, model, d, q)
 		if err != nil {
 			return 0, err
 		}
@@ -221,7 +220,6 @@ func TenantAblation(s scenario.Scale) (*TenantAblationResult, *Table, error) {
 			Name:      sp.name,
 			Templates: len(tr.Workload),
 			PoolSize:  tr.PoolSize,
-			Mined:     tr.Mined,
 			DualSize:  tr.Size,
 			EqSize:    eqDesign.Size,
 			DualSec:   dualSec,
@@ -240,12 +238,11 @@ func TenantAblation(s scenario.Scale) (*TenantAblationResult, *Table, error) {
 	t := &Table{
 		ID:     "Ablation tenant",
 		Title:  "Multi-tenant shared budget: Lagrangian dual allocation vs naive equal split (measured workload-seconds)",
-		Header: []string{"tenant", "templates", "pool", "mined", "dual_MB", "equal_MB", "dual_sec", "equal_sec"},
+		Header: []string{"tenant", "templates", "pool", "dual_MB", "equal_MB", "dual_sec", "equal_sec"},
 	}
 	for _, r := range res.Rows {
 		t.Rows = append(t.Rows, []string{
-			r.Name, fmt.Sprintf("%d", r.Templates),
-			fmt.Sprintf("%d", r.PoolSize), fmt.Sprintf("%d", r.Mined),
+			r.Name, fmt.Sprintf("%d", r.Templates), fmt.Sprintf("%d", r.PoolSize),
 			mb(r.DualSize), mb(r.EqSize), f3(r.DualSec), f3(r.EqSec),
 		})
 	}

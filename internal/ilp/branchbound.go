@@ -67,12 +67,6 @@ type SolveOptions struct {
 	// solve's and explores no more nodes. Infeasible or unknown entries
 	// are skipped; an empty slice is a cold solve.
 	WarmStart []int
-	// NoPreprocess disables the budget-aware reduction pass (dominance.go).
-	NoPreprocess bool
-	// NoLagrangian disables the Lagrangian budget bound (lagrange.go).
-	NoLagrangian bool
-	// NoPolish disables the local-search polish of the greedy incumbent.
-	NoPolish bool
 	// Progress, when non-nil, receives deterministic search snapshots:
 	// one "root" sample before the first node, a "search" sample every
 	// ProgressEvery nodes, one per incumbent improvement and per merged
@@ -85,15 +79,20 @@ type SolveOptions struct {
 	// ProgressEvery is the "search"-sample node cadence; 0 means
 	// bnb.DefaultProgressEvery. Ignored without Progress.
 	ProgressEvery int
+
+	// Test hooks, settable only from this package's tests: noPreprocess
+	// skips the budget-aware reduction pass (dominance.go), noLagrangian the
+	// Lagrangian budget bound (lagrange.go), noPolish the local-search
+	// polish of the greedy incumbent. The solver tests set them to compare
+	// the search with each device switched off.
+	noPreprocess, noLagrangian, noPolish bool
 }
 
-// IsZero reports whether every option is at its default (the pre-warm-
-// start struct equality check against SolveOptions{}, which a slice field
-// no longer permits).
+// IsZero reports whether every exported option is at its default (struct
+// equality against SolveOptions{} is ruled out by the slice field).
 func (o *SolveOptions) IsZero() bool {
 	return o.MaxNodes == 0 && o.TimeLimit == 0 && o.Workers == 0 && o.Interrupt == nil &&
-		len(o.WarmStart) == 0 && !o.NoPreprocess && !o.NoLagrangian && !o.NoPolish &&
-		o.Progress == nil && o.ProgressEvery == 0
+		len(o.WarmStart) == 0 && o.Progress == nil && o.ProgressEvery == 0
 }
 
 // defaultMaxNodes is the node cap applied when SolveOptions.MaxNodes is 0.
@@ -173,7 +172,7 @@ func solve(p *Problem, lambda float64, opts SolveOptions) *Solution {
 		inc := Greedy(rp, 2, len(rp.Cands))
 		incChosen, incObj = append([]int(nil), inc.Chosen...), inc.Objective
 	}
-	polishing := !opts.NoPolish && lambda == 0
+	polishing := !opts.noPolish && lambda == 0
 	if polishing {
 		incChosen, incObj = polish(rp, incChosen, incObj)
 	}
@@ -198,7 +197,7 @@ func solve(p *Problem, lambda float64, opts SolveOptions) *Solution {
 		Progress: opts.Progress, ProgressEvery: opts.ProgressEvery,
 	}, defaultMaxNodes, incObj)
 	s.bestChosen = incChosen
-	if !opts.NoLagrangian && lambda == 0 {
+	if !opts.noLagrangian && lambda == 0 {
 		s.lag = newLagrangian(rp, s, incObj)
 	}
 	// The root bound is the greedy relaxation at the empty prefix, via

@@ -101,7 +101,7 @@ type reduction struct {
 // bit-identical objective values: min() is exact, and the weighted sum
 // stays in query order.
 func reduce(p *Problem, lambda float64, opts SolveOptions) *reduction {
-	if opts.NoPreprocess || len(p.Cands) == 0 {
+	if opts.noPreprocess || len(p.Cands) == 0 {
 		return &reduction{p: p}
 	}
 	n := len(p.Cands)

@@ -10,7 +10,7 @@ import (
 // plainOptions is the seed-equivalent configuration: no preprocessing, no
 // Lagrangian bound, no incumbent polish, sequential search.
 func plainOptions() SolveOptions {
-	return SolveOptions{NoPreprocess: true, NoLagrangian: true, NoPolish: true}
+	return SolveOptions{noPreprocess: true, noLagrangian: true, noPolish: true}
 }
 
 // hardRandomProblem draws a selection instance whose budget actually

@@ -29,8 +29,8 @@ func TestWarmStartMatchesColdObjective(t *testing.T) {
 		for wi, warm := range warms {
 			for _, opts := range []SolveOptions{
 				{WarmStart: warm},
-				{WarmStart: warm, NoPreprocess: true},
-				{WarmStart: warm, NoPreprocess: true, NoLagrangian: true, NoPolish: true},
+				{WarmStart: warm, noPreprocess: true},
+				{WarmStart: warm, noPreprocess: true, noLagrangian: true, noPolish: true},
 				{WarmStart: warm, Workers: 3},
 			} {
 				got := Solve(p, opts)

@@ -213,15 +213,6 @@ func (q *Query) Predicate(col string) *Predicate {
 	return nil
 }
 
-// PredicateCols lists the predicated column names in declaration order.
-func (q *Query) PredicateCols() []string {
-	out := make([]string, len(q.Predicates))
-	for i := range q.Predicates {
-		out[i] = q.Predicates[i].Col
-	}
-	return out
-}
-
 // AllColumns returns the set of attributes an MV must contain to answer the
 // query: predicated columns, targets and the aggregate input, deduplicated,
 // sorted for determinism.

@@ -4,7 +4,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"coradd/internal/value"
@@ -123,49 +122,4 @@ func (s *Schema) ColNames(cols []int) string {
 		parts[i] = s.Columns[c].Name
 	}
 	return strings.Join(parts, ",")
-}
-
-// DictEncoder incrementally builds a dictionary for a string column,
-// assigning codes in first-seen order. Call Finish to freeze; Sorted
-// re-codes so that code order equals lexicographic string order (needed
-// when range predicates over the strings must be order-preserving).
-type DictEncoder struct {
-	codes map[string]value.V
-	dict  []string
-}
-
-// NewDictEncoder returns an empty encoder.
-func NewDictEncoder() *DictEncoder {
-	return &DictEncoder{codes: make(map[string]value.V)}
-}
-
-// Code returns the code for s, assigning the next one on first sight.
-func (e *DictEncoder) Code(s string) value.V {
-	if c, ok := e.codes[s]; ok {
-		return c
-	}
-	c := value.V(len(e.dict))
-	e.codes[s] = c
-	e.dict = append(e.dict, s)
-	return c
-}
-
-// Dict returns the dictionary (index = code). The encoder retains ownership.
-func (e *DictEncoder) Dict() []string { return e.dict }
-
-// SortedRemap returns (dict, remap) where dict is sorted lexicographically
-// and remap[oldCode] = newCode. Apply remap to every stored value of the
-// column to make code order match string order.
-func (e *DictEncoder) SortedRemap() (dict []string, remap []value.V) {
-	dict = append([]string(nil), e.dict...)
-	sort.Strings(dict)
-	pos := make(map[string]value.V, len(dict))
-	for i, s := range dict {
-		pos[s] = value.V(i)
-	}
-	remap = make([]value.V, len(e.dict))
-	for old, s := range e.dict {
-		remap[old] = pos[s]
-	}
-	return dict, remap
 }

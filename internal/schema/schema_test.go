@@ -79,18 +79,3 @@ func TestColNames(t *testing.T) {
 		t.Errorf("ColNames = %q", got)
 	}
 }
-
-func TestDictEncoder(t *testing.T) {
-	e := NewDictEncoder()
-	if e.Code("bb") != 0 || e.Code("aa") != 1 || e.Code("bb") != 0 {
-		t.Error("first-seen coding broken")
-	}
-	dict, remap := e.SortedRemap()
-	if dict[0] != "aa" || dict[1] != "bb" {
-		t.Errorf("sorted dict = %v", dict)
-	}
-	// old code 0 ("bb") must remap to new code 1.
-	if remap[0] != 1 || remap[1] != 0 {
-		t.Errorf("remap = %v", remap)
-	}
-}

@@ -126,7 +126,6 @@ func (c *Config) fill() {
 // traffic.
 type snapshot struct {
 	design *designer.Design
-	model  *costmodel.Aware
 	// rates memoizes template fingerprint → ratedTemplate on design.
 	rates sync.Map
 }
@@ -221,7 +220,11 @@ type Server struct {
 	obsMu     sync.RWMutex
 	obsClosed bool
 
-	ctl        *adapt.Controller
+	ctl *adapt.Controller
+	// model routes every snapshot's queries. Its estimates depend only on
+	// the design and the query's content, so one model serves the
+	// process's whole life.
+	model      *costmodel.Aware
 	catalog    map[string]*query.Query
 	loopDone   chan struct{}
 	sinceCkpt  int
@@ -286,6 +289,7 @@ func (s *Server) AttachResumed(common designer.Common, cp *durable.Checkpoint) e
 func (s *Server) attach(common designer.Common, ctl *adapt.Controller, resumed bool) {
 	s.cfg.Common = common
 	s.ctl = ctl
+	s.model = costmodel.NewAware(common.St, common.Disk)
 	s.resumed.Store(resumed)
 	if resumed {
 		s.state.Store("resuming")
@@ -496,10 +500,7 @@ func (s *Server) publishAfterProcess() {
 
 // publishSnapshot installs a fresh serving snapshot for design d.
 func (s *Server) publishSnapshot(d *designer.Design) {
-	s.snap.Store(&snapshot{
-		design: d,
-		model:  costmodel.NewAware(s.cfg.Common.St, s.cfg.Common.Disk),
-	})
+	s.snap.Store(&snapshot{design: d})
 }
 
 // publishView refreshes the /statusz view from the controller. Called
@@ -571,7 +572,7 @@ func (s *Server) price(sn *snapshot, q *query.Query) (ratedTemplate, bool, error
 		return v.(ratedTemplate), true, nil
 	}
 	sec, tr, err := adapt.MeasureTemplateTraced(s.cfg.Common.St, s.cfg.Common.Disk,
-		s.cfg.Adapt.Cache, sn.model, sn.design, q)
+		s.cfg.Adapt.Cache, s.model, sn.design, q)
 	if err != nil {
 		return ratedTemplate{}, false, err
 	}
@@ -628,9 +629,9 @@ func (s *Server) resolve(body []byte) (*query.Query, error) {
 	if err := q.Validate(s.cfg.Common.St.Rel.Schema.Col); err != nil {
 		return nil, err
 	}
-	// The designer identifies a template by its name (the cost model's
-	// estimates are memoized per name), so a name must keep meaning one
-	// template for the life of the process.
+	// A name must keep meaning one template for the life of the process:
+	// it keys the catalog and the calibration records, and /explain and
+	// /statusz report templates by it.
 	fp := workload.Fingerprint(&q)
 	if bound, loaded := s.names.LoadOrStore(q.Name, fp); loaded && bound != fp {
 		return nil, fmt.Errorf("query name %q already names a different template", q.Name)

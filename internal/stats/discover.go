@@ -1,8 +1,6 @@
 package stats
 
-import (
-	"sort"
-)
+import "sort"
 
 // Correlation is one discovered soft functional dependency.
 type Correlation struct {
@@ -76,18 +74,5 @@ func (st *Stats) DiscoverCorrelations(opts DiscoverOptions) []Correlation {
 		}
 		return out[i].To < out[j].To
 	})
-	return out
-}
-
-// CorrelatedWith returns the columns that strongly determine col (i.e.
-// every From with From → col among the discovered dependencies), used to
-// judge which clustered keys would serve a predicate on col well.
-func (st *Stats) CorrelatedWith(col int, minStrength float64) []int {
-	var out []int
-	for _, c := range st.DiscoverCorrelations(DiscoverOptions{MinStrength: minStrength}) {
-		if c.To == col {
-			out = append(out, c.From)
-		}
-	}
 	return out
 }

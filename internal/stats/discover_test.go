@@ -45,18 +45,3 @@ func TestDiscoverSortedByStrength(t *testing.T) {
 		}
 	}
 }
-
-func TestCorrelatedWith(t *testing.T) {
-	st := New(hierRelation(40000, 24), 4096, 25)
-	st.Exact = true
-	dets := st.CorrelatedWith(1, 0.8) // what determines b?
-	hasA := false
-	for _, c := range dets {
-		if c == 0 {
-			hasA = true
-		}
-	}
-	if !hasA {
-		t.Error("a not listed as determining b")
-	}
-}

@@ -1,17 +1,11 @@
 // Package stats implements the statistics substrate CORADD's designer runs
 // on (§4.1, Appendix A-2.2): random synopses, distinct-value estimation
-// (Gibbons' distinct sampling and sample-based estimators from Charikar et
-// al.), CORDS-style functional-dependency strengths, per-column histograms,
+// (sample-based estimators from Charikar et al.), CORDS-style functional-dependency strengths, per-column histograms,
 // selectivity vectors, selectivity propagation, and fragment estimation for
 // hypothetical MV designs.
 package stats
 
-import (
-	"hash/maphash"
-	"math"
-
-	"coradd/internal/value"
-)
+import "math"
 
 // sampleCounts summarizes a sample's value-frequency profile for the
 // sample-based distinct estimators: d distinct values, f1 seen once,
@@ -86,67 +80,4 @@ func EstimateDistinct(c sampleCounts, sampleRows, totalRows int) float64 {
 // frequency profile, for callers that build the profile themselves.
 func EstimateDistinctRaw(d, f1, f2, sampleRows, totalRows int) float64 {
 	return EstimateDistinct(sampleCounts{d: d, f1: f1, f2: f2}, sampleRows, totalRows)
-}
-
-// DistinctSampler implements Gibbons' distinct sampling (VLDB 2001): a
-// one-pass, bounded-space sketch whose estimate is |S|·2^level, where S
-// retains only values whose hash has at least `level` leading zero bits.
-// The paper uses it to maintain single-attribute cardinalities cheaply
-// under updates.
-type DistinctSampler struct {
-	capacity int
-	level    uint
-	seed     maphash.Seed
-	set      map[uint64]struct{}
-}
-
-// NewDistinctSampler creates a sketch retaining at most capacity distinct
-// hashes (minimum 16).
-func NewDistinctSampler(capacity int) *DistinctSampler {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &DistinctSampler{
-		capacity: capacity,
-		seed:     maphash.MakeSeed(),
-		set:      make(map[uint64]struct{}),
-	}
-}
-
-// Add offers one composite value to the sketch.
-func (s *DistinctSampler) Add(key []value.V) {
-	var h maphash.Hash
-	h.SetSeed(s.seed)
-	var buf [8]byte
-	for _, v := range key {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	hv := h.Sum64()
-	if !s.inLevel(hv) {
-		return
-	}
-	s.set[hv] = struct{}{}
-	for len(s.set) > s.capacity {
-		s.level++
-		for k := range s.set {
-			if !s.inLevel(k) {
-				delete(s.set, k)
-			}
-		}
-	}
-}
-
-func (s *DistinctSampler) inLevel(h uint64) bool {
-	if s.level == 0 {
-		return true
-	}
-	return h>>(64-s.level) == 0
-}
-
-// Estimate returns the distinct-count estimate |S|·2^level.
-func (s *DistinctSampler) Estimate() float64 {
-	return float64(len(s.set)) * math.Pow(2, float64(s.level))
 }

@@ -3,8 +3,6 @@ package stats
 import (
 	"math/rand"
 	"testing"
-
-	"coradd/internal/value"
 )
 
 func profileOf(sample []int) sampleCounts {
@@ -75,39 +73,5 @@ func TestEstimateDistinctRawMatches(t *testing.T) {
 	b := EstimateDistinctRaw(50, 20, 10, 100, 10000)
 	if a != b {
 		t.Errorf("raw wrapper mismatch: %v vs %v", a, b)
-	}
-}
-
-func TestDistinctSampler(t *testing.T) {
-	s := NewDistinctSampler(256)
-	rng := rand.New(rand.NewSource(4))
-	const trueD = 10000
-	for i := 0; i < 100000; i++ {
-		s.Add([]value.V{value.V(rng.Intn(trueD))})
-	}
-	est := s.Estimate()
-	if est < trueD/3 || est > trueD*3 {
-		t.Errorf("Gibbons estimate %v, want within 3x of %d", est, trueD)
-	}
-}
-
-func TestDistinctSamplerLowCardinality(t *testing.T) {
-	s := NewDistinctSampler(256)
-	for i := 0; i < 10000; i++ {
-		s.Add([]value.V{value.V(i % 20)})
-	}
-	if est := s.Estimate(); est != 20 {
-		t.Errorf("estimate = %v, want exactly 20 (fits the sketch)", est)
-	}
-}
-
-func TestDistinctSamplerComposite(t *testing.T) {
-	s := NewDistinctSampler(64)
-	for i := 0; i < 5000; i++ {
-		s.Add([]value.V{value.V(i % 10), value.V(i % 7)})
-	}
-	est := s.Estimate() // 70 joint values
-	if est < 35 || est > 140 {
-		t.Errorf("composite estimate %v, want ≈ 70", est)
 	}
 }

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"sort"
-
 	"coradd/internal/query"
 	"coradd/internal/value"
 )
@@ -132,40 +130,4 @@ func (h *Histogram) rangeCount(lo, hi value.V) float64 {
 		n += cnt * cover
 	}
 	return n
-}
-
-// DistinctInRange estimates how many distinct values fall in [lo,hi]
-// (exact histograms only; banded histograms assume uniform spread).
-func (h *Histogram) DistinctInRange(lo, hi value.V) float64 {
-	if h.exact != nil {
-		n := 0
-		for v := range h.exact {
-			if v >= lo && v <= hi {
-				n++
-			}
-		}
-		return float64(n)
-	}
-	if hi < h.min || lo > h.max {
-		return 0
-	}
-	span := float64(h.max-h.min) + 1
-	width := float64(hi-lo) + 1
-	// Assume distincts spread uniformly; the banded histogram does not track
-	// per-bucket distinct counts.
-	return width / span * float64(len(h.buckets))
-}
-
-// Values returns the sorted distinct values of an exact histogram (nil for
-// banded histograms). Used by tests and the CM width search.
-func (h *Histogram) Values() []value.V {
-	if h.exact == nil {
-		return nil
-	}
-	out := make([]value.V, 0, len(h.exact))
-	for v := range h.exact {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -226,37 +226,3 @@ func (st *Stats) QuerySelectivityIndependent(q *query.Query) float64 {
 	}
 	return sel
 }
-
-// QuerySelectivitySampled measures the fraction of synopsis rows matching
-// all predicates — which captures inter-predicate correlation. The result
-// is floored at half a sample row to avoid zero estimates.
-func (st *Stats) QuerySelectivitySampled(q *query.Query) float64 {
-	if len(st.Sample) == 0 {
-		return st.QuerySelectivityIndependent(q)
-	}
-	cq := st.Compiled(q)
-	n := 0
-	for _, row := range st.Sample {
-		if cq.MatchesRow(row) {
-			n++
-		}
-	}
-	sel := float64(n) / float64(len(st.Sample))
-	floor := 0.5 / float64(len(st.Sample))
-	if sel < floor {
-		sel = floor
-	}
-	return sel
-}
-
-// MatchingSample returns the synopsis rows matching all predicates of q.
-func (st *Stats) MatchingSample(q *query.Query) []value.Row {
-	cq := st.Compiled(q)
-	var out []value.Row
-	for _, row := range st.Sample {
-		if cq.MatchesRow(row) {
-			out = append(out, row)
-		}
-	}
-	return out
-}

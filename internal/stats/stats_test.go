@@ -120,30 +120,6 @@ func TestPredicateSelectivity(t *testing.T) {
 	}
 }
 
-func TestSampledSelectivityCapturesCorrelation(t *testing.T) {
-	st := New(hierRelation(50000, 7), 4096, 8)
-	// a=30 implies b=2, so the joint selectivity equals sel(a=30) ≈ 1/84 —
-	// not the independence product 1/84 × 1/7.
-	q := &query.Query{Name: "q", Fact: "t", Predicates: []query.Predicate{
-		query.NewEq("a", 30), query.NewEq("b", 2),
-	}}
-	indep := st.QuerySelectivityIndependent(q)
-	sampled := st.QuerySelectivitySampled(q)
-	if sampled < indep*3 {
-		t.Errorf("sampled %v should exceed the independence estimate %v by ≈ 7x", sampled, indep)
-	}
-}
-
-func TestSelectivityFloorAvoidsZero(t *testing.T) {
-	st := New(hierRelation(50000, 8), 256, 9)
-	q := &query.Query{Name: "q", Fact: "t", Predicates: []query.Predicate{
-		query.NewEq("u", 17), // one row in 50k: invisible to the synopsis
-	}}
-	if got := st.QuerySelectivitySampled(q); got <= 0 {
-		t.Errorf("sampled selectivity = %v, want positive floor", got)
-	}
-}
-
 func TestPropagationLowersDeterminedAttribute(t *testing.T) {
 	st := New(hierRelation(50000, 9), 4096, 10)
 	q := &query.Query{Name: "q", Fact: "t", Predicates: []query.Predicate{
@@ -211,22 +187,5 @@ func TestReservoirSampleSizeAndDeterminism(t *testing.T) {
 	st3 := New(rel, 20000, 14)
 	if len(st3.Sample) != 10000 {
 		t.Errorf("oversized sample = %d, want all rows", len(st3.Sample))
-	}
-}
-
-func TestMatchingSample(t *testing.T) {
-	st := New(hierRelation(20000, 13), 2048, 15)
-	q := &query.Query{Name: "q", Fact: "t", Predicates: []query.Predicate{
-		query.NewEq("b", 3),
-	}}
-	m := st.MatchingSample(q)
-	for _, row := range m {
-		if row[1] != 3 {
-			t.Fatal("MatchingSample returned a non-matching row")
-		}
-	}
-	frac := float64(len(m)) / float64(len(st.Sample))
-	if math.Abs(frac-1.0/7) > 0.05 {
-		t.Errorf("matching fraction %v, want ≈ 1/7", frac)
 	}
 }

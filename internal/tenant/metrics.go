@@ -11,13 +11,12 @@ import (
 // internal/adapt's ctlObs, and what keeps the pre-existing experiment
 // tables byte-identical while this subsystem sits unused.
 type coordObs struct {
-	redesigns     *obs.Counter
-	dualIters     *obs.Counter
-	subSolves     *obs.Counter
-	monolithic    *obs.Counter
-	poolReuseHits *obs.Counter
-	minedCands    *obs.Counter
-	solverNodes   *obs.Counter
+	redesigns   *obs.Counter
+	dualIters   *obs.Counter
+	subSolves   *obs.Counter
+	monolithic  *obs.Counter
+	minedCands  *obs.Counter
+	solverNodes *obs.Counter
 
 	tenants *obs.Gauge
 
@@ -30,13 +29,12 @@ type coordObs struct {
 
 func newCoordObs(r *obs.Registry) coordObs {
 	return coordObs{
-		redesigns:     r.Counter("coradd_tenant_redesigns_total", "Multi-tenant redesign rounds completed."),
-		dualIters:     r.Counter("coradd_tenant_dual_iterations_total", "Lagrangian dual ascent iterations (λ probes) across redesigns."),
-		subSolves:     r.Counter("coradd_tenant_subproblem_solves_total", "Per-tenant penalized ILP solves across dual probes."),
-		monolithic:    r.Counter("coradd_tenant_monolithic_solves_total", "Redesigns that took the pooled exact-solve fallback."),
-		poolReuseHits: r.Counter("coradd_tenant_pool_reuse_hits_total", "Mined candidates already present in a tenant's pool (re-mines plus wholesale no-drift reuses)."),
-		minedCands:    r.Counter("coradd_tenant_mined_candidates_total", "Fresh candidates mined into tenant pools."),
-		solverNodes:   r.Counter("coradd_tenant_solver_nodes_total", "Branch-and-bound nodes across all selection solves (dual subproblems or pooled fallback)."),
+		redesigns:   r.Counter("coradd_tenant_redesigns_total", "Multi-tenant redesign rounds completed."),
+		dualIters:   r.Counter("coradd_tenant_dual_iterations_total", "Lagrangian dual ascent iterations (λ probes) across redesigns."),
+		subSolves:   r.Counter("coradd_tenant_subproblem_solves_total", "Per-tenant penalized ILP solves across dual probes."),
+		monolithic:  r.Counter("coradd_tenant_monolithic_solves_total", "Redesigns that took the pooled exact-solve fallback."),
+		minedCands:  r.Counter("coradd_tenant_mined_candidates_total", "Candidates mined from tenant template tables, summed over redesigns."),
+		solverNodes: r.Counter("coradd_tenant_solver_nodes_total", "Branch-and-bound nodes across all selection solves (dual subproblems or pooled fallback)."),
 
 		tenants: r.Gauge("coradd_tenant_tenants", "Registered tenants."),
 

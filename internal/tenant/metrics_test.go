@@ -9,7 +9,7 @@ import (
 )
 
 // TestMetricsCounters: an instrumented coordinator reports the
-// coradd_tenant_* series — dual iterations and pool reuse hits included —
+// coradd_tenant_* series — dual iterations and mined candidates included —
 // and a nil registry is a free no-op (the other tests all run with one).
 func TestMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -27,7 +27,7 @@ func TestMetricsCounters(t *testing.T) {
 	if _, err := co.Redesign(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Redesign(); err != nil { // undrifted: wholesale reuse
+	if _, err := co.Redesign(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,7 +40,6 @@ func TestMetricsCounters(t *testing.T) {
 		"coradd_tenant_redesigns_total 2",
 		"coradd_tenant_dual_iterations_total",
 		"coradd_tenant_subproblem_solves_total",
-		"coradd_tenant_pool_reuse_hits_total",
 		"coradd_tenant_mined_candidates_total",
 		"coradd_tenant_solver_nodes_total",
 		"coradd_tenant_tenants 1",
@@ -52,7 +51,7 @@ func TestMetricsCounters(t *testing.T) {
 	if strings.Contains(text, "coradd_tenant_dual_iterations_total 0") {
 		t.Fatal("dual iterations counter never moved")
 	}
-	if strings.Contains(text, "coradd_tenant_pool_reuse_hits_total 0") {
-		t.Fatal("pool reuse counter never moved across an undrifted redesign")
+	if strings.Contains(text, "coradd_tenant_mined_candidates_total 0") {
+		t.Fatal("mined candidates counter never moved")
 	}
 }

@@ -1,18 +1,18 @@
 // Package tenant is the multi-tenant design coordinator: N tenant
 // workloads — each with its own fact table, online workload monitor and
-// candidate pool — share one global space budget. It is the layer the
-// ROADMAP's "millions of users" line asks for above the single-workload
-// designer, and it changes both halves of the per-tenant cost:
+// cost model — share one global space budget. Each tenant's redesign runs
+// the one redesign pipeline (designer.CORADD); the coordinator changes
+// where candidates come from and who solves:
 //
 //   - Candidate generation is mined, not enumerated. Instead of the full
-//     §4 k-means sweep per tenant per redesign, each tenant's pool grows
-//     from frequent predicate-column sets mined off its monitor's
-//     template table (workload.Monitor.FrequentSets, the Aouiche &
-//     Darmont idea) through candgen.MinedCandidates — only candidates
-//     supported by observed queries are priced. Pools accumulate across
-//     redesigns (union by structural key), and when a tenant's template
-//     set hasn't drifted since the last redesign the mining pass is
-//     skipped wholesale — the PR 5 pool-reuse carry-over.
+//     §4 k-means sweep per tenant per redesign, each redesign mines the
+//     frequent predicate-column sets of the tenant's *current* template
+//     table (workload.Monitor.FrequentSets, the Aouiche & Darmont idea)
+//     into candidates through candgen.MinedCandidates — only candidates
+//     supported by observed queries are priced. Pools are re-mined every
+//     round, never accumulated, so a redesign depends only on the
+//     monitor's state; the tenant's model memo makes re-pricing an
+//     unchanged table free.
 //
 //   - Selection is decomposed, not pooled. The global budget constraint
 //     Σ_t size(S_t) ≤ B couples otherwise independent per-tenant
@@ -35,7 +35,6 @@ import (
 	"coradd/internal/candgen"
 	"coradd/internal/costmodel"
 	"coradd/internal/designer"
-	"coradd/internal/feedback"
 	"coradd/internal/ilp"
 	"coradd/internal/obs"
 	"coradd/internal/par"
@@ -47,8 +46,8 @@ import (
 type Config struct {
 	// Budget is the global space budget in bytes, shared by all tenants.
 	Budget int64
-	// Workers is the worker count for cross-tenant fan-outs (pool
-	// preparation and the dual's per-probe subproblem solves); ≤ 0 means
+	// Workers is the worker count for cross-tenant fan-outs (mining and
+	// pricing, and the dual's per-probe subproblem solves); ≤ 0 means
 	// one per CPU. Results are identical at any setting.
 	Workers int
 	// MonolithicLimit is the pooled candidate count at or below which the
@@ -95,8 +94,8 @@ func (c *Config) fill() {
 	}
 }
 
-// Tenant is one registered workload: a monitor observing its stream and
-// the accumulated mined candidate pool.
+// Tenant is one registered workload: a monitor observing its stream, the
+// model every redesign of it prices with, and its current design objects.
 type Tenant struct {
 	// Name labels the tenant in allocations and metrics.
 	Name string
@@ -106,22 +105,13 @@ type Tenant struct {
 
 	com   designer.Common
 	model *costmodel.Aware
-
-	// pool accumulates mined candidates across redesigns, deduplicated
-	// by structural key; lastSig is the template signature at the last
-	// mining pass, lastChosen the tenant's current design objects (the
-	// warm start for the next redesign).
-	pool       []*costmodel.MVDesign
-	poolKeys   map[string]bool
-	lastSig    string
+	// lastChosen are the objects the last redesign chose: the warm start
+	// for the next one.
 	lastChosen []*costmodel.MVDesign
 }
 
 // Observe feeds one executed query instance to the tenant's monitor.
 func (t *Tenant) Observe(q *query.Query) { t.Mon.Observe(q) }
-
-// PoolSize reports the tenant's accumulated candidate pool size.
-func (t *Tenant) PoolSize() int { return len(t.pool) }
 
 // Coordinator owns the tenants and runs shared-budget redesigns.
 type Coordinator struct {
@@ -146,11 +136,10 @@ func (c *Coordinator) Add(name string, com designer.Common, mcfg workload.Config
 		return nil, fmt.Errorf("tenant %q: %w", name, err)
 	}
 	t := &Tenant{
-		Name:     name,
-		Mon:      mon,
-		com:      com,
-		model:    costmodel.NewAware(com.St, com.Disk),
-		poolKeys: make(map[string]bool),
+		Name:  name,
+		Mon:   mon,
+		com:   com,
+		model: costmodel.NewAware(com.St, com.Disk),
 	}
 	c.ts = append(c.ts, t)
 	c.o.tenants.Set(int64(len(c.ts)))
@@ -169,13 +158,9 @@ type TenantResult struct {
 	// Design is the tenant's new design, routed for Workload; nil for an
 	// idle tenant.
 	Design *designer.Design
-	// PoolSize is the accumulated pool after this round's mining; Mined
-	// counts fresh candidates this round contributed; ReuseHits counts
-	// mined candidates the pool already had (for a wholesale no-drift
-	// reuse, the entire pool); PoolReused reports that wholesale reuse —
-	// the template signature matched and mining was skipped.
-	PoolSize, Mined, ReuseHits int
-	PoolReused                 bool
+	// PoolSize counts the candidates mined from the current template
+	// table (before dominance pruning).
+	PoolSize int
 	// Objective is the tenant's modeled weighted workload seconds under
 	// its new design; Size the budget share the selection granted it.
 	Objective float64
@@ -213,22 +198,21 @@ type Allocation struct {
 	Problems []*ilp.Problem
 }
 
-// prep is one tenant's per-redesign scratch state.
+// prep is one tenant's redesign up to its priced selection instance: the
+// monitor's snapshot and frequent predicate-column sets, and the designer
+// and instance built from them. w is nil for an idle tenant.
 type prep struct {
-	w       query.Workload
-	gen     *candgen.Generator
-	prob    *ilp.Problem
-	aligned []*costmodel.MVDesign
-	warm    []int
-	mined   int
-	reuse   int
-	reused  bool
+	w    query.Workload
+	sets [][]string
+	des  *designer.CORADD
+	prob *designer.Problem
 }
 
-// Redesign snapshots every tenant's monitor, refreshes mined pools,
-// prices per-tenant selection instances and solves the shared-budget
-// selection — decomposed by default, monolithic when the pooled instance
-// is small. Deterministic at any Config.Workers.
+// Redesign snapshots every tenant's monitor, mines and prices per-tenant
+// selection instances, solves the shared-budget selection — decomposed
+// by default, monolithic when the pooled instance is small — and assembles
+// each tenant's design from its share. Deterministic at any
+// Config.Workers.
 func (c *Coordinator) Redesign() (*Allocation, error) {
 	if len(c.ts) == 0 {
 		return nil, fmt.Errorf("tenant: no tenants registered")
@@ -237,13 +221,24 @@ func (c *Coordinator) Redesign() (*Allocation, error) {
 		return nil, fmt.Errorf("tenant: non-positive global budget %d", c.cfg.Budget)
 	}
 
-	// Phase 1 — per-tenant pool refresh and pricing, fanned out across
-	// tenants. Each worker touches only its tenant's state; results land
-	// in per-tenant slots, so the phase is deterministic at any worker
-	// count (the par.ForEach slot-write contract).
-	preps := make([]*prep, len(c.ts))
+	// Phase 1 — read every monitor in tenant order (tenants may share one
+	// injected clock, so the reads are sequenced), then mine and price the
+	// per-tenant instances fanned out across tenants. Each worker touches
+	// only its tenant's state and writes its own slot, so the phase is
+	// deterministic at any worker count (the par.ForEach contract). Each
+	// tenant's own budget is the full global budget — the dual (or the
+	// pooled solve) decides shares.
+	preps := make([]prep, len(c.ts))
+	for i, t := range c.ts {
+		if w := t.Mon.Snapshot(); len(w) > 0 {
+			preps[i] = prep{w: w, sets: frequentCols(t.Mon, c.cfg)}
+		}
+	}
 	par.ForEach(len(c.ts), c.cfg.Workers, func(i int) {
-		preps[i] = c.prepare(c.ts[i])
+		if p := &preps[i]; p.w != nil {
+			p.des = c.pipeline(c.ts[i], p.w, p.sets)
+			p.prob = p.des.Problem(c.cfg.Budget, c.ts[i].lastChosen)
+		}
 	})
 
 	// Phase 2 — gather live tenants and pick the solve method.
@@ -256,9 +251,9 @@ func (c *Coordinator) Redesign() (*Allocation, error) {
 			continue
 		}
 		live = append(live, i)
-		probs = append(probs, p.prob)
-		warms = append(warms, p.warm)
-		totalCands += len(p.prob.Cands)
+		probs = append(probs, p.prob.ILP)
+		warms = append(warms, p.prob.Warm)
+		totalCands += len(p.prob.ILP.Cands)
 	}
 
 	alloc := &Allocation{
@@ -309,50 +304,39 @@ func (c *Coordinator) Redesign() (*Allocation, error) {
 	// Phase 3 — assemble per-tenant designs (index order: deterministic).
 	for li, i := range live {
 		t, p := c.ts[i], preps[i]
-		designs := make([]*costmodel.MVDesign, len(chosen[li]))
-		for j, ci := range chosen[li] {
-			designs[j] = p.aligned[ci]
+		sol := &ilp.Solution{
+			Chosen: chosen[li],
+			Size:   p.prob.ILP.SizeOf(chosen[li]),
+			Nodes:  alloc.Nodes,
+			Proven: alloc.Proven,
 		}
-		d := &designer.Design{
-			Name:         "tenant/" + t.Name,
-			Style:        designer.StyleCORADD,
-			Budget:       c.cfg.Budget,
-			Base:         t.com.BaseDesign(),
-			Chosen:       designs,
-			Size:         p.prob.SizeOf(chosen[li]),
-			SolverNodes:  alloc.Nodes,
-			SolverProven: alloc.Proven,
-		}
-		d = designer.Reroute(d, t.model, p.w)
+		d := p.des.Routed("tenant/"+t.Name, c.cfg.Budget, p.prob.Designs, sol)
 		// Per-tenant plan attribution: charge each template to the object
 		// the fresh routing serves it from ("base" for the base design).
 		for qi := range p.w {
 			obj := "base"
 			if ri := d.Routing[qi]; ri >= 0 {
-				obj = designs[ri].Name
+				obj = d.Chosen[ri].Name
 			}
 			c.o.routed.With(t.Name, obj).Inc()
 		}
-		t.lastChosen = designs
-		obj := p.prob.Objective(chosen[li])
+		t.lastChosen = d.Chosen
+		obj := p.prob.ILP.Objective(chosen[li])
 		alloc.Tenants[i] = TenantResult{
-			Name:       t.Name,
-			Workload:   p.w,
-			Design:     d,
-			PoolSize:   len(t.pool),
-			Mined:      p.mined,
-			ReuseHits:  p.reuse,
-			PoolReused: p.reused,
-			Objective:  obj,
-			Size:       d.Size,
+			Name:      t.Name,
+			Workload:  p.w,
+			Design:    d,
+			PoolSize:  len(p.des.Candidates()),
+			Objective: obj,
+			Size:      d.Size,
 		}
-		alloc.Problems[i] = p.prob
+		alloc.Problems[i] = p.prob.ILP
 		alloc.Objective += obj
 		alloc.TotalSize += d.Size
 	}
 	for i, p := range preps {
 		if p.w == nil {
-			alloc.Tenants[i] = TenantResult{Name: c.ts[i].Name, PoolSize: len(c.ts[i].pool)}
+			alloc.Tenants[i] = TenantResult{Name: c.ts[i].Name}
 		}
 	}
 	if alloc.Method == "" {
@@ -363,62 +347,32 @@ func (c *Coordinator) Redesign() (*Allocation, error) {
 	c.o.redesigns.Inc()
 	c.o.solverNodes.Add(alloc.Nodes)
 	for _, tr := range alloc.Tenants {
-		c.o.minedCands.Add(tr.Mined)
-		c.o.poolReuseHits.Add(tr.ReuseHits)
+		c.o.minedCands.Add(tr.PoolSize)
 	}
 	return alloc, nil
 }
 
-// prepare refreshes one tenant's mined pool against its current template
-// table and prices its selection instance.
-func (c *Coordinator) prepare(t *Tenant) *prep {
-	p := &prep{}
-	w := t.Mon.Snapshot()
-	if len(w) == 0 {
-		return p
+// frequentCols lists the column sets of mon's frequent predicate sets,
+// in rank order.
+func frequentCols(mon *workload.Monitor, cfg Config) [][]string {
+	sets := mon.FrequentSets(cfg.MinShare, cfg.MaxSetSize)
+	cols := make([][]string, len(sets))
+	for i, s := range sets {
+		cols[i] = s.Cols
 	}
-	p.w = w
+	return cols
+}
 
+// pipeline builds tenant t's designer over snapshot w: its model, and
+// candidates mined from sets, the frequent predicate-column sets of its
+// template table.
+func (c *Coordinator) pipeline(t *Tenant, w query.Workload, sets [][]string) *designer.CORADD {
+	mined := candgen.MinedConfig{T: c.cfg.MinedT, MaxSets: c.cfg.MaxSets}
 	cfg := candgen.DefaultConfig()
 	cfg.T = c.cfg.MinedT
-	p.gen = candgen.New(t.com.St, t.model, w, cfg)
-	p.gen.PKCols = t.com.PKCols
-
-	// Pool refresh: skip mining wholesale when the template set hasn't
-	// changed since the last pass; otherwise mine the frequent sets and
-	// union fresh candidates in (the pool only grows, so a candidate once
-	// mined stays reusable by every later redesign).
-	sig := t.Mon.TemplateSignature()
-	if sig == t.lastSig && len(t.pool) > 0 {
-		p.reused = true
-		p.reuse = len(t.pool)
-	} else {
-		sets := t.Mon.FrequentSets(c.cfg.MinShare, c.cfg.MaxSetSize)
-		cols := make([][]string, len(sets))
-		for i, s := range sets {
-			cols[i] = s.Cols
-		}
-		for _, d := range p.gen.MinedCandidates(cols, candgen.MinedConfig{T: c.cfg.MinedT, MaxSets: c.cfg.MaxSets}) {
-			if t.poolKeys[d.Key()] {
-				p.reuse++
-				continue
-			}
-			t.poolKeys[d.Key()] = true
-			t.pool = append(t.pool, d)
-			p.mined++
-		}
-		t.lastSig = sig
-	}
-
-	// Price the base design and the pool; each tenant's own budget is the
-	// full global budget — the dual (or the pooled solve) decides shares.
-	baseD := t.com.BaseDesign()
-	base := make([]float64, len(w))
-	for qi, q := range w {
-		est, _ := t.model.Estimate(baseD, q)
-		base[qi] = est
-	}
-	p.prob, p.aligned = feedback.BuildProblem(p.gen, t.pool, base, c.cfg.Budget)
-	p.warm = feedback.WarmIndexes(p.aligned, t.lastChosen)
-	return p
+	com := t.com
+	com.W = w
+	return designer.NewCORADDWith(com, t.model, cfg, func(g *candgen.Generator) []*costmodel.MVDesign {
+		return g.MinedCandidates(sets, mined)
+	})
 }

@@ -2,9 +2,13 @@ package tenant
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"coradd/internal/candgen"
+	"coradd/internal/costmodel"
 	"coradd/internal/designer"
+	"coradd/internal/feedback"
 	"coradd/internal/ilp"
 	"coradd/internal/query"
 	"coradd/internal/schema"
@@ -169,8 +173,9 @@ func TestRedesignDualBoundsMonolithic(t *testing.T) {
 }
 
 // TestRedesignDeterministicAcrossWorkers: identical streams produce
-// bit-identical allocations (and identical mined pools) at any worker
-// count — the decomposition's par.ForEach fan-outs reduce in index order.
+// bit-identical allocations (and identical priced instances) at any
+// worker count — the decomposition's par.ForEach fan-outs reduce in index
+// order.
 func TestRedesignDeterministicAcrossWorkers(t *testing.T) {
 	budget := contendedBudget(t)
 	run := func(workers int) (*Allocation, [][]string) {
@@ -179,13 +184,7 @@ func TestRedesignDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pools := make([][]string, len(co.Tenants()))
-		for i, tn := range co.Tenants() {
-			for _, d := range tn.pool {
-				pools[i] = append(pools[i], d.Key())
-			}
-		}
-		return alloc, pools
+		return alloc, instanceKeys(alloc)
 	}
 	refAlloc, refPools := run(1)
 	for _, w := range []int{2, 4, 8} {
@@ -210,18 +209,121 @@ func TestRedesignDeterministicAcrossWorkers(t *testing.T) {
 		}
 		for i := range refAlloc.Tenants {
 			a, b := alloc.Tenants[i], refAlloc.Tenants[i]
-			if a.Size != b.Size || a.Objective != b.Objective || len(a.Design.Chosen) != len(b.Design.Chosen) {
+			if a.Size != b.Size || a.Objective != b.Objective || a.PoolSize != b.PoolSize ||
+				len(a.Design.Chosen) != len(b.Design.Chosen) {
 				t.Fatalf("workers=%d tenant %d result differs", w, i)
 			}
 		}
 	}
 }
 
-// TestPoolReuseAcrossRedesigns closes the PR 5 carry-over with an
-// enforced test: an undrifted tenant skips mining wholesale; a drifted
-// stream re-mines but keeps every previously mined candidate (pools are
-// accumulate-union), so the drifted pool reuses ≥ the undrifted
-// templates' candidates.
+// instanceKeys lists, per tenant, the structural keys of the candidates in
+// its priced selection instance (nil for an idle tenant).
+func instanceKeys(alloc *Allocation) [][]string {
+	keys := make([][]string, len(alloc.Problems))
+	for i, p := range alloc.Problems {
+		if p == nil {
+			continue
+		}
+		for _, c := range p.Cands {
+			keys[i] = append(keys[i], c.Ref.(*costmodel.MVDesign).Key())
+		}
+	}
+	return keys
+}
+
+// chosenKeys lists a design's object keys in order.
+func chosenKeys(d *designer.Design) []string {
+	keys := make([]string, len(d.Chosen))
+	for i, md := range d.Chosen {
+		keys[i] = md.Key()
+	}
+	return keys
+}
+
+// routedKeys lists, per query, the key of the object a design routes it
+// to ("base" for the base design).
+func routedKeys(d *designer.Design) []string {
+	keys := make([]string, len(d.Routing))
+	for qi, ri := range d.Routing {
+		keys[qi] = "base"
+		if ri >= 0 {
+			keys[qi] = d.Chosen[ri].Key()
+		}
+	}
+	return keys
+}
+
+// minedDesigner is the designer a tenant's redesign amounts to, built
+// here from its parts: the tenant's current snapshot and model, and
+// candidates mined from the frequent predicate sets of its current
+// template table, with feedback off.
+func minedDesigner(co *Coordinator, tn *Tenant) *designer.CORADD {
+	w := tn.Mon.Snapshot()
+	var sets [][]string
+	for _, s := range tn.Mon.FrequentSets(co.cfg.MinShare, co.cfg.MaxSetSize) {
+		sets = append(sets, s.Cols)
+	}
+	com := tn.com
+	com.W = w
+	cand := candgen.DefaultConfig()
+	cand.T = co.cfg.MinedT
+	des := designer.NewCORADDWith(com, tn.model, cand, func(g *candgen.Generator) []*costmodel.MVDesign {
+		return g.MinedCandidates(sets, candgen.MinedConfig{T: co.cfg.MinedT, MaxSets: co.cfg.MaxSets})
+	})
+	des.Feedback = feedback.Config{MaxIters: -1}
+	return des
+}
+
+// TestOneTenantMatchesDesigner: with one tenant, the coordinator on its
+// default path chooses the same objects, routed the same way, as the
+// designer built over the same snapshot, model and mined source — the
+// coordinator adds only the budget split, which one tenant does not need.
+func TestOneTenantMatchesDesigner(t *testing.T) {
+	for _, budget := range []int64{contendedBudget(t), 1 << 20, 4 << 20} {
+		clk := &fakeClock{}
+		co := New(Config{Budget: budget})
+		tn, err := co.Add("A", testCommon(t, 5, 4000), workload.Config{}, clk.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 8; r++ {
+			tn.Observe(eqQ("a-eq", "a", 5))
+			tn.Observe(rangeQ("c-rng", "c", 0, 9))
+			tn.Observe(twoColQ("ac"))
+			tn.Observe(eqQ("b-eq", "b", 3))
+			tn.Observe(rangeQ("d-rng", "d", 0, 99))
+		}
+		want, err := minedDesigner(co, tn).Design(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, err := co.Redesign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := alloc.Tenants[0].Design
+		if len(want.Chosen) == 0 {
+			t.Fatalf("budget %d: the designer chose nothing; the comparison tests nothing", budget)
+		}
+		gotKeys, wantKeys := chosenKeys(got), chosenKeys(want)
+		slices.Sort(gotKeys)
+		slices.Sort(wantKeys)
+		if !slices.Equal(gotKeys, wantKeys) || got.Size != want.Size {
+			t.Fatalf("budget %d (%s): coordinator chose %d objects (%d bytes), designer %d (%d bytes)",
+				budget, alloc.Method, len(got.Chosen), got.Size, len(want.Chosen), want.Size)
+		}
+		if !slices.Equal(routedKeys(got), routedKeys(want)) || !slices.Equal(got.Expected, want.Expected) {
+			t.Fatalf("budget %d: coordinator routes to a different object or estimate than the designer", budget)
+		}
+	}
+}
+
+// TestPoolReuseAcrossRedesigns: a redesign depends only on what the
+// monitor holds. An unchanged monitor redesigns to the same allocation;
+// after drift the pool is the set mined from the current template table —
+// candidates of templates that fell out of the frequent sets are gone,
+// not carried over.
 func TestPoolReuseAcrossRedesigns(t *testing.T) {
 	clk := &fakeClock{}
 	co := New(Config{Budget: 1 << 20})
@@ -238,56 +340,52 @@ func TestPoolReuseAcrossRedesigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := first.Tenants[0]
-	if tr.Mined == 0 || tr.PoolReused || tr.ReuseHits != 0 {
-		t.Fatalf("first redesign: mined=%d reused=%v hits=%d; want fresh mining", tr.Mined, tr.PoolReused, tr.ReuseHits)
+	if first.Tenants[0].PoolSize == 0 {
+		t.Fatal("first redesign mined nothing")
 	}
-	preDrift := make(map[string]bool)
-	for _, d := range tn.pool {
-		preDrift[d.Key()] = true
-	}
-
-	// No drift: same templates, more observations. Mining is skipped and
-	// the whole pool counts as reused.
-	tn.Observe(eqQ("a-eq", "a", 9))
 	second, err := co.Redesign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr = second.Tenants[0]
-	if !tr.PoolReused || tr.Mined != 0 || tr.ReuseHits != tr.PoolSize {
-		t.Fatalf("undrifted redesign: reused=%v mined=%d hits=%d pool=%d; want wholesale reuse",
-			tr.PoolReused, tr.Mined, tr.ReuseHits, tr.PoolSize)
+	a, b := first.Tenants[0], second.Tenants[0]
+	if a.PoolSize != b.PoolSize || a.Size != b.Size || a.Objective != b.Objective ||
+		!slices.Equal(chosenKeys(a.Design), chosenKeys(b.Design)) ||
+		!slices.Equal(instanceKeys(first)[0], instanceKeys(second)[0]) {
+		t.Fatalf("unchanged monitor redesigned differently: pool %d→%d, size %d→%d, objective %v→%v",
+			a.PoolSize, b.PoolSize, a.Size, b.Size, a.Objective, b.Objective)
+	}
+	preDrift := make(map[string]bool)
+	for _, d := range minedDesigner(co, tn).Candidates() {
+		preDrift[d.Key()] = true
 	}
 
-	// Drift: a new template on a fresh column. Old templates stay hot, so
-	// their sets re-mine as reuse hits, and the pool stays a superset of
-	// the pre-drift pool.
-	for r := 0; r < 6; r++ {
+	// Drift: a template on a fresh column takes over the mix, so the old
+	// templates' column sets fall below the mining threshold.
+	for r := 0; r < 200; r++ {
 		tn.Observe(eqQ("d-eq", "d", 100))
 	}
+	want := minedDesigner(co, tn)
 	third, err := co.Redesign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr = third.Tenants[0]
-	if tr.PoolReused {
-		t.Fatal("drifted stream reported wholesale reuse")
+	wantProb := want.Problem(co.cfg.Budget, nil)
+	if got := third.Tenants[0].PoolSize; got != len(want.Candidates()) {
+		t.Fatalf("drifted pool has %d candidates, the current table mines %d", got, len(want.Candidates()))
 	}
-	if tr.ReuseHits < len(preDrift) {
-		t.Fatalf("drifted re-mine reused %d candidates; want ≥ the %d undrifted ones", tr.ReuseHits, len(preDrift))
+	if got := instanceKeys(third)[0]; len(got) != len(wantProb.Designs) {
+		t.Fatalf("drifted instance has %d candidates, the current mined set prices to %d", len(got), len(wantProb.Designs))
 	}
-	now := make(map[string]bool)
-	for _, d := range tn.pool {
-		now[d.Key()] = true
-	}
-	for k := range preDrift {
-		if !now[k] {
-			t.Fatal("drift dropped a previously mined candidate from the pool")
+	for i, d := range wantProb.Designs {
+		if instanceKeys(third)[0][i] != d.Key() {
+			t.Fatalf("drifted instance candidate %d is not the current mined set's", i)
 		}
 	}
-	if tr.PoolSize <= len(preDrift) {
-		t.Fatalf("drift mined nothing new: pool %d, pre-drift %d", tr.PoolSize, len(preDrift))
+	for _, d := range want.Candidates() {
+		delete(preDrift, d.Key())
+	}
+	if len(preDrift) == 0 {
+		t.Fatal("every pre-drift candidate was re-mined; the drift did not move the frequent sets")
 	}
 }
 

@@ -144,19 +144,3 @@ func (m *Monitor) FrequentSets(minShare float64, maxSize int) []FrequentSet {
 	})
 	return out
 }
-
-// TemplateSignature identifies the current template *set* (not rates):
-// the sorted structural fingerprints joined. Two monitors whose streams
-// produced the same templates — regardless of order or frequency —
-// share a signature. internal/tenant uses it to skip re-mining when the
-// table hasn't drifted structurally since the last redesign.
-func (m *Monitor) TemplateSignature() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]string, len(m.order))
-	for i, tp := range m.order {
-		keys[i] = tp.key
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}

@@ -87,24 +87,3 @@ func TestFrequentSetsMaxSizeAndEmpty(t *testing.T) {
 		}
 	}
 }
-
-func TestTemplateSignature(t *testing.T) {
-	clk := &fakeClock{}
-	a := mustNew(t, Config{}, clk.now)
-	b := mustNew(t, Config{}, clk.now)
-	// Same templates, different order and frequency: same signature.
-	a.Observe(predQ("x", "a"))
-	a.Observe(predQ("y", "b"))
-	b.Observe(predQ("y", "b"))
-	b.Observe(predQ("y", "b"))
-	b.Observe(predQ("x", "a"))
-	if a.TemplateSignature() != b.TemplateSignature() {
-		t.Fatal("order/frequency changed the template signature")
-	}
-	// A new template changes it.
-	sig := a.TemplateSignature()
-	a.Observe(predQ("z", "c"))
-	if a.TemplateSignature() == sig {
-		t.Fatal("new template kept the signature")
-	}
-}
