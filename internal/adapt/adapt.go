@@ -227,27 +227,22 @@ type Report struct {
 	RedesignLog []*RedesignInfo
 }
 
-// migration is an in-flight deployment.
+// migration is an in-flight deployment. The controller's journal is its
+// record of what is done, next and skipped; this holds only what the
+// journal cannot.
 type migration struct {
 	plan *designer.MigrationPlan
-	// order is the remaining build order (indexes into plan.Builds);
-	// builds/rates its per-step modeled build seconds and workload rates,
-	// aligned with order; wTotal the total query weight of the workload
-	// those rates were computed over (for scale-free comparison against
-	// measured rates).
-	order  []int
+	// builds/rates are the remaining schedule's per-step modeled build
+	// seconds and workload rates, aligned with the journal's Next; wTotal
+	// the total query weight of the workload they were priced over (for
+	// scale-free comparison against measured rates).
 	builds []float64
 	rates  []float64
 	wTotal float64
-	// done are the deployed builds; skipped builds abandoned after retry
-	// exhaustion; nextDone the simulated completion time of order[0]'s
-	// current attempt.
-	done     []int
-	skipped  []int
+	// nextDone is the simulated completion time of the head build's
+	// current attempt; pending its injected fate, drawn when the attempt
+	// was scheduled; attempts counts failed attempts per object name.
 	nextDone float64
-	// pending is the injected fate of order[0]'s current attempt, drawn
-	// when the attempt was scheduled; attempts counts failed attempts per
-	// object name.
 	pending  fault.Outcome
 	attempts map[string]int
 }
@@ -270,7 +265,7 @@ type Controller struct {
 	incumbent *designer.Design // current target design
 	deployed  *designer.Design // what physically serves right now
 	mig       *migration
-	journal   *deploy.Journal    // step record of the latest migration
+	journal   *deploy.Journal    // step record of the latest migration; mid-migration, its only one
 	rates     map[string]float64 // template key → measured seconds on deployed
 	lbCache   map[string]float64 // template key → lower-bound estimate
 
@@ -339,6 +334,11 @@ func New(common designer.Common, initial *designer.Design, cfg Config) (*Control
 
 // Clock returns the simulated time in seconds.
 func (c *Controller) Clock() float64 { return c.clock }
+
+// Model returns the cost model the controller prices everything through.
+// Its memo is content-keyed and safe for concurrent use, so a serving path
+// may price through it while the controller runs.
+func (c *Controller) Model() *costmodel.Aware { return c.model }
 
 // Incumbent returns the current target design (the deployed design, or
 // the migration target while builds are in flight).
@@ -442,14 +442,6 @@ func (c *Controller) Run(stream []*query.Query) (Report, error) {
 	return c.Report(), nil
 }
 
-// rateFor returns the measured seconds of q's template on the deployed
-// state, measuring lazily on first sight per (state, template). Pricing
-// only — serve attribution is Process's recordServe.
-func (c *Controller) rateFor(q *query.Query) (float64, error) {
-	sec, _, err := c.priceTemplate(q)
-	return sec, err
-}
-
 // measuredRate sums weight·measured-seconds over the snapshot, measuring
 // any template not yet priced on the deployed state — the MigrationPrefix
 // evaluation driving the replan decision. Returns the rate and the total
@@ -457,7 +449,7 @@ func (c *Controller) rateFor(q *query.Query) (float64, error) {
 func (c *Controller) measuredRate(w query.Workload) (float64, float64, error) {
 	rate, wTotal := 0.0, 0.0
 	for _, q := range w {
-		sec, err := c.rateFor(q)
+		sec, _, err := c.priceTemplate(q)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -474,7 +466,7 @@ func (c *Controller) measuredRate(w query.Workload) (float64, float64, error) {
 // lands — and the completion time includes any injected slowdown.
 func (c *Controller) scheduleHead(start float64) {
 	m := c.mig
-	m.pending = c.cfg.Faults.BuildAttempt(m.plan.Builds[m.order[0]].Name)
+	m.pending = c.cfg.Faults.BuildAttempt(m.plan.Builds[c.journal.Next[0]].Name)
 	m.nextDone = start + m.builds[0]*(1+m.pending.DelayFactor)
 }
 
@@ -488,11 +480,11 @@ func (c *Controller) finishMigration() {
 	c.obs.migrations.Inc()
 	c.obs.migInFlight.Set(0)
 	c.obs.remainingBuilds.Set(0)
-	if len(m.skipped) > 0 {
+	if skipped := len(c.journal.Skipped); skipped > 0 {
 		c.incumbent = c.deployed
 		c.Mon.Rebase(c.costOf(c.deployed))
 		c.event(EventMigrationDone, "migration to %s complete degraded: %d of %d builds skipped; incumbent is deployed prefix %s",
-			m.plan.To.Name, len(m.skipped), len(m.plan.Builds), c.deployed.Name)
+			m.plan.To.Name, skipped, len(m.plan.Builds), c.deployed.Name)
 		return
 	}
 	c.event(EventMigrationDone, "migration to %s complete", c.incumbent.Name)
@@ -507,8 +499,8 @@ func (c *Controller) finishMigration() {
 // schedule re-solved without it.
 func (c *Controller) advanceMigration() error {
 	for c.mig != nil && c.clock >= c.mig.nextDone {
-		m := c.mig
-		bi := m.order[0]
+		m, j := c.mig, c.journal
+		bi := j.Next[0]
 		finished := m.nextDone
 		name := m.plan.Builds[bi].Name
 
@@ -524,17 +516,14 @@ func (c *Controller) advanceMigration() error {
 				continue
 			}
 			// Retries exhausted: abandon the build and re-solve the rest.
-			m.order = m.order[1:]
-			m.builds = m.builds[1:]
-			m.rates = m.rates[1:]
-			m.skipped = append(m.skipped, bi)
+			j.Next, m.builds, m.rates = j.Next[1:], m.builds[1:], m.rates[1:]
+			j.Skipped = append(j.Skipped, bi)
 			c.report.SkippedBuilds++
 			c.obs.skips.Inc()
-			c.obs.remainingBuilds.Set(int64(len(m.order)))
-			c.journalSkip(bi)
+			c.obs.remainingBuilds.Set(int64(len(j.Next)))
 			c.event(EventBuildSkipped, "build %s failed %d times; skipped, %d builds remain",
-				name, m.attempts[name], len(m.order))
-			if len(m.order) == 0 {
+				name, m.attempts[name], len(j.Next))
+			if len(j.Next) == 0 {
 				c.finishMigration()
 				return nil
 			}
@@ -552,34 +541,31 @@ func (c *Controller) advanceMigration() error {
 		// The step's simulated duration: the modeled build seconds plus
 		// any injected slowdown (what nextDone was scheduled from).
 		c.obs.buildSeconds.Observe(m.builds[0] * (1 + m.pending.DelayFactor))
-		m.done = append(m.done, bi)
-		m.order = m.order[1:]
-		m.builds = m.builds[1:]
-		m.rates = m.rates[1:]
+		j.Next, m.builds, m.rates = j.Next[1:], m.builds[1:], m.rates[1:]
+		j.Done = append(j.Done, bi)
 		c.report.BuildsDone++
 		c.obs.builds.Inc()
-		c.obs.remainingBuilds.Set(int64(len(m.order)))
+		c.obs.remainingBuilds.Set(int64(len(j.Next)))
 
 		// The new prefix serves from here; every template re-prices.
 		w := c.Mon.Snapshot()
-		c.deployed = m.plan.PrefixDesign(c.model, w, m.done)
+		c.deployed = m.plan.PrefixDesign(c.model, w, j.Done)
 		c.rates = make(map[string]float64)
 		c.event(EventBuild, "built %s (%d/%d)", name,
-			len(m.done), len(m.done)+len(m.order))
-		c.journalDone(bi)
+			len(j.Done), len(j.Done)+len(j.Next))
 		crash := c.cfg.Faults.BuildCompleted()
 
-		if len(m.order) == 0 {
+		if len(j.Next) == 0 {
 			c.finishMigration()
 			if crash {
 				return fmt.Errorf("adapt: %w after build %s (journal: %d done, 0 remaining)",
-					fault.ErrCrash, name, len(m.done))
+					fault.ErrCrash, name, len(j.Done))
 			}
 			return nil
 		}
 		if crash {
 			return fmt.Errorf("adapt: %w after build %s (journal: %d done, %d remaining)",
-				fault.ErrCrash, name, len(m.done), len(m.order))
+				fault.ErrCrash, name, len(j.Done), len(j.Next))
 		}
 
 		// Replan check: scale-free comparison of the measured per-weight
@@ -607,111 +593,22 @@ func (c *Controller) advanceMigration() error {
 	return nil
 }
 
-// journalDone records a completed build in the journal and refreshes the
-// planned remainder.
-func (c *Controller) journalDone(bi int) {
-	if c.journal == nil {
-		return
-	}
-	c.journal.Done = append(c.journal.Done, bi)
-	c.syncJournalNext()
-}
-
-// journalSkip records an abandoned build in the journal.
-func (c *Controller) journalSkip(bi int) {
-	if c.journal == nil {
-		return
-	}
-	c.journal.Skipped = append(c.journal.Skipped, bi)
-	c.syncJournalNext()
-}
-
-// syncJournalNext mirrors the in-flight remaining order into the journal
-// (after a build, skip or replan reshapes it).
-func (c *Controller) syncJournalNext() {
-	if c.journal == nil {
-		return
-	}
-	if c.mig == nil {
-		c.journal.Next = nil
-		return
-	}
-	c.journal.Next = append([]int(nil), c.mig.order...)
-}
-
-// replan re-solves the remaining scheduling problem under the current
-// snapshot: modeled per-query times for the remaining builds, the current
-// deployed prefix as the base state, and build costs that may shortcut
-// through kept objects, already-deployed builds, or other remaining
-// builds. The solved order replaces the remainder of the schedule.
+// replan re-solves the remaining schedule under the current snapshot
+// (designer's RemainingSchedule: the deployed prefix is the base state,
+// and build costs may shortcut through kept objects, deployed builds or
+// other remaining builds). The solved order becomes the journal's Next.
 func (c *Controller) replan(w query.Workload, now float64) error {
 	m := c.mig
-	st, disk := c.common.St, c.common.Disk
-	nQ := len(w)
-
-	base := make([]float64, nQ)
-	weights := make([]float64, nQ)
-	wTotal := 0.0
-	avail := append([]*costmodel.MVDesign(nil), m.plan.Kept...)
-	for _, bi := range m.done {
-		avail = append(avail, m.plan.Builds[bi])
-	}
-	for qi, q := range w {
-		t, _ := c.model.Estimate(c.incumbent.Base, q)
-		for _, md := range avail {
-			if tk, _ := c.model.Estimate(md, q); tk < t {
-				t = tk
-			}
-		}
-		base[qi] = t
-		weights[qi] = q.EffectiveWeight()
-		wTotal += weights[qi]
-	}
-
-	prob := &deploy.Problem{Base: base, Weights: weights}
-	for _, oi := range m.order {
-		md := m.plan.Builds[oi]
-		times := make([]float64, nQ)
-		for qi, q := range w {
-			times[qi], _ = c.model.Estimate(md, q)
-		}
-		build := costmodel.BuildSeconds(st, disk, md, nil)
-		for _, src := range avail {
-			if costmodel.CanBuildFrom(md, src) {
-				if b := costmodel.BuildSeconds(st, disk, md, src); b < build {
-					build = b
-				}
-			}
-		}
-		o := deploy.Object{Name: md.Name, Times: times, Build: build}
-		for j, oj := range m.order {
-			if oj == oi || !costmodel.CanBuildFrom(md, m.plan.Builds[oj]) {
-				continue
-			}
-			if b := costmodel.BuildSeconds(st, disk, md, m.plan.Builds[oj]); b < build {
-				o.From = append(o.From, deploy.Shortcut{Src: j, Cost: b})
-			}
-		}
-		prob.Objects = append(prob.Objects, o)
-	}
-
 	dep := c.cfg.Deploy
 	if sink := c.solveSink("replan"); sink != nil {
 		dep.Progress = sink
 	}
-	sched, err := deploy.Solve(prob, dep)
+	sched, err := m.plan.RemainingSchedule(c.model, w, c.journal, true, dep)
 	if err != nil {
 		return err
 	}
-	order := make([]int, len(sched.Order))
-	for k, ri := range sched.Order {
-		order[k] = m.order[ri]
-	}
-	m.order = order
-	m.builds = append([]float64(nil), sched.Builds...)
-	m.rates = append([]float64(nil), sched.Rates...)
-	m.wTotal = wTotal
-	c.syncJournalNext()
+	c.journal.Next = sched.Order
+	m.builds, m.rates, m.wTotal = sched.Builds, sched.Rates, totalWeight(w)
 	c.scheduleHead(now)
 	c.report.Replans++
 	c.obs.replans.Inc()
@@ -721,7 +618,7 @@ func (c *Controller) replan(w query.Workload, now float64) error {
 	c.obs.solveNodes.Observe(float64(sched.Nodes))
 	c.tr.Event(c.clock, "solve", solveF("replan", sched.Nodes, sched.Pruned, sched.Incumbents, sched.Proven)...)
 	c.event(EventReplan, "replanned %d remaining builds (nodes %d, next %s)",
-		len(order), sched.Nodes, m.plan.Builds[order[0]].Name)
+		len(sched.Order), sched.Nodes, m.plan.Builds[sched.Order[0]].Name)
 	return nil
 }
 
@@ -816,19 +713,25 @@ func (c *Controller) redesign(drift workload.DriftReport) error {
 		c.event(EventMigrationDone, "migration to %s complete (drops only)", d2.Name)
 		return nil
 	}
-	sched := plan.Schedule
+	c.startMigration(plan, plan.Schedule, totalWeight(w))
+	return nil
+}
+
+// startMigration puts plan in flight — the one path for a fresh
+// migration and a resumed one. sched is the remaining schedule, its order
+// already the journal's Next, priced over a workload of total weight
+// wTotal; the head build is scheduled from now.
+func (c *Controller) startMigration(plan *designer.MigrationPlan, sched *deploy.Schedule, wTotal float64) {
 	c.mig = &migration{
 		plan:     plan,
-		order:    append([]int(nil), sched.Order...),
-		builds:   append([]float64(nil), sched.Builds...),
-		rates:    append([]float64(nil), sched.Rates...),
-		wTotal:   totalWeight(w),
+		builds:   sched.Builds,
+		rates:    sched.Rates,
+		wTotal:   wTotal,
 		attempts: make(map[string]int),
 	}
 	c.obs.migInFlight.Set(1)
-	c.obs.remainingBuilds.Set(int64(len(c.mig.order)))
+	c.obs.remainingBuilds.Set(int64(len(c.journal.Next)))
 	c.scheduleHead(c.clock)
-	return nil
 }
 
 // costOf builds the monitor's cost function for incumbent design d: cur

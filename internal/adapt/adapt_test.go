@@ -218,7 +218,7 @@ func TestReplanFiresUnderTightTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.BuildsDone < 2 {
-		t.Skipf("only %d builds completed — no mid-migration window to replan", rep.BuildsDone)
+		t.Fatalf("only %d builds completed — no mid-migration window to replan", rep.BuildsDone)
 	}
 	if rep.Replans == 0 {
 		t.Error("zero replans despite an always-diverged tolerance")

@@ -148,7 +148,13 @@ func Restore(common designer.Common, st State, cfg Config) (*Controller, error) 
 		c.event(EventResume, "restarted idle on design %s: %d templates primed", d.Name, len(st.Workload))
 		return c, nil
 	}
-	plan, err := designer.ResumeMigration(common.St, common.Disk, common.W, c.model, d, j)
+	// Follow the journaled remainder as is: price Next in its order on top
+	// of the journaled prefix.
+	plan, err := designer.ResumeMigration(common.St, common.Disk, d, j)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", durable.ErrCorrupt, err)
+	}
+	sched, err := plan.RemainingSchedule(c.model, common.W, j, false, deploy.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", durable.ErrCorrupt, err)
 	}
@@ -157,23 +163,7 @@ func Restore(common designer.Common, st State, cfg Config) (*Controller, error) 
 	c.obs.journalReplays.Add(len(j.Done))
 	c.event(EventResume, "resumed migration %s → %s from journal: %d built, %d remaining, %d skipped",
 		j.From, j.To, len(j.Done), len(j.Next), len(j.Skipped))
-	// The resumed plan priced the order Done ++ Next ++ Skipped; slice out
-	// Next's span for the in-flight remainder.
-	sched := plan.Schedule
-	lo, hi := len(j.Done), len(j.Done)+len(j.Next)
-	c.mig = &migration{
-		plan:     plan,
-		order:    append([]int(nil), j.Next...),
-		builds:   append([]float64(nil), sched.Builds[lo:hi]...),
-		rates:    append([]float64(nil), sched.Rates[lo:hi]...),
-		wTotal:   totalWeight(common.W),
-		done:     append([]int(nil), j.Done...),
-		skipped:  append([]int(nil), j.Skipped...),
-		attempts: make(map[string]int),
-	}
-	c.obs.migInFlight.Set(1)
-	c.obs.remainingBuilds.Set(int64(len(c.mig.order)))
-	c.scheduleHead(c.clock)
+	c.startMigration(plan, sched, totalWeight(common.W))
 	return c, nil
 }
 

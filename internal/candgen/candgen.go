@@ -342,10 +342,6 @@ func (g *Generator) FactReclusterings() []*costmodel.MVDesign {
 	return out
 }
 
-// SizeOf is a convenience wrapper exposing the size model used for the
-// α discussion and the ILP.
-func SizeOf(st *stats.Stats, d *costmodel.MVDesign) int64 { return d.Bytes(st) }
-
 // pageLimit returns the distinct-count threshold beyond which further key
 // attributes stop being useful: once the leading prefix already has about
 // one distinct value per heap page, deeper attributes cannot improve

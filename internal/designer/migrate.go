@@ -43,7 +43,8 @@ type MigrationPlan struct {
 	Builds  []*costmodel.MVDesign
 	// Problem and Schedule are the underlying scheduling instance and its
 	// solved order, for callers comparing alternative orders through
-	// deploy.Evaluate.
+	// deploy.Evaluate. They, Steps and the totals below stay zero on a
+	// plan rebuilt by ResumeMigration.
 	Problem  *deploy.Problem
 	Schedule *deploy.Schedule
 	// Steps is the scheduled order with its cost accounting.
@@ -59,6 +60,7 @@ type MigrationPlan struct {
 
 	baseSrc []string // per-build source name realizing the base build cost
 	st      *stats.Stats
+	disk    storage.DiskParams
 }
 
 // PlanMigration schedules the builds that turn design from into design to
@@ -74,7 +76,7 @@ func PlanMigration(st *stats.Stats, disk storage.DiskParams, w query.Workload,
 	if to == nil || to.Base == nil {
 		return nil, fmt.Errorf("designer: migration target design is required")
 	}
-	mp := &MigrationPlan{From: from, To: to, st: st}
+	mp := &MigrationPlan{From: from, To: to, st: st, disk: disk}
 
 	// Split the target into kept (already deployed) and to-build, and the
 	// old design into kept and dropped, matching by structural identity.
@@ -100,32 +102,41 @@ func PlanMigration(st *stats.Stats, disk storage.DiskParams, w query.Workload,
 			}
 		}
 	}
-	mp.buildProblem(st, disk, w, model)
+	mp.Problem, mp.baseSrc = mp.buildProblem(w, model, mp.Kept, mp.Builds)
 
 	sched, err := deploy.Solve(mp.Problem, opts)
 	if err != nil {
 		return nil, err
 	}
-	mp.adoptSchedule(sched)
+	mp.Schedule = sched
+	mp.CumSeconds = sched.Cum
+	mp.StartRate = mp.Problem.Rate(nil)
+	mp.FinalRate = sched.FinalRate
+	mp.Nodes = sched.Nodes
+	mp.Proven = sched.Proven
+	mp.Steps = mp.StepsFor(sched)
 	return mp, nil
 }
 
-// buildProblem constructs the deployment-scheduling instance for the
-// plan's Kept/Builds split: the kept-state base times, one deploy object
-// per build with its cheapest always-available source, and shortcuts
-// through the other builds. Shared by the solving path (PlanMigration)
-// and the journal-resume path (ResumeMigration), so both price a
-// schedule bit-identically.
-func (mp *MigrationPlan) buildProblem(st *stats.Stats, disk storage.DiskParams,
-	w query.Workload, model costmodel.Model) {
+// buildProblem is the one constructor of the plan's scheduling instances:
+// it orders builds on top of the target's base plus the avail objects.
+// The base times are each query's best over that available state; each
+// build becomes one deploy object whose base build cost is its cheapest
+// available source, with shortcuts through the other builds (Src is the
+// position in builds). PlanMigration prices the whole plan through it
+// (avail = Kept) and RemainingSchedule what a journal leaves of it
+// (avail = Kept then the done builds), so both price bit-identically.
+// The second result names, per build, the source realizing its base build
+// cost: "fact" or an available object.
+func (mp *MigrationPlan) buildProblem(w query.Workload, model costmodel.Model,
+	avail, builds []*costmodel.MVDesign) (*deploy.Problem, []string) {
 
-	// Base state: the fact table plus every kept object.
 	nQ := len(w)
 	base := make([]float64, nQ)
 	weights := make([]float64, nQ)
 	for qi, q := range w {
 		t, _ := model.Estimate(mp.To.Base, q)
-		for _, md := range mp.Kept {
+		for _, md := range avail {
 			if tk, _ := model.Estimate(md, q); tk < t {
 				t = tk
 			}
@@ -134,67 +145,90 @@ func (mp *MigrationPlan) buildProblem(st *stats.Stats, disk storage.DiskParams,
 		weights[qi] = q.EffectiveWeight()
 	}
 
-	// One deploy object per build: deployed-state times from the cost
-	// model, base build cost from the cheapest always-available source
-	// (fact heap or a kept MV), shortcuts through the other builds.
 	prob := &deploy.Problem{Base: base, Weights: weights}
-	mp.baseSrc = make([]string, len(mp.Builds))
-	for i, md := range mp.Builds {
+	baseSrc := make([]string, len(builds))
+	for i, md := range builds {
 		times := make([]float64, nQ)
 		for qi, q := range w {
 			times[qi], _ = model.Estimate(md, q)
 		}
-		build := costmodel.BuildSeconds(st, disk, md, nil)
-		mp.baseSrc[i] = "fact"
-		for _, k := range mp.Kept {
-			if costmodel.CanBuildFrom(md, k) {
-				if c := costmodel.BuildSeconds(st, disk, md, k); c < build {
+		build := costmodel.BuildSeconds(mp.st, mp.disk, md, nil)
+		baseSrc[i] = "fact"
+		for _, src := range avail {
+			if costmodel.CanBuildFrom(md, src) {
+				if c := costmodel.BuildSeconds(mp.st, mp.disk, md, src); c < build {
 					build = c
-					mp.baseSrc[i] = k.Name
+					baseSrc[i] = src.Name
 				}
 			}
 		}
 		o := deploy.Object{Name: md.Name, Times: times, Build: build}
-		for j, src := range mp.Builds {
+		for j, src := range builds {
 			if j == i || !costmodel.CanBuildFrom(md, src) {
 				continue
 			}
-			if c := costmodel.BuildSeconds(st, disk, md, src); c < build {
+			if c := costmodel.BuildSeconds(mp.st, mp.disk, md, src); c < build {
 				o.From = append(o.From, deploy.Shortcut{Src: j, Cost: c})
 			}
 		}
 		prob.Objects = append(prob.Objects, o)
 	}
-	mp.Problem = prob
+	return prob, baseSrc
 }
 
-// adoptSchedule installs a priced schedule (solved, or an explicit order
-// through deploy.Evaluate) as the plan's deployment order.
-func (mp *MigrationPlan) adoptSchedule(sched *deploy.Schedule) {
-	mp.Schedule = sched
-	mp.CumSeconds = sched.Cum
-	mp.StartRate = mp.Problem.Rate(nil)
-	mp.FinalRate = sched.FinalRate
-	mp.Nodes = sched.Nodes
-	mp.Proven = sched.Proven
-	mp.Steps = mp.StepsFor(sched)
+// RemainingSchedule prices what is left of the plan's migration after the
+// steps journal j records — the plan's own journal, from NewJournal or
+// matched by ResumeMigration — over workload w: the target's base, the kept
+// objects and j.Done's builds are available, and j.Next's builds are
+// scheduled. With resolve the remainder's order is solved afresh under
+// opts (a mid-migration replan); without, j.Next is priced in its
+// journaled order (a resume, so a restarted controller follows the order
+// the crashed one had committed to). Skipped builds are neither available
+// nor scheduled. The schedule's Order and Sources index mp.Builds; its
+// Builds/Rates are the remaining steps' modeled build seconds and
+// workload rates.
+func (mp *MigrationPlan) RemainingSchedule(model costmodel.Model, w query.Workload,
+	j *deploy.Journal, resolve bool, opts deploy.Options) (*deploy.Schedule, error) {
+
+	avail := append([]*costmodel.MVDesign(nil), mp.Kept...)
+	for _, bi := range j.Done {
+		avail = append(avail, mp.Builds[bi])
+	}
+	builds := make([]*costmodel.MVDesign, len(j.Next))
+	order := make([]int, len(j.Next))
+	for k, bi := range j.Next {
+		builds[k] = mp.Builds[bi]
+		order[k] = k
+	}
+	prob, _ := mp.buildProblem(w, model, avail, builds)
+	var sched *deploy.Schedule
+	var err error
+	if resolve {
+		sched, err = deploy.Solve(prob, opts)
+	} else {
+		sched, err = deploy.Evaluate(prob, order)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for k, ri := range sched.Order {
+		sched.Order[k] = j.Next[ri]
+		if src := sched.Sources[k]; src >= 0 {
+			sched.Sources[k] = j.Next[src]
+		}
+	}
+	return sched, nil
 }
 
-// ResumeMigration rebuilds a migration plan from a journal without
-// re-solving the schedule: to is the migration's target design (in a real
-// deployment, reloaded from the durable design catalog), and the
-// journal's kept/build keys are matched into it by structural identity.
-// The journaled order — done builds first, then the remaining plan, then
-// any skipped builds — is priced with deploy.Evaluate, so a controller
-// resumed from the returned plan follows the exact step sequence the
-// crashed controller had committed to, rather than re-deciding it.
-// Workload w supplies the rates the resumed steps are priced at (the
-// restarted monitor's view; rates affect accounting, never the order).
-// The old design's dropped objects are gone by the time a migration is in
-// flight, so the plan's From/Dropped are not reconstructed.
-func ResumeMigration(st *stats.Stats, disk storage.DiskParams, w query.Workload,
-	model costmodel.Model, to *Design, j *deploy.Journal) (*MigrationPlan, error) {
-
+// ResumeMigration rebuilds a journaled migration's plan: to is the
+// migration's target design (in a real deployment, reloaded from the
+// durable design catalog), and the journal's kept/build keys are matched
+// into it by structural identity, so the plan's Builds are positioned as
+// the journal's indexes expect. The rebuilt plan carries no schedule;
+// RemainingSchedule prices what the journal leaves of it. The old
+// design's dropped objects are gone by the time a migration is in flight,
+// so the plan's From/Dropped are not reconstructed.
+func ResumeMigration(st *stats.Stats, disk storage.DiskParams, to *Design, j *deploy.Journal) (*MigrationPlan, error) {
 	if to == nil || to.Base == nil {
 		return nil, fmt.Errorf("designer: resume target design is required")
 	}
@@ -208,7 +242,7 @@ func ResumeMigration(st *stats.Stats, disk storage.DiskParams, w query.Workload,
 	for _, md := range to.Chosen {
 		byKey[md.Key()] = md
 	}
-	mp := &MigrationPlan{To: to, st: st}
+	mp := &MigrationPlan{To: to, st: st, disk: disk}
 	for _, k := range j.Kept {
 		md, ok := byKey[k]
 		if !ok {
@@ -226,19 +260,6 @@ func ResumeMigration(st *stats.Stats, disk storage.DiskParams, w query.Workload,
 	if got, want := len(mp.Kept)+len(mp.Builds), len(to.Chosen); got != want {
 		return nil, fmt.Errorf("designer: journal covers %d of target design's %d objects", got, want)
 	}
-	mp.buildProblem(st, disk, w, model)
-
-	// Price the journaled order end to end; indexes in the journal are
-	// positions in j.Builds, which is exactly mp.Builds' order.
-	order := make([]int, 0, len(mp.Builds))
-	order = append(order, j.Done...)
-	order = append(order, j.Next...)
-	order = append(order, j.Skipped...)
-	sched, err := deploy.Evaluate(mp.Problem, order)
-	if err != nil {
-		return nil, err
-	}
-	mp.adoptSchedule(sched)
 	return mp, nil
 }
 

@@ -1,6 +1,7 @@
 package designer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -133,4 +134,66 @@ func TestPrefixDesignMeasurable(t *testing.T) {
 		}
 		prevTotal = r.Total
 	}
+}
+
+// TestRemainingScheduleSlicesWholePlan: the remainder instance prices its
+// steps bit for bit like the same span of the whole plan's instance —
+// with the journal's done builds as available sources instead of earlier
+// steps, and with skipped builds out of both — so a resume follows the
+// numbers the uninterrupted migration had, and a replan before any build
+// re-solves the plan's own schedule.
+func TestRemainingScheduleSlicesWholePlan(t *testing.T) {
+	c, d, from, to := migrationFixture(t)
+	plan, err := PlanMigration(c.St, c.Disk, c.W, d.Model, from, to, deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := plan.Schedule.Order
+	if len(order) < 3 {
+		t.Fatalf("fixture migration has %d builds, want at least 3", len(order))
+	}
+	sameSpan := func(label string, got, want *deploy.Schedule, lo int) {
+		t.Helper()
+		for k, bi := range got.Order {
+			if bi != want.Order[lo+k] ||
+				math.Float64bits(got.Builds[k]) != math.Float64bits(want.Builds[lo+k]) ||
+				math.Float64bits(got.Rates[k]) != math.Float64bits(want.Rates[lo+k]) {
+				t.Fatalf("%s: step %d is (%d, %v, %v), want (%d, %v, %v)", label, k,
+					bi, got.Builds[k], got.Rates[k], want.Order[lo+k], want.Builds[lo+k], want.Rates[lo+k])
+			}
+		}
+	}
+
+	j := plan.NewJournal(from.Name)
+	resolved, err := plan.RemainingSchedule(d.Model, c.W, j, true, deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSpan("replan before any build", resolved, plan.Schedule, 0)
+
+	rp, err := ResumeMigration(c.St, c.Disk, to, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < len(order); k++ {
+		j.Done, j.Next = order[:k], order[k:]
+		got, err := rp.RemainingSchedule(d.Model, c.W, j, false, deploy.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSpan(fmt.Sprintf("resume after %d builds", k), got, plan.Schedule, k)
+	}
+
+	// One build done, the next skipped: the whole-plan order runs the
+	// skipped build last, after the span a resume prices.
+	j.Done, j.Skipped, j.Next = order[:1], order[1:2], order[2:]
+	whole, err := deploy.Evaluate(plan.Problem, append(append(append([]int(nil), j.Done...), j.Next...), j.Skipped...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rp.RemainingSchedule(d.Model, c.W, j, false, deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSpan("resume past a skip", got, whole, 1)
 }

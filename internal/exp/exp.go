@@ -55,8 +55,6 @@ func newCoradd(env *scenario.Env, fbIters int) *designer.CORADD {
 	return designer.NewCORADD(env.Common, env.Scale.Cand, fb)
 }
 
-func baseTimes(d *designer.CORADD) []float64 { return d.BaseTimes() }
-
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func gb(b int64) string   { return fmt.Sprintf("%.2f", float64(b)/(1<<30)) }

@@ -35,7 +35,7 @@ func ILPVersusGreedy(env *scenario.Env) ([]SelectionPoint, *Table) {
 	// Candidate pricing and dominance pruning are budget-independent, so
 	// the problem is assembled once; each budget then solves a shallow copy
 	// (solvers never mutate the shared candidate slice) concurrently.
-	prob, _ := feedback.BuildProblem(d.Gen, d.Candidates(), baseTimes(d), 0)
+	prob, _ := feedback.BuildProblem(d.Gen, d.Candidates(), d.BaseTimes(), 0)
 	pts := make([]SelectionPoint, len(budgets))
 	par.ForEach(len(budgets), 0, func(i int) {
 		p := *prob
@@ -153,7 +153,7 @@ type RelaxPoint struct {
 // in one experiment.)
 func RelaxationError(env *scenario.Env, maxCands int) ([]RelaxPoint, *Table) {
 	d := newCoradd(env, -1)
-	base := baseTimes(d)
+	base := d.BaseTimes()
 	noDesign := 0.0
 	for qi, q := range env.W {
 		noDesign += q.EffectiveWeight() * base[qi]

@@ -96,7 +96,7 @@ func served(s *Server, q *query.Query) (exec.Result, error) {
 	w := query.Workload{q}
 	ev := designer.NewEvaluator(s.cfg.Common.St.Rel, w, s.cfg.Common.Disk)
 	ev.Cache = s.cfg.Adapt.Cache
-	m, err := ev.Materialize(designer.Reroute(sn.design, s.model, w))
+	m, err := ev.Materialize(designer.Reroute(sn.design, s.ctl.Model(), w))
 	if err != nil {
 		return exec.Result{}, err
 	}

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"coradd/internal/adapt"
-	"coradd/internal/costmodel"
 	"coradd/internal/designer"
 	"coradd/internal/durable"
 	"coradd/internal/exec"
@@ -220,11 +219,9 @@ type Server struct {
 	obsMu     sync.RWMutex
 	obsClosed bool
 
-	ctl *adapt.Controller
-	// model routes every snapshot's queries. Its estimates depend only on
-	// the design and the query's content, so one model serves the
-	// process's whole life.
-	model      *costmodel.Aware
+	// ctl is the controller; its cost model also prices the serving path,
+	// so the process holds one model for its whole life.
+	ctl        *adapt.Controller
 	catalog    map[string]*query.Query
 	loopDone   chan struct{}
 	sinceCkpt  int
@@ -289,7 +286,6 @@ func (s *Server) AttachResumed(common designer.Common, cp *durable.Checkpoint) e
 func (s *Server) attach(common designer.Common, ctl *adapt.Controller, resumed bool) {
 	s.cfg.Common = common
 	s.ctl = ctl
-	s.model = costmodel.NewAware(common.St, common.Disk)
 	s.resumed.Store(resumed)
 	if resumed {
 		s.state.Store("resuming")
@@ -572,7 +568,7 @@ func (s *Server) price(sn *snapshot, q *query.Query) (ratedTemplate, bool, error
 		return v.(ratedTemplate), true, nil
 	}
 	sec, tr, err := adapt.MeasureTemplateTraced(s.cfg.Common.St, s.cfg.Common.Disk,
-		s.cfg.Adapt.Cache, s.model, sn.design, q)
+		s.cfg.Adapt.Cache, s.ctl.Model(), sn.design, q)
 	if err != nil {
 		return ratedTemplate{}, false, err
 	}
