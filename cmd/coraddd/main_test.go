@@ -27,8 +27,8 @@ import (
 // -crash-after-builds) and restarted against its checkpoint must replay
 // the interrupted migration's identical cumulative build sequence and
 // land on its identical deployed design, compared against a daemon that
-// was never killed. This is the process-level twin of internal/adapt's
-// TestCrashResumeProperty — same scope, too: the property is
+// was never killed. This is the process-level twin of internal/durable's
+// TestCrashCheckpointResumeProperty — same scope, too: the property is
 // per interrupted migration. Redesigns AFTER the resumed migration may
 // legitimately differ from the reference run (the crash abandons the
 // remainder of the observation that was in flight, so later drift checks
@@ -139,6 +139,7 @@ type status struct {
 	Design    string   `json:"design"`
 	Deployed  string   `json:"deployed"`
 	Migrating bool     `json:"migrating"`
+	Solving   bool     `json:"solving"`
 	Builds    []string `json:"builds"`
 }
 
@@ -216,8 +217,9 @@ type migDone struct {
 }
 
 // drive sends stream[from:] one query at a time, waiting after each for
-// the controller to consume the observation so the adaptive timeline is
-// deterministic, and feeding every status sample to the tracker. When
+// the controller to consume the observation and land every solve it
+// issued, so the adaptive timeline is deterministic, and feeding every
+// status sample to the tracker. When
 // dones is non-nil, a Migrating true→false transition records a migDone
 // snapshot. If the daemon dies mid-stream (injected crash) it returns
 // the index of the first UNCONSUMED event and alive=false.
@@ -260,7 +262,7 @@ func drive(t *testing.T, d *daemon, tr *tracker, stream []*query.Query, from int
 				})
 			}
 			prevMig = st.Migrating
-			if st.Observed >= consumed {
+			if st.Observed >= consumed && !st.Solving {
 				break
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -269,8 +271,8 @@ func drive(t *testing.T, d *daemon, tr *tracker, stream []*query.Query, from int
 	return len(stream), true
 }
 
-// driveUntilIdle sends stream[from:] one event at a time until the
-// in-flight migration completes (the post-event status shows
+// driveUntilIdle sends stream[from:] one event at a time, in drive's
+// lockstep, until the in-flight migration completes (the post-event status shows
 // Migrating=false), feeding the tracker throughout. The stream running
 // out with the migration still in flight is fatal.
 func driveUntilIdle(t *testing.T, d *daemon, tr *tracker, stream []*query.Query, from int) {
@@ -299,7 +301,7 @@ func driveUntilIdle(t *testing.T, d *daemon, tr *tracker, stream []*query.Query,
 				t.Fatalf("resumed daemon died at event %d: %v", i+1, err)
 			}
 			tr.observe(st.Builds)
-			if st.Observed >= consumed {
+			if st.Observed >= consumed && !st.Solving {
 				if !st.Migrating {
 					return
 				}

@@ -3,11 +3,12 @@
 // cmd/coraddd. An SSB system is designed and served; a client hammers
 // POST /query with the drifting base→augmented mix. Admission control
 // sheds the excess load with 503 + Retry-After (the impatient client
-// retries), the controller redesigns for the observed drift and starts
-// migrating — and mid-migration an injected crash kills the controller,
-// exactly as if the process died. Because every structural change was
-// checkpointed (write-temp-fsync-rename, checksummed), the "restart"
-// loads the checkpoint, resumes the migration from its journaled prefix,
+// retries), the controller redesigns for the observed drift and
+// migrates — and as the second build lands an injected crash kills the
+// controller, exactly as if the process died. Because every structural
+// change was checkpointed (write-temp-fsync-rename, checksummed), the
+// "restart" loads the checkpoint, resumes from its journal (or, when the
+// crash landed a migration's last build, idle on the deployed prefix),
 // and finishes serving the remaining load on the same timeline.
 //
 // Run it:
@@ -86,7 +87,7 @@ func main() {
 	fmt.Printf("load: %d requests against %s (mix shifts at request %d)\n\n",
 		len(stream), httpSrv.URL, 6*len(base)+1)
 
-	sent, shed := drive(httpSrv.URL, stream, 0, crashed)
+	sent, shed := drive(httpSrv.URL, srv, stream, 0, crashed)
 	st := srv.Status()
 	fmt.Printf("life 1: %d served, %d shed with 503+Retry-After, %d observations dropped\n",
 		st.Served, shed, st.Dropped)
@@ -111,7 +112,7 @@ func main() {
 	fmt.Printf("\nlife 2: resumed from %s, migrating=%v with %d builds journaled: %v\n",
 		ckpt, st2.Migrating, st2.BuildsDone, st2.Builds)
 
-	_, shed2 := drive(httpSrv2.URL, stream, sent, nil)
+	_, shed2 := drive(httpSrv2.URL, srv2, stream, sent, nil)
 	httpSrv2.Close()
 
 	// Graceful drain: in-flight requests finish, the controller consumes
@@ -154,10 +155,13 @@ func serverConfig(budget int64, ckpt string) coradd.ServerConfig {
 
 // drive POSTs stream[from:] one request at a time, retrying shed (503)
 // requests after a short backoff — an impatient client that ignores the
-// server's 1-second Retry-After hint. It stops early when the server
-// crashes. Returns the index past the last delivered request and how
-// many 503s the admission gate returned.
-func drive(url string, stream []*coradd.Query, from int, crashed <-chan struct{}) (sent, shed int) {
+// server's 1-second Retry-After hint. After each answered request it
+// waits until the controller has consumed it and has no solve in flight
+// on its worker, so every run replays one simulated timeline and the
+// crash lands at the same point of the migration. It stops early when
+// the server crashes. Returns the index past the last delivered request
+// and how many 503s the admission gate returned.
+func drive(url string, srv *coradd.Server, stream []*coradd.Query, from int, crashed <-chan struct{}) (sent, shed int) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	for i := from; i < len(stream); i++ {
 		// Full query documents: the augmented mix is not in the daemon's
@@ -191,6 +195,13 @@ func drive(url string, stream []*coradd.Query, from int, crashed <-chan struct{}
 				panic(fmt.Sprintf("request %d: unexpected status %d", i+1, resp.StatusCode))
 			}
 			break
+		}
+		for st := srv.Status(); st.Observed+st.Dropped < int64(i+1-from) || st.Solving; st = srv.Status() {
+			select {
+			case <-crashed:
+				return i + 1, shed
+			case <-time.After(time.Millisecond):
+			}
 		}
 	}
 	return len(stream), shed

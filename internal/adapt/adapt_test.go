@@ -70,14 +70,16 @@ func drivingStream(aEvents, bEvents int) []*query.Query {
 }
 
 // TestControllerAdaptsToShift drives the full loop: the mix shifts to the
-// augmented workload, the controller must detect drift, redesign with a
-// warm-started solve, migrate, and end up serving the new mix faster than
-// the initial design would have.
+// augmented workload, the controller must detect drift, redesign, migrate,
+// and end up serving the new mix faster than the initial design would
+// have. (That a warm redesign never explores more nodes than a cold one is
+// ilp.TestWarmStartNeverExploresMoreNodes and
+// designer.TestDesignFromMatchesColdAndPrunes.)
 func TestControllerAdaptsToShift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	common, initial, cfg := smallEnv(t, 15000)
+	common, initial, cfg := smallEnv(t, 6000)
 	cache := designer.NewObjectCache()
 	cfg.Cache = cache
 	c, err := New(common, initial, cfg)
@@ -108,23 +110,6 @@ func TestControllerAdaptsToShift(t *testing.T) {
 	if changed.Nodes <= 0 || changed.Solve == nil {
 		t.Error("redesign telemetry missing solver nodes or the solve instance")
 	}
-	// The warm solve must not exceed a cold solve of the same instance.
-	// Both run at the solver's default cap, not the test's 200k: under a
-	// cap both could stop at it and the node comparison would say nothing.
-	cold := ilp.Solve(changed.Solve.Prob, ilp.SolveOptions{})
-	warm := ilp.Solve(changed.Solve.Prob,
-		feedback.SolveOpts(ilp.SolveOptions{}, changed.Solve.Designs, initial.Chosen))
-	if warm.Nodes > cold.Nodes {
-		t.Errorf("warm solve explored %d nodes > cold %d", warm.Nodes, cold.Nodes)
-	}
-	// Proven solves agree exactly; a node-capped pair may differ, but the
-	// warm incumbent can only help, never hurt.
-	if warm.Proven && cold.Proven && math.Abs(warm.Objective-cold.Objective) > 1e-9 {
-		t.Errorf("warm objective %v != cold %v on proven solves", warm.Objective, cold.Objective)
-	}
-	if warm.Objective > cold.Objective+1e-9 {
-		t.Errorf("warm objective %v worse than cold %v", warm.Objective, cold.Objective)
-	}
 	if rep.BuildsDone == 0 {
 		t.Error("no migration builds completed during the stream")
 	}
@@ -141,11 +126,11 @@ func TestControllerAdaptsToShift(t *testing.T) {
 	model := c.model
 	var before, after float64
 	for _, q := range aug {
-		b, _, err := MeasureTemplateTraced(common.St, common.Disk, cache, model, initial, q)
+		b, _, err := designer.MeasureTemplateTraced(common.St, common.Disk, cache, model, initial, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _, err := MeasureTemplateTraced(common.St, common.Disk, cache, model, c.Deployed(), q)
+		a, _, err := designer.MeasureTemplateTraced(common.St, common.Disk, cache, model, c.Deployed(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

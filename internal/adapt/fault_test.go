@@ -1,13 +1,11 @@
 package adapt
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"coradd/internal/deploy"
-	"coradd/internal/designer"
 	"coradd/internal/fault"
 )
 
@@ -21,129 +19,6 @@ func buildEvents(rep Report) []string {
 		}
 	}
 	return out
-}
-
-// TestCrashResumeProperty is the crash-recovery property test: killing
-// the controller after every possible completed build and restoring from
-// its State replays the interrupted migration to the same step sequence
-// and the same deployed design as the uninterrupted run. Replanning is
-// disabled so every run follows its plan order — the property under test
-// is journal fidelity, not replanning. The comparison is scoped to the
-// migration the journal describes: after it completes, a restored
-// controller's restarted monitor is legitimately a new observer and later
-// redesigns may differ. internal/durable's
-// TestCrashCheckpointResumeProperty runs the same property through a
-// checkpoint file.
-func TestCrashResumeProperty(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	common, initial, cfg := smallEnv(t, 6000)
-	cfg.FB.MaxIters = -1
-	cfg.ReplanTolerance = -1
-	cfg.Cache = designer.NewObjectCache()
-	stream := drivingStream(39, 156)
-
-	// Uninterrupted reference run, snapshotting the cumulative build
-	// sequence and the deployed design at every migration completion.
-	type migDone struct {
-		builds []string
-		design *designer.Design
-	}
-	ref, err := New(common, initial, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refDones []migDone
-	for _, q := range stream {
-		if _, err := ref.Process(q); err != nil {
-			t.Fatal(err)
-		}
-		rep := ref.Report()
-		done := 0
-		for _, e := range rep.Events {
-			if e.Kind == EventMigrationDone {
-				done++
-			}
-		}
-		if done > len(refDones) {
-			refDones = append(refDones, migDone{builds: buildEvents(rep), design: ref.Deployed()})
-		}
-	}
-	if len(refDones) == 0 || len(refDones[len(refDones)-1].builds) < 2 {
-		t.Skip("no completed multi-build migration — no crash points to test")
-	}
-	total := len(refDones[len(refDones)-1].builds)
-
-	for k := 1; k <= total; k++ {
-		// Crash the controller after completed build k (counted across the
-		// run), then restore from its State and finish the interrupted
-		// migration.
-		cfgCrash := cfg
-		cfgCrash.Faults = fault.New(fault.Config{CrashAfterBuilds: []int{k}})
-		c, err := New(common, initial, cfgCrash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crashed := -1
-		for i, q := range stream {
-			if _, err := c.Process(q); err != nil {
-				if !errors.Is(err, fault.ErrCrash) {
-					t.Fatalf("crash %d: unexpected error: %v", k, err)
-				}
-				crashed = i
-				break
-			}
-		}
-		if crashed < 0 {
-			t.Fatalf("crash %d never fired", k)
-		}
-		got := buildEvents(c.Report())
-		if len(got) != k {
-			t.Fatalf("crash %d: crashed run completed %d builds", k, len(got))
-		}
-
-		rc, err := Restore(common, c.State(), cfg)
-		if err != nil {
-			t.Fatalf("crash %d: restore failed: %v", k, err)
-		}
-		for _, q := range stream[crashed+1:] {
-			if !rc.Migrating() {
-				break
-			}
-			if _, err := rc.Process(q); err != nil {
-				t.Fatalf("crash %d: restored run failed: %v", k, err)
-			}
-		}
-		if rc.Migrating() {
-			t.Fatalf("crash %d: restored migration wedged — still in flight after the stream", k)
-		}
-		got = append(got, buildEvents(rc.Report())...)
-
-		// The journaled migration is the first reference migration with at
-		// least k builds; crash + restore must reproduce its cumulative
-		// sequence and land on its deployed design.
-		var want migDone
-		for _, md := range refDones {
-			if len(md.builds) >= k {
-				want = md
-				break
-			}
-		}
-		if len(got) != len(want.builds) {
-			t.Fatalf("crash %d: %d builds across crash+restore, reference migration had %d:\n%v\nvs\n%v",
-				k, len(got), len(want.builds), got, want.builds)
-		}
-		for i := range want.builds {
-			if got[i] != want.builds[i] {
-				t.Fatalf("crash %d: step %d diverged: %q vs reference %q", k, i, got[i], want.builds[i])
-			}
-		}
-		if !sameObjects(want.design, rc.Deployed()) {
-			t.Errorf("crash %d: restored design %s differs from reference %s",
-				k, rc.Deployed().Name, want.design.Name)
-		}
-	}
 }
 
 // TestRetryBackoffDeterminism: the same fault seed and schedule replay to

@@ -45,9 +45,9 @@ func (r *migrationRecorder) record(label string, c *Controller) {
 	if j := c.Journal(); j != nil {
 		fmt.Fprintf(&r.b, "%s journal done=%v next=%v skipped=%v\n", label, j.Done, j.Next, j.Skipped)
 	}
-	if m := c.mig; m != nil {
+	if m := c.s.mig; m != nil {
 		fmt.Fprintf(&r.b, "%s remaining builds=%s rates=%s wtotal=%x next-done=%x\n", label,
-			floatBits(m.builds), floatBits(m.rates), math.Float64bits(m.wTotal), math.Float64bits(m.nextDone))
+			floatBits(m.builds), floatBits(m.rates), math.Float64bits(m.wTotal), math.Float64bits(c.build.done))
 	}
 }
 

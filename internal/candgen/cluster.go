@@ -65,8 +65,7 @@ func (g *Generator) DedicatedKey(q *query.Query) []int {
 }
 
 // DedicatedKey is the standalone form: it needs only the statistics.
-// The adaptive monitor's dedicated-MV lower bound shares it so the
-// ordering rule lives in exactly one place.
+// DedicatedMV shares it so the ordering rule lives in exactly one place.
 func DedicatedKey(st *stats.Stats, q *query.Query) []int {
 	v := st.PropagatedVector(q)
 	type attr struct {
@@ -106,6 +105,27 @@ func DedicatedKey(st *stats.Stats, q *query.Query) []int {
 		out[i] = a.col
 	}
 	return out
+}
+
+// DedicatedMV is the best single object for one query, the adaptive
+// monitor's lower bound: exactly its columns, clustered on its dedicated
+// key. Nil when q names no column of st's fact relation.
+func DedicatedMV(st *stats.Stats, q *query.Query) *costmodel.MVDesign {
+	var cols []int
+	for _, name := range q.AllColumns() {
+		if p := st.Rel.Schema.Col(name); p >= 0 {
+			cols = append(cols, p)
+		}
+	}
+	if len(cols) == 0 {
+		return nil
+	}
+	sort.Ints(cols)
+	key := DedicatedKey(st, q)
+	if len(key) == 0 {
+		key = cols[:1]
+	}
+	return &costmodel.MVDesign{Name: "lb(" + q.Name + ")", Cols: cols, ClusterKey: key}
 }
 
 // MergeKeys merges two clustered keys, returning concatenations in both

@@ -86,6 +86,40 @@ func (d *MVDesign) HasCol(c int) bool {
 	return i < len(d.Cols) && d.Cols[i] == c
 }
 
+// Validate requires d to be an object a designer could have recorded over
+// an nCols-column fact: at least one column, columns strictly ascending
+// inside the schema, a clustered key it carries, and every other position
+// inside the schema. Restarts hold decoded checkpoints to it.
+func (d *MVDesign) Validate(nCols int) error {
+	if len(d.Cols) == 0 {
+		return fmt.Errorf("carries no columns")
+	}
+	for i, p := range d.Cols {
+		if p < 0 || p >= nCols {
+			return fmt.Errorf("column position %d outside the %d-column fact schema", p, nCols)
+		}
+		if i > 0 && p <= d.Cols[i-1] {
+			return fmt.Errorf("columns %v not strictly ascending", d.Cols)
+		}
+	}
+	for _, p := range d.ClusterKey {
+		if !d.HasCol(p) {
+			return fmt.Errorf("clustered key column %d is not carried", p)
+		}
+	}
+	for _, p := range d.PKCols {
+		if p < 0 || p >= nCols {
+			return fmt.Errorf("primary-key position %d outside the %d-column fact schema", p, nCols)
+		}
+	}
+	for _, ci := range d.CorrIdxs {
+		if ci.Target < 0 || ci.Target >= nCols {
+			return fmt.Errorf("correlation index on column position %d outside the %d-column fact schema", ci.Target, nCols)
+		}
+	}
+	return nil
+}
+
 // Covers reports whether the design carries every attribute q needs,
 // resolving names through the base schema in st.
 func (d *MVDesign) Covers(st *stats.Stats, q *query.Query) bool {

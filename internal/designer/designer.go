@@ -33,31 +33,33 @@ const (
 )
 
 // Design is a completed physical design for one fact table's workload.
+// Its JSON encoding is the physical specs without the workload-relative
+// routing: the design's record in a restart checkpoint (adapt.State).
 type Design struct {
 	// Name labels the producing designer.
-	Name string
+	Name string `json:"name"`
 	// Style controls materialization and run-time plan choice.
-	Style Style
+	Style Style `json:"style"`
 	// Budget is the space budget the design was built for.
-	Budget int64
-	// Chosen are the selected objects.
-	Chosen []*costmodel.MVDesign
-	// Base is the default fact-table design every query can fall back to.
-	Base *costmodel.MVDesign
-	// Routing[q] indexes Chosen, or -1 for the base design.
-	Routing []int
-	// Expected[q] is the producing model's runtime estimate in seconds.
-	Expected []float64
-	// Paths[q] is the access path the model assumed.
-	Paths []costmodel.PathKind
+	Budget int64 `json:"budget"`
 	// Size is the total space charged against the budget.
-	Size int64
+	Size int64 `json:"size"`
+	// Chosen are the selected objects.
+	Chosen []*costmodel.MVDesign `json:"chosen,omitempty"`
+	// Base is the default fact-table design every query can fall back to.
+	Base *costmodel.MVDesign `json:"base"`
+	// Routing[q] indexes Chosen, or -1 for the base design.
+	Routing []int `json:"-"`
+	// Expected[q] is the producing model's runtime estimate in seconds.
+	Expected []float64 `json:"-"`
+	// Paths[q] is the access path the model assumed.
+	Paths []costmodel.PathKind `json:"-"`
 	// SolverNodes is the number of branch-and-bound nodes the selection
 	// explored (summed over feedback iterations; 0 for pure-greedy
 	// designers), and SolverProven whether every solve proved optimality —
 	// the solver-cost telemetry EXPERIMENTS.md tracks.
-	SolverNodes  int
-	SolverProven bool
+	SolverNodes  int  `json:"solver_nodes,omitempty"`
+	SolverProven bool `json:"solver_proven,omitempty"`
 }
 
 // TotalExpected sums weighted expected runtimes.

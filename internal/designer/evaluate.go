@@ -14,6 +14,7 @@ import (
 	"coradd/internal/par"
 	"coradd/internal/query"
 	"coradd/internal/schema"
+	"coradd/internal/stats"
 	"coradd/internal/storage"
 )
 
@@ -449,6 +450,51 @@ func (e *Evaluator) Measure(d *Design) (*RunResult, error) {
 		return nil, err
 	}
 	return e.Run(m)
+}
+
+// MeasureTemplateTraced prices one query on a deployed design through the
+// real simulated substrate — the design is rerouted for the single-query
+// workload, materialized through the given cache and the routed plan
+// executed — and returns the measured seconds together with the
+// exec.PlanTrace naming the design object and access path that served the
+// template, the rows it scanned versus returned, and the cost model's
+// estimate next to the measurement. It is the one measurement procedure
+// the adaptive controller, the server and the ablations' static baselines
+// charge stream events with, so every run prices a (state, template) pair
+// identically.
+func MeasureTemplateTraced(st *stats.Stats, disk storage.DiskParams, cache *ObjectCache,
+	model costmodel.Model, d *Design, q *query.Query) (float64, exec.PlanTrace, error) {
+
+	w1 := query.Workload{q}
+	rd := Reroute(d, model, w1)
+	ev := NewEvaluator(st.Rel, w1, disk)
+	ev.Cache = cache
+	m, err := ev.Materialize(rd)
+	if err != nil {
+		return 0, exec.PlanTrace{}, err
+	}
+	rp := m.Plan[0]
+	r, err := exec.Execute(rp.Object, q, rp.Spec)
+	if err != nil {
+		return 0, exec.PlanTrace{}, err
+	}
+	sec := r.Seconds(disk)
+	obj := "base"
+	if ri := rd.Routing[0]; ri >= 0 {
+		obj = rd.Chosen[ri].Name
+	}
+	baseSec, _ := model.Estimate(rd.Base, q)
+	tr := exec.PlanTrace{
+		Object:       obj,
+		Query:        q.Name,
+		Plan:         rp.Spec.Kind.String(),
+		RowsScanned:  exec.ScannedRows(rp.Object, r),
+		RowsReturned: r.Rows,
+		ModeledSec:   rd.Expected[0],
+		BaseSec:      baseSec,
+		MeasuredSec:  sec,
+	}
+	return sec, tr, nil
 }
 
 func indexOf(s []int, v int) int {

@@ -81,7 +81,7 @@ func adaptLoopConfig(env *scenario.Env, budget int64, cache *designer.ObjectCach
 
 	roundSec := 0.0
 	for _, q := range env.W {
-		sec, _, err := adapt.MeasureTemplateTraced(env.St, env.Common.Disk, cache, model, d, q)
+		sec, _, err := designer.MeasureTemplateTraced(env.St, env.Common.Disk, cache, model, d, q)
 		if err != nil {
 			return adapt.Config{}, err
 		}
@@ -114,7 +114,7 @@ func adaptLoopConfig(env *scenario.Env, budget int64, cache *designer.ObjectCach
 // adaptive controller (observe → drift → warm-started redesign → schedule
 // → replan) is raced against both static designs on the identical stream,
 // with every event charged its measured simulated seconds on whatever
-// state serves it (adapt.MeasureTemplateTraced, one shared materialization
+// state serves it (designer.MeasureTemplateTraced, one shared materialization
 // cache) — cumulative workload-seconds, the deploy objective extended to
 // the whole serving timeline.
 func AdaptAblation(s scenario.Scale) (*AdaptResult, *Table, error) {
@@ -150,7 +150,7 @@ func AdaptAblation(s scenario.Scale) (*AdaptResult, *Table, error) {
 	}
 
 	// Race the three contenders event by event on identical charging:
-	// adapt.MeasureTemplateTraced per (state, template), shared cache.
+	// designer.MeasureTemplateTraced per (state, template), shared cache.
 	fp := make(map[*query.Query]string)
 	keyOf := func(q *query.Query) string {
 		k, ok := fp[q]
@@ -167,7 +167,7 @@ func AdaptAblation(s scenario.Scale) (*AdaptResult, *Table, error) {
 		if sec, ok := rates[k]; ok {
 			return sec, nil
 		}
-		sec, _, err := adapt.MeasureTemplateTraced(env.St, env.Common.Disk, cache, des1.Model, d, q)
+		sec, _, err := designer.MeasureTemplateTraced(env.St, env.Common.Disk, cache, des1.Model, d, q)
 		if err != nil {
 			return 0, err
 		}

@@ -291,13 +291,14 @@ func servingLiveLoad(s scenario.Scale) (*LiveSummary, error) {
 		}
 	}
 
-	// Drain: the controller consumes observations asynchronously; wait
-	// until everything posted so far has been processed.
+	// Drain: the controller consumes observations asynchronously and
+	// solves on a worker; wait until everything posted so far has been
+	// processed and no solve is in flight.
 	drain := func(want int64) error {
 		deadline := time.Now().Add(5 * time.Minute)
 		for time.Now().Before(deadline) {
 			st := srv.Status()
-			if st.Observed+st.Dropped >= want {
+			if st.Observed+st.Dropped >= want && !st.Solving {
 				return nil
 			}
 			time.Sleep(2 * time.Millisecond)

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"coradd/internal/adapt"
 	"coradd/internal/costmodel"
 	"coradd/internal/designer"
 	"coradd/internal/ilp"
@@ -94,7 +93,7 @@ func tenantStreams(ssbEnv, apbEnv *scenario.Env) []tenantSpec {
 func measureTenant(env *scenario.Env, model *costmodel.Aware, d *designer.Design, w query.Workload) (float64, error) {
 	total := 0.0
 	for _, q := range w {
-		sec, _, err := adapt.MeasureTemplateTraced(env.St, env.Common.Disk, env.Evaluator().Cache, model, d, q)
+		sec, _, err := designer.MeasureTemplateTraced(env.St, env.Common.Disk, env.Evaluator().Cache, model, d, q)
 		if err != nil {
 			return 0, err
 		}

@@ -24,25 +24,28 @@
 //     fixed node count through ilp.SolveOptions.Interrupt — the
 //     deterministic analogue of a wall-clock deadline — and the
 //     controller adopts the best warm-started incumbent unproven.
-//   - Crashes (CrashAfterBuilds): after the scheduled completed-build
-//     ordinal the controller surfaces ErrCrash; the harness restarts it
-//     from its captured state, migration journal included (adapt.State
-//     via adapt.Restore).
+//   - Crashes (CrashAfterBuilds): the process dies once the scheduled
+//     build lands and journals; the harness restarts it from its captured
+//     state, migration journal included (adapt.State via adapt.Restore).
 //
-// A nil *Injector is the disabled layer: every hook is nil-receiver safe
-// and draws nothing, so fault-free runs are byte-identical to builds
-// without this package.
+// The injector is an event source, not a hook inside the controller's
+// decisions: the controller draws each build attempt's Outcome as the
+// attempt starts and delivers it as the attempt's completion event —
+// landed, failed or crashed. A nil *Injector draws nothing, so fault-free
+// runs are byte-identical to builds without this package.
 package fault
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // ErrCrash is the injected process-crash signal: the adaptive controller
-// returns it (wrapped) from Process when the injector's crash schedule
-// fires, leaving its migration journal intact for Resume.
+// returns it (wrapped) when the injector's crash schedule fires, leaving
+// its migration journal intact; adapt.Restore rebuilds the controller
+// from the state it captured.
 var ErrCrash = errors.New("fault: injected crash")
 
 // Outcome is the injected fate of one build attempt.
@@ -53,12 +56,15 @@ type Outcome struct {
 	// DelayFactor extends a successful attempt to (1+DelayFactor)× its
 	// modeled build seconds. Zero on failed attempts.
 	DelayFactor float64
+	// Crash reports that the process dies once this attempt's build lands:
+	// the attempt is a CrashAfterBuilds ordinal.
+	Crash bool
 }
 
 // Config tunes an Injector. The zero value injects nothing.
 type Config struct {
-	// Seed drives every probabilistic draw. Draws happen in hook-call
-	// order, which the single-timeline controller serializes, so one seed
+	// Seed drives every probabilistic draw. Draws happen in call order,
+	// which the single-timeline controller serializes, so one seed
 	// yields one fault trace per (schedule, stream).
 	Seed int64
 	// FailProb is the per-attempt probability a build fails.
@@ -83,7 +89,7 @@ type Config struct {
 	SolveNodeCap int
 	// CrashAfterBuilds lists completed-build ordinals (1-based, counted
 	// across the whole run) after which the controller crashes: after the
-	// k-th build completes and journals, Process returns ErrCrash. Each
+	// k-th build lands and journals, the controller returns ErrCrash. Each
 	// entry fires once.
 	CrashAfterBuilds []int
 }
@@ -94,7 +100,7 @@ type Injector struct {
 	cfg    Config
 	rng    *rand.Rand
 	fails  map[string]int // injected failures so far, per object name
-	builds int            // completed builds observed so far
+	builds int            // successful attempts drawn so far
 }
 
 // New builds an injector; cfg.Seed seeds the draw stream.
@@ -106,33 +112,31 @@ func New(cfg Config) *Injector {
 	}
 }
 
-// Enabled reports whether the fault layer is active.
-func (in *Injector) Enabled() bool { return in != nil }
-
 // BuildAttempt draws the fate of the next attempt of the named build.
 // Scripted FailBuilds entries consume no randomness; probabilistic
 // attempts draw once for failure and, on success, once for delay — a
-// fixed draw shape per attempt, so fault traces replay.
-func (in *Injector) BuildAttempt(name string) Outcome {
+// fixed draw shape per attempt, so fault traces replay. A successful
+// attempt counts toward the crash schedule: one attempt is in flight at a
+// time and it lands before the next starts, so its ordinal is its build's.
+func (in *Injector) BuildAttempt(name string) (o Outcome) {
 	if in == nil {
-		return Outcome{}
+		return o
 	}
 	if n, ok := in.cfg.FailBuilds[name]; ok {
-		if in.fails[name] < n {
-			in.fails[name]++
-			return Outcome{Fail: true}
-		}
-		return Outcome{}
-	}
-	if in.cfg.FailProb > 0 && in.rng.Float64() < in.cfg.FailProb &&
+		o.Fail = in.fails[name] < n
+	} else if in.cfg.FailProb > 0 && in.rng.Float64() < in.cfg.FailProb &&
 		(in.cfg.MaxFailsPerBuild <= 0 || in.fails[name] < in.cfg.MaxFailsPerBuild) {
+		o.Fail = true
+	} else if in.cfg.DelayProb > 0 && in.rng.Float64() < in.cfg.DelayProb {
+		o.DelayFactor = in.cfg.DelayFactor
+	}
+	if o.Fail {
 		in.fails[name]++
-		return Outcome{Fail: true}
+		return o
 	}
-	if in.cfg.DelayProb > 0 && in.rng.Float64() < in.cfg.DelayProb {
-		return Outcome{DelayFactor: in.cfg.DelayFactor}
-	}
-	return Outcome{}
+	in.builds++
+	o.Crash = slices.Contains(in.cfg.CrashAfterBuilds, in.builds)
+	return o
 }
 
 // SolveInterrupt returns the deterministic solve-deadline predicate for
@@ -144,21 +148,6 @@ func (in *Injector) SolveInterrupt() func(nodes int) bool {
 	}
 	cap := in.cfg.SolveNodeCap
 	return func(nodes int) bool { return nodes >= cap }
-}
-
-// BuildCompleted records one completed build and reports whether a crash
-// is scheduled at this ordinal.
-func (in *Injector) BuildCompleted() (crash bool) {
-	if in == nil {
-		return false
-	}
-	in.builds++
-	for _, k := range in.cfg.CrashAfterBuilds {
-		if k == in.builds {
-			return true
-		}
-	}
-	return false
 }
 
 // Jitter draws the retry policy's deterministic jitter factor in [-1, 1).

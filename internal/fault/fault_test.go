@@ -10,17 +10,11 @@ import (
 // fault-free runs are byte-identical to builds without the package.
 func TestNilInjectorIsDisabled(t *testing.T) {
 	var in *Injector
-	if in.Enabled() {
-		t.Error("nil injector claims enabled")
-	}
 	if o := in.BuildAttempt("x"); o != (Outcome{}) {
 		t.Errorf("nil injector drew %+v", o)
 	}
 	if in.SolveInterrupt() != nil {
 		t.Error("nil injector injected a solve interrupt")
-	}
-	if in.BuildCompleted() {
-		t.Error("nil injector scheduled a crash")
 	}
 	if in.Jitter() != 0 {
 		t.Error("nil injector drew jitter")
@@ -28,7 +22,7 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 }
 
 // TestDrawDeterminism pins the replay contract: two injectors with the
-// same seed and the same hook-call sequence produce identical outcomes.
+// same seed and the same call sequence produce identical outcomes.
 func TestDrawDeterminism(t *testing.T) {
 	cfg := Config{Seed: 9, FailProb: 0.4, DelayProb: 0.5, DelayFactor: 0.7, MaxFailsPerBuild: 2}
 	a, b := New(cfg), New(cfg)
@@ -75,12 +69,16 @@ func TestMaxFailsPerBuildBoundsFaultMass(t *testing.T) {
 	}
 }
 
-// TestCrashSchedule pins CrashAfterBuilds ordinals, each firing once.
+// TestCrashSchedule pins CrashAfterBuilds ordinals, each firing once and
+// counted over successful attempts only.
 func TestCrashSchedule(t *testing.T) {
-	in := New(Config{CrashAfterBuilds: []int{2, 4}})
+	in := New(Config{CrashAfterBuilds: []int{2, 4}, FailBuilds: map[string]int{"bad": 1}})
 	var got []int
 	for i := 1; i <= 6; i++ {
-		if in.BuildCompleted() {
+		if i == 3 && !in.BuildAttempt("bad").Fail {
+			t.Fatal("scripted failure did not fail")
+		}
+		if in.BuildAttempt("mv").Crash {
 			got = append(got, i)
 		}
 	}

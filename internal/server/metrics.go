@@ -41,6 +41,8 @@ func (s *Server) initObs() {
 		func() float64 { return float64(s.timeouts.Load()) })
 	r.CounterFunc("coradd_server_panics_total", "Handler panics recovered into 500s.",
 		func() float64 { return float64(s.panics.Load()) })
+	r.GaugeFunc("coradd_server_observation_queue_depth", "Observations queued for the controller.",
+		func() float64 { return float64(len(s.obs)) })
 
 	cache := s.cfg.Adapt.Cache
 	r.CounterFunc("coradd_cache_hits_total", "ObjectCache artifact hits.",

@@ -89,7 +89,7 @@ func attached(tb testing.TB) *Server {
 }
 
 // served runs q the way the serving path prices it
-// (adapt.MeasureTemplateTraced on the current snapshot) and returns the
+// (designer.MeasureTemplateTraced on the current snapshot) and returns the
 // routed plan's result.
 func served(s *Server, q *query.Query) (exec.Result, error) {
 	sn := s.snap.Load()

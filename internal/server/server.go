@@ -7,14 +7,14 @@
 // restarting cold.
 //
 // Concurrency contract: adapt.Controller is single-timeline, so exactly
-// one goroutine (the loop started by Start) ever touches it. Query
-// handlers read an atomic design snapshot — swapped only when a
-// migration step lands — and price queries through the shared, mutex-
-// guarded ObjectCache; they never block on a build or a solve. Executed
-// queries are handed to the controller through a bounded channel:
-// enqueue never blocks serving (overflow increments a drop counter
-// instead), so an overloaded controller degrades observation coverage,
-// not query latency.
+// one goroutine (the loop started by Start) ever touches it; the one solve
+// it may have in flight runs on a worker goroutine. Query handlers read
+// an atomic design snapshot — swapped only when a migration step lands —
+// and price queries through the shared, mutex-guarded ObjectCache; they
+// never block on a build or a solve. Executed queries are handed to the
+// controller through a bounded channel: enqueue never blocks serving
+// (overflow increments a drop counter instead), so an overloaded
+// controller degrades observation coverage, not query latency.
 package server
 
 import (
@@ -68,7 +68,7 @@ type Config struct {
 	ObsQueue int
 	// Log receives request and controller logs; nil discards them.
 	Log *log.Logger
-	// OnCrash is invoked from the controller goroutine when Process
+	// OnCrash is invoked from the controller goroutine when the controller
 	// surfaces fault.ErrCrash (deterministic kill-at-build-ordinal), after
 	// the final checkpoint is written. The daemon exits the process here;
 	// tests observe the call. nil just logs.
@@ -164,11 +164,13 @@ type Status struct {
 	Panics   int64 `json:"panics"`
 	// Clock is the controller's simulated time; Design the target design;
 	// Deployed what physically serves; Migrating whether builds are in
-	// flight; BuildsDone / Redesigns / Replans the controller counters.
+	// flight; Solving whether a solve runs; BuildsDone / Redesigns /
+	// Replans the controller counters.
 	Clock     float64 `json:"clock"`
 	Design    string  `json:"design"`
 	Deployed  string  `json:"deployed"`
 	Migrating bool    `json:"migrating"`
+	Solving   bool    `json:"solving"`
 	// Builds is the completed build sequence of the current/latest
 	// migration, in deployment order (object names) — the restart property
 	// tests compare this across kill/resume.
@@ -342,24 +344,20 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Status returns the current observable state.
 func (s *Server) Status() Status {
+	// Counters move between view publications: read them live, and before
+	// the view, which the loop publishes before counting its observation.
+	served, observed, dropped := s.served.Load(), s.observed.Load(), s.dropped.Load()
+	var st Status
 	if v := s.view.Load(); v != nil {
-		st := *v
+		st = *v
 		st.Builds = append([]string(nil), v.Builds...)
 		st.TopObjects = append([]string(nil), v.TopObjects...)
 		st.WorstCalibrated = append([]string(nil), v.WorstCalibrated...)
-		// Counters move between view publications; read them live.
-		st.Served = s.served.Load()
-		st.Observed = s.observed.Load()
-		st.Dropped = s.dropped.Load()
-		st.Shed = s.shed.Load()
-		st.Timeouts = s.timeouts.Load()
-		st.Panics = s.panics.Load()
-		st.Ready = s.ready.Load()
-		st.State = s.state.Load().(string)
-		st.Trace = s.recentTrace()
-		return st
 	}
-	return Status{State: s.state.Load().(string), Trace: s.recentTrace()}
+	st.Served, st.Observed, st.Dropped = served, observed, dropped
+	st.Shed, st.Timeouts, st.Panics = s.shed.Load(), s.timeouts.Load(), s.panics.Load()
+	st.Ready, st.State, st.Trace = s.ready.Load(), s.state.Load().(string), s.recentTrace()
+	return st
 }
 
 // Shutdown drains gracefully: readiness flips off (load balancers stop
@@ -425,21 +423,35 @@ func (s *Server) observe(q *query.Query) {
 // loop is the controller goroutine: the only code that touches ctl. It
 // consumes observations, advances the adaptive timeline, swaps the
 // serving snapshot when a migration step lands, and checkpoints on
-// structural change (and every CheckpointEvery observations).
+// structural change (and every CheckpointEvery steps). A solve it issues
+// runs on a worker goroutine while the loop keeps consuming observations
+// and lands the result; a drain also lands the solve in flight.
 //
 // Crash contract: on an injected crash the server stops serving first,
 // then writes the final checkpoint — journal intact, the just-completed
 // build journaled — and publishes nothing: no view, no snapshot, no
-// observed count. Whatever the crashing Process call changed is visible
-// only through the checkpoint, so a client polling the dying process can
-// never observe a state (a build, a finished migration) that a restart
-// from that checkpoint does not also carry. Control then passes to
-// OnCrash.
+// observed count. Whatever the crashing call changed is visible only
+// through the checkpoint, so a client polling the dying process can never
+// observe a state (a build, a finished migration) that a restart from
+// that checkpoint does not also carry. Control then passes to OnCrash.
 func (s *Server) loop() {
 	defer close(s.loopDone)
-	for q := range s.obs {
-		_, err := s.ctl.Process(q)
-		if err != nil && errors.Is(err, fault.ErrCrash) {
+	in, landed, solving := s.obs, make(chan *adapt.Solve, 1), false
+	for in != nil || solving {
+		var sv *adapt.Solve
+		var err error
+		q, ok := (*query.Query)(nil), false
+		select {
+		case q, ok = <-in:
+			if !ok {
+				in = nil
+				continue
+			}
+			_, sv, err = s.ctl.Observe(q)
+		case sv = <-landed:
+			sv, err = s.ctl.Land(sv)
+		}
+		if errors.Is(err, fault.ErrCrash) {
 			// The controller is dead: returning stops the loop, so queued
 			// observations cannot advance past the crash point or
 			// overwrite the crash checkpoint. The daemon's OnCrash exits
@@ -457,14 +469,18 @@ func (s *Server) loop() {
 			return
 		}
 		if err != nil {
-			s.logf("process %s: %v", q.Name, err)
-		} else {
-			s.publishAfterProcess()
+			s.logf("controller: %v", err)
+		}
+		s.publishAfterProcess()
+		if solving = sv != nil; solving {
+			go func() { sv.Run(); landed <- sv }()
 		}
 		// The observed counter increments only after the view and snapshot
 		// publish: a client that polls until its observation is consumed
 		// must then read the post-observation state, not a stale view.
-		s.observed.Add(1)
+		if q != nil {
+			s.observed.Add(1)
+		}
 	}
 	s.publishView()
 	if err := s.checkpoint(); err != nil {
@@ -511,6 +527,7 @@ func (s *Server) publishView() {
 		v.Design = s.ctl.Incumbent().Name
 		v.Deployed = s.ctl.Deployed().Name
 		v.Migrating = s.ctl.Migrating()
+		v.Solving = s.ctl.Solving()
 		if j := s.ctl.Journal(); j != nil {
 			for _, bi := range j.Done {
 				// Hex, like /design's keys: the structural key is binary and
@@ -559,7 +576,7 @@ func (s *Server) checkpoint() error {
 
 // price resolves q's rated template on snapshot sn: a cache hit is the
 // memoized pricing, a miss measures through the shared ObjectCache
-// (adapt.MeasureTemplateTraced, the controller's own measurement
+// (designer.MeasureTemplateTraced, the controller's own measurement
 // procedure) and memoizes seconds and attribution trace together. Pure
 // pricing — no serve counting, so /explain can use it too.
 func (s *Server) price(sn *snapshot, q *query.Query) (ratedTemplate, bool, error) {
@@ -567,7 +584,7 @@ func (s *Server) price(sn *snapshot, q *query.Query) (ratedTemplate, bool, error
 	if v, ok := sn.rates.Load(key); ok {
 		return v.(ratedTemplate), true, nil
 	}
-	sec, tr, err := adapt.MeasureTemplateTraced(s.cfg.Common.St, s.cfg.Common.Disk,
+	sec, tr, err := designer.MeasureTemplateTraced(s.cfg.Common.St, s.cfg.Common.Disk,
 		s.cfg.Adapt.Cache, s.ctl.Model(), sn.design, q)
 	if err != nil {
 		return ratedTemplate{}, false, err

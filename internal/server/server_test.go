@@ -121,17 +121,17 @@ func postQuery(t *testing.T, h http.Handler, name string) (*httptest.ResponseRec
 	return rr, resp.Seconds
 }
 
-// waitObserved polls until the controller has consumed n observations —
-// the serving path is asynchronous by design, so tests synchronize on
-// the observed counter, not on request completion.
+// waitObserved polls until the controller has consumed n observations
+// and has no solve in flight — the serving path is asynchronous by
+// design, so tests synchronize on the observed counter and the solve
+// worker, not on request completion.
 func waitObserved(t *testing.T, s *Server, n int64) {
 	t.Helper()
-	// Generous: the controller redesigns inline (exact solves), which under
-	// -race takes tens of seconds while observations queue.
+	// Generous: a redesign's exact solves take tens of seconds under -race.
 	deadline := time.Now().Add(5 * time.Minute)
 	for time.Now().Before(deadline) {
 		st := s.Status()
-		if st.Observed+st.Dropped >= n {
+		if st.Observed+st.Dropped >= n && !st.Solving {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -276,33 +276,38 @@ func TestConcurrentQueriesAcrossMigration(t *testing.T) {
 	}
 	waitObserved(t, s, sent)
 
-	// Phase B from many goroutines: the mix shifts while queries race the
-	// controller's snapshot swaps.
+	// Phase B from many goroutines, in rounds until a build has landed: the
+	// mix shifts while queries race the controller's snapshot swaps. The
+	// redesign solves on the worker while traffic keeps flowing, and builds
+	// advance only as served queries move the simulated clock.
 	phaseB := stream(0, 156)
-	const workers = 8
-	errs := make(chan string, len(phaseB))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(phaseB); i += workers {
-				body, _ := json.Marshal(phaseB[i])
-				rr := httptest.NewRecorder()
-				h.ServeHTTP(rr, httptest.NewRequest("POST", "/query", bytes.NewReader(body)))
-				if rr.Code != http.StatusOK {
-					errs <- fmt.Sprintf("%d: %s", rr.Code, rr.Body.String())
+	builds := reg.Counter("coradd_adapt_builds_total", "")
+	for round := 0; round < 8 && builds.Value() == 0; round++ {
+		const workers = 8
+		errs := make(chan string, len(phaseB))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(phaseB); i += workers {
+					body, _ := json.Marshal(phaseB[i])
+					rr := httptest.NewRecorder()
+					h.ServeHTTP(rr, httptest.NewRequest("POST", "/query", bytes.NewReader(body)))
+					if rr.Code != http.StatusOK {
+						errs <- fmt.Sprintf("%d: %s", rr.Code, rr.Body.String())
+					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatalf("concurrent query failed: %s", e)
+		}
+		sent += int64(len(phaseB))
+		waitObserved(t, s, sent)
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatalf("concurrent query failed: %s", e)
-	}
-	sent += int64(len(phaseB))
-	waitObserved(t, s, sent)
 	shutdown(t, s)
 
 	st := s.Status()
@@ -313,7 +318,7 @@ func TestConcurrentQueriesAcrossMigration(t *testing.T) {
 	// current migration's journal, which is legitimately empty when the
 	// racing arrival order makes the controller redesign again near the
 	// end of the stream.
-	if reg.Counter("coradd_adapt_builds_total", "").Value() == 0 {
+	if builds.Value() == 0 {
 		t.Error("no migration build landed — the snapshot swap path went unexercised")
 	}
 	if st.Panics != 0 {
@@ -331,14 +336,16 @@ func TestCheckpointResumeAcrossServers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.json")
 	s1 := startServer(t, Config{CheckpointPath: path}, nil)
 	h := s1.Handler()
+	// Lockstep: each observation, and every solve it issues, lands before
+	// the next query, so the stream finishes its migration.
 	var sent int64
 	for _, q := range stream(39, 156) {
 		if rr := sendRaw(t, h, q); rr.Code != http.StatusOK {
 			t.Fatalf("query failed: %d %s", rr.Code, rr.Body.String())
 		}
 		sent++
+		waitObserved(t, s1, sent)
 	}
-	waitObserved(t, s1, sent)
 	shutdown(t, s1)
 	st1 := s1.Status()
 
