@@ -226,8 +226,9 @@ func fillCandidateDefaults(c candgen.Config) candgen.Config {
 	return c
 }
 
-// NewRelation builds a clustered heap file, sorting rows on clusterKey
-// (column positions). It takes ownership of rows.
+// NewRelation builds a clustered heap file from rows, stored column by
+// column and sorted on clusterKey (column positions). It takes ownership
+// of rows.
 func NewRelation(name string, s *Schema, clusterKey []int, rows []Row) *Relation {
 	return storage.NewRelation(name, s, clusterKey, rows)
 }

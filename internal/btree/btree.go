@@ -85,22 +85,24 @@ func bulkLoad(entries []Entry, keyBytes int) *Tree {
 
 // BuildFromRelation indexes columns cols of rel: one entry per tuple
 // (a dense conventional secondary index). The leaf keys are gathered in
-// index order into one backing array.
+// index order, column by column, into one backing array.
 func BuildFromRelation(rel *storage.Relation, cols []int) *Tree {
 	order := rel.SortedRIDs(cols)
 	k := len(cols)
-	keys := make([]value.V, len(rel.Rows)*k)
-	entries := make([]Entry, len(rel.Rows))
+	keys := make([]value.V, rel.NumRows()*k)
+	entries := make([]Entry, rel.NumRows())
 	for i := range entries {
 		rid := int32(i)
 		if order != nil {
 			rid = order[i]
 		}
-		row, key := rel.Rows[rid], keys[i*k:(i+1)*k:(i+1)*k]
-		for j, c := range cols {
-			key[j] = row[c]
+		entries[i] = Entry{Key: keys[i*k : (i+1)*k : (i+1)*k], RID: rid}
+	}
+	for j, c := range cols {
+		col := rel.Cols[c]
+		for i := range entries {
+			keys[i*k+j] = col[entries[i].RID]
 		}
-		entries[i] = Entry{Key: key, RID: rid}
 	}
 	return bulkLoad(entries, rel.Schema.SubsetBytes(cols))
 }

@@ -73,7 +73,7 @@ func (g *Generator) corrStats(host, target int) corrStat {
 
 func (g *Generator) measureCorr(host, target int) corrStat {
 	synRel := g.synopsisRelation(host)
-	if synRel == nil || len(synRel.Rows) == 0 {
+	if synRel == nil || synRel.NumRows() == 0 {
 		return corrStat{}
 	}
 	// Pair statistics: one exact CM over the host-sorted synopsis, coarser
@@ -95,8 +95,8 @@ func (g *Generator) measureCorr(host, target int) corrStat {
 		m = cm.Derive(base, []value.V{width})
 	}
 	distinctBuckets := make(map[value.V]bool)
-	for _, row := range synRel.Rows {
-		distinctBuckets[corridx.BucketOf(row[target], width)] = true
+	for _, v := range synRel.Cols[target] {
+		distinctBuckets[corridx.BucketOf(v, width)] = true
 	}
 	if len(distinctBuckets) == 0 {
 		return corrStat{}
@@ -106,7 +106,7 @@ func (g *Generator) measureCorr(host, target int) corrStat {
 	// the ideal pair count; zero correlation multiplies the two instead.
 	ideal := float64(len(distinctBuckets) + synRel.NumPages())
 	frags := float64(m.NumPairs()) / ideal
-	entries, outlierFrac, amp := corridx.SampleStats(synRel.Rows, target, host, corridx.Config{TargetWidth: width})
+	entries, outlierFrac, amp := corridx.SampleStats(g.St.SortedSample([]int{host}), target, host, corridx.Config{TargetWidth: width})
 	if frags > corrIdxMaxFrags || outlierFrac > corrIdxMaxOutlierFrac || amp > corrIdxMaxAmplification {
 		return corrStat{}
 	}

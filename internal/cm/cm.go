@@ -60,11 +60,12 @@ func Build(rel *storage.Relation, keyCols []int, keyWidths []value.V, clusterPag
 	// while they are cache-resident.
 	rowsPerBucket := rel.TuplesPerPage() * clusterPagesPerBucket
 	pc := newPairCollector(len(keyCols))
-	for lo := 0; lo < len(rel.Rows); lo += rowsPerBucket {
+	n := rel.NumRows()
+	for lo := 0; lo < n; lo += rowsPerBucket {
 		bucket := int32(lo / rowsPerBucket)
-		for _, row := range rel.Rows[lo:min(lo+rowsPerBucket, len(rel.Rows))] {
+		for i := lo; i < min(lo+rowsPerBucket, n); i++ {
 			for j, c := range keyCols {
-				pc.key[j] = BucketValue(row[c], keyWidths[j])
+				pc.key[j] = BucketValue(rel.Cols[c][i], keyWidths[j])
 			}
 			pc.add(bucket)
 		}

@@ -46,7 +46,7 @@ func TestCMNoFalseNegatives(t *testing.T) {
 			return false
 		}
 		for i, row := range rel.Rows {
-			if p.Matches(row[rel.Schema.MustCol("b")]) && !covered(rel.PageOfRow(i)) {
+			if p.Matches(row[rel.Schema.MustCol("b")]) && !covered(i/rel.TuplesPerPage()) {
 				return false
 			}
 		}
@@ -72,8 +72,8 @@ func TestBucketedCMNoFalseNegatives(t *testing.T) {
 			return false
 		}
 		for i, row := range rel.Rows {
-			if p.Matches(row[1]) && !covered(rel.PageOfRow(i)) {
-				t.Fatalf("width %d: matching row on uncovered page %d", width, rel.PageOfRow(i))
+			if p.Matches(row[1]) && !covered(i/rel.TuplesPerPage()) {
+				t.Fatalf("width %d: matching row on uncovered page %d", width, i/rel.TuplesPerPage())
 			}
 		}
 	}
@@ -181,8 +181,8 @@ func TestCompositeCMKey(t *testing.T) {
 		return false
 	}
 	for i, row := range rel.Rows {
-		if pb.Matches(row[1]) && pc.Matches(row[2]) && !covered(rel.PageOfRow(i)) {
-			t.Fatalf("composite CM missed page %d", rel.PageOfRow(i))
+		if pb.Matches(row[1]) && pc.Matches(row[2]) && !covered(i/rel.TuplesPerPage()) {
+			t.Fatalf("composite CM missed page %d", i/rel.TuplesPerPage())
 		}
 	}
 }

@@ -116,9 +116,10 @@ func Build(rel *storage.Relation, targetCol int, cfg Config) (*Index, error) {
 		bucket, host value.V
 		rid          int32
 	}
-	triples := make([]triple, len(rel.Rows))
-	for i, row := range rel.Rows {
-		triples[i] = triple{bucket: BucketOf(row[targetCol], cfg.TargetWidth), host: row[host], rid: int32(i)}
+	target, hosts := rel.Cols[targetCol], rel.Cols[host]
+	triples := make([]triple, len(target))
+	for i, v := range target {
+		triples[i] = triple{bucket: BucketOf(v, cfg.TargetWidth), host: hosts[i], rid: int32(i)}
 	}
 	// The comparisons are spelled out: on a chrono-loaded fact the triples
 	// are nearly in order already and the sort is all comparator calls,
@@ -164,7 +165,7 @@ func Build(rel *storage.Relation, targetCol int, cfg Config) (*Index, error) {
 		keys := make([]value.V, len(outliers))
 		entries := make([]btree.Entry, len(outliers))
 		for i, rid := range outliers {
-			keys[i] = rel.Rows[rid][targetCol]
+			keys[i] = target[rid]
 			entries[i] = btree.Entry{Key: keys[i : i+1 : i+1], RID: rid}
 		}
 		idx.numOutliers = len(outliers)

@@ -158,8 +158,9 @@ func referenceBuild(rel *storage.Relation, targetCol int, cfg Config) *Index {
 		bucket, host value.V
 		rid          int32
 	}
-	triples := make([]triple, len(rel.Rows))
-	for i, row := range rel.Rows {
+	triples := make([]triple, rel.NumRows())
+	for i := range triples {
+		row := rel.Row(i)
 		triples[i] = triple{bucket: BucketOf(row[targetCol], cfg.TargetWidth), host: row[host], rid: int32(i)}
 	}
 	sort.Slice(triples, func(i, j int) bool {
@@ -186,7 +187,7 @@ func referenceBuild(rel *storage.Relation, targetCol int, cfg Config) *Index {
 		})
 		for i, t := range group {
 			if i < coreLo || i >= coreHi {
-				outliers = append(outliers, btree.Entry{Key: []value.V{rel.Rows[t.rid][targetCol]}, RID: t.rid})
+				outliers = append(outliers, btree.Entry{Key: []value.V{rel.Row(int(t.rid))[targetCol]}, RID: t.rid})
 			}
 		}
 		lo = hi

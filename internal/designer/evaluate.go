@@ -388,13 +388,14 @@ func fractionMatching(rel *storage.Relation, col int, p *query.Predicate) float6
 	n := 0
 	// Sample every 64th row; this is the optimizer's own statistic.
 	step := 64
-	if len(rel.Rows) < 4096 {
+	vals := rel.Cols[col]
+	if len(vals) < 4096 {
 		step = 1
 	}
 	seenRows := 0
-	for i := 0; i < len(rel.Rows); i += step {
+	for i := 0; i < len(vals); i += step {
 		seenRows++
-		if p.Matches(rel.Rows[i][col]) {
+		if p.Matches(vals[i]) {
 			n++
 		}
 	}

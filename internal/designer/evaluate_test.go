@@ -62,8 +62,8 @@ func TestMaterializeFactReclusterHasPKIndex(t *testing.T) {
 	}
 	// The new clustering must actually hold.
 	yc := obj.Rel.Schema.MustCol(ssb.ColYear)
-	for i := 1; i < len(obj.Rel.Rows); i++ {
-		if obj.Rel.Rows[i-1][yc] > obj.Rel.Rows[i][yc] {
+	for i := 1; i < obj.Rel.NumRows(); i++ {
+		if obj.Rel.Cols[yc][i-1] > obj.Rel.Cols[yc][i] {
 			t.Fatal("re-clustered heap not sorted on year")
 		}
 	}

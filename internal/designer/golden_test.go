@@ -75,8 +75,8 @@ func deployAll(t *testing.T, ev *Evaluator, designs []*Design, workers int) mate
 		fmt.Fprintf(&b, "design %d style=%d: objects=%d bytes=%d total=%x\n", di, d.Style, len(m.Objects), m.Bytes, math.Float64bits(r.Total))
 		for i, o := range m.Objects {
 			h := fnv.New64a()
-			for _, row := range o.Rel.Rows {
-				fmt.Fprintln(h, row)
+			for r := range o.Rel.NumRows() {
+				fmt.Fprintln(h, o.Rel.Row(r))
 			}
 			fmt.Fprintf(&b, "  object %d %s bytes=%d rows=%x btrees=%d", i, o.Rel.Name, o.Bytes(), h.Sum64(), len(o.BTrees))
 			for _, cm := range o.CMs {

@@ -2,6 +2,15 @@
 // objects (fact tables or MVs with clustered keys, dense B+Tree secondary
 // indexes, and correlation maps), counting page reads and random seeks.
 //
+// Every access path is split into plan and run. Planning reads no tuple:
+// it finds the row ranges the path reads (binary search down the clustered
+// key, or index lookups mapped to heap pages), the fragments they form and
+// the I/O they cost, so every path is "row ranges plus a residual filter",
+// Hermit's host-range-plus-outliers shape. Running is one kernel over the
+// relation's columns that filters the ranges a batch at a time into a
+// selection vector and sums the aggregate over the survivors. Best plans
+// every feasible path and runs only the cheapest.
+//
 // The I/O accounting follows the paper's cost model (Appendix A-2.2): the
 // heap is reached through its clustered B+Tree, so every contiguous heap
 // fragment a plan touches costs btree_height random reads (the root-to-leaf
@@ -11,6 +20,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -49,18 +59,12 @@ type Object struct {
 	// PKIndex, when non-nil, is the extra primary-key secondary index a
 	// re-clustered fact table must carry (§4.3); counted in size only.
 	PKIndex *btree.Tree
-	// compiled caches position-bound queries per *query.Query. Objects are
+	// compiled caches position-bound queries per *query.Query, so repeated
+	// measurements of a query compile it once per object. Objects are
 	// shared across goroutines by the designer's materialization cache, so
 	// the cache must be safe for concurrent use, and plans must never
 	// mutate the object.
 	compiled query.CompileCache
-}
-
-// compile returns q bound to this object's schema, compiling once per
-// (query, object) pair. Executing the same query through several plans
-// (exec.Best) or across repeated measurements reuses the binding.
-func (o *Object) compile(q *query.Query) *query.Compiled {
-	return o.compiled.Get(q, o.Rel.Schema.Col)
 }
 
 // NewObject wraps rel, computing the clustered height.
@@ -182,42 +186,53 @@ func (r Result) Seconds(p storage.DiskParams) float64 { return r.IO.Seconds(p) }
 
 // Execute runs q on o with the chosen plan. The object must cover q.
 func Execute(o *Object, q *query.Query, spec PlanSpec) (Result, error) {
-	if !o.Covers(q) {
-		return Result{}, fmt.Errorf("exec: object %s does not cover query %s", o.Rel.Name, q.Name)
+	p, err := o.plan(q, spec)
+	if err != nil {
+		return Result{}, err
 	}
-	res, err := dispatch(o, q, spec)
-	if err == nil {
-		// Record the exact spec (including the index slot) so replaying a
-		// result's Plan re-runs the same access path.
-		res.Plan = spec
-	}
-	return res, err
+	return o.run(q, p), nil
 }
 
-func dispatch(o *Object, q *query.Query, spec PlanSpec) (Result, error) {
+// plan is an access path priced but not yet run: the result's plan, I/O
+// and fragment counts, and the row ranges the kernel filters.
+type plan struct {
+	res    Result
+	ranges []rowRun
+}
+
+// rowRun is a half-open row-index interval.
+type rowRun struct{ lo, hi int }
+
+func (o *Object) plan(q *query.Query, spec PlanSpec) (plan, error) {
+	if !o.Covers(q) {
+		return plan{}, fmt.Errorf("exec: object %s does not cover query %s", o.Rel.Name, q.Name)
+	}
+	if k := spec.Kind; k >= SecondaryScan && k <= CorrIdxScan {
+		if n := [...]int{len(o.BTrees), len(o.CMs), len(o.CorrIdxs)}[k-SecondaryScan]; spec.Index < 0 || spec.Index >= n {
+			return plan{}, fmt.Errorf("exec: no %s index %d on %s", k, spec.Index, o.Rel.Name)
+		}
+	}
+	var p plan
+	var err error
 	switch spec.Kind {
 	case SeqScan:
-		return execSeqScan(o, q), nil
+		p.res.IO = storage.IOStats{Seeks: 1, PagesRead: o.Rel.NumPages()}
+		p.ranges = []rowRun{{0, o.Rel.NumRows()}}
 	case ClusteredScan:
-		return execClusteredScan(o, q), nil
+		p = o.planClustered(q)
 	case SecondaryScan:
-		if spec.Index < 0 || spec.Index >= len(o.BTrees) {
-			return Result{}, fmt.Errorf("exec: no secondary index %d on %s", spec.Index, o.Rel.Name)
-		}
-		return execSecondaryScan(o, q, o.BTrees[spec.Index]), nil
+		p = o.planSecondary(q, o.BTrees[spec.Index])
 	case CMScan:
-		if spec.Index < 0 || spec.Index >= len(o.CMs) {
-			return Result{}, fmt.Errorf("exec: no CM %d on %s", spec.Index, o.Rel.Name)
-		}
-		return execCMScan(o, q, o.CMs[spec.Index]), nil
+		p = o.planCM(q, o.CMs[spec.Index])
 	case CorrIdxScan:
-		if spec.Index < 0 || spec.Index >= len(o.CorrIdxs) {
-			return Result{}, fmt.Errorf("exec: no correlation index %d on %s", spec.Index, o.Rel.Name)
-		}
-		return execCorrIdxScan(o, q, o.CorrIdxs[spec.Index])
+		p, err = o.planCorrIdx(q, o.CorrIdxs[spec.Index])
 	default:
-		return Result{}, fmt.Errorf("exec: unknown plan kind %d", spec.Kind)
+		err = fmt.Errorf("exec: unknown plan kind %d", spec.Kind)
 	}
+	// Record the exact spec (including the index slot) so replaying a
+	// result's Plan re-runs the same access path.
+	p.res.Plan = spec
+	return p, err
 }
 
 // Plans enumerates the feasible plans for q on o, cheapest kinds last so
@@ -249,7 +264,7 @@ func Plans(o *Object, q *query.Query) []PlanSpec {
 		}
 	}
 	for i, x := range o.CorrIdxs {
-		// Feasibility mirrors execCorrIdxScan: the index's host column must
+		// Feasibility mirrors planCorrIdx: the index's host column must
 		// lead the clustered key (a re-clustered heap invalidates the
 		// learned ranges), so Best never trips over an unusable index.
 		hosted := len(o.Rel.ClusterKey) > 0 && o.Rel.ClusterKey[0] == x.HostCol
@@ -260,72 +275,108 @@ func Plans(o *Object, q *query.Query) []PlanSpec {
 	return specs
 }
 
-// Best executes every feasible plan and returns the result of the one with
-// the smallest simulated runtime. Used by tests and by experiments that
-// model an oracle optimizer.
+// Best plans every feasible access path and runs only the one with the
+// smallest simulated runtime, the earlier in Plans order on a tie: a
+// plan's I/O does not depend on what its rows hold. Used by tests and by
+// experiments that model an oracle optimizer.
 func Best(o *Object, q *query.Query, disk storage.DiskParams) (Result, error) {
-	var best Result
-	bestSec := 0.0
-	found := false
-	for _, spec := range Plans(o, q) {
-		r, err := Execute(o, q, spec)
+	var best plan
+	for i, spec := range Plans(o, q) {
+		p, err := o.plan(q, spec)
 		if err != nil {
 			return Result{}, err
 		}
-		if sec := r.Seconds(disk); !found || sec < bestSec {
-			best, bestSec = r, sec
-			found = true
+		if i == 0 || p.res.Seconds(disk) < best.res.Seconds(disk) {
+			best = p
 		}
 	}
-	if !found {
-		return Result{}, fmt.Errorf("exec: no feasible plan for %s on %s", q.Name, o.Rel.Name)
-	}
-	return best, nil
+	return o.run(q, best), nil
 }
 
-// sumRange accumulates the aggregate and match count over rows [lo,hi)
-// using the position-bound predicates of cq. This is the innermost loop of
-// every plan; it runs without name resolution or closure dispatch.
-func sumRange(o *Object, cq *query.Compiled, lo, hi int) (sum int64, rows int) {
-	heap := o.Rel.Rows
-	agg := cq.Agg
-	if len(cq.Preds) == 1 && agg >= 0 {
-		// Fast path for the common single-predicate aggregate: one bound
-		// predicate, direct accumulation.
-		p := &cq.Preds[0]
-		c := p.Col
-		for i := lo; i < hi; i++ {
-			row := heap[i]
-			if p.Matches(row[c]) {
-				rows++
-				sum += int64(row[agg])
+// batch is how many rows the kernel filters at a time, so the selection
+// vector stays cache-resident while the predicates narrow it.
+const batch = 1024
+
+// run is the one scan kernel. It answers q over p's row ranges a batch at
+// a time: the first predicate writes the offsets of its matches in its
+// column into a selection vector, each further predicate narrows the
+// vector, and the aggregate column is summed over what is left. Only the
+// predicated and aggregated columns are read.
+func (o *Object) run(q *query.Query, p plan) Result {
+	cq, cols, res := o.compiled.Get(q, o.Rel.Schema.Col), o.Rel.Cols, p.res
+	var sel [batch]int32
+	for _, r := range p.ranges {
+		for lo := r.lo; lo < r.hi; lo += batch {
+			hi := min(lo+batch, r.hi)
+			n := hi - lo
+			for i := range cq.Preds {
+				pr := &cq.Preds[i]
+				n = filter(pr, cols[pr.Col][lo:hi], sel[:n], i == 0)
+			}
+			res.Rows += n
+			if cq.Agg < 0 {
+				continue
+			}
+			agg := cols[cq.Agg][lo:hi]
+			if len(cq.Preds) == 0 {
+				for _, v := range agg {
+					res.Sum += v
+				}
+				continue
+			}
+			for _, i := range sel[:n] {
+				res.Sum += agg[i]
 			}
 		}
-		return sum, rows
 	}
-	for i := lo; i < hi; i++ {
-		row := heap[i]
-		if cq.MatchesRow(row) {
-			rows++
-			if agg >= 0 {
-				sum += int64(row[agg])
+	return res
+}
+
+// filter narrows sel, offsets into col, to those whose value satisfies pr
+// and returns how many it kept; dense starts from every offset of col
+// instead (sel is then as long as col). Eq and Range share one loop that
+// stores unconditionally and advances on a match, so it compiles without
+// a branch: lo ≤ v ≤ hi is one unsigned comparison, v−lo ≤ hi−lo modulo
+// 2⁶⁴ (exact for every lo ≤ hi), and Eq is the range [lo,lo].
+func filter(pr *query.CompiledPred, col []value.V, sel []int32, dense bool) int {
+	k, lo, span := 0, pr.Lo, uint64(pr.Hi)-uint64(pr.Lo)
+	switch {
+	case pr.Op == query.Eq:
+		span = 0
+	case pr.Op == query.Range && pr.Lo > pr.Hi:
+		return 0
+	case pr.Op != query.Range: // In and the rest, through Matches
+		if dense {
+			for i := range col {
+				sel[i] = int32(i)
 			}
 		}
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(pr.Matches(col[i]))
+		}
+		return k
 	}
-	return sum, rows
+	if dense {
+		for i, v := range col {
+			sel[k] = int32(i)
+			k += b2i(uint64(v)-uint64(lo) <= span)
+		}
+		return k
+	}
+	for _, i := range sel {
+		sel[k] = i
+		k += b2i(uint64(col[i])-uint64(lo) <= span)
+	}
+	return k
 }
 
-func execSeqScan(o *Object, q *query.Query) Result {
-	sum, rows := sumRange(o, o.compile(q), 0, len(o.Rel.Rows))
-	return Result{
-		Sum:  sum,
-		Rows: rows,
-		IO:   storage.IOStats{Seeks: 1, PagesRead: o.Rel.NumPages()},
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
 }
-
-// rowRun is a half-open row-index interval.
-type rowRun struct{ lo, hi int }
 
 // clusteredRuns computes the contiguous row runs a clustered scan must
 // read, refining runs attribute by attribute down the clustered key while
@@ -333,66 +384,37 @@ type rowRun struct{ lo, hi int }
 // range narrows and stops (deeper attributes are unordered across distinct
 // range values), a missing predicate stops refinement.
 func clusteredRuns(o *Object, q *query.Query) []rowRun {
-	runs := []rowRun{{0, len(o.Rel.Rows)}}
+	runs := []rowRun{{0, o.Rel.NumRows()}}
 	key := o.Rel.ClusterKey
 	for depth := 0; depth < len(key); depth++ {
-		name := o.Rel.Schema.Columns[key[depth]].Name
-		p := q.Predicate(name)
+		p := q.Predicate(o.Rel.Schema.Columns[key[depth]].Name)
 		if p == nil {
 			break
 		}
 		var next []rowRun
-		descend := true
+		add := func(run rowRun, loV, hiV value.V) {
+			if lo, hi := o.Rel.SortedRange(key[depth], run.lo, run.hi, loV, hiV); hi > lo {
+				next = append(next, rowRun{lo, hi})
+			}
+		}
 		for _, run := range runs {
 			switch p.Op {
 			case query.Eq:
-				lo, hi := narrow(o, run, key[depth], p.Lo, p.Lo)
-				if hi > lo {
-					next = append(next, rowRun{lo, hi})
-				}
+				add(run, p.Lo, p.Lo)
 			case query.Range:
-				lo, hi := narrow(o, run, key[depth], p.Lo, p.Hi)
-				if hi > lo {
-					next = append(next, rowRun{lo, hi})
-				}
-				descend = false
+				add(run, p.Lo, p.Hi)
 			case query.In:
 				for _, v := range p.Set {
-					lo, hi := narrow(o, run, key[depth], v, v)
-					if hi > lo {
-						next = append(next, rowRun{lo, hi})
-					}
+					add(run, v, v)
 				}
 			}
 		}
 		runs = next
-		if !descend {
+		if p.Op == query.Range {
 			break
 		}
 	}
 	return runs
-}
-
-// narrow binary-searches rows [run.lo,run.hi) — within which column c is
-// sorted — for the sub-range with c-values in [loV,hiV].
-func narrow(o *Object, run rowRun, c int, loV, hiV value.V) (int, int) {
-	rows := o.Rel.Rows
-	lo := run.lo + searchRows(rows[run.lo:run.hi], func(r value.Row) bool { return r[c] >= loV })
-	hi := run.lo + searchRows(rows[run.lo:run.hi], func(r value.Row) bool { return r[c] > hiV })
-	return lo, hi
-}
-
-func searchRows(rows []value.Row, f func(value.Row) bool) int {
-	lo, hi := 0, len(rows)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f(rows[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // pageFragments converts touched page intervals (half-open, sorted by lo)
@@ -412,176 +434,105 @@ func pageFragments(intervals [][2]int) [][2]int {
 	return out
 }
 
-// chargeFragments adds the heap-access I/O for the given page fragments:
-// per fragment, Height random reads (clustered-tree descent, charged as
-// seeks) plus the fragment's pages sequentially.
-func chargeFragments(o *Object, frags [][2]int, io *storage.IOStats) {
+// heapPlan prices reading the touched page intervals (half-open, sorted by
+// lo) on top of io, the I/O already spent finding them: the intervals are
+// merged into fragments, each charged Height random reads (clustered-tree
+// descent, charged as seeks) plus its pages sequentially. The plan reads
+// whole pages, so the kernel filters every row of every fragment with all
+// of q's predicates.
+func (o *Object) heapPlan(io storage.IOStats, intervals [][2]int) plan {
+	frags := pageFragments(intervals)
+	p := plan{res: Result{IO: io, Fragments: len(frags), TouchedIntervals: len(intervals)}}
+	tpp, n := o.Rel.TuplesPerPage(), o.Rel.NumRows()
 	for _, f := range frags {
-		io.Seeks += o.Height
-		io.PagesRead += f[1] - f[0]
+		p.res.IO.Seeks += o.Height
+		p.res.IO.PagesRead += f[1] - f[0]
+		p.ranges = append(p.ranges, rowRun{f[0] * tpp, min(f[1]*tpp, n)})
 	}
+	return p
 }
 
-func execClusteredScan(o *Object, q *query.Query) Result {
+// planClustered reads exactly the clustered runs; their pages price it.
+func (o *Object) planClustered(q *query.Query) plan {
 	runs := clusteredRuns(o, q)
-	cq := o.compile(q)
-	var res Result
+	tpp := o.Rel.TuplesPerPage()
 	intervals := make([][2]int, 0, len(runs))
 	for _, run := range runs {
-		s, n := sumRange(o, cq, run.lo, run.hi)
-		res.Sum += s
-		res.Rows += n
 		if run.hi > run.lo {
-			intervals = append(intervals, [2]int{o.Rel.PageOfRow(run.lo), o.Rel.PageOfRow(run.hi-1) + 1})
+			intervals = append(intervals, [2]int{run.lo / tpp, (run.hi-1)/tpp + 1})
 		}
 	}
-	frags := pageFragments(intervals)
-	res.Fragments, res.TouchedIntervals = len(frags), len(intervals)
-	chargeFragments(o, frags, &res.IO)
-	return res
+	p := o.heapPlan(storage.IOStats{}, intervals)
+	p.ranges = runs
+	return p
 }
 
-func execSecondaryScan(o *Object, q *query.Query, idx *SecondaryIndex) Result {
-	lead := o.Rel.Schema.Columns[idx.Cols[0]].Name
-	p := q.Predicate(lead)
-	var res Result
+func (o *Object) planSecondary(q *query.Query, idx *SecondaryIndex) plan {
+	pred := q.Predicate(o.Rel.Schema.Columns[idx.Cols[0]].Name)
+	var io storage.IOStats
 	var rids []int32
-	if p.Op == query.In {
-		// One descent per IN value: locate every leaf run first, size the
-		// RID buffer exactly from the match counts, then fill it — no
-		// per-value allocation or regrowth.
-		type leafRun struct{ start, end int }
-		runs := make([]leafRun, len(p.Set))
-		total := 0
-		for i, v := range p.Set {
-			start, end, io := idx.Tree.Range([]value.V{v}, []value.V{v})
-			runs[i] = leafRun{start, end}
-			total += end - start
-			res.IO.Add(io)
-		}
-		rids = make([]int32, 0, total)
-		for _, r := range runs {
-			rids = idx.Tree.AppendRIDs(rids, r.start, r.end)
+	if pred.Op == query.In {
+		for _, v := range pred.Set { // one descent per IN value
+			start, end, lio := idx.Tree.Range([]value.V{v}, []value.V{v})
+			rids = idx.Tree.AppendRIDs(rids, start, end)
+			io.Add(lio)
 		}
 	} else {
-		r, io := idx.Tree.RangeRIDs([]value.V{p.Lo}, []value.V{p.Hi})
-		rids = r
-		res.IO.Add(io)
+		rids, io = idx.Tree.RangeRIDs([]value.V{pred.Lo}, []value.V{pred.Hi})
 	}
-	// Sorted sweep: sort RIDs, derive touched pages, merge into fragments.
+	// Sorted sweep: sort RIDs, one interval per distinct touched page.
 	slices.Sort(rids)
+	tpp := o.Rel.TuplesPerPage()
 	intervals := make([][2]int, 0, len(rids))
 	for _, rid := range rids {
-		pg := o.Rel.PageOfRow(int(rid))
-		if n := len(intervals); n > 0 && intervals[n-1][1] == pg+1 {
-			continue
-		} else if n > 0 && intervals[n-1][1] > pg {
+		pg := int(rid) / tpp
+		if n := len(intervals); n > 0 && intervals[n-1][1] > pg {
 			continue
 		}
 		intervals = append(intervals, [2]int{pg, pg + 1})
 	}
-	frags := pageFragments(intervals)
-	res.Fragments, res.TouchedIntervals = len(frags), len(intervals)
-	chargeFragments(o, frags, &res.IO)
-	// Evaluate over the fragment pages (the plan reads whole pages; all
-	// residual predicates are applied there).
-	cq := o.compile(q)
-	tpp := o.Rel.TuplesPerPage()
-	for _, f := range frags {
-		lo := f[0] * tpp
-		hi := f[1] * tpp
-		if hi > len(o.Rel.Rows) {
-			hi = len(o.Rel.Rows)
-		}
-		s, n := sumRange(o, cq, lo, hi)
-		res.Sum += s
-		res.Rows += n
-	}
-	return res
+	return o.heapPlan(io, intervals)
 }
 
-// execCorrIdxScan answers q through a correlation index: the target
-// predicate is translated into host-value ranges, each range is narrowed to
-// a contiguous heap run through the clustered order (the host column leads
+// planCorrIdx answers q through a correlation index: the target predicate
+// is translated into host-value ranges, each range is narrowed to a
+// contiguous heap run through the clustered order (the host column leads
 // the clustered key), outlier rows are probed in the index's B+Tree, and
 // the union of touched pages is swept with the full residual predicates —
 // so bucketing false positives are filtered and the answer matches a scan.
-func execCorrIdxScan(o *Object, q *query.Query, x *corridx.Index) (Result, error) {
+func (o *Object) planCorrIdx(q *query.Query, x *corridx.Index) (plan, error) {
 	if len(o.Rel.ClusterKey) == 0 || o.Rel.ClusterKey[0] != x.HostCol {
-		return Result{}, fmt.Errorf("exec: correlation index host %d does not lead %s's clustered key", x.HostCol, o.Rel.Name)
+		return plan{}, fmt.Errorf("exec: correlation index host %d does not lead %s's clustered key", x.HostCol, o.Rel.Name)
 	}
-	p := q.Predicate(o.Rel.Schema.Columns[x.TargetCol].Name)
-	if p == nil {
-		return Result{}, fmt.Errorf("exec: query %s has no predicate on correlation index target", q.Name)
+	pred := q.Predicate(o.Rel.Schema.Columns[x.TargetCol].Name)
+	if pred == nil {
+		return plan{}, fmt.Errorf("exec: query %s has no predicate on correlation index target", q.Name)
 	}
-	var res Result
 	// Read the mapping itself: one seek plus its pages.
-	res.IO.Seeks++
-	res.IO.PagesRead += x.Pages()
-	res.IO.IndexPagesRead += x.Pages()
+	io := storage.IOStats{Seeks: 1, PagesRead: x.Pages(), IndexPagesRead: x.Pages()}
+	tpp := o.Rel.TuplesPerPage()
 	var intervals [][2]int
-	for _, r := range x.Translate(p) {
-		lo, hi := o.Rel.PrefixRange(r.Lo, r.Hi)
-		if hi > lo {
-			intervals = append(intervals, [2]int{o.Rel.PageOfRow(lo), o.Rel.PageOfRow(hi-1) + 1})
+	for _, r := range x.Translate(pred) {
+		if lo, hi := o.Rel.SortedRange(x.HostCol, 0, o.Rel.NumRows(), r.Lo, r.Hi); hi > lo {
+			intervals = append(intervals, [2]int{lo / tpp, (hi-1)/tpp + 1})
 		}
 	}
-	rids, oio := x.OutlierRIDs(p)
-	res.IO.Add(oio)
-	slices.Sort(rids)
+	rids, oio := x.OutlierRIDs(pred)
+	io.Add(oio)
 	for _, rid := range rids {
-		pg := o.Rel.PageOfRow(int(rid))
+		pg := int(rid) / tpp
 		intervals = append(intervals, [2]int{pg, pg + 1})
 	}
-	slices.SortFunc(intervals, func(a, b [2]int) int {
-		if a[0] != b[0] {
-			return a[0] - b[0]
-		}
-		return a[1] - b[1]
-	})
-	frags := pageFragments(intervals)
-	res.Fragments, res.TouchedIntervals = len(frags), len(intervals)
-	chargeFragments(o, frags, &res.IO)
-	cq := o.compile(q)
-	tpp := o.Rel.TuplesPerPage()
-	for _, f := range frags {
-		lo := f[0] * tpp
-		hi := f[1] * tpp
-		if hi > len(o.Rel.Rows) {
-			hi = len(o.Rel.Rows)
-		}
-		s, n := sumRange(o, cq, lo, hi)
-		res.Sum += s
-		res.Rows += n
-	}
-	return res, nil
+	slices.SortFunc(intervals, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+	return o.heapPlan(io, intervals), nil
 }
 
-func execCMScan(o *Object, q *query.Query, m *cm.CM) Result {
+func (o *Object) planCM(q *query.Query, m *cm.CM) plan {
 	preds := make([]*query.Predicate, len(m.KeyCols))
 	for i, c := range m.KeyCols {
 		preds[i] = q.Predicate(o.Rel.Schema.Columns[c].Name)
 	}
-	var res Result
 	// Read the CM itself: one seek plus its pages.
-	res.IO.Seeks++
-	res.IO.PagesRead += m.Pages()
-	res.IO.IndexPagesRead += m.Pages()
-	ranges := m.PageRanges(m.Buckets(preds))
-	frags := pageFragments(ranges)
-	res.Fragments, res.TouchedIntervals = len(frags), len(ranges)
-	chargeFragments(o, frags, &res.IO)
-	cq := o.compile(q)
-	tpp := o.Rel.TuplesPerPage()
-	for _, f := range frags {
-		lo := f[0] * tpp
-		hi := f[1] * tpp
-		if hi > len(o.Rel.Rows) {
-			hi = len(o.Rel.Rows)
-		}
-		s, n := sumRange(o, cq, lo, hi)
-		res.Sum += s
-		res.Rows += n
-	}
-	return res
+	io := storage.IOStats{Seeks: 1, PagesRead: m.Pages(), IndexPagesRead: m.Pages()}
+	return o.heapPlan(io, m.PageRanges(m.Buckets(preds)))
 }

@@ -81,43 +81,42 @@ func New(rel *storage.Relation, sampleSize int, seed int64) *Stats {
 		sampleSize = DefaultSampleSize
 	}
 	st := &Stats{Rel: rel, distinctMem: make(map[string]float64)}
-	// Exact single-attribute cardinalities + histograms in one pass.
-	ncols := len(rel.Schema.Columns)
-	sets := make([]map[value.V]int, ncols)
-	for c := range sets {
-		sets[c] = make(map[value.V]int)
-	}
-	for _, row := range rel.Rows {
-		for c := 0; c < ncols; c++ {
-			sets[c][row[c]]++
+	// Exact single-attribute cardinalities + histograms, one column at a
+	// time.
+	n := rel.NumRows()
+	st.colDistinct = make([]float64, len(rel.Cols))
+	st.hists = make([]*Histogram, len(rel.Cols))
+	for c, col := range rel.Cols {
+		set := make(map[value.V]int)
+		for _, v := range col {
+			set[v]++
 		}
+		st.colDistinct[c] = float64(len(set))
+		st.hists[c] = buildHistogram(set, n)
 	}
-	st.colDistinct = make([]float64, ncols)
-	st.hists = make([]*Histogram, ncols)
-	for c := 0; c < ncols; c++ {
-		st.colDistinct[c] = float64(len(sets[c]))
-		st.hists[c] = buildHistogram(sets[c], len(rel.Rows))
-	}
-	// Reservoir-sample the synopsis.
+	// Reservoir-sample the synopsis's row positions, then copy those rows
+	// out of the columns.
 	rng := rand.New(rand.NewSource(seed))
-	if sampleSize > len(rel.Rows) {
-		sampleSize = len(rel.Rows)
-	}
-	st.Sample = make([]value.Row, 0, sampleSize)
-	for i, row := range rel.Rows {
-		if len(st.Sample) < sampleSize {
-			st.Sample = append(st.Sample, row)
+	sampleSize = min(sampleSize, n)
+	picks := make([]int, 0, sampleSize)
+	for i := range n {
+		if len(picks) < sampleSize {
+			picks = append(picks, i)
 			continue
 		}
 		if j := rng.Intn(i + 1); j < sampleSize {
-			st.Sample[j] = row
+			picks[j] = i
 		}
+	}
+	st.Sample = make([]value.Row, len(picks))
+	for k, i := range picks {
+		st.Sample[k] = rel.Row(i)
 	}
 	return st
 }
 
 // NumRows is the relation's tuple count.
-func (st *Stats) NumRows() int { return len(st.Rel.Rows) }
+func (st *Stats) NumRows() int { return st.Rel.NumRows() }
 
 // encode builds a map key for a composite column set.
 func encodeCols(cols []int) string {
@@ -151,7 +150,11 @@ func (st *Stats) Distinct(cols ...int) float64 {
 	if st.Exact {
 		seen := make(map[string]struct{})
 		var buf []byte
-		for _, row := range st.Rel.Rows {
+		row := make(value.Row, len(st.Rel.Cols))
+		for i := range st.NumRows() {
+			for _, c := range sorted {
+				row[c] = st.Rel.Cols[c][i]
+			}
 			buf = encodeRowKey(buf[:0], row, sorted)
 			seen[string(buf)] = struct{}{}
 		}

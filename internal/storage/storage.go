@@ -16,7 +16,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"coradd/internal/schema"
@@ -78,107 +77,151 @@ func (s IOStats) String() string {
 	return fmt.Sprintf("seeks=%d pages=%d (index pages %d)", s.Seeks, s.PagesRead, s.IndexPagesRead)
 }
 
-// Relation is a clustered heap file: rows sorted by ClusterKey. A relation
-// with an empty ClusterKey is stored in load order (unclustered heap).
+// Relation is a clustered heap file stored column-major: Cols[c][i] is
+// column c of the i-th tuple in cluster order, one slice per schema
+// column. A relation with an empty ClusterKey is stored in load order
+// (unclustered heap). Scans read only the columns they need, so a query
+// over a wide fact table streams a few slices instead of every row.
 type Relation struct {
 	Name   string
 	Schema *schema.Schema
 	// ClusterKey is the ordered set of column positions the heap is sorted
 	// on. May be empty.
 	ClusterKey []int
-	// Rows are the tuples, sorted by ClusterKey. Owned by the relation.
+	// Cols are the tuples, one slice per column, all of NumRows values,
+	// sorted by ClusterKey. Owned by the relation.
+	Cols [][]value.V
+	// Rows is kept for compatibility only: the rows NewRelation was handed,
+	// in the same cluster order as Cols. Project output carries none. No
+	// package of the module outside storage reads it; the benchmark
+	// harness still does, and Rows goes once it stops (ROADMAP item 6(d)).
 	Rows []value.Row
 }
 
-// NewRelation builds a relation and sorts rows by the clustered key.
-// It takes ownership of rows.
+// NewRelation builds a relation from rows, transposed into columns and
+// sorted by the clustered key. It takes ownership of rows.
 func NewRelation(name string, s *schema.Schema, clusterKey []int, rows []value.Row) *Relation {
-	r := &Relation{Name: name, Schema: s, ClusterKey: clusterKey, Rows: rows}
+	cols := columns(len(s.Columns), len(rows))
+	for i, row := range rows {
+		for c, col := range cols {
+			col[i] = row[c]
+		}
+	}
+	r := &Relation{Name: name, Schema: s, Cols: cols, Rows: rows}
 	r.Recluster(clusterKey)
 	return r
 }
 
-// Recluster re-sorts the heap on a new clustered key. Rows with equal keys
-// keep their relative order.
+// columns allocates w columns of n values over one backing array.
+func columns(w, n int) [][]value.V {
+	arena := make([]value.V, w*n)
+	cols := make([][]value.V, w)
+	for c := range cols {
+		cols[c] = arena[c*n : (c+1)*n : (c+1)*n]
+	}
+	return cols
+}
+
+// gather writes src taken in the given order (nil = as it is) into dst.
+func gather[T any](dst, src []T, order []int32) {
+	if order == nil {
+		copy(dst, src)
+		return
+	}
+	for i, rid := range order {
+		dst[i] = src[rid]
+	}
+}
+
+// Recluster re-sorts the heap on a new clustered key, column by column in
+// place. Rows with equal keys keep their relative order.
 func (r *Relation) Recluster(key []int) {
 	r.ClusterKey = key
-	if order := r.SortedRIDs(key); order != nil {
-		all := make([]int, len(r.Schema.Columns))
-		for i := range all {
-			all[i] = i
-		}
-		r.Rows = gather(r.Rows, order, all)
+	order := r.SortedRIDs(key)
+	if order == nil {
+		return
+	}
+	tmp := make([]value.V, len(order))
+	for _, col := range r.Cols {
+		gather(tmp, col, order)
+		copy(col, tmp)
+	}
+	if r.Rows != nil {
+		rows := make([]value.Row, len(order))
+		gather(rows, r.Rows, order)
+		r.Rows = rows
 	}
 }
 
 // SortedRIDs returns the row positions ordered by the values of cols, rows
 // with equal values in position order (the stable order), or nil when the
-// rows already are in that order. Only the cols values are extracted and
+// rows already are in that order. Only the cols columns are read and
 // sorted; no row moves.
 func (r *Relation) SortedRIDs(cols []int) []int32 {
-	if slices.IsSortedFunc(r.Rows, func(a, b value.Row) int { return value.CompareRows(a, b, cols) }) {
+	if r.sortedOn(cols) {
 		return nil
 	}
-	w := len(cols) - 1
-	refs := make([]value.Ref, len(r.Rows))
-	rest := make([]value.V, len(r.Rows)*w)
-	for i, row := range r.Rows {
-		refs[i] = value.Ref{Lead: row[cols[0]], Tie: int32(i), Pos: int32(i)}
-		for j, c := range cols[1:] {
-			rest[i*w+j] = row[c]
+	n, w := r.NumRows(), len(cols)-1
+	refs := make([]value.Ref, n)
+	for i, v := range r.Cols[cols[0]] {
+		refs[i] = value.Ref{Lead: v, Tie: int32(i), Pos: int32(i)}
+	}
+	rest := make([]value.V, n*w)
+	for j, c := range cols[1:] {
+		for i, v := range r.Cols[c] {
+			rest[i*w+j] = v
 		}
 	}
 	value.SortRefs(refs, rest, w)
-	order := make([]int32, len(refs))
+	order := make([]int32, n)
 	for i := range refs {
 		order[i] = refs[i].Pos
 	}
 	return order
 }
 
-// gather copies cols of rows, taken in the given order (nil = as they
-// are), into one backing array the returned rows slice into: one
-// allocation instead of one per row, and a scan of the result walks memory
-// sequentially.
-func gather(rows []value.Row, order []int32, cols []int) []value.Row {
-	w := len(cols)
-	arena := make([]value.V, len(rows)*w)
-	out := make([]value.Row, len(rows))
-	for i := range out {
-		src := rows[i]
-		if order != nil {
-			src = rows[order[i]]
+// sortedOn reports whether the rows are in ascending order of cols.
+func (r *Relation) sortedOn(cols []int) bool {
+	for i := 1; i < r.NumRows(); i++ {
+		for _, c := range cols {
+			if a, b := r.Cols[c][i-1], r.Cols[c][i]; a > b {
+				return false
+			} else if a < b {
+				break
+			}
 		}
-		dst := arena[i*w : (i+1)*w : (i+1)*w]
-		for j, c := range cols {
-			dst[j] = src[c]
-		}
-		out[i] = dst
 	}
-	return out
+	return true
 }
 
 // NumRows returns the tuple count.
-func (r *Relation) NumRows() int { return len(r.Rows) }
+func (r *Relation) NumRows() int {
+	if len(r.Cols) == 0 {
+		return 0
+	}
+	return len(r.Cols[0])
+}
+
+// Row returns a fresh copy of tuple i, assembled from the columns.
+func (r *Relation) Row(i int) value.Row {
+	row := make(value.Row, len(r.Cols))
+	for c, col := range r.Cols {
+		row[c] = col[i]
+	}
+	return row
+}
 
 // TuplesPerPage is how many tuples fit on one heap page given the schema's
 // logical row width. Always at least 1.
 func (r *Relation) TuplesPerPage() int {
-	n := PageSize / r.Schema.RowBytes()
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(PageSize/r.Schema.RowBytes(), 1)
 }
 
 // NumPages is the heap-file page count.
 func (r *Relation) NumPages() int {
 	tpp := r.TuplesPerPage()
-	return (len(r.Rows) + tpp - 1) / tpp
+	return (r.NumRows() + tpp - 1) / tpp
 }
-
-// PageOfRow returns the heap page number holding row index i.
-func (r *Relation) PageOfRow(i int) int { return i / r.TuplesPerPage() }
 
 // HeapBytes is the heap file size in bytes.
 func (r *Relation) HeapBytes() int64 {
@@ -188,23 +231,28 @@ func (r *Relation) HeapBytes() int64 {
 // Project builds a new relation containing only cols (in order), clustered
 // on newKey, where newKey positions refer to the *new* schema. Used to
 // materialize MVs: an MV is a projection of the (pre-joined) fact relation
-// re-sorted on its own clustered key.
+// re-sorted on its own clustered key. Each kept column is gathered on its
+// own, so only the projected columns are read.
 func (r *Relation) Project(name string, cols []int, newKey []int) *Relation {
 	srcKey := make([]int, len(newKey))
 	for i, k := range newKey {
 		srcKey[i] = cols[k]
 	}
-	return &Relation{
-		Name: name, Schema: r.Schema.Project(cols), ClusterKey: newKey,
-		Rows: gather(r.Rows, r.SortedRIDs(srcKey), cols),
+	order := r.SortedRIDs(srcKey)
+	out := columns(len(cols), r.NumRows())
+	for j, c := range cols {
+		gather(out[j], r.Cols[c], order)
 	}
+	return &Relation{Name: name, Schema: r.Schema.Project(cols), ClusterKey: newKey, Cols: out}
 }
 
-// PrefixRange returns the row-index range [lo,hi) of rows whose first
-// clustered-key attribute lies in [loVal,hiVal] (inclusive).
-func (r *Relation) PrefixRange(loVal, hiVal value.V) (lo, hi int) {
-	c := r.ClusterKey[0]
-	lo = sort.Search(len(r.Rows), func(i int) bool { return r.Rows[i][c] >= loVal })
-	hi = sort.Search(len(r.Rows), func(i int) bool { return r.Rows[i][c] > hiVal })
-	return lo, hi
+// SortedRange returns the rows [lo,hi) within [from,to) whose column c
+// value lies in [loV,hiV] (inclusive), by binary search: column c must be
+// sorted over [from,to) — the clustered lead over the whole heap, or a
+// deeper key column inside a run of equal leading values.
+func (r *Relation) SortedRange(c, from, to int, loV, hiV value.V) (lo, hi int) {
+	col := r.Cols[c][from:to]
+	lo = sort.Search(len(col), func(i int) bool { return col[i] >= loV })
+	hi = sort.Search(len(col), func(i int) bool { return col[i] > hiV })
+	return from + lo, from + hi
 }

@@ -27,22 +27,36 @@ func makeRel(n int, seed int64, key ...string) *Relation {
 	return NewRelation("t", s, s.ColSet(key...), rows)
 }
 
+// rowsOf assembles every tuple of rel, in heap order, from its columns.
+func rowsOf(rel *Relation) []value.Row {
+	rows := make([]value.Row, rel.NumRows())
+	for i := range rows {
+		rows[i] = rel.Row(i)
+	}
+	return rows
+}
+
 func TestRelationSortedByClusterKey(t *testing.T) {
 	rel := makeRel(5000, 1, "k")
-	for i := 1; i < len(rel.Rows); i++ {
-		if rel.Rows[i-1][0] > rel.Rows[i][0] {
-			t.Fatalf("rows not sorted at %d", i)
-		}
+	if !sort.SliceIsSorted(rel.Cols[0], func(i, j int) bool { return rel.Cols[0][i] < rel.Cols[0][j] }) {
+		t.Fatal("rows not sorted on the clustered key")
+	}
+	// The compatibility rows follow the columns' cluster order.
+	if !reflect.DeepEqual(rel.Rows, rowsOf(rel)) {
+		t.Fatal("Rows are not in the columns' order")
 	}
 }
 
 func TestReclusterStable(t *testing.T) {
 	rel := makeRel(1000, 2, "k")
 	rel.Recluster(rel.Schema.ColSet("v"))
-	for i := 1; i < len(rel.Rows); i++ {
-		if rel.Rows[i-1][1] > rel.Rows[i][1] {
+	for i := 1; i < rel.NumRows(); i++ {
+		if rel.Cols[1][i-1] > rel.Cols[1][i] {
 			t.Fatalf("recluster on v not sorted at %d", i)
 		}
+	}
+	if !reflect.DeepEqual(rel.Rows, rowsOf(rel)) {
+		t.Fatal("Recluster left Rows out of the columns' order")
 	}
 }
 
@@ -56,27 +70,36 @@ func TestPageMath(t *testing.T) {
 	if rel.NumPages() != wantPages {
 		t.Errorf("NumPages = %d, want %d", rel.NumPages(), wantPages)
 	}
-	if rel.PageOfRow(0) != 0 || rel.PageOfRow(tpp) != 1 {
-		t.Error("PageOfRow math wrong")
-	}
 	if rel.HeapBytes() != int64(wantPages)*PageSize {
 		t.Errorf("HeapBytes = %d", rel.HeapBytes())
 	}
 }
 
-func TestPrefixRange(t *testing.T) {
+// TestSortedRange checks the binary search over a sorted column, over the
+// whole heap and inside a sub-range, for every bound pair in and around
+// the column's values (empty, single-value and open-ended ranges).
+func TestSortedRange(t *testing.T) {
 	rel := makeRel(3000, 5, "k")
-	lo, hi := rel.PrefixRange(10, 20)
-	for i := lo; i < hi; i++ {
-		if rel.Rows[i][0] < 10 || rel.Rows[i][0] > 20 {
-			t.Fatalf("row %d outside range: %d", i, rel.Rows[i][0])
+	k := rel.Cols[0]
+	for _, span := range [][2]int{{0, rel.NumRows()}, {700, 1900}, {1000, 1000}} {
+		for loV := value.V(-2); loV <= 101; loV += 3 {
+			for _, hiV := range []value.V{loV - 1, loV, loV + 10, 1 << 62} {
+				lo, hi := rel.SortedRange(0, span[0], span[1], loV, hiV)
+				// The first row at or above loV, the first above hiV.
+				wantLo, wantHi := span[0], span[0]
+				for i := span[0]; i < span[1]; i++ {
+					if k[i] < loV {
+						wantLo = i + 1
+					}
+					if k[i] <= hiV {
+						wantHi = i + 1
+					}
+				}
+				if lo != wantLo || hi != wantHi {
+					t.Fatalf("SortedRange(%v, [%d,%d]) = [%d,%d), want [%d,%d)", span, loV, hiV, lo, hi, wantLo, wantHi)
+				}
+			}
 		}
-	}
-	if lo > 0 && rel.Rows[lo-1][0] >= 10 {
-		t.Error("PrefixRange lo not tight")
-	}
-	if hi < len(rel.Rows) && rel.Rows[hi][0] <= 20 {
-		t.Error("PrefixRange hi not tight")
 	}
 }
 
@@ -86,16 +109,16 @@ func TestProjectBuildsSortedMV(t *testing.T) {
 	if mv.Schema.Columns[0].Name != "v" {
 		t.Fatalf("projection order wrong: %v", mv.Schema.Names())
 	}
-	if !sort.SliceIsSorted(mv.Rows, func(i, j int) bool { return mv.Rows[i][0] < mv.Rows[j][0] }) {
+	if !sort.SliceIsSorted(mv.Cols[0], func(i, j int) bool { return mv.Cols[0][i] < mv.Cols[0][j] }) {
 		t.Error("MV not sorted on its clustered key")
 	}
-	if mv.NumRows() != rel.NumRows() {
-		t.Error("MV row count mismatch")
+	if mv.NumRows() != rel.NumRows() || mv.Rows != nil {
+		t.Error("MV row count mismatch, or the MV carries compatibility rows")
 	}
-	// Projection must not alias the base rows.
-	mv.Rows[0][0] = -1
-	for _, r := range rel.Rows {
-		if r[1] == -1 {
+	// Projection must not alias the base columns.
+	mv.Cols[0][0] = -1
+	for _, v := range rel.Cols[1] {
+		if v == -1 {
 			t.Fatal("projection aliased base storage")
 		}
 	}
@@ -120,7 +143,7 @@ func TestUnclusteredRelationKeepsLoadOrder(t *testing.T) {
 	s := testSchema()
 	rows := []value.Row{{5, 0}, {1, 1}, {3, 2}}
 	rel := NewRelation("t", s, nil, rows)
-	if rel.Rows[0][0] != 5 || rel.Rows[2][0] != 3 {
+	if rel.Cols[0][0] != 5 || rel.Cols[0][2] != 3 || rel.Rows[2][0] != 3 {
 		t.Error("unclustered relation was reordered")
 	}
 }
@@ -167,9 +190,9 @@ func TestProjectMatchesStableSortReference(t *testing.T) {
 				proj = rng.Perm(6)
 			}
 			newKey := rng.Perm(len(proj))[:keyLen]
-			rel := &Relation{Name: "t", Schema: s, Rows: rows}
+			rel := NewRelation("t", s, nil, rows)
 			got := rel.Project("p", proj, newKey)
-			if want := referenceProject(rows, proj, newKey); !reflect.DeepEqual(got.Rows, want) {
+			if want := referenceProject(rows, proj, newKey); !reflect.DeepEqual(rowsOf(got), want) {
 				t.Fatalf("n=%d cols=%v key=%v: Project differs from the stable-sort reference", n, proj, newKey)
 			}
 			if !reflect.DeepEqual(got.ClusterKey, newKey) || len(got.Schema.Columns) != len(proj) {
@@ -178,7 +201,7 @@ func TestProjectMatchesStableSortReference(t *testing.T) {
 			key := []int{3, 1, 0, 2}[:keyLen]
 			want := referenceProject(rows, []int{0, 1, 2, 3, 4, 5}, key)
 			rel.Recluster(key)
-			if !reflect.DeepEqual(rel.Rows, want) {
+			if !reflect.DeepEqual(rowsOf(rel), want) || !reflect.DeepEqual(rel.Rows, want) {
 				t.Fatalf("n=%d key=%v: Recluster differs from the stable-sort reference", n, key)
 			}
 		}
