@@ -117,7 +117,9 @@ const defaultMaxNodes = 5_000_000
 // The Lagrangian bound dualizes the space budget with a root-optimized
 // multiplier (lagrange.go) and dominates the greedy bound when the budget
 // constraint is what binds. Both are maintained incrementally along
-// exclude chains, bit-identically to full recomputation.
+// exclude chains, bit-identically to full recomputation, and both scan
+// per-query lists cut by dominance before the search starts
+// (dropDominated), which leaves every scan's result unchanged.
 func Solve(p *Problem, opts SolveOptions) *Solution {
 	return solve(p, 0, opts)
 }
@@ -200,6 +202,7 @@ func solve(p *Problem, lambda float64, opts SolveOptions) *Solution {
 	if !opts.noLagrangian && lambda == 0 {
 		s.lag = newLagrangian(rp, s, incObj)
 	}
+	s.dropDominated()
 	// The root bound is the greedy relaxation at the empty prefix, via
 	// boundFull, never through bound(), whose lagWins accounting would
 	// perturb the deterministic Lagrangian-disarm decision and break
@@ -237,8 +240,10 @@ type solver struct {
 	// perQCost[q][r] is what query q pays for leaning on candidate m =
 	// perQ[q][r]: its weighted runtime w_q·t plus, under a penalty, m's
 	// amortized share lambda·size_m/K_m (K_m: the queries m can improve).
-	// perQ[q] is ascending in it. weights and sizes are the dense forms of
-	// Problem.weight and Candidate.Size.
+	// perQ[q] is ascending in it. newSolver builds the full lists, which
+	// newLagrangian's tuning reads; dropDominated then cuts them, before
+	// the search, to the entries that can be a node's pick. weights and
+	// sizes are the dense forms of Problem.weight and Candidate.Size.
 	perQCost [][]float64
 	weights  []float64
 	sizes    []int64
@@ -585,6 +590,47 @@ func (s *solver) boundExcluded(bestTimes []float64, usedSize int64, pos, ex int)
 		total += contrib[q]
 	}
 	return total
+}
+
+// dropDominated filters every per-query bound list, the greedy and the
+// armed Lagrangian's, so a node scans only entries that can become its
+// pick. Walking a list in ascending cost, entry m goes when an entry k
+// kept before it branches later (orderPos[k] > orderPos[m]) and is no
+// larger. At a node of depth pos every candidate with orderPos ≥ pos is
+// undecided, so whenever m is undecided and fits, k is too, costs no
+// more and comes first: m is never the first qualifying entry. An
+// included candidate costs at least w_q·cur_q, so the scan stops at the
+// threshold before it either way. Every scan therefore returns the same
+// (contribution, pick) as over the full list, and the search is
+// unchanged node for node.
+func (s *solver) dropDominated() {
+	orderPos := make([]int, len(s.order))
+	for i, m := range s.order {
+		orderPos[m] = i
+	}
+	for q := range s.perQ {
+		s.perQ[q], s.perQCost[q] = undominated(s.perQ[q], s.perQCost[q], orderPos, s.sizes)
+		if s.lag != nil {
+			s.lag.perQ[q], s.lag.adj[q] = undominated(s.lag.perQ[q], s.lag.adj[q], orderPos, s.sizes)
+		}
+	}
+}
+
+// undominated compacts one ascending list (ms with costs cs) in place to
+// the entries no earlier kept entry dominates, in dropDominated's sense.
+func undominated[M int | int32](ms []M, cs []float64, orderPos []int, sizes []int64) ([]M, []float64) {
+	n := 0
+next:
+	for r, m := range ms {
+		for _, k := range ms[:n] {
+			if orderPos[k] > orderPos[m] && sizes[k] <= sizes[m] {
+				continue next
+			}
+		}
+		ms[n], cs[n] = m, cs[r]
+		n++
+	}
+	return ms[:n], cs[:n]
 }
 
 // orderByDensity sorts candidate indexes by benefit density descending.

@@ -34,7 +34,8 @@ import (
 type lagrangian struct {
 	lambda float64
 	// perQ[q] lists the candidates finite on q sorted by adjusted cost
-	// ascending; adj[q] holds the matching w_q·t + λ·φ·size values.
+	// ascending; adj[q] holds the matching w_q·t + λ·φ·size values. Both
+	// are cut by solver.dropDominated once tuning is done.
 	perQ [][]int32
 	adj  [][]float64
 }
@@ -218,9 +219,10 @@ func newLagrangian(p *Problem, s *solver, ub float64) *lagrangian {
 	return lg
 }
 
-// lagQuery scans query q's ascending adjusted list for the first
-// undecided-or-included entry that fits the remaining budget and beats the
-// weighted current time, returning the contribution and pick (-1: none).
+// lagQuery scans query q's ascending adjusted list for the first undecided
+// entry that fits the remaining budget and beats the weighted current
+// time, returning the contribution and pick (-1: none). An included entry
+// never passes the threshold: its adjusted cost is at least w_q·t ≥ wCur.
 func (s *solver) lagQuery(q int, wCur float64, remaining int64) (float64, int32) {
 	best, pick := wCur, int32(-1)
 	adj := s.lag.adj[q]

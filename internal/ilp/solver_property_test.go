@@ -330,3 +330,108 @@ func TestReduceDropsOversizedAndUseless(t *testing.T) {
 		t.Fatalf("chosen %v, want [0]", sol.Chosen)
 	}
 }
+
+// TestDominanceFilterMatchesFullScan is the differential test of the
+// bound lists' dominance filter: on randomized instances (λ = 0 with the
+// Lagrangian bound tuned, λ > 0 with SolvePenalized's amortized order,
+// and a few 300+-candidate pools) it drives the solver to random
+// reachable states — a prefix of the branching order included or
+// excluded within the budget — and requires every filtered scan, greedy
+// and Lagrangian, to return the (contribution, pick) of a scan over the
+// full list.
+func TestDominanceFilterMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	armed, fullLen, keptLen := 0, 0, 0
+	for trial := 0; trial < 160; trial++ {
+		n := 2 + rng.Intn(40)
+		if trial%20 == 0 {
+			n = 300 + rng.Intn(100)
+		}
+		p := hardRandomProblem(rng, n, 1+rng.Intn(14))
+		lambda := 0.0
+		if trial%2 == 1 {
+			lambda = rng.Float64() * 0.1
+		}
+		s := newSolver(p, orderByDensity(p), lambda)
+		if lambda == 0 {
+			s.lag = newLagrangian(p, s, Greedy(p, 2, len(p.Cands)).Objective)
+		}
+		full := cloneLists(s.perQ, s.perQCost)
+		var lagFull []scanList[int32]
+		if s.lag != nil {
+			armed++
+			lagFull = cloneLists(s.lag.perQ, s.lag.adj)
+		}
+		s.dropDominated()
+		for q := range full {
+			fullLen += len(full[q].ms)
+			keptLen += len(s.perQ[q])
+		}
+
+		for state := 0; state < 20; state++ {
+			pos := rng.Intn(len(s.order) + 1)
+			cur := append([]float64(nil), p.Base...)
+			used := int64(0)
+			for i := range s.decided {
+				s.decided[i] = 0
+			}
+			for _, m := range s.order[:pos] {
+				c := &p.Cands[m]
+				if used+c.Size <= p.Budget && rng.Intn(2) == 0 {
+					s.decided[m] = 1
+					used += c.Size
+					for q, tc := range c.Times {
+						cur[q] = math.Min(cur[q], tc)
+					}
+				} else {
+					s.decided[m] = 2
+				}
+			}
+			remaining := p.Budget - used
+			for q := range cur {
+				wCur := s.weights[q] * cur[q]
+				gc, gp := s.boundQuery(q, cur[q], remaining)
+				if wc, wp := full[q].scan(wCur, s.decided, s.sizes, remaining); gc != wc || gp != wp {
+					t.Fatalf("trial %d λ=%g pos %d q %d: greedy filtered (%v, %d), full (%v, %d)", trial, lambda, pos, q, gc, gp, wc, wp)
+				}
+				if s.lag == nil {
+					continue
+				}
+				lc, lp := s.lagQuery(q, wCur, remaining)
+				if wc, wp := lagFull[q].scan(wCur, s.decided, s.sizes, remaining); lc != wc || lp != wp {
+					t.Fatalf("trial %d pos %d q %d: Lagrangian filtered (%v, %d), full (%v, %d)", trial, pos, q, lc, lp, wc, wp)
+				}
+			}
+		}
+	}
+	if armed == 0 || keptLen >= fullLen {
+		t.Fatalf("vacuous: %d armed Lagrangian bounds, %d of %d greedy entries kept", armed, keptLen, fullLen)
+	}
+	t.Logf("%d armed Lagrangian bounds; %d of %d greedy entries kept", armed, keptLen, fullLen)
+}
+
+// scanList is one unfiltered per-query bound list, kept as the reference.
+type scanList[M int | int32] struct {
+	ms []M
+	cs []float64
+}
+
+func cloneLists[M int | int32](ms [][]M, cs [][]float64) []scanList[M] {
+	out := make([]scanList[M], len(ms))
+	for q := range ms {
+		out[q] = scanList[M]{append([]M(nil), ms[q]...), append([]float64(nil), cs[q]...)}
+	}
+	return out
+}
+
+// scan is the reference bound scan: the cheapest entry, earliest on ties,
+// that is not excluded, fits the remaining budget and undercuts best.
+func (l scanList[M]) scan(best float64, decided []int8, sizes []int64, remaining int64) (float64, int32) {
+	pick := int32(-1)
+	for r, m := range l.ms {
+		if decided[m] != 2 && sizes[m] <= remaining && l.cs[r] < best {
+			best, pick = l.cs[r], int32(m)
+		}
+	}
+	return best, pick
+}
