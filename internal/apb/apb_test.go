@@ -1,17 +1,17 @@
 package apb
 
 import (
+	"slices"
 	"testing"
 
 	"coradd/internal/stats"
-	"coradd/internal/value"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Config{Rows: 20000, Seed: 9})
 	b := Generate(Config{Rows: 20000, Seed: 9})
 	for i := range a.Rows {
-		if !value.EqualKeys(a.Rows[i], b.Rows[i]) {
+		if !slices.Equal(a.Rows[i], b.Rows[i]) {
 			t.Fatal("same seed produced different data")
 		}
 	}

@@ -174,7 +174,11 @@ func TestEmptyTree(t *testing.T) {
 func referenceEntries(rel *storage.Relation, cols []int) []Entry {
 	entries := make([]Entry, len(rel.Rows))
 	for i, row := range rel.Rows {
-		entries[i] = Entry{Key: value.KeyOf(row, cols), RID: int32(i)}
+		key := make([]value.V, len(cols))
+		for j, c := range cols {
+			key[j] = row[c]
+		}
+		entries[i] = Entry{Key: key, RID: int32(i)}
 	}
 	sort.SliceStable(entries, func(i, j int) bool {
 		c := value.CompareKeys(entries[i].Key, entries[j].Key)

@@ -86,58 +86,92 @@ func Build(rel *storage.Relation, keyCols []int, keyWidths []value.V, clusterPag
 // enter a run at all. The result is exactly the distinct pair set in
 // (key, bucket) order, wherever the flushes fall.
 type pairCollector struct {
-	key []value.V
+	// pair is the next pair to add: the key the caller writes through key,
+	// then the bucket add sets. last is the run's most recent pair.
+	key, pair, last []value.V
 	// run are the pairs added since the last flush and out the survivors of
-	// earlier flushes: Lead is the key's first value, Tie the clustered
-	// bucket, and Pos locates the key's remaining len(key)-1 values in
-	// runRest / outRest.
-	run, out         []value.Ref
-	runRest, outRest []value.V
+	// earlier flushes, column-wise like pair: the key columns, then the
+	// clustered bucket.
+	run, out [][]value.V
+	// perm and buf are the sort's permutation and scratch, reused.
+	perm, buf []int32
 }
 
 func newPairCollector(keyLen int) *pairCollector {
-	return &pairCollector{key: make([]value.V, keyLen)}
+	pair := make([]value.V, keyLen+1)
+	return &pairCollector{key: pair[:keyLen], pair: pair, last: make([]value.V, keyLen+1),
+		run: make([][]value.V, keyLen+1), out: make([][]value.V, keyLen+1)}
 }
 
 func (pc *pairCollector) add(bucket int32) {
-	w := len(pc.key) - 1
-	if n := len(pc.run); n > 0 && pc.run[n-1].Tie == bucket && pc.run[n-1].Lead == pc.key[0] &&
-		slices.Equal(pc.runRest[(n-1)*w:], pc.key[1:]) {
+	pc.pair[len(pc.key)] = value.V(bucket)
+	if len(pc.run[0]) > 0 && slices.Equal(pc.pair, pc.last) {
 		return
 	}
-	pc.run = append(pc.run, value.Ref{Lead: pc.key[0], Tie: bucket, Pos: int32(len(pc.run))})
-	pc.runRest = append(pc.runRest, pc.key[1:]...)
+	copy(pc.last, pc.pair)
+	for j, v := range pc.pair {
+		pc.run[j] = append(pc.run[j], v)
+	}
 }
 
 // flush moves the distinct pairs of the current run to the survivors.
 func (pc *pairCollector) flush() {
-	w := len(pc.key) - 1
-	for _, r := range sortCompact(pc.run, pc.runRest, w) {
-		pc.out = append(pc.out, value.Ref{Lead: r.Lead, Tie: r.Tie, Pos: int32(len(pc.out))})
-		pc.outRest = append(pc.outRest, pc.runRest[int(r.Pos)*w:][:w]...)
+	for _, p := range pc.distinct(pc.run) {
+		for j, col := range pc.run {
+			pc.out[j] = append(pc.out[j], col[p])
+		}
 	}
-	pc.run, pc.runRest = pc.run[:0], pc.runRest[:0]
+	for j := range pc.run {
+		pc.run[j] = pc.run[j][:0]
+	}
 }
 
-// sortCompact sorts refs by (key, bucket) and drops repeated pairs, in
-// place.
-func sortCompact(refs []value.Ref, rest []value.V, w int) []value.Ref {
-	value.SortRefs(refs, rest, w)
-	return slices.CompactFunc(refs, func(a, b value.Ref) bool { return value.CompareRefs(a, b, rest, w) == 0 })
+// distinct sorts the pairs of cols by (key, bucket) and returns the
+// positions of the distinct ones in that order.
+func (pc *pairCollector) distinct(cols [][]value.V) []int32 {
+	perm := pc.perm[:0]
+	for i := range cols[0] {
+		perm = append(perm, int32(i))
+	}
+	pc.perm, pc.buf = perm, value.SortPerm(perm, pc.buf, cols...)
+	kept := perm[:0]
+	for _, p := range perm {
+		if len(kept) == 0 || !samePair(cols, kept[len(kept)-1], p) {
+			kept = append(kept, p)
+		}
+	}
+	return kept
 }
 
-// finish flushes the last run and returns the distinct pairs in (key,
-// bucket) order as flat arrays sized by the survivors: the collector's
-// buffers grew with the input, the CM must retain only O(distinct).
+// samePair reports whether pairs i and j of cols are equal.
+func samePair(cols [][]value.V, i, j int32) bool {
+	for _, col := range cols {
+		if col[i] != col[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// finish returns the distinct pairs in (key, bucket) order as flat arrays
+// sized by the survivors: the collector's buffers grew with the input, the
+// CM must retain only O(distinct). With no survivors yet the run is all
+// there is and is sorted alone (Derive's one run); otherwise the last run
+// is flushed and the survivors sorted.
 func (pc *pairCollector) finish() (keys []value.V, buckets []int32) {
-	pc.flush()
-	w := len(pc.key) - 1
-	sorted := sortCompact(pc.out, pc.outRest, w)
-	keys = make([]value.V, 0, len(sorted)*(w+1))
-	buckets = make([]int32, len(sorted))
-	for i, r := range sorted {
-		keys = append(append(keys, r.Lead), pc.outRest[int(r.Pos)*w:][:w]...)
-		buckets[i] = r.Tie
+	cols := pc.run
+	if len(pc.out[0]) > 0 {
+		pc.flush()
+		cols = pc.out
+	}
+	kept := pc.distinct(cols)
+	k := len(pc.key)
+	keys, buckets = make([]value.V, len(kept)*k), make([]int32, len(kept))
+	for i, p := range kept {
+		for j, col := range cols[:k] {
+			keys[i*k+j] = col[p]
+		}
+		buckets[i] = int32(cols[k][p])
 	}
 	return keys, buckets
 }

@@ -2,10 +2,10 @@ package ssb
 
 import (
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"coradd/internal/stats"
-	"coradd/internal/value"
 )
 
 func smallConfig() Config {
@@ -19,7 +19,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("row counts differ")
 	}
 	for i := range a.Rows {
-		if !value.EqualKeys(a.Rows[i], b.Rows[i]) {
+		if !slices.Equal(a.Rows[i], b.Rows[i]) {
 			t.Fatal("same seed produced different data")
 		}
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -180,7 +181,7 @@ func TestReservoirSampleSizeAndDeterminism(t *testing.T) {
 		t.Errorf("sample size = %d", len(st1.Sample))
 	}
 	for i := range st1.Sample {
-		if !value.EqualKeys(st1.Sample[i], st2.Sample[i]) {
+		if !slices.Equal(st1.Sample[i], st2.Sample[i]) {
 			t.Fatal("same seed produced different samples")
 		}
 	}

@@ -161,22 +161,15 @@ func (r *Relation) SortedRIDs(cols []int) []int32 {
 	if r.sortedOn(cols) {
 		return nil
 	}
-	n, w := r.NumRows(), len(cols)-1
-	refs := make([]value.Ref, n)
-	for i, v := range r.Cols[cols[0]] {
-		refs[i] = value.Ref{Lead: v, Tie: int32(i), Pos: int32(i)}
+	order := make([]int32, r.NumRows())
+	for i := range order {
+		order[i] = int32(i)
 	}
-	rest := make([]value.V, n*w)
-	for j, c := range cols[1:] {
-		for i, v := range r.Cols[c] {
-			rest[i*w+j] = v
-		}
+	keys := make([][]value.V, len(cols))
+	for j, c := range cols {
+		keys[j] = r.Cols[c]
 	}
-	value.SortRefs(refs, rest, w)
-	order := make([]int32, n)
-	for i := range refs {
-		order[i] = refs[i].Pos
-	}
+	value.SortPerm(order, nil, keys...)
 	return order
 }
 

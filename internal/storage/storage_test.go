@@ -154,7 +154,10 @@ func TestUnclusteredRelationKeepsLoadOrder(t *testing.T) {
 func referenceProject(rows []value.Row, cols, newKey []int) []value.Row {
 	out := make([]value.Row, len(rows))
 	for i, src := range rows {
-		out[i] = value.KeyOf(src, cols)
+		out[i] = make(value.Row, len(cols))
+		for j, c := range cols {
+			out[i][j] = src[c]
+		}
 	}
 	if len(newKey) > 0 {
 		sort.SliceStable(out, func(i, j int) bool {

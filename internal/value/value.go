@@ -10,10 +10,7 @@
 // distinct strings.
 package value
 
-import (
-	"cmp"
-	"slices"
-)
+import "math/bits"
 
 // V is a single attribute value. The zero value is a valid value (0).
 type V = int64
@@ -61,74 +58,66 @@ func CompareKeys(a, b []V) int {
 	return 0
 }
 
-// KeyOf extracts the composite key of row r on column positions cols.
-// The result is a fresh slice.
-func KeyOf(r Row, cols []int) []V {
-	k := make([]V, len(cols))
-	for i, c := range cols {
-		k[i] = r[c]
-	}
-	return k
-}
+// SortPerm's counting passes each order one digitBits-wide digit.
+const (
+	digitBits = 8
+	radix     = 1 << digitBits
+)
 
-// EqualKeys reports whether two composite keys are identical.
-func EqualKeys(a, b []V) bool {
-	if len(a) != len(b) {
-		return false
+// SortPerm stably reorders the positions in perm by keys[0], then keys[1],
+// and so on, where keys[k][p] is the k-th key value of position p, and
+// returns buf, grown to len(perm), for reuse as scratch by the next call.
+// From the identity permutation the result is the stable sort on the keys,
+// i.e. the sort on (keys..., position).
+//
+// It is a least-significant-digit radix sort with no comparator: one
+// counting pass per digitBits-wide digit of v - min over the bits the
+// column's range spans, last key first. A column already non-decreasing
+// along perm, and a digit every position shares, need no pass, because a
+// stable pass over them is the identity.
+func SortPerm(perm, buf []int32, keys ...[]V) []int32 {
+	n := len(perm)
+	if cap(buf) < n {
+		buf = make([]int32, n)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	buf = buf[:n]
+	if n == 0 {
+		return buf
+	}
+	src, dst := perm, buf
+	for k := len(keys) - 1; k >= 0; k-- {
+		col := keys[k]
+		lo, hi, prev, sorted := col[src[0]], col[src[0]], col[src[0]], true
+		for _, p := range src {
+			v := col[p]
+			sorted = sorted && prev <= v
+			lo, hi, prev = min(lo, v), max(hi, v), v
 		}
-	}
-	return true
-}
-
-// CloneRow returns a copy of r.
-func CloneRow(r Row) Row {
-	c := make(Row, len(r))
-	copy(c, r)
-	return c
-}
-
-// Ref is one record of a bulk sort over composite keys: the key's leading
-// value held inline — so most comparisons never leave the slice being
-// sorted — the position of its remaining values in a flat side array, and
-// an int32 tie-break that makes the order total. The row-scale build
-// kernels whose key length varies (recluster, B+Tree bulk load,
-// correlation maps) sort Refs instead of rows, so none of them allocates a
-// key per row or sorts through a reflective swapper.
-type Ref struct {
-	Lead V
-	Tie  int32
-	Pos  int32
-}
-
-// CompareRefs orders a and b by (Lead, rest[Pos*w:(Pos+1)*w], Tie), where
-// rest holds the w non-leading key values of every record.
-func CompareRefs(a, b Ref, rest []V, w int) int {
-	if a.Lead != b.Lead {
-		if a.Lead < b.Lead {
-			return -1
+		if sorted {
+			continue
 		}
-		return 1
-	}
-	if w > 0 && a.Pos != b.Pos {
-		ra, rb := rest[int(a.Pos)*w:][:w], rest[int(b.Pos)*w:][:w]
-		for i, av := range ra {
-			if bv := rb[i]; av != bv {
-				if av < bv {
-					return -1
-				}
-				return 1
+		for shift := 0; shift < bits.Len64(uint64(hi)-uint64(lo)); shift += digitBits {
+			var count [radix]int32
+			for _, p := range src {
+				count[(uint64(col[p])-uint64(lo))>>shift%radix]++
 			}
+			if count[(uint64(col[src[0]])-uint64(lo))>>shift%radix] == int32(n) {
+				continue
+			}
+			var sum int32
+			for d, c := range count {
+				count[d], sum = sum, sum+c
+			}
+			for _, p := range src {
+				d := (uint64(col[p]) - uint64(lo)) >> shift % radix
+				dst[count[d]] = p
+				count[d]++
+			}
+			src, dst = dst, src
 		}
 	}
-	return cmp.Compare(a.Tie, b.Tie)
-}
-
-// SortRefs sorts refs in CompareRefs order. With Tie set to the record's
-// input position the result is the stable order of the keys.
-func SortRefs(refs []Ref, rest []V, w int) {
-	slices.SortFunc(refs, func(a, b Ref) int { return CompareRefs(a, b, rest, w) })
+	if &src[0] == &buf[0] {
+		copy(perm, buf)
+	}
+	return buf
 }

@@ -62,27 +62,3 @@ func TestCompareRows(t *testing.T) {
 		t.Errorf("compare on col 2 = %d, want 1", got)
 	}
 }
-
-func TestKeyOfAndEqualKeys(t *testing.T) {
-	r := Row{10, 20, 30}
-	k := KeyOf(r, []int{2, 0})
-	if !EqualKeys(k, []V{30, 10}) {
-		t.Errorf("KeyOf = %v", k)
-	}
-	if EqualKeys(k, []V{30}) {
-		t.Error("EqualKeys ignored length")
-	}
-	r[2] = 99
-	if !EqualKeys(k, []V{30, 10}) {
-		t.Error("KeyOf did not copy")
-	}
-}
-
-func TestCloneRow(t *testing.T) {
-	r := Row{1, 2}
-	c := CloneRow(r)
-	c[0] = 9
-	if r[0] != 1 {
-		t.Error("CloneRow aliases the original")
-	}
-}
