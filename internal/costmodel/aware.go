@@ -1,12 +1,13 @@
 package costmodel
 
 import (
+	"math/bits"
+
 	"coradd/internal/cm"
 	"coradd/internal/corridx"
 	"coradd/internal/query"
 	"coradd/internal/stats"
 	"coradd/internal/storage"
-	"coradd/internal/value"
 )
 
 // cmReadPages is the charge for reading a correlation map during a lookup.
@@ -50,7 +51,8 @@ func (m *Aware) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 }
 
 func (m *Aware) estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
-	if !d.Covers(m.St, q) {
+	mb := m.St.MatchBits(q)
+	if !d.covers(mb) {
 		return inf(), PathInfeasible
 	}
 	pages := float64(d.NumPages(m.St))
@@ -61,7 +63,7 @@ func (m *Aware) estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 	kind := PathSeqScan
 
 	if len(d.ClusterKey) > 0 {
-		if c, ok := m.clusteredCost(d, q, pages, height); ok && c < best {
+		if c, ok := m.clusteredCost(d, q, mb, pages, height); ok && c < best {
 			best, kind = c, PathClustered
 		}
 		// Correlation indexes coexist with the free CM pool (§5.4 sets CM
@@ -73,7 +75,7 @@ func (m *Aware) estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 			}
 		}
 		if m.WithCM {
-			if c, ok := m.cmCost(d, q, pages, height); ok && c < best {
+			if c, ok := m.cmCost(d, q, mb, pages, height); ok && c < best {
 				best, kind = c, PathCM
 			}
 		}
@@ -84,47 +86,14 @@ func (m *Aware) estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 // clusteredCost prices the clustered-prefix path: fragments from the
 // combinatorial walk, coverage measured on the synopsis over the used
 // prefix predicates.
-func (m *Aware) clusteredCost(d *MVDesign, q *query.Query, pages, height float64) (float64, bool) {
+func (m *Aware) clusteredCost(d *MVDesign, q *query.Query, mb *stats.Match, pages, height float64) (float64, bool) {
 	frags, used := prefixWalk(m.St, d, q)
 	if len(used) == 0 {
 		return 0, false
 	}
-	coverage := m.sampleFraction(used)
+	coverage := mb.Fraction(q, used...)
 	seek, read := m.Disk.SeekCost, m.Disk.PageReadCost
 	return frags*height*seek + coverage*pages*read, true
-}
-
-// sampleFraction measures the fraction of synopsis rows matching all preds,
-// floored at half a row. Column positions are resolved once, not per row.
-func (m *Aware) sampleFraction(preds []*query.Predicate) float64 {
-	sample := m.St.Sample
-	if len(sample) == 0 {
-		return 1
-	}
-	s := m.St.Rel.Schema
-	var colBuf [8]int
-	cols := colBuf[:0]
-	for _, p := range preds {
-		cols = append(cols, s.MustCol(p.Col))
-	}
-	n := 0
-	for _, row := range sample {
-		ok := true
-		for i, p := range preds {
-			if !p.Matches(row[cols[i]]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
-	f := float64(n) / float64(len(sample))
-	if floor := 0.5 / float64(len(sample)); f < floor {
-		f = floor
-	}
-	return f
 }
 
 // cmCost prices the CM path. The CM key covers every predicated attribute;
@@ -132,12 +101,12 @@ func (m *Aware) sampleFraction(preds []*query.Predicate) float64 {
 // tuples. Bucket positions are inferred from the matching rows' ranks in
 // the key-sorted synopsis; the distinct-bucket count is AE-corrected for
 // buckets the synopsis missed.
-func (m *Aware) cmCost(d *MVDesign, q *query.Query, pages, height float64) (float64, bool) {
+func (m *Aware) cmCost(d *MVDesign, q *query.Query, mb *stats.Match, pages, height float64) (float64, bool) {
 	if len(q.Predicates) == 0 {
 		return 0, false
 	}
-	sorted := m.sorted(d.ClusterKey)
-	r := len(sorted)
+	rank := m.St.Ranks(d.ClusterKey)
+	r := len(rank)
 	if r == 0 {
 		return 0, false
 	}
@@ -146,22 +115,30 @@ func (m *Aware) cmCost(d *MVDesign, q *query.Query, pages, height float64) (floa
 	if numBuckets < 1 {
 		numBuckets = 1
 	}
-	// Locate matching rows in clustered order, map rank → bucket. The query
-	// is compiled against the base schema once and reused across designs.
-	cq := m.St.Compiled(q)
-	freq := make(map[int]int)
-	matched := 0
-	for i, row := range sorted {
-		if !cq.MatchesRow(row) {
-			continue
+	// Scatter the matching rows to their ranks in clustered order, then
+	// read the ranks back in order, mapping each to its bucket and
+	// profiling the buckets seen (d, f1, f2). Buckets are non-decreasing in
+	// rank, so each bucket's matches form one run.
+	byRank := make([]uint64, len(mb.All))
+	for w, x := range mb.All {
+		for ; x != 0; x &= x - 1 {
+			i := rank[w<<6|bits.TrailingZeros64(x)]
+			byRank[i>>6] |= 1 << (i & 63)
 		}
-		matched++
-		b := int(float64(i) / float64(r) * numBuckets)
-		freq[b]++
+	}
+	var prof stats.RunProfile
+	matched, bucket := 0, -1
+	for w, x := range byRank {
+		for ; x != 0; x &= x - 1 {
+			matched++
+			b := int(float64(w<<6|bits.TrailingZeros64(x)) / float64(r) * numBuckets)
+			prof.Add(b != bucket)
+			bucket = b
+		}
 	}
 	if matched == 0 {
 		// Below synopsis resolution: one bucket.
-		freq[0] = 1
+		prof.Add(true)
 		matched = 1
 	}
 	// Population of matching rows in the full relation.
@@ -170,7 +147,8 @@ func (m *Aware) cmCost(d *MVDesign, q *query.Query, pages, height float64) (floa
 	if popMatched < 1 {
 		popMatched = 1
 	}
-	dBuckets := estimateBuckets(freq, matched, popMatched)
+	// Correct the observed bucket count for buckets the synopsis missed.
+	dBuckets := stats.EstimateDistinctRaw(prof.D, prof.F1, prof.F2, matched, int(popMatched))
 	if dBuckets > numBuckets {
 		dBuckets = numBuckets
 	}
@@ -243,29 +221,6 @@ func (m *Aware) corrIdxCost(d *MVDesign, q *query.Query, pages, height float64) 
 		}
 	}
 	return best, found
-}
-
-// estimateBuckets corrects the observed distinct-bucket count for unseen
-// buckets using the sample-based distinct estimator over the bucket
-// frequency profile.
-func estimateBuckets(freq map[int]int, sampleRows int, totalRows float64) float64 {
-	var c struct{ d, f1, f2 int }
-	c.d = len(freq)
-	for _, n := range freq {
-		switch n {
-		case 1:
-			c.f1++
-		case 2:
-			c.f2++
-		}
-	}
-	return stats.EstimateDistinctRaw(c.d, c.f1, c.f2, sampleRows, int(totalRows))
-}
-
-// sorted returns the synopsis sorted by key, shared through the statistics
-// cache (the same clustered keys recur across model instances).
-func (m *Aware) sorted(key []int) []value.Row {
-	return m.St.SortedSample(key)
 }
 
 func inf() float64 { return 1e30 }

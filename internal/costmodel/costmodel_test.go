@@ -266,7 +266,7 @@ func TestEstimateKeyedByContentNotName(t *testing.T) {
 // read back exactly the estimates a sequential fresh model computes, for
 // distinct query pointers that carry equal content as well.
 func TestEstimateConcurrentMatchesSequential(t *testing.T) {
-	st, _ := modelEnv(t, 20000)
+	st, rel := modelEnv(t, 20000)
 	disk := storage.DefaultDiskParams()
 	var designs []*MVDesign
 	for _, key := range []string{"a", "b", "c", "pk"} {
@@ -284,7 +284,9 @@ func TestEstimateConcurrentMatchesSequential(t *testing.T) {
 			want[[2]int{di, qi}], _ = fresh.Estimate(d, q)
 		}
 	}
-	shared := NewAware(st, disk)
+	// The shared model prices on statistics of its own, drawn alike but
+	// cold, so the goroutines also race to build its synopsis summaries.
+	shared := NewAware(stats.New(rel, 2048, 10), disk)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

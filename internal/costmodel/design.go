@@ -17,7 +17,7 @@ package costmodel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"coradd/internal/btree"
 	"coradd/internal/corridx"
@@ -82,8 +82,8 @@ type MVDesign struct {
 
 // HasCol reports whether base column c is carried by the design.
 func (d *MVDesign) HasCol(c int) bool {
-	i := sort.SearchInts(d.Cols, c)
-	return i < len(d.Cols) && d.Cols[i] == c
+	_, ok := slices.BinarySearch(d.Cols, c)
+	return ok
 }
 
 // Validate requires d to be an object a designer could have recorded over
@@ -120,11 +120,14 @@ func (d *MVDesign) Validate(nCols int) error {
 	return nil
 }
 
-// Covers reports whether the design carries every attribute q needs,
-// resolving names through the base schema in st.
+// Covers reports whether the design carries every attribute q needs, read
+// off the base positions st caches per query.
 func (d *MVDesign) Covers(st *stats.Stats, q *query.Query) bool {
-	for _, name := range q.AllColumns() {
-		c := st.Rel.Schema.Col(name)
+	return d.covers(st.MatchBits(q))
+}
+
+func (d *MVDesign) covers(mb *stats.Match) bool {
+	for _, c := range mb.Cols {
 		if c < 0 || !d.HasCol(c) {
 			return false
 		}

@@ -14,18 +14,29 @@ type sampleCounts struct {
 	d, f1, f2 int
 }
 
-func countFrequencies(freq map[string]int) sampleCounts {
-	var c sampleCounts
-	c.d = len(freq)
-	for _, n := range freq {
-		switch n {
-		case 1:
-			c.f1++
-		case 2:
-			c.f2++
-		}
+// RunProfile builds a (d, f1, f2) frequency profile from observations
+// that arrive grouped, each value's occurrences in one run.
+type RunProfile struct {
+	D, F1, F2 int
+	run       int
+}
+
+// Add counts one observation; newValue starts the next value's run. A
+// run's length moves F1 and F2 as it grows: 1 joins F1, 2 moves to F2, 3
+// leaves it.
+func (p *RunProfile) Add(newValue bool) {
+	if newValue {
+		p.D, p.run = p.D+1, 0
 	}
-	return c
+	p.run++
+	switch p.run {
+	case 1:
+		p.F1++
+	case 2:
+		p.F1, p.F2 = p.F1-1, p.F2+1
+	case 3:
+		p.F2--
+	}
 }
 
 // GEE is the Guaranteed-Error Estimator of Charikar, Chaudhuri, Motwani and

@@ -6,11 +6,20 @@ import (
 )
 
 func profileOf(sample []int) sampleCounts {
-	freq := map[string]int{}
+	freq := map[int]int{}
 	for _, v := range sample {
-		freq[string(rune(v))]++
+		freq[v]++
 	}
-	return countFrequencies(freq)
+	c := sampleCounts{d: len(freq)}
+	for _, n := range freq {
+		switch n {
+		case 1:
+			c.f1++
+		case 2:
+			c.f2++
+		}
+	}
+	return c
 }
 
 func TestGEEUniform(t *testing.T) {

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+
 	"coradd/internal/query"
 	"coradd/internal/value"
 )
@@ -44,15 +46,13 @@ func buildHistogram(freq map[value.V]int, totalRows int) *Histogram {
 			h.max = v
 		}
 	}
+	// width is ceil((max-min+1)/nb), in uint64 offsets from min so a column
+	// spanning the whole int64 range does not overflow.
 	nb := 1024
 	h.buckets = make([]int, nb)
-	span := h.max - h.min + 1
-	h.width = (span + value.V(nb) - 1) / value.V(nb)
-	if h.width < 1 {
-		h.width = 1
-	}
+	h.width = value.V((uint64(h.max)-uint64(h.min))/uint64(nb) + 1)
 	for v, n := range freq {
-		h.buckets[int((v-h.min)/h.width)] += n
+		h.buckets[(uint64(v)-uint64(h.min))/uint64(h.width)] += n
 	}
 	return h
 }
@@ -80,12 +80,19 @@ func (h *Histogram) Selectivity(p *query.Predicate) float64 {
 
 // rangeCount estimates the number of rows with value in [lo,hi].
 func (h *Histogram) rangeCount(lo, hi value.V) float64 {
+	if lo > hi {
+		return 0
+	}
 	if h.exact != nil {
-		if hi-lo < value.V(len(h.exact)) {
-			// Narrow interval: walk the values in it.
+		if uint64(hi)-uint64(lo) < uint64(len(h.exact)) {
+			// Narrow interval: walk the values in it (v == hi ends the walk,
+			// so hi = MaxInt64 does not wrap).
 			n := 0
-			for v := lo; v <= hi; v++ {
+			for v := lo; ; v++ {
 				n += h.exact[v]
+				if v == hi {
+					break
+				}
 			}
 			return float64(n)
 		}
@@ -100,32 +107,22 @@ func (h *Histogram) rangeCount(lo, hi value.V) float64 {
 	if hi < h.min || lo > h.max {
 		return 0
 	}
-	if lo < h.min {
-		lo = h.min
-	}
-	if hi > h.max {
-		hi = h.max
-	}
-	bLo := int((lo - h.min) / h.width)
-	bHi := int((hi - h.min) / h.width)
+	lo, hi = max(lo, h.min), min(hi, h.max)
+	// Bucket bounds as uint64 offsets from min, like the bucket index.
+	oLo, oHi, w := uint64(lo)-uint64(h.min), uint64(hi)-uint64(h.min), uint64(h.width)
 	n := 0.0
-	for b := bLo; b <= bHi && b < len(h.buckets); b++ {
+	for b := oLo / w; b <= oHi/w && b < uint64(len(h.buckets)); b++ {
 		cnt := float64(h.buckets[b])
 		// Fractional coverage of the boundary buckets, assuming uniformity
 		// within a bucket.
-		bucketLo := h.min + value.V(b)*h.width
-		bucketHi := bucketLo + h.width - 1
+		bucketLo := b * w
+		bucketHi := bucketLo + w - 1
+		if bucketHi < bucketLo {
+			bucketHi = math.MaxUint64 // the last bucket of a full-range column
+		}
 		cover := 1.0
-		if lo > bucketLo || hi < bucketHi {
-			span := float64(h.width)
-			effLo, effHi := bucketLo, bucketHi
-			if lo > effLo {
-				effLo = lo
-			}
-			if hi < effHi {
-				effHi = hi
-			}
-			cover = float64(effHi-effLo+1) / span
+		if oLo > bucketLo || oHi < bucketHi {
+			cover = float64(min(oHi, bucketHi)-max(oLo, bucketLo)+1) / float64(w)
 		}
 		n += cnt * cover
 	}

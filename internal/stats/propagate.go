@@ -53,21 +53,10 @@ func (st *Stats) SelectivityVector(q *query.Query) Vector {
 func (st *Stats) pairSelectivity(q *query.Query, a, b int) float64 {
 	pa := q.Predicate(st.Rel.Schema.Columns[a].Name)
 	pb := q.Predicate(st.Rel.Schema.Columns[b].Name)
-	if pa == nil || pb == nil || len(st.Sample) == 0 {
+	if pa == nil || pb == nil {
 		return 1
 	}
-	n := 0
-	for _, row := range st.Sample {
-		if pa.Matches(row[a]) && pb.Matches(row[b]) {
-			n++
-		}
-	}
-	sel := float64(n) / float64(len(st.Sample))
-	floor := 0.5 / float64(len(st.Sample))
-	if sel < floor {
-		sel = floor
-	}
-	return sel
+	return st.MatchBits(q).Fraction(q, pa, pb)
 }
 
 // minStrength is the correlation-strength floor below which propagation is

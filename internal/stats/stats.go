@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 
@@ -28,6 +27,9 @@ type Stats struct {
 	// tests and the OPT baseline.
 	Exact bool
 
+	// sampleCols is the synopsis column-major, each column padded with
+	// zeros to a multiple of 64 rows for the word-at-a-time match bitmaps.
+	sampleCols  [][]value.V
 	colDistinct []float64 // exact single-column cardinalities
 	hists       []*Histogram
 
@@ -36,42 +38,10 @@ type Stats struct {
 	// from several goroutines at once.
 	mu          sync.Mutex
 	distinctMem map[string]float64 // memoized composite cardinalities
-	compiledMem query.CompileCache // bindings on the base schema
+	rankMem     map[string][]int32 // Ranks, per clustered key
 	sortedMem   map[string][]value.Row
+	matchMem    sync.Map // *query.Query → *Match
 	propMem     sync.Map // *query.Query → Vector (cached masters; clone on read)
-}
-
-// SortedSample returns the synopsis sorted by the composite key, cached per
-// key and shared by every consumer (the correlation-aware cost model sorts
-// the synopsis for each candidate clustered key — the same keys recur
-// across designers and model instances). Callers must not mutate the
-// returned slice.
-func (st *Stats) SortedSample(key []int) []value.Row {
-	ks := encodeCols(key)
-	st.mu.Lock()
-	if s, ok := st.sortedMem[ks]; ok {
-		st.mu.Unlock()
-		return s
-	}
-	st.mu.Unlock()
-	s := make([]value.Row, len(st.Sample))
-	copy(s, st.Sample)
-	slices.SortStableFunc(s, func(a, b value.Row) int { return value.CompareRows(a, b, key) })
-	st.mu.Lock()
-	if st.sortedMem == nil {
-		st.sortedMem = make(map[string][]value.Row)
-	}
-	st.sortedMem[ks] = s
-	st.mu.Unlock()
-	return s
-}
-
-// Compiled returns q bound to the relation's schema, compiled once per
-// query and shared: the synopsis-matching loops of the cost models and the
-// statistics run on position-bound predicates instead of per-row name
-// lookups.
-func (st *Stats) Compiled(q *query.Query) *query.Compiled {
-	return st.compiledMem.Get(q, st.Rel.Schema.Col)
 }
 
 // New scans rel once, building cardinalities, histograms and a synopsis of
@@ -80,7 +50,8 @@ func New(rel *storage.Relation, sampleSize int, seed int64) *Stats {
 	if sampleSize <= 0 {
 		sampleSize = DefaultSampleSize
 	}
-	st := &Stats{Rel: rel, distinctMem: make(map[string]float64)}
+	st := &Stats{Rel: rel, distinctMem: make(map[string]float64),
+		rankMem: make(map[string][]int32), sortedMem: make(map[string][]value.Row)}
 	// Exact single-attribute cardinalities + histograms, one column at a
 	// time.
 	n := rel.NumRows()
@@ -94,8 +65,8 @@ func New(rel *storage.Relation, sampleSize int, seed int64) *Stats {
 		st.colDistinct[c] = float64(len(set))
 		st.hists[c] = buildHistogram(set, n)
 	}
-	// Reservoir-sample the synopsis's row positions, then copy those rows
-	// out of the columns.
+	// Reservoir-sample the synopsis's row positions, then gather those rows
+	// out of the columns, keeping both layouts.
 	rng := rand.New(rand.NewSource(seed))
 	sampleSize = min(sampleSize, n)
 	picks := make([]int, 0, sampleSize)
@@ -108,6 +79,14 @@ func New(rel *storage.Relation, sampleSize int, seed int64) *Stats {
 			picks[j] = i
 		}
 	}
+	st.sampleCols = make([][]value.V, len(rel.Cols))
+	for c, col := range rel.Cols {
+		sc := make([]value.V, (len(picks)+63)/64*64)
+		for k, i := range picks {
+			sc[k] = col[i]
+		}
+		st.sampleCols[c] = sc
+	}
 	st.Sample = make([]value.Row, len(picks))
 	for k, i := range picks {
 		st.Sample[k] = rel.Row(i)
@@ -117,6 +96,21 @@ func New(rel *storage.Relation, sampleSize int, seed int64) *Stats {
 
 // NumRows is the relation's tuple count.
 func (st *Stats) NumRows() int { return st.Rel.NumRows() }
+
+// memoize returns m[k], building it on a miss. st.mu guards m; concurrent
+// misses may build twice, which is safe because builds are deterministic.
+func memoize[T any](st *Stats, m map[string]T, k string, build func() T) T {
+	st.mu.Lock()
+	v, ok := m[k]
+	st.mu.Unlock()
+	if !ok {
+		v = build()
+		st.mu.Lock()
+		m[k] = v
+		st.mu.Unlock()
+	}
+	return v
+}
 
 // encode builds a map key for a composite column set.
 func encodeCols(cols []int) string {
@@ -139,55 +133,17 @@ func (st *Stats) Distinct(cols ...int) float64 {
 	}
 	sorted := append([]int(nil), cols...)
 	sort.Ints(sorted)
-	key := encodeCols(sorted)
-	st.mu.Lock()
-	if d, ok := st.distinctMem[key]; ok {
-		st.mu.Unlock()
-		return d
-	}
-	st.mu.Unlock()
-	var d float64
-	if st.Exact {
-		seen := make(map[string]struct{})
-		var buf []byte
-		row := make(value.Row, len(st.Rel.Cols))
-		for i := range st.NumRows() {
-			for _, c := range sorted {
-				row[c] = st.Rel.Cols[c][i]
-			}
-			buf = encodeRowKey(buf[:0], row, sorted)
-			seen[string(buf)] = struct{}{}
+	return memoize(st, st.distinctMem, encodeCols(sorted), func() float64 {
+		if st.Exact {
+			return float64(profile(st.Rel.Cols, sorted, st.NumRows()).d)
 		}
-		d = float64(len(seen))
-	} else {
-		freq := make(map[string]int)
-		var buf []byte
-		for _, row := range st.Sample {
-			buf = encodeRowKey(buf[:0], row, sorted)
-			freq[string(buf)]++
-		}
-		d = EstimateDistinct(countFrequencies(freq), len(st.Sample), st.NumRows())
+		d := EstimateDistinct(profile(st.sampleCols, sorted, len(st.Sample)), len(st.Sample), st.NumRows())
 		// A composite can never have fewer distincts than its widest column.
 		for _, c := range sorted {
-			if st.colDistinct[c] > d {
-				d = st.colDistinct[c]
-			}
+			d = max(d, st.colDistinct[c])
 		}
-	}
-	st.mu.Lock()
-	st.distinctMem[key] = d
-	st.mu.Unlock()
-	return d
-}
-
-func encodeRowKey(buf []byte, row value.Row, cols []int) []byte {
-	for _, c := range cols {
-		v := row[c]
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(v>>s))
-		}
-	}
-	return buf
+		return d
+	})
 }
 
 // Strength is the CORDS correlation strength of the soft functional

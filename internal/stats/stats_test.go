@@ -190,3 +190,28 @@ func TestReservoirSampleSizeAndDeterminism(t *testing.T) {
 		t.Errorf("oversized sample = %d, want all rows", len(st3.Sample))
 	}
 }
+
+// TestHistogramFullInt64Range: ranges reaching MinInt64/MaxInt64 and
+// columns spanning all of int64 are counted without wrapping, on exact and
+// on bucketed histograms.
+func TestHistogramFullInt64Range(t *testing.T) {
+	for _, distinct := range []int{10, maxExactHistogram + 10} {
+		freq := map[value.V]int{math.MinInt64: 1, math.MaxInt64: 1}
+		for v := range distinct - 2 {
+			freq[value.V(v)-value.V(distinct/2)] = 1
+		}
+		h := buildHistogram(freq, distinct)
+		all := query.NewRange("x", math.MinInt64, math.MaxInt64)
+		if got := h.Selectivity(&all); math.Abs(got-1) > 1e-9 {
+			t.Errorf("%d distinct: sel(all of int64) = %v, want 1", distinct, got)
+		}
+		top := query.NewRange("x", math.MaxInt64-1, math.MaxInt64)
+		if got := h.Selectivity(&top); got <= 0 || got > 1 {
+			t.Errorf("%d distinct: sel(top of int64) = %v, want in (0, 1]", distinct, got)
+		}
+		empty := query.NewRange("x", 1, 0)
+		if got := h.Selectivity(&empty); got != 0 {
+			t.Errorf("%d distinct: sel(empty range) = %v, want 0", distinct, got)
+		}
+	}
+}

@@ -161,7 +161,12 @@ func referenceProject(rows []value.Row, cols, newKey []int) []value.Row {
 	}
 	if len(newKey) > 0 {
 		sort.SliceStable(out, func(i, j int) bool {
-			return value.CompareRows(out[i], out[j], newKey) < 0
+			for _, c := range newKey {
+				if out[i][c] != out[j][c] {
+					return out[i][c] < out[j][c]
+				}
+			}
+			return false
 		})
 	}
 	return out

@@ -20,21 +20,6 @@ type V = int64
 // must not retain references across mutations of the owning relation.
 type Row = []V
 
-// CompareRows compares a and b on the given column positions, in order,
-// returning -1, 0 or +1. Used for clustered-key sorting and range checks.
-func CompareRows(a, b Row, cols []int) int {
-	for _, c := range cols {
-		av, bv := a[c], b[c]
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-	}
-	return 0
-}
-
 // CompareKeys compares two composite keys of equal length lexicographically.
 func CompareKeys(a, b []V) int {
 	n := len(a)

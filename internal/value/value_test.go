@@ -48,17 +48,3 @@ func TestCompareKeysTransitivityOnTriples(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCompareRows(t *testing.T) {
-	a := Row{3, 1, 9}
-	b := Row{3, 2, 0}
-	if got := CompareRows(a, b, []int{0}); got != 0 {
-		t.Errorf("compare on col 0 = %d, want 0", got)
-	}
-	if got := CompareRows(a, b, []int{0, 1}); got != -1 {
-		t.Errorf("compare on cols 0,1 = %d, want -1", got)
-	}
-	if got := CompareRows(a, b, []int{2}); got != 1 {
-		t.Errorf("compare on col 2 = %d, want 1", got)
-	}
-}
