@@ -257,8 +257,8 @@ func New(common designer.Common, initial *designer.Design, cfg Config) (*Control
 func (c *Controller) Clock() float64 { return c.s.clock }
 
 // Model returns the cost model the controller prices everything through.
-// Its memo is content-keyed and safe for concurrent use, so a serving path
-// may price through it while the controller runs.
+// It keeps no estimates between calls and is safe for concurrent use, so a
+// serving path may price through it while the controller runs.
 func (c *Controller) Model() *costmodel.Aware { return c.model }
 
 // Incumbent returns the current target design (the deployed design, or

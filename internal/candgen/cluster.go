@@ -188,7 +188,7 @@ func (g *Generator) pruneKeys(group []int, cols []int, keys [][]int, t int) [][]
 		cost float64
 	}
 	// Merge/split scoring fans out across the worker pool: each key's
-	// pricing is independent, the cost model memoizes race-safely, and the
+	// pricing is independent, the cost model is race-safe, and the
 	// weighted sum per key stays in group order, so the scores — and the
 	// stable sort over them — are identical to a sequential loop's.
 	sc := make([]scored, len(cleaned))

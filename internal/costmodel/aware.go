@@ -31,10 +31,6 @@ type Aware struct {
 	Disk storage.DiskParams
 	// WithCM enables the CM path (CORADD always sets aside CM space, §5.4).
 	WithCM bool
-
-	// memo holds every estimate made so far: the same designs are
-	// re-priced on every ILP-feedback iteration and every redesign.
-	memo memo
 }
 
 // NewAware builds the model over st.
@@ -47,10 +43,6 @@ func (m *Aware) Name() string { return "correlation-aware" }
 
 // Estimate implements Model.
 func (m *Aware) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
-	return m.memo.get(d, q, m.estimate)
-}
-
-func (m *Aware) estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 	mb := m.St.MatchBits(q)
 	if !d.covers(mb) {
 		return inf(), PathInfeasible

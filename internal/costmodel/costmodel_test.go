@@ -229,8 +229,8 @@ func TestEstimateCacheConsistency(t *testing.T) {
 
 // TestEstimateKeyedByContentNotName: a model that already priced a query
 // name with one set of literals prices the same name with other literals
-// exactly as a fresh model does — the memo is keyed by what an estimate
-// depends on, so one model can be shared across redesigns.
+// exactly as a fresh model does — a model keeps no estimates, so one can
+// be shared across redesigns.
 func TestEstimateKeyedByContentNotName(t *testing.T) {
 	st, _ := modelEnv(t, 200000)
 	disk := storage.DefaultDiskParams()

@@ -20,8 +20,6 @@ import (
 type Oblivious struct {
 	St   *stats.Stats
 	Disk storage.DiskParams
-
-	memo memo
 }
 
 // NewOblivious builds the model over st.
@@ -34,10 +32,6 @@ func (m *Oblivious) Name() string { return "correlation-oblivious" }
 
 // Estimate implements Model.
 func (m *Oblivious) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
-	return m.memo.get(d, q, m.estimate)
-}
-
-func (m *Oblivious) estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 	if !d.Covers(m.St, q) {
 		return inf(), PathInfeasible
 	}

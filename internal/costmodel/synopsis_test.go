@@ -91,11 +91,10 @@ func refCMCost(st *stats.Stats, d *MVDesign, q *query.Query, pages, height float
 	if numBuckets < 1 {
 		numBuckets = 1
 	}
-	cq := query.MustCompile(q, st.Rel.Schema.Col)
 	freq := make(map[string]int)
 	matched := 0
 	for i, row := range sorted {
-		if !cq.MatchesRow(row) {
+		if !q.MatchesRow(row, st.Rel.Schema.Col) {
 			continue
 		}
 		matched++

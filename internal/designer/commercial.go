@@ -160,9 +160,8 @@ func (d *Commercial) Design(budget int64) (*Design, error) {
 		weights[qi] = q.EffectiveWeight()
 	}
 	// Candidate pricing fans out across the worker pool: each candidate's
-	// estimates are independent and the oblivious model memoizes
-	// race-safely, so the slot-per-candidate results match a sequential
-	// loop's exactly.
+	// estimates are independent and the oblivious model is race-safe, so
+	// the slot-per-candidate results match a sequential loop's exactly.
 	par.ForEach(len(d.cands), 0, func(i int) {
 		cc := d.cands[i]
 		times := make([]float64, len(d.W))

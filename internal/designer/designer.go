@@ -203,7 +203,7 @@ func NewCORADD(c Common, cfg candgen.Config, fb feedback.Config) *CORADD {
 // NewCORADDWith builds the designer for workload c.W priced by model,
 // taking the initial candidate pool from src applied to a generator over
 // c.W. A redesign is then a function of (statistics, c.W, incumbent,
-// budget) alone: the model's memo is keyed by what an estimate depends on
+// budget) alone: the model keeps no estimates between calls
 // (costmodel.Aware), so a model shared across redesigns prices exactly as
 // a fresh one would. Feedback is left zero; set it before Design.
 func NewCORADDWith(c Common, model *costmodel.Aware, cfg candgen.Config,

@@ -77,3 +77,44 @@ func BenchmarkRun(b *testing.B) {
 func pinned(o *Object, kind PlanKind) func(*query.Query) (Result, error) {
 	return func(q *query.Query) (Result, error) { return Execute(o, q, PlanSpec{Kind: kind}) }
 }
+
+// BenchmarkFilter times the scan kernel's predicate loop alone, in ns per
+// row, on a 200 000-value column uniform over [0, 1000): Eq, Range and a
+// narrow IN test the compiled form (IN on a 16-word bitmap), and the wide
+// IN, whose span exceeds the bitmap cap, takes the sorted-set probe. Each
+// predicate runs as the first one of a batch, writing the selection vector:
+//
+//	go test -run '^$' -bench BenchmarkFilter ./internal/exec/
+func BenchmarkFilter(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	col := make([]value.V, 200_000)
+	for i := range col {
+		col[i] = value.V(rng.Intn(1000))
+	}
+	cases := []struct {
+		name string
+		p    query.Predicate
+	}{
+		{"eq", query.NewEq("a", 500)},
+		{"range", query.NewRange("a", 100, 300)},
+		{"in", query.NewIn("a", 10, 250, 500, 750, 999)},
+		{"in_wide", query.NewIn("a", 10, 250, 500, 750, 1<<20)},
+	}
+	for _, c := range cases {
+		pr := query.CompilePred(&c.p, 0)
+		b.Run(c.name, func(b *testing.B) {
+			var sel [batch]int32
+			kept := 0
+			for b.Loop() {
+				for lo := 0; lo < len(col); lo += batch {
+					hi := min(lo+batch, len(col))
+					kept += filter(&pr, col[lo:hi], sel[:hi-lo], true)
+				}
+			}
+			if kept == 0 {
+				b.Fatal("the predicate kept no row")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(col)), "ns/row")
+		})
+	}
+}

@@ -334,18 +334,16 @@ func (o *Object) run(q *query.Query, p plan) Result {
 
 // filter narrows sel, offsets into col, to those whose value satisfies pr
 // and returns how many it kept; dense starts from every offset of col
-// instead (sel is then as long as col). Eq and Range share one loop that
-// stores unconditionally and advances on a match, so it compiles without
-// a branch: lo ≤ v ≤ hi is one unsigned comparison, v−lo ≤ hi−lo modulo
-// 2⁶⁴ (exact for every lo ≤ hi), and Eq is the range [lo,lo].
+// instead (sel is then as long as col). Each loop tests query.CompiledPred's
+// form, storing unconditionally and advancing on a match, so it compiles
+// without a branch: lo ≤ v ≤ lo+span is one unsigned comparison, d = v−lo
+// ≤ span modulo 2⁶⁴, and the bitmap word (d>>6)&wmask is in bounds
+// whatever d is. Eq and Range carry the one all-ones word, so their loops
+// skip the bit test; the choice is made once per predicate. A wide IN is
+// the one fallback, its sorted-set probe.
 func filter(pr *query.CompiledPred, col []value.V, sel []int32, dense bool) int {
-	k, lo, span := 0, pr.Lo, uint64(pr.Hi)-uint64(pr.Lo)
-	switch {
-	case pr.Op == query.Eq:
-		span = 0
-	case pr.Op == query.Range && pr.Lo > pr.Hi:
-		return 0
-	case pr.Op != query.Range: // In and the rest, through Matches
+	k := 0
+	if pr.Set != nil {
 		if dense {
 			for i := range col {
 				sel[i] = int32(i)
@@ -353,20 +351,35 @@ func filter(pr *query.CompiledPred, col []value.V, sel []int32, dense bool) int 
 		}
 		for _, i := range sel {
 			sel[k] = i
-			k += b2i(pr.Matches(col[i]))
+			k += b2i(pr.Has(col[i]))
 		}
 		return k
 	}
-	if dense {
+	lo, span, bits, wmask := uint64(pr.Lo), pr.Span, pr.Bits, pr.WMask
+	interval := wmask == 0 && bits[0] == ^uint64(0)
+	switch {
+	case interval && dense:
 		for i, v := range col {
 			sel[k] = int32(i)
-			k += b2i(uint64(v)-uint64(lo) <= span)
+			k += b2i(uint64(v)-lo <= span)
 		}
-		return k
-	}
-	for _, i := range sel {
-		sel[k] = i
-		k += b2i(uint64(col[i])-uint64(lo) <= span)
+	case interval:
+		for _, i := range sel {
+			sel[k] = i
+			k += b2i(uint64(col[i])-lo <= span)
+		}
+	case dense:
+		for i, v := range col {
+			d := uint64(v) - lo
+			sel[k] = int32(i)
+			k += b2i(d <= span) & int(bits[(d>>6)&wmask]>>(d&63))
+		}
+	default:
+		for _, i := range sel {
+			d := uint64(col[i]) - lo
+			sel[k] = i
+			k += b2i(d <= span) & int(bits[(d>>6)&wmask]>>(d&63))
+		}
 	}
 	return k
 }

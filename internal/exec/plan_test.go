@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,15 +15,14 @@ import (
 
 // referenceScan is the row-at-a-time executor the column kernel replaced,
 // kept as the slow reference: every tuple assembled as a row, matched by
-// Compiled.MatchesRow, its aggregate summed.
+// the interpreted Query.MatchesRow, its aggregate summed.
 func referenceScan(rel *storage.Relation, q *query.Query) (sum int64, rows int) {
-	cq := query.MustCompile(q, rel.Schema.Col)
 	for i := range rel.NumRows() {
 		row := rel.Row(i)
-		if cq.MatchesRow(row) {
+		if q.MatchesRow(row, rel.Schema.Col) {
 			rows++
-			if cq.Agg >= 0 {
-				sum += row[cq.Agg]
+			if q.AggCol != "" {
+				sum += row[rel.Schema.MustCol(q.AggCol)]
 			}
 		}
 	}
@@ -145,4 +145,66 @@ func FuzzPlanEquivalence(f *testing.F) {
 			t.Fatalf("Best returned %+v, running every plan ranks %+v first", best, ranked)
 		}
 	})
+}
+
+// TestPredicateFormsMatchReference runs every plan over predicates chosen
+// for the compiled form's edges — IN bitmaps over several words, a wide
+// IN on its sorted-set probe, bounds at MinInt64/MaxInt64, an empty range
+// and an Eq whose Hi differs from its Lo — on a heap holding the extremes,
+// each as the first (dense) and as a later (narrowing) predicate.
+func TestPredicateFormsMatchReference(t *testing.T) {
+	s := schema.New(
+		schema.Column{Name: "a", ByteSize: 4},
+		schema.Column{Name: "b", ByteSize: 8},
+		schema.Column{Name: "c", ByteSize: 4},
+		schema.Column{Name: "d", ByteSize: 8},
+	)
+	const lo, hi = math.MinInt64, math.MaxInt64
+	extremes := []value.V{lo, lo + 1, -1, 0, 1, hi - 1, hi}
+	rng := rand.New(rand.NewSource(39))
+	rows := make([]value.Row, 5000)
+	for i := range rows {
+		b := value.V(rng.Intn(1000))
+		if rng.Intn(3) == 0 {
+			b = extremes[rng.Intn(len(extremes))]
+		}
+		rows[i] = value.Row{value.V(rng.Intn(300)), b, value.V(rng.Intn(1000) - 500), value.V(rng.Intn(1000))}
+	}
+	rel := storage.NewRelation("forms", s, s.ColSet("a"), rows)
+	o := NewObject(rel)
+	o.AddBTree(s.ColSet("b"))
+	o.AddCM(cm.Build(rel, s.ColSet("c"), []value.V{4}, 0))
+
+	preds := []query.Predicate{
+		query.NewIn("b", 3, 70, 130, 700, 999),
+		query.NewIn("b", lo, 5, hi),
+		query.NewIn("b", -1, 0, 1, 1<<20),
+		query.NewIn("b", hi-1, hi),
+		query.NewIn("c", -500, -437, -436, 63, 64, 499),
+		query.NewRange("b", lo, -1),
+		query.NewRange("b", 0, hi),
+		query.NewRange("b", 10, 5),
+		query.NewEq("b", hi),
+		{Col: "b", Op: query.Eq, Lo: 7, Hi: 900},
+		query.NewEq("c", -3),
+	}
+	narrow := query.NewRange("a", 20, 260)
+	for _, p := range preds {
+		for _, q := range []*query.Query{
+			{Name: "first", Fact: "forms", AggCol: "d", Predicates: []query.Predicate{p}},
+			{Name: "later", Fact: "forms", AggCol: "d", Predicates: []query.Predicate{narrow, p}},
+		} {
+			sum, n := referenceScan(rel, q)
+			for _, spec := range Plans(o, q) {
+				got, err := Execute(o, q, spec)
+				if err != nil {
+					t.Fatalf("%s, plan %+v: %v", q, spec, err)
+				}
+				if got.Sum != sum || got.Rows != n {
+					t.Fatalf("%s, plan %+v: sum=%d rows=%d, the reference sum=%d rows=%d",
+						q, spec, got.Sum, got.Rows, sum, n)
+				}
+			}
+		}
+	}
 }

@@ -66,7 +66,7 @@ type Result struct {
 // and assembles the ILP instance. Dominated candidates are pruned (§5.3);
 // the returned design slice is aligned with the problem's candidates.
 // Candidate costing fans out across the worker pool — each candidate's
-// pricing is independent and the models memoize race-safely — which is the
+// pricing is independent and the models are race-safe — which is the
 // dominant cost of large pools.
 func BuildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64) (*ilp.Problem, []*costmodel.MVDesign) {
 	cands := make([]ilp.Candidate, len(designs))

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"coradd/internal/value"
@@ -9,9 +10,7 @@ import (
 
 // CompileCache memoizes Compiled bindings per *Query for one fixed
 // name→position mapping (one schema). Safe for concurrent use; the zero
-// value is ready. Both the executor (per materialized object) and the
-// statistics (base schema) embed one, so compile-once semantics live in a
-// single place.
+// value is ready. The executor keeps one per materialized object.
 type CompileCache struct {
 	m sync.Map // *Query → *Compiled
 }
@@ -27,43 +26,85 @@ func (c *CompileCache) Get(q *Query, col func(string) int) *Compiled {
 	return cq
 }
 
-// CompiledPred is one predicate bound to a column position, ready for
-// per-row evaluation without name resolution.
+// inBitsCap bounds an IN bitmap: a set whose span max−min reaches it keeps
+// its sorted-set probe instead (CompiledPred.Set). Generated workloads'
+// spans stay far below it; only outside documents (a /query body) can send
+// sets like {MinInt64, MaxInt64}.
+const inBitsCap = 1 << 16
+
+// CompiledPred is one predicate bound to a column position and compiled to
+// the one form every row evaluator tests: an interval [Lo, Lo+Span] and a
+// bitmap over it. Value v matches when d = uint64(v)−uint64(Lo) satisfies
+// d ≤ Span and bit d&63 of word Bits[(d>>6)&WMask] is set. Eq is [v, v]
+// and Range [Lo, Hi], each with one all-ones word and WMask 0; an empty
+// range or IN set is one all-zero word. IN is [min, max] of its set with
+// bit v−min set per member, over a power-of-two count of words, so WMask =
+// len(Bits)−1 keeps every probe in bounds. The operator is decided here,
+// once, and never per row.
 type CompiledPred struct {
 	// Col is the column position in the target schema.
-	Col int
-	Op  Op
-	// Lo/Hi bound Range predicates; Lo holds the value of Eq predicates.
-	Lo, Hi value.V
-	// Set holds the values of In predicates, sorted ascending (shared with
-	// the source predicate, never mutated).
+	Col   int
+	Lo    value.V
+	Span  uint64
+	Bits  []uint64
+	WMask uint64
+	// Set is non-nil only for an IN whose span reaches inBitsCap: its
+	// members, sorted ascending (shared with the source predicate, never
+	// mutated), probed by binary search within [Lo, Lo+Span]. Bits is then
+	// one all-ones word.
 	Set []value.V
 }
 
-// Matches reports whether v satisfies the predicate. Semantically identical
-// to Predicate.Matches.
-func (p *CompiledPred) Matches(v value.V) bool {
+var allOnes, allZeros = []uint64{^uint64(0)}, []uint64{0}
+
+// CompilePred compiles p, bound to column position col, to the one form.
+func CompilePred(p *Predicate, col int) CompiledPred {
+	c := CompiledPred{Col: col, Lo: p.Lo, Bits: allZeros}
 	switch p.Op {
 	case Eq:
-		return v == p.Lo
+		c.Bits = allOnes
 	case Range:
-		return v >= p.Lo && v <= p.Hi
+		if p.Lo <= p.Hi {
+			c.Span, c.Bits = uint64(p.Hi)-uint64(p.Lo), allOnes
+		}
 	case In:
-		return inSet(p.Set, v)
-	default:
-		return false
+		if len(p.Set) == 0 {
+			break
+		}
+		c.Lo = p.Set[0]
+		c.Span = uint64(p.Set[len(p.Set)-1]) - uint64(c.Lo)
+		if c.Span >= inBitsCap {
+			c.Bits, c.Set = allOnes, p.Set
+			break
+		}
+		c.Bits = make([]uint64, 1<<bits.Len64(c.Span>>6))
+		c.WMask = uint64(len(c.Bits) - 1)
+		for _, v := range p.Set {
+			if d := uint64(v) - uint64(c.Lo); d <= c.Span {
+				c.Bits[d>>6] |= 1 << (d & 63)
+			}
+		}
 	}
+	return c
+}
+
+// Has reports whether v satisfies the predicate: the form's test, or the
+// sorted-set probe for a wide IN.
+func (p *CompiledPred) Has(v value.V) bool {
+	d := uint64(v) - uint64(p.Lo)
+	if p.Set != nil {
+		return d <= p.Span && inSet(p.Set, v)
+	}
+	return d <= p.Span && p.Bits[(d>>6)&p.WMask]>>(d&63)&1 == 1
 }
 
 // Compiled is a query bound to one schema: every predicate and the
-// aggregate column are resolved to positions once, so the per-row inner
-// loops of the executor and the cost models run without string-map lookups
-// or closure dispatch. A Compiled is immutable after Compile and safe for
-// concurrent use.
+// aggregate column are resolved to positions and compiled once, so the
+// per-row inner loops of the executor run without string-map lookups,
+// closure dispatch or operator switches. A Compiled is immutable after
+// Compile and safe for concurrent use.
 type Compiled struct {
-	// Preds are the position-bound predicates, in the query's declaration
-	// order (MatchesRow evaluates them in this order, exactly like the
-	// interpreted Query.MatchesRow).
+	// Preds are the compiled predicates, in the query's declaration order.
 	Preds []CompiledPred
 	// Agg is the aggregate column position, or -1 when the query has none.
 	Agg int
@@ -81,7 +122,7 @@ func Compile(q *Query, col func(string) int) (*Compiled, error) {
 		if pos < 0 {
 			return nil, fmt.Errorf("query: compile %s: unknown column %s", q.Name, p.Col)
 		}
-		c.Preds[i] = CompiledPred{Col: pos, Op: p.Op, Lo: p.Lo, Hi: p.Hi, Set: p.Set}
+		c.Preds[i] = CompilePred(p, pos)
 	}
 	if q.AggCol != "" {
 		pos := col(q.AggCol)
@@ -101,32 +142,6 @@ func MustCompile(q *Query, col func(string) int) *Compiled {
 		panic(err)
 	}
 	return c
-}
-
-// MatchesRow reports whether row satisfies every predicate. Equivalent to
-// Query.MatchesRow under the mapping the query was compiled with.
-func (c *Compiled) MatchesRow(row value.Row) bool {
-	for i := range c.Preds {
-		p := &c.Preds[i]
-		v := row[p.Col]
-		switch p.Op {
-		case Eq:
-			if v != p.Lo {
-				return false
-			}
-		case Range:
-			if v < p.Lo || v > p.Hi {
-				return false
-			}
-		case In:
-			if !inSet(p.Set, v) {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // inSet reports whether v is in the ascending-sorted set, branch-light

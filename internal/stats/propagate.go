@@ -133,10 +133,7 @@ func (v Vector) clone() Vector {
 // fresh copy, so callers may retain or mutate the result (Propagate's
 // in-place idiom) without corrupting the cache.
 func (st *Stats) PropagatedVector(q *query.Query) Vector {
-	if v, ok := st.propMem.Load(q); ok {
-		return v.(Vector).clone()
-	}
-	v := st.Propagate(st.SelectivityVector(q))
-	st.propMem.Store(q, v.clone())
-	return v
+	return st.propMem.get(q, func() Vector {
+		return st.Propagate(st.SelectivityVector(q))
+	}).clone()
 }

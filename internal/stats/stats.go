@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"coradd/internal/query"
 	"coradd/internal/storage"
@@ -40,8 +41,8 @@ type Stats struct {
 	distinctMem map[string]float64 // memoized composite cardinalities
 	rankMem     map[string][]int32 // Ranks, per clustered key
 	sortedMem   map[string][]value.Row
-	matchMem    sync.Map // *query.Query → *Match
-	propMem     sync.Map // *query.Query → Vector (cached masters; clone on read)
+	matchMem    queryMemo[*Match]
+	propMem     queryMemo[Vector] // cached masters; clone on read
 }
 
 // New scans rel once, building cardinalities, histograms and a synopsis of
@@ -109,6 +110,34 @@ func memoize[T any](st *Stats, m map[string]T, k string, build func() T) T {
 		m[k] = v
 		st.mu.Unlock()
 	}
+	return v
+}
+
+// queryMemoLimit bounds each per-query cache. Callers price fresh query
+// pointers over one Stats for as long as it lives (a monitor snapshot
+// copies its representatives), so a cache that kept every pointer would
+// grow without end; on reaching the limit it is dropped and refills with
+// what is priced next, the policy of workload's fingerprint memo.
+const queryMemoLimit = 8192
+
+// queryMemo caches one value per *query.Query, lock-free on a hit and
+// bounded by queryMemoLimit. Concurrent misses may build twice, which is
+// safe because builds are deterministic. The zero value is ready.
+type queryMemo[T any] struct {
+	m sync.Map // *query.Query → T
+	n atomic.Int64
+}
+
+func (c *queryMemo[T]) get(q *query.Query, build func() T) T {
+	if v, ok := c.m.Load(q); ok {
+		return v.(T)
+	}
+	v := build()
+	if c.n.Add(1) > queryMemoLimit {
+		c.m.Clear()
+		c.n.Store(1)
+	}
+	c.m.Store(q, v)
 	return v
 }
 

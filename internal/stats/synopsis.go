@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math/bits"
-	"slices"
 
 	"coradd/internal/query"
 	"coradd/internal/value"
@@ -25,13 +24,14 @@ type Match struct {
 	n    int // sample rows
 }
 
-// MatchBits returns q's synopsis bitmaps and column positions, built once
-// per query and shared. Each predicate is evaluated once over its sample
-// column; callers must not mutate the result.
+// MatchBits returns q's synopsis bitmaps and column positions, cached per
+// query. Each predicate is compiled to query.CompiledPred's form and
+// tested once over its sample column; callers must not mutate the result.
 func (st *Stats) MatchBits(q *query.Query) *Match {
-	if m, ok := st.matchMem.Load(q); ok {
-		return m.(*Match)
-	}
+	return st.matchMem.get(q, func() *Match { return st.matchBits(q) })
+}
+
+func (st *Stats) matchBits(q *query.Query) *Match {
 	n := len(st.Sample)
 	words := (n + 63) / 64
 	m := &Match{Preds: make([][]uint64, len(q.Predicates)), All: make([]uint64, words), n: n}
@@ -42,7 +42,8 @@ func (st *Stats) MatchBits(q *query.Query) *Match {
 	for i := range q.Predicates {
 		b := make([]uint64, words)
 		if c := st.Rel.Schema.Col(q.Predicates[i].Col); c >= 0 {
-			matchColumn(b, st.sampleCols[c], &q.Predicates[i])
+			cp := query.CompilePred(&q.Predicates[i], c)
+			matchColumn(b, st.sampleCols[c], &cp)
 			maskTail(b, n)
 		}
 		for w := range b {
@@ -53,29 +54,16 @@ func (st *Stats) MatchBits(q *query.Query) *Match {
 	for _, name := range q.AllColumns() {
 		m.Cols = append(m.Cols, st.Rel.Schema.Col(name))
 	}
-	v, _ := st.matchMem.LoadOrStore(q, m)
-	return v.(*Match)
+	return m
 }
 
 // matchColumn sets b's bit i when col[i] satisfies p, a word at a time over
 // the column padded to a multiple of 64 rows.
-func matchColumn(b []uint64, col []value.V, p *query.Predicate) {
-	match := func(v value.V) bool { _, ok := slices.BinarySearch(p.Set, v); return ok }
-	if p.Op != query.In {
-		lo, hi := p.Lo, p.Hi
-		if p.Op == query.Eq {
-			hi = lo
-		} else if p.Op != query.Range || lo > hi {
-			return
-		}
-		// One unsigned compare tests lo <= v <= hi across all of int64.
-		base, span := uint64(lo), uint64(hi)-uint64(lo)
-		match = func(v value.V) bool { return uint64(v)-base <= span }
-	}
+func matchColumn(b []uint64, col []value.V, p *query.CompiledPred) {
 	for w := range b {
 		var x uint64
 		for j, v := range (*[64]value.V)(col[w*64:]) {
-			if match(v) {
+			if p.Has(v) {
 				x |= 1 << j
 			}
 		}

@@ -11,8 +11,8 @@
 //     into candidates through candgen.MinedCandidates — only candidates
 //     supported by observed queries are priced. Pools are re-mined every
 //     round, never accumulated, so a redesign depends only on the
-//     monitor's state; the tenant's model memo makes re-pricing an
-//     unchanged table free.
+//     monitor's state; re-pricing an unchanged table reads the synopsis
+//     summaries its statistics cache per query.
 //
 //   - Selection is decomposed, not pooled. The global budget constraint
 //     Σ_t size(S_t) ≤ B couples otherwise independent per-tenant
