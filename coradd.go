@@ -139,14 +139,13 @@ type (
 	// controller, rendered in /statusz. nil disables it.
 	EventTracer = obs.Tracer
 	// TenantCoordinator is the multi-tenant design coordinator
-	// (internal/tenant): N per-tenant workload monitors feed mined
-	// candidate pools, and one shared space budget is split across tenants
-	// by Lagrangian decomposition — dual ascent on a single multiplier λ
-	// with per-tenant penalized ILP subproblems — with a reported duality
-	// gap, falling back to a monolithic pooled exact solve when small.
+	// (internal/tenant): each tenant's workload monitor feeds the §4
+	// candidate generation over its snapshot, and one shared space budget
+	// is split across tenants by one exact solve of the pooled selection
+	// instance.
 	TenantCoordinator = tenant.Coordinator
-	// TenantConfig tunes a TenantCoordinator (global budget, mining
-	// thresholds, dual iterations, the monolithic-fallback limit).
+	// TenantConfig tunes a TenantCoordinator (global budget, fan-out
+	// workers, solver options, metrics registry).
 	TenantConfig = tenant.Config
 	// Tenant is one registered tenant workload: its monitor, cost model
 	// and current design objects.
@@ -504,9 +503,9 @@ func (s *System) ServeAdaptive(initial *Design, cp *Checkpoint, cfg ServerConfig
 // MultiTenant builds a multi-tenant design coordinator: register tenant
 // workloads with AddTenant (or TenantCoordinator.Add over any substrate),
 // feed their query streams through Tenant.Observe, and each Redesign
-// splits cfg.Budget across all tenants at once — by Lagrangian dual
-// ascent over per-tenant subproblems, with the reported duality gap
-// bounding the distance to the pooled optimum.
+// splits cfg.Budget across all tenants at once — one exact solve over the
+// pooled per-tenant selection instances, so the split is the joint
+// optimum whenever the solve is proven.
 func MultiTenant(cfg TenantConfig) *TenantCoordinator { return tenant.New(cfg) }
 
 // AddTenant registers a tenant running this system's fact table and

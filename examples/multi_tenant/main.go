@@ -2,15 +2,13 @@
 // own workloads against the same SSB fact table — a hot tenant hammering
 // the date/discount flights, a drill-down tenant on the brand queries,
 // and a light tenant issuing occasional region scans. Instead of carving
-// the space budget into fixed equal shares, the coordinator mines each
-// tenant's candidate pool from its observed query templates and splits
-// the global budget by Lagrangian dual ascent: one multiplier λ prices a
-// byte of space, each tenant solves its own small penalized selection,
-// and the ascent adjusts λ until the pooled appetite meets the budget —
-// with a duality gap certifying how far the split can be from the pooled
-// optimum. A redesign depends only on what the monitors hold, so a second
-// redesign on the unchanged streams re-mines the same pools and
-// reproduces the first allocation.
+// the space budget into fixed equal shares, the coordinator generates each
+// tenant's candidate pool from its observed query templates (the paper's
+// §4 generation) and splits the global budget with one exact solve over
+// all tenants' pooled selection instances, so a byte goes to whichever
+// tenant's workload buys the most with it. A redesign depends only on
+// what the monitors hold, so a second redesign on the unchanged streams
+// regenerates the same pools and reproduces the first allocation.
 package main
 
 import (
@@ -27,10 +25,7 @@ func main() {
 	must(err)
 
 	budget := rel.HeapBytes() / 2
-	co := coradd.MultiTenant(coradd.TenantConfig{
-		Budget:          budget,
-		MonolithicLimit: -1, // always decompose, so the demo shows the dual
-	})
+	co := coradd.MultiTenant(coradd.TenantConfig{Budget: budget})
 
 	// A deterministic clock: one simulated second per observation.
 	clock := 0.0
@@ -59,8 +54,8 @@ func main() {
 	alloc, err := co.Redesign()
 	must(err)
 
-	fmt.Printf("global budget %.1f MB across %d tenants (method %s)\n\n",
-		float64(budget)/(1<<20), len(alloc.Tenants), alloc.Method)
+	fmt.Printf("global budget %.1f MB across %d tenants\n\n",
+		float64(budget)/(1<<20), len(alloc.Tenants))
 	fmt.Printf("%-8s %-10s %-6s %-10s %-7s %s\n",
 		"tenant", "templates", "pool", "share_MB", "share%", "objective_s")
 	for _, tr := range alloc.Tenants {
@@ -69,14 +64,12 @@ func main() {
 			tr.Name, len(tr.Workload), tr.PoolSize,
 			float64(tr.Size)/(1<<20), share, tr.Objective)
 	}
-	fmt.Printf("\ndual certificate: λ=%.3g after %d probes (%d subproblem solves, %d nodes)\n",
-		alloc.Lambda, alloc.DualIters, alloc.SubSolves, alloc.Nodes)
-	fmt.Printf("objective %.3f ≥ lower bound %.3f (gap %.3f, proven %v)\n",
-		alloc.Objective, alloc.LowerBound, alloc.Gap, alloc.Proven)
+	fmt.Printf("\npooled solve: objective %.3f after %d nodes (proven %v)\n",
+		alloc.Objective, alloc.Nodes, alloc.Proven)
 	fmt.Printf("allocation uses %.1f of %.1f MB\n",
 		float64(alloc.TotalSize)/(1<<20), float64(budget)/(1<<20))
 
-	// Nothing drifted: the second redesign re-mines the same pools and
+	// Nothing drifted: the second redesign regenerates the same pools and
 	// lands on the same allocation.
 	alloc2, err := co.Redesign()
 	must(err)

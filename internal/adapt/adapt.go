@@ -481,7 +481,7 @@ func (sv *Solve) Run() {
 		if sink != nil {
 			fb.Solve.Progress = sink
 		}
-		des := designer.NewCORADDWith(common, c.model, c.cfg.Cand, (*candgen.Generator).Generate)
+		des := designer.NewCORADDWith(common, c.model, c.cfg.Cand)
 		des.Feedback = fb
 		if sv.to, sv.err = des.DesignFrom(c.cfg.Budget, sv.from); sv.err != nil {
 			return

@@ -20,8 +20,6 @@ import (
 //	"incumbent" a strict incumbent improvement was just adopted
 //	"subtree"   one parallel subtree merged (Subtree is its ordinal;
 //	            counters are the running merged totals)
-//	"dual"      one ilp.DualDecompose λ-probe completed (Subtree is the
-//	            probe ordinal, Bound the probe's dual value)
 //	"final"     the search finished (proven, capped, or interrupted)
 type Sample struct {
 	Phase      string
@@ -29,15 +27,13 @@ type Sample struct {
 	Pruned     int
 	Incumbents int
 	// Incumbent is the best value known at the sample (weighted workload
-	// seconds for ilp, cumulative migration seconds for deploy; 0 in
-	// "dual" probes, which carry only a bound).
+	// seconds for ilp, cumulative migration seconds for deploy).
 	Incumbent float64
 	// Bound is an admissible lower bound on the optimum: the root
-	// relaxation for tree samples (constant across one solve), the
-	// probe's dual value L(λ) for "dual" samples. 0 when unknown.
+	// relaxation (constant across one solve). 0 when unknown.
 	Bound float64
-	// Subtree is the parallel subtree or dual probe ordinal, -1 for
-	// sequential tree samples.
+	// Subtree is the parallel subtree ordinal, -1 for sequential tree
+	// samples.
 	Subtree int
 }
 

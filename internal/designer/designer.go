@@ -172,8 +172,8 @@ func Reroute(d *Design, model costmodel.Model, w query.Workload) *Design {
 // CORADD is the paper's designer, and the one redesign pipeline: batch
 // design, the adaptive controller and the multi-tenant coordinator all run
 // candidates → priced selection instance → solve → routed design through
-// it, differing only in the model they share and where candidates come
-// from.
+// it, differing only in the workload they solve for and the model they
+// share.
 type CORADD struct {
 	Common
 	Model *costmodel.Aware
@@ -195,24 +195,22 @@ type CORADD struct {
 // candidate generation, run once; the same candidate pool is reused
 // across budgets, as in the paper.
 func NewCORADD(c Common, cfg candgen.Config, fb feedback.Config) *CORADD {
-	d := NewCORADDWith(c, costmodel.NewAware(c.St, c.Disk), cfg, (*candgen.Generator).Generate)
+	d := NewCORADDWith(c, costmodel.NewAware(c.St, c.Disk), cfg)
 	d.Feedback = fb
 	return d
 }
 
-// NewCORADDWith builds the designer for workload c.W priced by model,
-// taking the initial candidate pool from src applied to a generator over
-// c.W. A redesign is then a function of (statistics, c.W, incumbent,
-// budget) alone: the model keeps no estimates between calls
-// (costmodel.Aware), so a model shared across redesigns prices exactly as
-// a fresh one would. Feedback is left zero; set it before Design.
-func NewCORADDWith(c Common, model *costmodel.Aware, cfg candgen.Config,
-	src func(*candgen.Generator) []*costmodel.MVDesign) *CORADD {
-
+// NewCORADDWith builds the designer for workload c.W priced by model, its
+// initial candidate pool the §4 generation over c.W. A redesign is then a
+// function of (statistics, c.W, incumbent, budget) alone: the model keeps
+// no estimates between calls (costmodel.Aware), so a model shared across
+// redesigns prices exactly as a fresh one would. Feedback is left zero;
+// set it before Design.
+func NewCORADDWith(c Common, model *costmodel.Aware, cfg candgen.Config) *CORADD {
 	gen := candgen.New(c.St, model, c.W, cfg)
 	gen.PKCols = c.PKCols
 	d := &CORADD{Common: c, Model: model, Gen: gen}
-	d.initial = src(gen)
+	d.initial = gen.Generate()
 	d.base = d.baseTimes(model)
 	return d
 }
@@ -278,7 +276,8 @@ func (d *CORADD) designWith(budget int64, fb feedback.Config) (*Design, error) {
 }
 
 // Problem is a priced selection instance over the designer's initial
-// pool, for a caller that solves it elsewhere (the multi-tenant dual).
+// pool, for a caller that solves it elsewhere (the multi-tenant pooled
+// solve).
 type Problem struct {
 	// ILP is the instance, dominated candidates pruned (§5.3); Designs are
 	// aligned with ILP.Cands.

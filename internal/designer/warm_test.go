@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"coradd/internal/candgen"
 	"coradd/internal/costmodel"
 	"coradd/internal/feedback"
 	"coradd/internal/ilp"
@@ -102,11 +101,11 @@ func TestRerouteMatchesFreshRouting(t *testing.T) {
 }
 
 // TestRedesignOnWarmedModelMatchesFresh: a redesign priced by a model that
-// an earlier redesign already warmed on another stream — the same query
-// names over other literals, priced on the very candidates the redesign
-// will generate — chooses, routes and searches exactly like a redesign on
-// a fresh model. The model's memo is keyed by query content, so the adaptive
-// controller shares one model across all its redesigns.
+// an earlier redesign already ran on another stream — the same query names
+// over other literals, with the candidates generated for them — chooses,
+// routes and searches exactly like a redesign on a fresh model. The model
+// keeps no estimates between calls, so the adaptive controller shares one
+// model across all its redesigns.
 func TestRedesignOnWarmedModelMatchesFresh(t *testing.T) {
 	rel, _, c := smallSSB(t, 20000)
 	c.Solve = ilp.SolveOptions{MaxNodes: 200_000}
@@ -141,14 +140,13 @@ func TestRedesignOnWarmedModelMatchesFresh(t *testing.T) {
 	model := costmodel.NewAware(c.St, c.Disk)
 	cOther := c
 	cOther.W = other
-	warmup := NewCORADDWith(cOther, model, smallCandCfg(),
-		func(*candgen.Generator) []*costmodel.MVDesign { return fresh.Candidates() })
+	warmup := NewCORADDWith(cOther, model, smallCandCfg())
 	warmup.Feedback = fb
 	if _, err := warmup.Design(budget); err != nil {
 		t.Fatal(err)
 	}
 
-	shared := NewCORADDWith(c, model, smallCandCfg(), (*candgen.Generator).Generate)
+	shared := NewCORADDWith(c, model, smallCandCfg())
 	shared.Feedback = fb
 	got, err := shared.Design(budget)
 	if err != nil {

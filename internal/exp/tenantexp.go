@@ -24,32 +24,29 @@ const TenantBudgetMult = 0.5
 type TenantRow struct {
 	Name      string
 	Templates int
-	// PoolSize is the tenant's mined candidate pool.
+	// PoolSize is the tenant's §4 candidate pool.
 	PoolSize int
-	// DualSize/EqSize are the budget shares granted by the Lagrangian
-	// allocation and by the naive equal split.
-	DualSize, EqSize int64
-	// DualSec/EqSec are measured rate-weighted workload-seconds of the
+	// SharedSize/EqSize are the budget shares granted by the pooled
+	// shared-budget solve and by the naive equal split.
+	SharedSize, EqSize int64
+	// SharedSec/EqSec are measured rate-weighted workload-seconds of the
 	// tenant's snapshot under each contender's design.
-	DualSec, EqSec float64
+	SharedSec, EqSec float64
 }
 
 // TenantAblationResult is the tenant ablation's typed outcome.
 type TenantAblationResult struct {
 	Rows []TenantRow
-	// Alloc is the coordinator's allocation (dual certificate included).
+	// Alloc is the coordinator's allocation (pooled solve telemetry
+	// included).
 	Alloc *tenant.Allocation
-	// DualSec/EqSec are total measured workload-seconds under the dual
-	// allocation and the naive equal split of the same global budget.
-	DualSec, EqSec float64
-	// DualNodes/EqNodes/MonoNodes compare solver effort: branch-and-bound
-	// nodes of the dual ascent (all subproblem solves summed), of the
-	// equal-split per-tenant solves, and of the monolithic pooled exact
-	// solve at the same global budget on the identical instances.
-	DualNodes, EqNodes, MonoNodes int
-	// MonoObjective/MonoProven describe the monolithic reference solve.
-	MonoObjective float64
-	MonoProven    bool
+	// SharedSec/EqSec are total measured workload-seconds under the
+	// shared allocation and the naive equal split of the same global
+	// budget.
+	SharedSec, EqSec float64
+	// EqNodes sums the branch-and-bound nodes of the equal-split
+	// per-tenant solves, beside the pooled solve's Alloc.Nodes.
+	EqNodes int
 	// Budget echoes the global budget.
 	Budget int64
 }
@@ -73,9 +70,9 @@ type tenantSpec struct {
 // datasets: three SSB tenants with disjoint slices of the augmented
 // 52-template workload and very different traffic rates, plus one APB
 // tenant — the many-schemas case the coordinator must price
-// independently. The wide template sets are deliberate: they mine rich
-// candidate pools, which is what makes the monolithic pooled instance a
-// genuine combinatorial problem.
+// independently. The wide template sets are deliberate: they generate
+// rich candidate pools, which is what makes the pooled instance a genuine
+// combinatorial problem.
 func tenantStreams(ssbEnv, apbEnv *scenario.Env) []tenantSpec {
 	sq := ssb.AugmentedQueries()
 	aq := apbEnv.W
@@ -118,42 +115,22 @@ func tenantDesignFrom(name string, env *scenario.Env, model *costmodel.Aware, pr
 	return designer.Reroute(d, model, w)
 }
 
-// TenantAblation measures the multi-tenant coordinator's two claims on a
-// skewed 4-tenant SSB/APB mix under one contended global budget:
-//
-//   - Allocation quality: the Lagrangian dual's budget split is compared
-//     against the naive equal split (every tenant gets B/N, solved
-//     exactly on the identical mined instances) by measured
-//     rate-weighted workload-seconds — the dual moves budget to the
-//     tenants whose workloads buy the most with it.
-//
-//   - Solver effort: the dual's summed subproblem nodes are compared
-//     against the monolithic pooled exact solve of the same instances at
-//     the same global budget — decomposition replaces one coupled
-//     branch-and-bound with N small warm-started ones.
+// TenantAblation measures the multi-tenant coordinator on a skewed
+// 4-tenant SSB/APB mix under one contended global budget: the pooled
+// exact solve's budget split is compared against the naive equal split
+// (every tenant gets B/N, solved exactly on the identical instances) by
+// measured rate-weighted workload-seconds — the shared solve moves budget
+// to the tenants whose workloads buy the most with it.
 //
 // Everything downstream of the generated datasets is deterministic: the
-// streams replay on an injected clock and the coordinator is forced down
-// the dual path (MonolithicLimit -1).
+// streams replay on an injected clock.
 func TenantAblation(s scenario.Scale) (*TenantAblationResult, *Table, error) {
 	ssbEnv := scenario.SSB(s, false)
 	apbEnv := apbenv.New(s)
 	specs := tenantStreams(ssbEnv, apbEnv)
 	budget := int64(TenantBudgetMult * float64(ssbEnv.Rel.HeapBytes()))
 
-	co := tenant.New(tenant.Config{
-		Budget:          budget,
-		MonolithicLimit: -1, // always decompose: the ablation measures the dual itself
-		// Deep mining: low support threshold, wide set cap, three
-		// clusterings per mined group — the pools are rich enough that the
-		// monolithic pooled instance is genuinely combinatorial.
-		MinShare:   0.02,
-		MaxSetSize: 4,
-		MaxSets:    64,
-		MinedT:     3,
-		DualIters:  10,
-		Solve:      ssbEnv.Common.Solve,
-	})
+	co := tenant.New(tenant.Config{Budget: budget, Solve: ssbEnv.Common.Solve})
 	clk := &tenantClock{}
 	for _, sp := range specs {
 		tn, err := co.Add(sp.name, sp.env.Common, workload.Config{HalfLife: 1e6}, clk.now)
@@ -172,13 +149,13 @@ func TenantAblation(s scenario.Scale) (*TenantAblationResult, *Table, error) {
 		return nil, nil, err
 	}
 
-	res := &TenantAblationResult{Alloc: alloc, Budget: budget, DualNodes: alloc.Nodes}
+	res := &TenantAblationResult{Alloc: alloc, Budget: budget}
 	models := map[*scenario.Env]*costmodel.Aware{
 		ssbEnv: costmodel.NewAware(ssbEnv.St, ssbEnv.Common.Disk),
 		apbEnv: costmodel.NewAware(apbEnv.St, apbEnv.Common.Disk),
 	}
 
-	// Gather the live per-tenant instances for the reference solves.
+	// Gather the live per-tenant instances for the equal-split solves.
 	var probs []*ilp.Problem
 	var liveIdx []int
 	for i, tr := range alloc.Tenants {
@@ -205,7 +182,7 @@ func TenantAblation(s scenario.Scale) (*TenantAblationResult, *Table, error) {
 		res.EqNodes += eqSol.Nodes
 		eqDesign := tenantDesignFrom("tenant-eq/"+sp.name, sp.env, model, &eqProb, eqSol.Chosen, tr.Workload, eqBudget)
 
-		dualSec, err := measureTenant(sp.env, model, tr.Design, tr.Workload)
+		sharedSec, err := measureTenant(sp.env, model, tr.Design, tr.Workload)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -213,46 +190,36 @@ func TenantAblation(s scenario.Scale) (*TenantAblationResult, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res.DualSec += dualSec
+		res.SharedSec += sharedSec
 		res.EqSec += eqSec
 		res.Rows = append(res.Rows, TenantRow{
-			Name:      sp.name,
-			Templates: len(tr.Workload),
-			PoolSize:  tr.PoolSize,
-			DualSize:  tr.Size,
-			EqSize:    eqDesign.Size,
-			DualSec:   dualSec,
-			EqSec:     eqSec,
+			Name:       sp.name,
+			Templates:  len(tr.Workload),
+			PoolSize:   tr.PoolSize,
+			SharedSize: tr.Size,
+			EqSize:     eqDesign.Size,
+			SharedSec:  sharedSec,
+			EqSec:      eqSec,
 		})
 	}
 
-	// Reference: the monolithic pooled exact solve at the same global
-	// budget on the identical instances — the node-count contender.
-	pl := ilp.Pool(probs, budget)
-	monoSol := ilp.Solve(pl.P, ssbEnv.Common.Solve)
-	res.MonoNodes = monoSol.Nodes
-	res.MonoObjective = monoSol.Objective
-	res.MonoProven = monoSol.Proven
-
 	t := &Table{
 		ID:     "Ablation tenant",
-		Title:  "Multi-tenant shared budget: Lagrangian dual allocation vs naive equal split (measured workload-seconds)",
-		Header: []string{"tenant", "templates", "pool", "dual_MB", "equal_MB", "dual_sec", "equal_sec"},
+		Title:  "Multi-tenant shared budget: pooled exact allocation vs naive equal split (measured workload-seconds)",
+		Header: []string{"tenant", "templates", "pool", "shared_MB", "equal_MB", "shared_sec", "equal_sec"},
 	}
 	for _, r := range res.Rows {
 		t.Rows = append(t.Rows, []string{
 			r.Name, fmt.Sprintf("%d", r.Templates), fmt.Sprintf("%d", r.PoolSize),
-			mb(r.DualSize), mb(r.EqSize), f3(r.DualSec), f3(r.EqSec),
+			mb(r.SharedSize), mb(r.EqSize), f3(r.SharedSec), f3(r.EqSec),
 		})
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("global budget %s MB shared by %d tenants; equal split gives each %s MB",
 			mb(budget), len(probs), mb(eqBudget)),
-		fmt.Sprintf("measured workload-seconds: dual %.3f vs equal-split %.3f (%.1f%% better)",
-			res.DualSec, res.EqSec, 100*(res.EqSec-res.DualSec)/res.EqSec),
-		fmt.Sprintf("dual certificate: λ=%.3g, %d iterations, %d subproblem solves, objective %.3f ≥ bound %.3f (gap %.3f)",
-			alloc.Lambda, alloc.DualIters, alloc.SubSolves, alloc.Objective, alloc.LowerBound, alloc.Gap),
-		fmt.Sprintf("solver effort: dual %d nodes vs equal-split %d vs monolithic pooled %d (mono objective %.3f, proven %v)",
-			res.DualNodes, res.EqNodes, res.MonoNodes, res.MonoObjective, res.MonoProven))
+		fmt.Sprintf("measured workload-seconds: shared %.3f vs equal-split %.3f (%.1f%% better)",
+			res.SharedSec, res.EqSec, 100*(res.EqSec-res.SharedSec)/res.EqSec),
+		fmt.Sprintf("pooled solve: modeled objective %.3f, %d nodes, proven %v (equal-split solves %d nodes)",
+			alloc.Objective, alloc.Nodes, alloc.Proven, res.EqNodes))
 	return res, t, nil
 }

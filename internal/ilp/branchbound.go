@@ -124,8 +124,7 @@ func Solve(p *Problem, opts SolveOptions) *Solution {
 	return solve(p, 0, opts)
 }
 
-// SolvePenalized solves the per-tenant Lagrangian subproblem of the
-// multi-tenant decomposition (internal/tenant, dual.go): minimize
+// SolvePenalized minimizes the workload cost plus a price on space,
 //
 //	obj(S) + lambda · size(S)
 //
@@ -138,15 +137,17 @@ func Solve(p *Problem, opts SolveOptions) *Solution {
 // Submodularity extends the useless-candidate drop: a candidate's marginal
 // benefit in any set is at most its solo benefit Σ_q w_q·max(0, base_q −
 // t_q), so one whose solo benefit does not exceed λ·size can never pay its
-// penalty — the lever that keeps high-λ probes near-free. Fixing
+// penalty — the lever that keeps high-λ solves near-free. Fixing
 // always-fitting candidates, the budget Lagrangian and the incumbent
 // polish price the unpenalized objective and are skipped.
 //
 // The returned Solution reports the *unpenalized* objective obj(S) — the
 // same semantics as Solve — with Chosen ascending, so callers recover the
-// Lagrangian value as Objective + lambda·Size; lambda ≤ 0 is Solve.
-// opts.Workers is ignored: the decomposition parallelizes across tenants
-// (par.ForEach in dual.go), not inside one small subproblem.
+// penalized value as Objective + lambda·Size; lambda ≤ 0 is Solve.
+// opts.Workers is ignored: a λ > 0 search runs sequentially. No selection
+// path calls it: shared budgets are solved exactly by pooling (pool.go),
+// and it stays as the penalized arm of the search that its tests and the
+// coraddbench ilp.penalized_ms probe exercise.
 func SolvePenalized(p *Problem, lambda float64, opts SolveOptions) *Solution {
 	if lambda <= 0 {
 		return Solve(p, opts)

@@ -8,8 +8,8 @@ import (
 )
 
 // ProgressSample is the driver's search snapshot (see bnb.Sample for the
-// phases), emitted through SolveOptions.Progress, deploy.Options.Progress
-// and DualOptions.Progress.
+// phases), emitted through SolveOptions.Progress and
+// deploy.Options.Progress.
 type ProgressSample = bnb.Sample
 
 // SolveProfile accumulates the progress samples of one or more solves

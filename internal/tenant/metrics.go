@@ -12,33 +12,24 @@ import (
 // tables byte-identical while this subsystem sits unused.
 type coordObs struct {
 	redesigns   *obs.Counter
-	dualIters   *obs.Counter
-	subSolves   *obs.Counter
-	monolithic  *obs.Counter
-	minedCands  *obs.Counter
+	candidates  *obs.Counter
 	solverNodes *obs.Counter
 
 	tenants *obs.Gauge
 
 	// routed attributes each tenant's templates to the design object the
-	// latest redesign routed them to (plan attribution, per tenant);
-	// solveGap tracks the most recent dual decomposition's duality gap.
-	routed   *obs.CounterVec
-	solveGap *obs.FloatGauge
+	// latest redesign routed them to (plan attribution, per tenant).
+	routed *obs.CounterVec
 }
 
 func newCoordObs(r *obs.Registry) coordObs {
 	return coordObs{
 		redesigns:   r.Counter("coradd_tenant_redesigns_total", "Multi-tenant redesign rounds completed."),
-		dualIters:   r.Counter("coradd_tenant_dual_iterations_total", "Lagrangian dual ascent iterations (λ probes) across redesigns."),
-		subSolves:   r.Counter("coradd_tenant_subproblem_solves_total", "Per-tenant penalized ILP solves across dual probes."),
-		monolithic:  r.Counter("coradd_tenant_monolithic_solves_total", "Redesigns that took the pooled exact-solve fallback."),
-		minedCands:  r.Counter("coradd_tenant_mined_candidates_total", "Candidates mined from tenant template tables, summed over redesigns."),
-		solverNodes: r.Counter("coradd_tenant_solver_nodes_total", "Branch-and-bound nodes across all selection solves (dual subproblems or pooled fallback)."),
+		candidates:  r.Counter("coradd_tenant_candidates_total", "Candidates generated for tenant snapshots, summed over redesigns."),
+		solverNodes: r.Counter("coradd_tenant_solver_nodes_total", "Branch-and-bound nodes of the pooled selection solves."),
 
 		tenants: r.Gauge("coradd_tenant_tenants", "Registered tenants."),
 
-		routed:   r.CounterVec("coradd_tenant_object_routed_total", "Templates routed to a design object at a redesign round, by tenant and object.", "tenant", "object"),
-		solveGap: r.FloatGauge("coradd_tenant_solve_gap", "Duality gap of the most recent Lagrangian decomposition round."),
+		routed: r.CounterVec("coradd_tenant_object_routed_total", "Templates routed to a design object at a redesign round, by tenant and object.", "tenant", "object"),
 	}
 }

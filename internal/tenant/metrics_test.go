@@ -9,13 +9,13 @@ import (
 )
 
 // TestMetricsCounters: an instrumented coordinator reports the
-// coradd_tenant_* series — dual iterations and mined candidates included —
-// and a nil registry is a free no-op (the other tests all run with one).
+// coradd_tenant_* series, and a nil registry is a free no-op (the other
+// tests all run with one).
 func TestMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	budget := contendedBudget(t)
 	clk := &fakeClock{}
-	co := New(Config{Budget: budget, MonolithicLimit: -1, Metrics: reg})
+	co := New(Config{Budget: budget, Metrics: reg})
 	tn, err := co.Add("A", testCommon(t, 5, 4000), workload.Config{}, clk.now)
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +38,7 @@ func TestMetricsCounters(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		"coradd_tenant_redesigns_total 2",
-		"coradd_tenant_dual_iterations_total",
-		"coradd_tenant_subproblem_solves_total",
-		"coradd_tenant_mined_candidates_total",
+		"coradd_tenant_candidates_total",
 		"coradd_tenant_solver_nodes_total",
 		"coradd_tenant_tenants 1",
 	} {
@@ -48,10 +46,10 @@ func TestMetricsCounters(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	if strings.Contains(text, "coradd_tenant_dual_iterations_total 0") {
-		t.Fatal("dual iterations counter never moved")
+	if strings.Contains(text, "coradd_tenant_candidates_total 0") {
+		t.Fatal("candidates counter never moved")
 	}
-	if strings.Contains(text, "coradd_tenant_mined_candidates_total 0") {
-		t.Fatal("mined candidates counter never moved")
+	if strings.Contains(text, "coradd_tenant_solver_nodes_total 0") {
+		t.Fatal("solver nodes counter never moved")
 	}
 }

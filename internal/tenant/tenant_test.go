@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -111,10 +112,10 @@ func buildCoord(tb testing.TB, cfg Config) *Coordinator {
 }
 
 // contendedBudget probes the pooled candidate mass and returns a budget
-// tight enough that the λ=0 relaxation overshoots it.
+// tight enough that the tenants' unconstrained designs overshoot it.
 func contendedBudget(tb testing.TB) int64 {
 	tb.Helper()
-	co := buildCoord(tb, Config{Budget: 1 << 40, MonolithicLimit: -1})
+	co := buildCoord(tb, Config{Budget: 1 << 40})
 	alloc, err := co.Redesign()
 	if err != nil {
 		tb.Fatal(err)
@@ -125,61 +126,81 @@ func contendedBudget(tb testing.TB) int64 {
 	return alloc.TotalSize / 3
 }
 
-// TestRedesignDualBoundsMonolithic is the subsystem property test: the
-// decomposed dual-ascent + repair solve either matches the monolithic
-// exact ILP over the pooled candidates or provably bounds it within the
-// reported duality gap.
-func TestRedesignDualBoundsMonolithic(t *testing.T) {
+// TestRedesignPooledIsOptimal is the subsystem property test: under a
+// contended budget the pooled solve is proven and within budget, every
+// tenant's share is optimal for its own instance at the space it was
+// granted (no tenant could do better without taking space from another),
+// and the allocation is no worse than the fixed splits that divide the
+// budget equally, give all of it to one tenant, or move one tenant's share
+// to another.
+func TestRedesignPooledIsOptimal(t *testing.T) {
 	budget := contendedBudget(t)
-	co := buildCoord(t, Config{Budget: budget, MonolithicLimit: -1})
+	co := buildCoord(t, Config{Budget: budget})
 	alloc, err := co.Redesign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Method != "dual" {
-		t.Fatalf("method %q, want dual", alloc.Method)
-	}
 	if !alloc.Proven {
-		t.Fatal("subproblem solves not proven on this small instance")
+		t.Fatal("pooled solve not proven on this small instance")
 	}
 	if alloc.TotalSize > budget {
 		t.Fatalf("allocation overshoots budget: %d > %d", alloc.TotalSize, budget)
 	}
-	if alloc.DualIters < 2 {
-		t.Fatalf("contended budget solved in %d probes; want an actual ascent", alloc.DualIters)
-	}
 
-	var probs []*ilp.Problem
-	for _, p := range alloc.Problems {
-		if p != nil {
-			probs = append(probs, p)
+	// splitObjective is the summed optimum when tenant i may use shares[i].
+	splitObjective := func(shares []int64) float64 {
+		sum := 0.0
+		for i, p := range alloc.Problems {
+			q := *p
+			q.Budget = shares[i]
+			sol := ilp.Solve(&q, ilp.SolveOptions{})
+			if !sol.Proven {
+				t.Fatalf("reference solve of tenant %d not proven", i)
+			}
+			sum += sol.Objective
+		}
+		return sum
+	}
+	granted := make([]int64, len(alloc.Tenants))
+	for i, tr := range alloc.Tenants {
+		granted[i] = tr.Size
+	}
+	if got := splitObjective(granted); math.Abs(got-alloc.Objective) > 1e-9 {
+		t.Fatalf("a tenant's share is not optimal at its granted size: %.6f vs %.6f", alloc.Objective, got)
+	}
+	n := len(alloc.Tenants)
+	splits := [][]int64{make([]int64, n)}
+	for i := range splits[0] {
+		splits[0][i] = budget / int64(n)
+	}
+	for to := range granted {
+		all := make([]int64, n)
+		all[to] = budget
+		splits = append(splits, all)
+		for from := range granted {
+			if from != to && granted[from] > 0 {
+				moved := slices.Clone(granted)
+				moved[to] += moved[from]
+				moved[from] = 0
+				splits = append(splits, moved)
+			}
 		}
 	}
-	pooled := ilp.Pool(probs, budget)
-	mono := ilp.Solve(pooled.P, ilp.SolveOptions{})
-	if !mono.Proven {
-		t.Fatal("monolithic reference solve not proven")
-	}
-	if alloc.Objective < mono.Objective-1e-9 {
-		t.Fatalf("dual objective %.6f below monolithic optimum %.6f", alloc.Objective, mono.Objective)
-	}
-	if alloc.LowerBound > mono.Objective+1e-9 {
-		t.Fatalf("dual lower bound %.6f above optimum %.6f", alloc.LowerBound, mono.Objective)
-	}
-	if alloc.Objective-mono.Objective > alloc.Gap+1e-9 {
-		t.Fatalf("optimum outside reported gap: dual %.6f opt %.6f gap %.6f",
-			alloc.Objective, mono.Objective, alloc.Gap)
+	for _, shares := range splits {
+		if obj := splitObjective(shares); alloc.Objective > obj+1e-9 {
+			t.Fatalf("split %v reaches %.6f, below the pooled objective %.6f", shares, obj, alloc.Objective)
+		}
 	}
 }
 
 // TestRedesignDeterministicAcrossWorkers: identical streams produce
 // bit-identical allocations (and identical priced instances) at any
-// worker count — the decomposition's par.ForEach fan-outs reduce in index
-// order.
+// worker count — the per-tenant par.ForEach fan-out writes its own slots
+// and the pooled solve reads them in index order.
 func TestRedesignDeterministicAcrossWorkers(t *testing.T) {
 	budget := contendedBudget(t)
 	run := func(workers int) (*Allocation, [][]string) {
-		co := buildCoord(t, Config{Budget: budget, MonolithicLimit: -1, Workers: workers})
+		co := buildCoord(t, Config{Budget: budget, Workers: workers})
 		alloc, err := co.Redesign()
 		if err != nil {
 			t.Fatal(err)
@@ -189,12 +210,10 @@ func TestRedesignDeterministicAcrossWorkers(t *testing.T) {
 	refAlloc, refPools := run(1)
 	for _, w := range []int{2, 4, 8} {
 		alloc, pools := run(w)
-		if alloc.Objective != refAlloc.Objective || alloc.Lambda != refAlloc.Lambda ||
-			alloc.DualIters != refAlloc.DualIters || alloc.Nodes != refAlloc.Nodes ||
+		if alloc.Objective != refAlloc.Objective || alloc.Nodes != refAlloc.Nodes ||
 			alloc.TotalSize != refAlloc.TotalSize {
-			t.Fatalf("workers=%d diverged: obj %v/%v λ %v/%v iters %d/%d nodes %d/%d size %d/%d",
-				w, alloc.Objective, refAlloc.Objective, alloc.Lambda, refAlloc.Lambda,
-				alloc.DualIters, refAlloc.DualIters, alloc.Nodes, refAlloc.Nodes,
+			t.Fatalf("workers=%d diverged: obj %v/%v nodes %d/%d size %d/%d",
+				w, alloc.Objective, refAlloc.Objective, alloc.Nodes, refAlloc.Nodes,
 				alloc.TotalSize, refAlloc.TotalSize)
 		}
 		for i := range refPools {
@@ -254,31 +273,18 @@ func routedKeys(d *designer.Design) []string {
 	return keys
 }
 
-// minedDesigner is the designer a tenant's redesign amounts to, built
-// here from its parts: the tenant's current snapshot and model, and
-// candidates mined from the frequent predicate sets of its current
-// template table, with feedback off.
-func minedDesigner(co *Coordinator, tn *Tenant) *designer.CORADD {
-	w := tn.Mon.Snapshot()
-	var sets [][]string
-	for _, s := range tn.Mon.FrequentSets(co.cfg.MinShare, co.cfg.MaxSetSize) {
-		sets = append(sets, s.Cols)
-	}
+// snapshotDesigner is the plain-ILP batch designer over tenant tn's
+// current snapshot: what a one-tenant redesign amounts to.
+func snapshotDesigner(tn *Tenant) *designer.CORADD {
 	com := tn.com
-	com.W = w
-	cand := candgen.DefaultConfig()
-	cand.T = co.cfg.MinedT
-	des := designer.NewCORADDWith(com, tn.model, cand, func(g *candgen.Generator) []*costmodel.MVDesign {
-		return g.MinedCandidates(sets, candgen.MinedConfig{T: co.cfg.MinedT, MaxSets: co.cfg.MaxSets})
-	})
-	des.Feedback = feedback.Config{MaxIters: -1}
-	return des
+	com.W = tn.Mon.Snapshot()
+	return designer.NewCORADD(com, candgen.DefaultConfig(), feedback.Config{MaxIters: -1})
 }
 
-// TestOneTenantMatchesDesigner: with one tenant, the coordinator on its
-// default path chooses the same objects, routed the same way, as the
-// designer built over the same snapshot, model and mined source — the
-// coordinator adds only the budget split, which one tenant does not need.
+// TestOneTenantMatchesDesigner: with one tenant, the coordinator chooses
+// exactly what the batch designer does over the same snapshot — the same
+// objects, routed the same way, at the same size after the same search —
+// since the pooled instance of one tenant is that tenant's instance.
 func TestOneTenantMatchesDesigner(t *testing.T) {
 	for _, budget := range []int64{contendedBudget(t), 1 << 20, 4 << 20} {
 		clk := &fakeClock{}
@@ -294,7 +300,7 @@ func TestOneTenantMatchesDesigner(t *testing.T) {
 			tn.Observe(eqQ("b-eq", "b", 3))
 			tn.Observe(rangeQ("d-rng", "d", 0, 99))
 		}
-		want, err := minedDesigner(co, tn).Design(budget)
+		want, err := snapshotDesigner(tn).Design(budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,9 +315,10 @@ func TestOneTenantMatchesDesigner(t *testing.T) {
 		gotKeys, wantKeys := chosenKeys(got), chosenKeys(want)
 		slices.Sort(gotKeys)
 		slices.Sort(wantKeys)
-		if !slices.Equal(gotKeys, wantKeys) || got.Size != want.Size {
-			t.Fatalf("budget %d (%s): coordinator chose %d objects (%d bytes), designer %d (%d bytes)",
-				budget, alloc.Method, len(got.Chosen), got.Size, len(want.Chosen), want.Size)
+		if !slices.Equal(gotKeys, wantKeys) || got.Size != want.Size ||
+			alloc.Nodes != want.SolverNodes || alloc.Proven != want.SolverProven {
+			t.Fatalf("budget %d: coordinator chose %d objects (%d bytes, %d nodes), designer %d (%d bytes, %d nodes)",
+				budget, len(got.Chosen), got.Size, alloc.Nodes, len(want.Chosen), want.Size, want.SolverNodes)
 		}
 		if !slices.Equal(routedKeys(got), routedKeys(want)) || !slices.Equal(got.Expected, want.Expected) {
 			t.Fatalf("budget %d: coordinator routes to a different object or estimate than the designer", budget)
@@ -321,13 +328,13 @@ func TestOneTenantMatchesDesigner(t *testing.T) {
 
 // TestPoolReuseAcrossRedesigns: a redesign depends only on what the
 // monitor holds. An unchanged monitor redesigns to the same allocation;
-// after drift the pool is the set mined from the current template table —
-// candidates of templates that fell out of the frequent sets are gone,
-// not carried over.
+// after drift the pool is the §4 generation over the new snapshot —
+// candidates of templates that faded from the mix are gone, not carried
+// over.
 func TestPoolReuseAcrossRedesigns(t *testing.T) {
 	clk := &fakeClock{}
 	co := New(Config{Budget: 1 << 20})
-	tn, err := co.Add("A", testCommon(t, 5, 4000), workload.Config{}, clk.now)
+	tn, err := co.Add("A", testCommon(t, 5, 4000), workload.Config{HalfLife: 10}, clk.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +348,7 @@ func TestPoolReuseAcrossRedesigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if first.Tenants[0].PoolSize == 0 {
-		t.Fatal("first redesign mined nothing")
+		t.Fatal("first redesign generated nothing")
 	}
 	second, err := co.Redesign()
 	if err != nil {
@@ -354,47 +361,50 @@ func TestPoolReuseAcrossRedesigns(t *testing.T) {
 		t.Fatalf("unchanged monitor redesigned differently: pool %d→%d, size %d→%d, objective %v→%v",
 			a.PoolSize, b.PoolSize, a.Size, b.Size, a.Objective, b.Objective)
 	}
-	preDrift := make(map[string]bool)
-	for _, d := range minedDesigner(co, tn).Candidates() {
-		preDrift[d.Key()] = true
-	}
+	preDrift := snapshotDesigner(tn).Candidates()
 
-	// Drift: a template on a fresh column takes over the mix, so the old
-	// templates' column sets fall below the mining threshold.
+	// Drift: the clock moves on and a template on a fresh column takes over
+	// the mix, so the old templates' rates decay away.
 	for r := 0; r < 200; r++ {
+		clk.t++
 		tn.Observe(eqQ("d-eq", "d", 100))
 	}
-	want := minedDesigner(co, tn)
 	third, err := co.Redesign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantProb := want.Problem(co.cfg.Budget, nil)
-	if got := third.Tenants[0].PoolSize; got != len(want.Candidates()) {
-		t.Fatalf("drifted pool has %d candidates, the current table mines %d", got, len(want.Candidates()))
+	com := tn.com
+	com.W = third.Tenants[0].Workload
+	gen := candgen.New(com.St, costmodel.NewAware(com.St, com.Disk), com.W, candgen.DefaultConfig())
+	gen.PKCols = com.PKCols
+	want := gen.Generate()
+	if got := third.Tenants[0].PoolSize; got != len(want) {
+		t.Fatalf("drifted pool has %d candidates, the §4 generation over the snapshot %d", got, len(want))
 	}
-	if got := instanceKeys(third)[0]; len(got) != len(wantProb.Designs) {
-		t.Fatalf("drifted instance has %d candidates, the current mined set prices to %d", len(got), len(wantProb.Designs))
+	wantProb := snapshotDesigner(tn).Problem(co.cfg.Budget, nil)
+	if got := instanceKeys(third)[0]; !slices.Equal(got, designKeys(wantProb.Designs)) {
+		t.Fatalf("drifted instance (%d candidates) is not the snapshot's priced generation (%d)", len(got), len(wantProb.Designs))
 	}
-	for i, d := range wantProb.Designs {
-		if instanceKeys(third)[0][i] != d.Key() {
-			t.Fatalf("drifted instance candidate %d is not the current mined set's", i)
-		}
-	}
-	for _, d := range want.Candidates() {
-		delete(preDrift, d.Key())
-	}
-	if len(preDrift) == 0 {
-		t.Fatal("every pre-drift candidate was re-mined; the drift did not move the frequent sets")
+	if slices.Equal(designKeys(preDrift), designKeys(want)) {
+		t.Fatal("the drift did not move the generated pool")
 	}
 }
 
-// TestRedesignMonolithicFallbackAndIdleTenants: small pooled instances
-// take the exact fallback with a zero gap; tenants with no observations
-// ride along without designs.
+// designKeys lists designs' structural keys in order.
+func designKeys(ds []*costmodel.MVDesign) []string {
+	keys := make([]string, len(ds))
+	for i, d := range ds {
+		keys[i] = d.Key()
+	}
+	return keys
+}
+
+// TestRedesignMonolithicFallbackAndIdleTenants: the pooled (monolithic)
+// solve covers a busy tenant and proves its optimum; tenants with no
+// observations ride along without designs.
 func TestRedesignMonolithicFallbackAndIdleTenants(t *testing.T) {
 	clk := &fakeClock{}
-	co := New(Config{Budget: 1 << 20, MonolithicLimit: 10_000})
+	co := New(Config{Budget: 1 << 20})
 	busy, err := co.Add("busy", testCommon(t, 5, 4000), workload.Config{}, clk.now)
 	if err != nil {
 		t.Fatal(err)
@@ -409,13 +419,10 @@ func TestRedesignMonolithicFallbackAndIdleTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Method != "monolithic" {
-		t.Fatalf("method %q, want monolithic under the fallback limit", alloc.Method)
+	if !alloc.Proven {
+		t.Fatal("pooled solve not proven")
 	}
-	if alloc.Proven && alloc.Gap != 0 {
-		t.Fatalf("proven monolithic solve reported gap %v", alloc.Gap)
-	}
-	if alloc.Tenants[1].Design != nil || alloc.Tenants[1].Workload != nil {
+	if alloc.Tenants[1].Design != nil || alloc.Tenants[1].Workload != nil || alloc.Problems[1] != nil {
 		t.Fatal("idle tenant got a design")
 	}
 	if alloc.Tenants[0].Design == nil {
