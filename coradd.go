@@ -281,8 +281,9 @@ func NewStats(rel *Relation, sampleSize int, seed int64) *Stats {
 }
 
 // NewMultiSystem builds per-fact CORADD designers over a workload spanning
-// several fact tables, splitting budgets in proportion to heap sizes
-// (§7.1). Use designer.SplitQuery to break two-fact queries into per-fact
+// several fact tables; its Design selects every fact's objects against one
+// shared space budget in one pooled solve per feedback round (§4.1.2,
+// §7.1). Use designer.SplitQuery to break two-fact queries into per-fact
 // parts first.
 func NewMultiSystem(facts map[string]MultiFact, w Workload, cfg SystemConfig) (*designer.Multi, error) {
 	if cfg.Disk == (DiskParams{}) {

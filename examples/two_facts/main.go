@@ -1,8 +1,8 @@
 // two_facts shows CORADD's multi-fact handling (§4.1.2, §7.1): APB-1's
 // sales and planvars (budget) fact tables designed together. A two-fact
-// actual-versus-plan query is split into independent per-fact queries, the
-// shared space budget is divided across the facts in proportion to their
-// heaps, and each fact gets its own MVs and re-clustering.
+// actual-versus-plan query is split into independent per-fact queries, and
+// one selection over both facts' candidates spends the shared space budget
+// where it buys the most, each fact with its own MVs and re-clustering.
 package main
 
 import (
@@ -53,7 +53,7 @@ func main() {
 	md, err := sys.Design(budget)
 	must(err)
 
-	fmt.Printf("\nbudget %.1f MB split across facts (total used %.1f MB):\n",
+	fmt.Printf("\nbudget %.1f MB shared by the facts (total used %.1f MB):\n",
 		float64(budget)/(1<<20), float64(md.Size)/(1<<20))
 	for _, fact := range sys.Order {
 		d := md.PerFact[fact]

@@ -74,9 +74,6 @@ type Generator struct {
 	Model costmodel.Model
 	W     query.Workload
 	Cfg   Config
-	// FactGroup is the ILP fact-group id assigned to re-clustering
-	// candidates of this fact table.
-	FactGroup int
 	// PKCols are the fact table's primary-key columns (charged as an extra
 	// secondary index on re-clustered designs, §4.3).
 	PKCols []int
@@ -91,7 +88,7 @@ type Generator struct {
 // New builds a generator. All queries in w must target the same fact table
 // described by st.
 func New(st *stats.Stats, model costmodel.Model, w query.Workload, cfg Config) *Generator {
-	g := &Generator{St: st, Model: model, W: w, Cfg: cfg, FactGroup: 0}
+	g := &Generator{St: st, Model: model, W: w, Cfg: cfg}
 	g.vectors = make([][]float64, len(w))
 	for i, q := range w {
 		g.vectors[i] = st.PropagatedVector(q).Sel
@@ -304,7 +301,6 @@ func (g *Generator) FactReclusterings() []*costmodel.MVDesign {
 			ClusterKey:    key,
 			FactRecluster: true,
 			PKCols:        g.PKCols,
-			FactGroup:     g.FactGroup,
 		}
 		if seen[d.Key()] {
 			return

@@ -190,7 +190,6 @@ func (g *Generator) CorrIdxCandidates() []*costmodel.MVDesign {
 			FactRecluster: !overlay,
 			FactOverlay:   overlay,
 			PKCols:        g.PKCols,
-			FactGroup:     g.FactGroup,
 			CorrIdxs:      specs,
 		})
 	}

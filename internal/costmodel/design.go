@@ -66,8 +66,10 @@ type MVDesign struct {
 	// PKCols are the primary-key columns of the fact table; a re-clustered
 	// fact table must carry a secondary index on them (§4.3).
 	PKCols []int
-	// FactGroup is the ILP mutual-exclusion group for fact re-clusterings
-	// (condition 4 of §5.1); meaningful only when FactRecluster is set.
+	// FactGroup is no longer read or set: every selection instance holds
+	// one fact table, and ilp.Pool offsets each block's exclusion group.
+	// It stays for its key in checkpoint JSON (TestRestoreCheckpointV1);
+	// dropping it is a durable.Version bump.
 	FactGroup int
 	// Queries is the query group the candidate was generated for
 	// (indexes into the workload); informational, used by ILP feedback.

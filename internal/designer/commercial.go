@@ -171,7 +171,7 @@ func (d *Commercial) Design(budget int64) (*Design, error) {
 		}
 		fg := 0
 		if cc.design.FactRecluster {
-			fg = cc.design.FactGroup + 1 // shift: ILP group ids are positive
+			fg = 1 // the one fact table's exclusion group
 		}
 		cands[i] = ilp.Candidate{
 			Name: cc.design.Name, Size: cc.design.Bytes(d.St) + cc.idxBytes,

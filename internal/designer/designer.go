@@ -179,8 +179,8 @@ type CORADD struct {
 	Model *costmodel.Aware
 	Gen   *candgen.Generator
 	// Feedback configures the ILP feedback loop; Feedback.MaxIters == -1
-	// disables feedback (plain ILP, used for the Figure 7 comparison). A
-	// zero Feedback.Solve takes Common.Solve.
+	// runs no feedback round (plain ILP, used for the Figure 7
+	// comparison). A zero Feedback.Solve takes Common.Solve.
 	Feedback feedback.Config
 	// LastSolve is the final feedback result of the most recent Design /
 	// DesignFrom call — the selection instance and solution the adaptive
@@ -232,7 +232,7 @@ func (d *CORADD) BaseTimes() []float64 { return d.base }
 
 // Design implements Designer.
 func (d *CORADD) Design(budget int64) (*Design, error) {
-	return d.designWith(budget, d.Feedback)
+	return d.DesignFrom(budget, nil)
 }
 
 // DesignFrom is the incremental redesign entry point: it runs the same
@@ -242,62 +242,49 @@ func (d *CORADD) Design(budget int64) (*Design, error) {
 // immediately — the solver explores at most the nodes of a cold solve and
 // proves the same optimum. incumbent == nil is a plain Design.
 func (d *CORADD) DesignFrom(budget int64, incumbent *Design) (*Design, error) {
-	fb := d.Feedback
+	var warm []*costmodel.MVDesign
 	if incumbent != nil {
-		fb.Warm = incumbent.Chosen
+		warm = incumbent.Chosen
 	}
-	return d.designWith(budget, fb)
+	ds, err := DesignShared([]*CORADD{d}, [][]*costmodel.MVDesign{warm}, budget, d.Feedback)
+	if err != nil {
+		return nil, err
+	}
+	return ds[0], nil
 }
 
-func (d *CORADD) designWith(budget int64, fb feedback.Config) (*Design, error) {
-	if len(d.W) == 0 {
-		return nil, fmt.Errorf("designer: empty workload")
-	}
+// DesignShared is the one design path: every designer's workload designed
+// against one shared space budget by the N-block feedback loop
+// (feedback.RunBlocks). One designer is the batch design; several are the
+// fact tables of one database (Multi.Design) or the tenants of one host
+// (internal/tenant). warm holds each designer's incumbent objects (nil
+// for cold solves). It returns one routed design per designer, sized by
+// its share, and sets each designer's LastSolve. A zero fb.Solve takes
+// the first designer's Common.Solve.
+func DesignShared(ds []*CORADD, warm [][]*costmodel.MVDesign, budget int64, fb feedback.Config) ([]*Design, error) {
 	if fb.Solve.IsZero() {
-		fb.Solve = d.Solve
+		fb.Solve = ds[0].Solve
 	}
-	var res *feedback.Result
-	if fb.MaxIters == -1 {
-		p := d.Problem(budget, fb.Warm)
-		so := fb.Solve
-		so.WarmStart = p.Warm
-		sol := ilp.Solve(p.ILP, so)
-		res = &feedback.Result{Sol: sol, Prob: p.ILP, Designs: p.Designs, Nodes: sol.Nodes, Proven: sol.Proven}
-	} else {
-		res = feedback.Run(d.Gen, d.initial, d.base, budget, fb)
+	blocks := make([]feedback.Block, len(ds))
+	for i, d := range ds {
+		if len(d.W) == 0 {
+			return nil, fmt.Errorf("designer: empty workload")
+		}
+		blocks[i] = feedback.Block{Gen: d.Gen, Designs: d.initial, Base: d.base}
+		if i < len(warm) {
+			blocks[i].Warm = warm[i]
+		}
 	}
-	d.LastSolve = res
-	design := d.Routed(d.Name(), budget, res.Designs, res.Sol)
-	// Aggregate telemetry: nodes summed and proven ANDed across every
-	// solve the feedback loop ran.
-	design.SolverNodes = res.Nodes
-	design.SolverProven = res.Proven
-	return design, nil
-}
-
-// Problem is a priced selection instance over the designer's initial
-// pool, for a caller that solves it elsewhere (the multi-tenant pooled
-// solve).
-type Problem struct {
-	// ILP is the instance, dominated candidates pruned (§5.3); Designs are
-	// aligned with ILP.Cands.
-	ILP     *ilp.Problem
-	Designs []*costmodel.MVDesign
-	// Warm indexes the incumbent objects found in the pool, in incumbent
-	// order: the solve's ilp.SolveOptions.WarmStart.
-	Warm []int
-}
-
-// Problem prices the initial pool for budget and matches the incumbent's
-// objects (warm, possibly empty) into it by structural key.
-func (d *CORADD) Problem(budget int64, warm []*costmodel.MVDesign) *Problem {
-	prob, aligned := feedback.BuildProblem(d.Gen, d.initial, d.base, budget)
-	return &Problem{ILP: prob, Designs: aligned, Warm: feedback.WarmIndexes(aligned, warm)}
-}
-
-// Routed assembles the design that deploys sol.Chosen out of designs (the
-// candidates aligned with the solved instance) under budget, every query
-// routed to its fastest object under the designer's model.
-func (d *CORADD) Routed(name string, budget int64, designs []*costmodel.MVDesign, sol *ilp.Solution) *Design {
-	return routedDesign(name, StyleCORADD, &d.Common, d.Model, budget, designs, sol)
+	out := make([]*Design, len(ds))
+	for i, res := range feedback.RunBlocks(blocks, budget, fb) {
+		d := ds[i]
+		d.LastSolve = res
+		design := routedDesign(d.Name(), StyleCORADD, &d.Common, d.Model, budget, res.Designs, res.Sol)
+		// Aggregate telemetry: nodes summed and proven ANDed across every
+		// solve the feedback loop ran.
+		design.SolverNodes = res.Nodes
+		design.SolverProven = res.Proven
+		out[i] = design
+	}
+	return out, nil
 }

@@ -22,20 +22,18 @@ type Fact struct {
 }
 
 // Multi coordinates per-fact CORADD designers over a workload that spans
-// several fact tables. The paper treats fact tables independently — its
-// candidate generator "runs k-means for each fact table" and two-fact
+// several fact tables. The paper generates candidates per fact table —
+// its candidate generator "runs k-means for each fact table" and two-fact
 // queries are split into independent per-fact queries (§4.1.2, §7.1) —
-// and the space budget is shared; Multi splits it in proportion to each
-// fact's heap size, a proxy for where MV bytes buy the most coverage.
+// and selects them against one shared space budget, each fact with its
+// own re-clustering group (Table 3). Multi.Design is that selection:
+// DesignShared over the per-fact designers.
 type Multi struct {
-	Disk storage.DiskParams
 	// Order is the deterministic fact iteration order.
 	Order []string
-	// Designers, Workloads and Stats are per fact table.
+	// Designers and Workloads are per fact table.
 	Designers map[string]*CORADD
 	Workloads map[string]query.Workload
-	Stats     map[string]*stats.Stats
-	heap      map[string]int64
 }
 
 // MultiDesign is a combined design: one Design per fact table.
@@ -61,11 +59,8 @@ func NewMulti(facts map[string]Fact, w query.Workload, disk storage.DiskParams,
 	cand candgen.Config, fb feedback.Config) (*Multi, error) {
 
 	m := &Multi{
-		Disk:      disk,
 		Designers: make(map[string]*CORADD),
 		Workloads: make(map[string]query.Workload),
-		Stats:     make(map[string]*stats.Stats),
-		heap:      make(map[string]int64),
 	}
 	byFact := w.ByFact()
 	for fact := range byFact {
@@ -78,7 +73,7 @@ func NewMulti(facts map[string]Fact, w query.Workload, disk storage.DiskParams,
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for gi, name := range names {
+	for _, name := range names {
 		f := facts[name]
 		sub := byFact[name]
 		if len(sub) == 0 {
@@ -88,19 +83,13 @@ func NewMulti(facts map[string]Fact, w query.Workload, disk storage.DiskParams,
 		if sample <= 0 {
 			sample = stats.DefaultSampleSize
 		}
-		st := stats.New(f.Rel, sample, f.Seed+1)
 		common := Common{
-			St: st, W: sub, Disk: disk, PKCols: f.PKCols, BaseKey: f.Rel.ClusterKey,
+			St: stats.New(f.Rel, sample, f.Seed+1), W: sub, Disk: disk,
+			PKCols: f.PKCols, BaseKey: f.Rel.ClusterKey,
 		}
-		d := NewCORADD(common, cand, fb)
-		// Distinct ILP fact groups per table keep re-clusterings exclusive
-		// within, not across, tables.
-		d.Gen.FactGroup = gi
 		m.Order = append(m.Order, name)
-		m.Designers[name] = d
+		m.Designers[name] = NewCORADD(common, cand, fb)
 		m.Workloads[name] = sub
-		m.Stats[name] = st
-		m.heap[name] = f.Rel.HeapBytes()
 	}
 	if len(m.Order) == 0 {
 		return nil, fmt.Errorf("designer: no fact table has any queries")
@@ -108,25 +97,22 @@ func NewMulti(facts map[string]Fact, w query.Workload, disk storage.DiskParams,
 	return m, nil
 }
 
-// Design splits budget across fact tables in proportion to heap size and
-// designs each independently.
+// Design selects every fact's objects against the one shared budget: one
+// pooled solve per feedback round over all facts (DesignShared), under
+// the per-fact designers' feedback configuration.
 func (m *Multi) Design(budget int64) (*MultiDesign, error) {
-	var totalHeap int64
-	for _, name := range m.Order {
-		totalHeap += m.heap[name]
+	ds := make([]*CORADD, len(m.Order))
+	for i, name := range m.Order {
+		ds[i] = m.Designers[name]
+	}
+	designs, err := DesignShared(ds, nil, budget, ds[0].Feedback)
+	if err != nil {
+		return nil, err
 	}
 	out := &MultiDesign{PerFact: make(map[string]*Design, len(m.Order))}
-	for _, name := range m.Order {
-		share := budget
-		if totalHeap > 0 {
-			share = int64(float64(budget) * float64(m.heap[name]) / float64(totalHeap))
-		}
-		d, err := m.Designers[name].Design(share)
-		if err != nil {
-			return nil, fmt.Errorf("designer: fact %s: %w", name, err)
-		}
-		out.PerFact[name] = d
-		out.Size += d.Size
+	for i, name := range m.Order {
+		out.PerFact[name] = designs[i]
+		out.Size += designs[i].Size
 	}
 	return out, nil
 }

@@ -59,24 +59,54 @@ func TestMultiDesignBothFacts(t *testing.T) {
 	}
 }
 
-func TestMultiBudgetSplitProportional(t *testing.T) {
+// TestMultiPooledBeatsHeapSplit: without feedback, the shared-budget
+// design's modeled total is no worse than splitting the budget across
+// facts in proportion to their heaps and designing each fact alone, at
+// every budget where the pooled solve proves. It must hold: both draw on
+// the same per-fact pools, and the split's selections together fit the
+// pooled instance.
+func TestMultiPooledBeatsHeapSplit(t *testing.T) {
 	facts, w := multiEnv(t)
 	cand, fb := multiCfg()
 	m, err := NewMulti(facts, w, storage.DefaultDiskParams(), cand, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalHeap := facts["sales"].Rel.HeapBytes() + facts["planvars"].Rel.HeapBytes()
-	budget := totalHeap * 4
-	md, err := m.Design(budget)
-	if err != nil {
-		t.Fatal(err)
+	var totalHeap int64
+	for _, f := range facts {
+		totalHeap += f.Rel.HeapBytes()
 	}
-	for fact, d := range md.PerFact {
-		share := int64(float64(budget) * float64(facts[fact].Rel.HeapBytes()) / float64(totalHeap))
-		if d.Size > share {
-			t.Errorf("%s: size %d exceeds its %d share", fact, d.Size, share)
+	proven := 0
+	for _, mult := range []float64{0.1, 0.25, 0.5, 1} {
+		budget := int64(mult * float64(totalHeap))
+		md, err := m.Design(budget)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if md.Size > budget {
+			t.Fatalf("%.2fx heap: pooled design uses %d > budget %d", mult, md.Size, budget)
+		}
+		if !md.PerFact[m.Order[0]].SolverProven {
+			continue
+		}
+		proven++
+		split := 0.0
+		for _, name := range m.Order {
+			share := int64(float64(budget) * float64(facts[name].Rel.HeapBytes()) / float64(totalHeap))
+			d, err := m.Designers[name].Design(share)
+			if err != nil {
+				t.Fatal(err)
+			}
+			split += d.TotalExpected(m.Workloads[name])
+		}
+		pooled := md.TotalExpected(m.Workloads)
+		if pooled > split*(1+1e-12) {
+			t.Fatalf("%.2fx heap: pooled modeled total %.6f above the heap split's %.6f", mult, pooled, split)
+		}
+		t.Logf("%.2fx heap: pooled %.4f vs heap split %.4f (%.3fx)", mult, pooled, split, pooled/split)
+	}
+	if proven == 0 {
+		t.Fatal("no pooled solve proved; the comparison tests nothing")
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 )
 
 // TestTenantAblation pins the multi-tenant ablation: the pooled solve
-// proves its optimum, the shared allocation beats the naive equal split
-// by a measured margin on total workload-seconds, and the modeled and
+// proves its optimum, the equal split's B/N buys structures, the shared
+// allocation beats that split by a measured margin on total
+// workload-seconds, and the modeled and
 // measured workload-seconds are no worse than the 12.832 and 13.677 that
 // the earlier mined pools and Lagrangian dual reached on this mix — plus
 // the telemetry a report would quote.
@@ -61,6 +62,19 @@ func TestTenantAblation(t *testing.T) {
 	}
 	if len(sizes) < 2 {
 		t.Fatalf("shared solve granted every tenant the same share — the scenario is not skewed enough")
+	}
+
+	// The equal split must be a real contender: B/N buys at least two
+	// tenants a structure, so the margin measures allocation, not an
+	// empty design.
+	bought := 0
+	for _, r := range res.Rows {
+		if r.EqSize > 0 {
+			bought++
+		}
+	}
+	if bought < 2 {
+		t.Fatalf("the equal split bought a structure for %d tenants, want at least 2", bought)
 	}
 
 	// Table shape.

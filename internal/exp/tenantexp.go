@@ -17,8 +17,11 @@ import (
 // TenantBudgetMult is the ablation's global space budget as a multiple of
 // the SSB fact heap. It is deliberately contended: the tenants' pooled
 // appetite exceeds it, so how the budget is split across tenants is what
-// the experiment measures.
-const TenantBudgetMult = 0.5
+// the experiment measures. It is also large enough that the equal split's
+// B/N buys every tenant a structure, so the margin compares two
+// allocations rather than one against bare base designs, and small
+// enough that the pooled solve proves at quick scale.
+const TenantBudgetMult = 1
 
 // TenantRow is one tenant's slice of the ablation outcome.
 type TenantRow struct {

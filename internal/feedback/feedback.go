@@ -10,10 +10,13 @@
 //     better clustered key is the remaining win);
 //
 // then re-solve, iterating until no new candidates appear or the iteration
-// limit is reached.
+// limit is reached. The loop runs over N blocks sharing one space budget
+// (several fact tables, or tenants): every round solves the pooled
+// instance once, and each block's feedback reads only its own share.
 package feedback
 
 import (
+	"slices"
 	"sort"
 
 	"coradd/internal/candgen"
@@ -24,39 +27,44 @@ import (
 
 // Config tunes the loop.
 type Config struct {
-	// MaxIters caps feedback iterations; 0 means 4. (The paper's SSB run
-	// converged in 2.)
+	// MaxIters caps feedback iterations; 0 means 4 and a negative value
+	// means none, the initial solve alone. (The paper's SSB run converged
+	// in 2.)
 	MaxIters int
 	// TGrowth multiplies t on each re-clustering feedback; 0 means 2.
 	TGrowth int
 	// Solve tunes the inner exact solver.
 	Solve ilp.SolveOptions
-	// Warm seeds every solve with a known-good design (the adaptive
-	// loop's incumbent): its objects are matched into each iteration's
-	// candidate pool by structural key and handed to the solver as
-	// ilp.SolveOptions.WarmStart, and after each solve the chain continues
-	// from that iteration's solution (the pool only grows, so the previous
-	// solution stays feasible). Empty means cold solves — the recorded
-	// experiment tables depend on cold node counts, so nothing changes
-	// unless a caller opts in.
-	Warm []*costmodel.MVDesign
 }
 
-// Result is the outcome of Run.
+// Block is one selection problem of a shared-budget run: a fact table's
+// (or tenant's) candidate generator, initial pool and per-query base
+// runtimes. Warm objects (nil: cold) are matched into each round's pool by
+// structural key as the solver's warm start; later rounds warm from the
+// block's last share (the pool only grows, so it stays feasible).
+type Block struct {
+	Gen     *candgen.Generator
+	Designs []*costmodel.MVDesign
+	Base    []float64
+	Warm    []*costmodel.MVDesign
+}
+
+// Result is one block's outcome of RunBlocks.
 type Result struct {
-	// Sol is the final ILP solution over Designs.
+	// Sol is the block's share of the final pooled solution over Designs.
 	Sol *ilp.Solution
-	// Prob is the final (pruned) problem; Sol.Chosen indexes Prob.Cands.
+	// Prob is the block's final (pruned) problem; Sol.Chosen indexes
+	// Prob.Cands.
 	Prob *ilp.Problem
 	// Designs are the final candidate designs, aligned with Prob.Cands.
 	Designs []*costmodel.MVDesign
 	// Iters is the number of feedback iterations performed (0 means the
 	// initial solve was final).
 	Iters int
-	// Added is the number of candidates feedback contributed.
+	// Added is the number of candidates feedback contributed to the block.
 	Added int
-	// Nodes is the total branch-and-bound node count across every solve
-	// the loop ran, and Proven whether every one of them proved
+	// Nodes is the total branch-and-bound node count across every pooled
+	// solve the loop ran, and Proven whether every one of them proved
 	// optimality (the selection-cost telemetry EXPERIMENTS.md tracks).
 	Nodes  int
 	Proven bool
@@ -86,7 +94,8 @@ func BuildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []fl
 			// Re-clusterings and in-place fact overlays are mutually
 			// exclusive per fact table: re-sorting the heap would invalidate
 			// an overlay's learned mappings (condition 4 of §5.1, extended).
-			fg = d.FactGroup + 1 // shift: ILP group ids are positive
+			// One group per instance: ilp.Pool offsets it per block.
+			fg = 1
 		}
 		cands[i] = ilp.Candidate{
 			Name:      d.Name,
@@ -105,10 +114,21 @@ func BuildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []fl
 	return prob, keptDesigns
 }
 
-// Run solves the ILP over the initial designs, then iterates feedback.
+// Run solves the ILP over the initial designs, then iterates feedback:
+// RunBlocks over one cold block.
 func Run(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64, cfg Config) *Result {
+	return RunBlocks([]Block{{Gen: g, Designs: designs, Base: base}}, budget, cfg)[0]
+}
+
+// RunBlocks is the shared-budget design loop. Each round prices the
+// blocks whose pools grew, pools every block's instance under the one
+// budget (ilp.Pool), solves it once and splits the solution into
+// per-block shares; each block's feedback candidates come from its own
+// share alone. It stops when no block gains a candidate or after
+// cfg.MaxIters rounds, and returns one Result per block.
+func RunBlocks(blocks []Block, budget int64, cfg Config) []*Result {
 	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
+	if maxIters == 0 {
 		maxIters = 4
 	}
 	growth := cfg.TGrowth
@@ -116,62 +136,82 @@ func Run(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, bu
 		growth = 2
 	}
 
-	pool := append([]*costmodel.MVDesign(nil), designs...)
-	seen := make(map[string]bool, len(pool))
-	for _, d := range pool {
-		seen[d.Key()] = true
+	type block struct {
+		Block // Designs is the growing pool, Warm the chained warm set
+		seen  map[string]bool
+		// groupT tracks the t already spent per query group so
+		// re-clustering feedback escalates rather than repeats.
+		groupT map[string]int
+		added  int
 	}
-	// groupT tracks the t already spent per query group so re-clustering
-	// feedback escalates rather than repeats.
-	groupT := make(map[string]int)
+	bs := make([]block, len(blocks))
+	res := make([]*Result, len(blocks))
+	for i, b := range blocks {
+		b.Designs = slices.Clone(b.Designs)
+		bs[i] = block{Block: b, seen: make(map[string]bool, len(b.Designs)), groupT: make(map[string]int)}
+		for _, d := range b.Designs {
+			bs[i].seen[d.Key()] = true
+		}
+		res[i] = &Result{Proven: true}
+	}
 
-	warm := cfg.Warm
-	prob, aligned := BuildProblem(g, pool, base, budget)
-	sol := ilp.Solve(prob, SolveOpts(cfg.Solve, aligned, warm))
-	res := &Result{Sol: sol, Prob: prob, Designs: aligned, Nodes: sol.Nodes, Proven: sol.Proven}
-
-	for iter := 1; iter <= maxIters; iter++ {
-		added := 0
-		for _, d := range newCandidates(g, res, budget, groupT, growth) {
-			if seen[d.Key()] {
-				continue
+	probs := make([]*ilp.Problem, len(blocks))
+	warms := make([][]int, len(blocks))
+	for iter := 0; ; iter++ {
+		for i, b := range bs {
+			if iter == 0 || b.added > 0 {
+				res[i].Prob, res[i].Designs = BuildProblem(b.Gen, b.Designs, b.Base, budget)
+				probs[i] = res[i].Prob
 			}
-			seen[d.Key()] = true
-			pool = append(pool, d)
-			added++
+			warms[i] = warmIndexes(res[i].Designs, b.Warm)
+		}
+		pl := ilp.Pool(probs, budget)
+		so := cfg.Solve
+		so.WarmStart = pl.Lift(warms)
+		sol := ilp.Solve(pl.P, so)
+		for i, share := range pl.Split(sol) {
+			res[i].Sol = share
+			res[i].Nodes += sol.Nodes
+			res[i].Proven = res[i].Proven && sol.Proven
+		}
+		if iter >= maxIters {
+			break
+		}
+
+		added := 0
+		for i := range bs {
+			b := &bs[i]
+			if len(b.Warm) > 0 {
+				b.Warm = chosenDesigns(res[i]) // chain: last solution warms the next
+			}
+			b.added = 0
+			for _, d := range newCandidates(b.Gen, res[i], budget, b.groupT, growth) {
+				if !b.seen[d.Key()] {
+					b.seen[d.Key()] = true
+					b.Designs = append(b.Designs, d)
+					b.added++
+				}
+			}
+			res[i].Added += b.added
+			added += b.added
 		}
 		if added == 0 {
 			break
 		}
-		res.Added += added
-		res.Iters = iter
-		if len(warm) > 0 {
-			warm = chosenDesigns(res) // chain: last solution warms the next
+		for _, r := range res {
+			r.Iters = iter + 1
 		}
-		prob, aligned = BuildProblem(g, pool, base, budget)
-		sol = ilp.Solve(prob, SolveOpts(cfg.Solve, aligned, warm))
-		res.Sol, res.Prob, res.Designs = sol, prob, aligned
-		res.Nodes += sol.Nodes
-		res.Proven = res.Proven && sol.Proven
 	}
 	return res
 }
 
-// SolveOpts attaches the warm-start indexes for one solve: warm designs
-// matched into the aligned candidate pool by structural key, in warm
-// order. A nil/unmatched warm set leaves the options untouched (cold).
-func SolveOpts(opts ilp.SolveOptions, aligned []*costmodel.MVDesign, warm []*costmodel.MVDesign) ilp.SolveOptions {
-	if len(warm) == 0 {
-		return opts
-	}
-	opts.WarmStart = WarmIndexes(aligned, warm)
-	return opts
-}
-
-// WarmIndexes maps warm designs to their candidate indexes in the aligned
+// warmIndexes maps warm designs to their candidate indexes in the aligned
 // pool by MVDesign.Key, preserving warm order; unmatched designs (pruned
 // by dominance, or structures the new pool never generated) are skipped.
-func WarmIndexes(aligned []*costmodel.MVDesign, warm []*costmodel.MVDesign) []int {
+func warmIndexes(aligned []*costmodel.MVDesign, warm []*costmodel.MVDesign) []int {
+	if len(warm) == 0 {
+		return nil
+	}
 	byKey := make(map[string]int, len(aligned))
 	for i, d := range aligned {
 		if _, ok := byKey[d.Key()]; !ok {
@@ -196,7 +236,8 @@ func chosenDesigns(res *Result) []*costmodel.MVDesign {
 	return out
 }
 
-// newCandidates derives feedback candidates from the current solution.
+// newCandidates derives feedback candidates from one block's share of the
+// current solution.
 func newCandidates(g *candgen.Generator, res *Result, budget int64, groupT map[string]int, growth int) []*costmodel.MVDesign {
 	var out []*costmodel.MVDesign
 	for _, ci := range res.Sol.Chosen {

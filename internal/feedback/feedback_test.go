@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coradd/internal/candgen"
@@ -144,6 +145,157 @@ func TestFeedbackAddsCandidates(t *testing.T) {
 	if res.Added == 0 {
 		t.Error("feedback added no candidates from a dedicated-only pool")
 	}
+}
+
+// referenceRun is the single-fact feedback loop written out directly: one
+// BuildProblem and one ilp.Solve per round, feedback read off the whole
+// solution, no pooling. RunBlocks over one block must reproduce it bit
+// for bit.
+func referenceRun(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64,
+	warm []*costmodel.MVDesign, maxIters int) *Result {
+
+	pool := append([]*costmodel.MVDesign(nil), designs...)
+	seen := make(map[string]bool, len(pool))
+	for _, d := range pool {
+		seen[d.Key()] = true
+	}
+	groupT := make(map[string]int)
+	solve := func() (*ilp.Problem, []*costmodel.MVDesign, *ilp.Solution) {
+		prob, aligned := BuildProblem(g, pool, base, budget)
+		var opts ilp.SolveOptions
+		if len(warm) > 0 {
+			opts.WarmStart = warmIndexes(aligned, warm)
+		}
+		return prob, aligned, ilp.Solve(prob, opts)
+	}
+	prob, aligned, sol := solve()
+	res := &Result{Sol: sol, Prob: prob, Designs: aligned, Nodes: sol.Nodes, Proven: sol.Proven}
+	for iter := 1; iter <= maxIters; iter++ {
+		added := 0
+		for _, d := range newCandidates(g, res, budget, groupT, 2) {
+			if !seen[d.Key()] {
+				seen[d.Key()] = true
+				pool = append(pool, d)
+				added++
+			}
+		}
+		if added == 0 {
+			break
+		}
+		res.Added += added
+		res.Iters = iter
+		if len(warm) > 0 {
+			warm = chosenDesigns(res)
+		}
+		prob, aligned, sol = solve()
+		res.Sol, res.Prob, res.Designs = sol, prob, aligned
+		res.Nodes += sol.Nodes
+		res.Proven = res.Proven && sol.Proven
+	}
+	return res
+}
+
+// TestOneBlockMatchesReference: one block through the N-block loop is the
+// single-fact loop — the same instance, candidates, selection, routing
+// and search — cold and warm, with and without feedback rounds.
+func TestOneBlockMatchesReference(t *testing.T) {
+	g, base := fbEnv(t)
+	designs := g.Generate()
+	fedBack := 0
+	for _, budget := range []int64{1 << 20, 1 << 22, 1 << 23, 1 << 26} {
+		cold := Run(g, designs, base, budget, Config{MaxIters: 2})
+		warm := chosenDesigns(cold)
+		for _, tc := range []struct {
+			iters int
+			warm  []*costmodel.MVDesign
+		}{{-1, nil}, {2, nil}, {4, nil}, {-1, warm}, {2, warm}} {
+			got := RunBlocks([]Block{{Gen: g, Designs: designs, Base: base, Warm: tc.warm}}, budget, Config{MaxIters: tc.iters})[0]
+			want := referenceRun(g, designs, base, budget, tc.warm, max(tc.iters, 0))
+			if !slices.Equal(designKeys(got.Designs), designKeys(want.Designs)) ||
+				!slices.Equal(got.Sol.Chosen, want.Sol.Chosen) || !slices.Equal(got.Sol.PerQuery, want.Sol.PerQuery) ||
+				got.Sol.Objective != want.Sol.Objective || got.Sol.Size != want.Sol.Size ||
+				got.Nodes != want.Nodes || got.Proven != want.Proven ||
+				got.Iters != want.Iters || got.Added != want.Added ||
+				len(got.Prob.Cands) != len(want.Prob.Cands) || got.Prob.Budget != want.Prob.Budget {
+				t.Fatalf("budget %d iters %d warm %d: one block diverges from the reference loop:\n got chosen %v obj %v nodes %d iters %d added %d\nwant chosen %v obj %v nodes %d iters %d added %d",
+					budget, tc.iters, len(tc.warm), got.Sol.Chosen, got.Sol.Objective, got.Nodes, got.Iters, got.Added,
+					want.Sol.Chosen, want.Sol.Objective, want.Nodes, want.Iters, want.Added)
+			}
+			for i := range got.Prob.Cands {
+				if !slices.Equal(got.Prob.Cands[i].Times, want.Prob.Cands[i].Times) {
+					t.Fatalf("budget %d: candidate %d priced differently", budget, i)
+				}
+			}
+			if len(tc.warm) > 0 && want.Added > 0 {
+				fedBack++
+			}
+		}
+	}
+	if fedBack == 0 {
+		t.Fatal("no warm case ran a feedback round; the comparison covers no chained warm start")
+	}
+}
+
+// TestTwoBlocksShareBudget: two blocks under one budget stay within it
+// jointly, and each block's feedback reads only its own share — a block
+// whose share is empty gains nothing, while the other gains exactly the
+// candidates its own share derives.
+func TestTwoBlocksShareBudget(t *testing.T) {
+	g, base := fbEnv(t)
+	designs := g.Generate()
+	// Block B's queries already run in zero time: no candidate helps it,
+	// so its share is always empty.
+	zero := make([]float64, len(base))
+	blocks := []Block{
+		{Gen: g, Designs: designs, Base: base},
+		{Gen: g, Designs: designs, Base: zero},
+	}
+	const budget = 1 << 23
+	first := RunBlocks(blocks, budget, Config{MaxIters: -1})
+	if len(first[0].Sol.Chosen) == 0 || len(first[1].Sol.Chosen) != 0 {
+		t.Fatalf("first round shares: %d and %d objects, want some and none",
+			len(first[0].Sol.Chosen), len(first[1].Sol.Chosen))
+	}
+	seen := map[string]bool{}
+	for _, d := range designs {
+		seen[d.Key()] = true
+	}
+	wantAdded := 0
+	for _, d := range newCandidates(g, first[0], budget, map[string]int{}, 2) {
+		if !seen[d.Key()] {
+			seen[d.Key()] = true
+			wantAdded++
+		}
+	}
+	res := RunBlocks(blocks, budget, Config{MaxIters: 1})
+	if res[0].Added != wantAdded || res[1].Added != 0 {
+		t.Fatalf("feedback added %d and %d candidates, want %d from block A's own share and none for B",
+			res[0].Added, res[1].Added, wantAdded)
+	}
+	for _, r := range []*Result{first[0], first[1], res[0], res[1]} {
+		if !r.Proven {
+			t.Fatal("pooled solve not proven on this small instance")
+		}
+	}
+	for _, cfg := range []Config{{MaxIters: -1}, {MaxIters: 2}} {
+		for _, b := range []int64{1 << 21, 1 << 23} {
+			rs := RunBlocks([]Block{{Gen: g, Designs: designs, Base: base}, {Gen: g, Designs: designs, Base: base}}, b, cfg)
+			if size := rs[0].Sol.Size + rs[1].Sol.Size; size > b {
+				t.Fatalf("budget %d: blocks use %d bytes together", b, size)
+			}
+			if rs[0].Nodes != rs[1].Nodes || rs[0].Iters != rs[1].Iters {
+				t.Fatal("blocks report different pooled telemetry")
+			}
+		}
+	}
+}
+
+func designKeys(ds []*costmodel.MVDesign) []string {
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		out[i] = d.Key()
+	}
+	return out
 }
 
 func sortInts(s []int) {

@@ -3,21 +3,29 @@ package ilp
 import "fmt"
 
 // Pooled is the block-diagonal instance over N selection problems that
-// share one space budget: the multi-tenant selection, solved exactly by
-// Solve like any other instance. Queries and candidates concatenate;
-// a candidate is Infeasible outside its own tenant's query block;
-// fact-group ids are offset per tenant so re-clusterings of different
-// tenants' fact tables never exclude each other.
+// share one space budget: fact tables of one database or tenants of one
+// host, solved exactly by Solve like any other instance. Queries and
+// candidates concatenate; a candidate is Infeasible outside its own
+// block's queries; fact-group ids are offset per block so re-clusterings
+// of different blocks' fact tables never exclude each other. The pooled
+// instance of one problem is that problem.
 type Pooled struct {
 	P        *Problem
+	probs    []*Problem
 	queryOff []int
 	candOff  []int
 }
 
 // Pool builds the pooled instance under the shared budget.
 func Pool(problems []*Problem, budget int64) *Pooled {
+	pl := &Pooled{probs: problems, queryOff: make([]int, len(problems)), candOff: make([]int, len(problems))}
+	if len(problems) == 1 {
+		p := *problems[0]
+		p.Budget = budget
+		pl.P = &p
+		return pl
+	}
 	nQ, nC := 0, 0
-	pl := &Pooled{queryOff: make([]int, len(problems)), candOff: make([]int, len(problems))}
 	for i, p := range problems {
 		pl.queryOff[i], pl.candOff[i] = nQ, nC
 		nQ += p.numQueries()
@@ -78,24 +86,32 @@ func (pl *Pooled) Lift(chosen [][]int) []int {
 	return out
 }
 
-// Split maps a pooled solution's chosen indexes back to per-problem
-// candidate indexes, ascending within each problem.
-func (pl *Pooled) Split(sol *Solution) [][]int {
-	out := make([][]int, len(pl.candOff))
+// Split maps a pooled solution back to one solution per problem: its
+// chosen candidates in the pooled discovery order, and its routing, size
+// and objective within that problem. Nodes and Proven are the pooled
+// solve's. The one problem of a one-problem pool gets sol itself.
+func (pl *Pooled) Split(sol *Solution) []*Solution {
+	if len(pl.probs) == 1 {
+		return []*Solution{sol}
+	}
+	chosen := make([][]int, len(pl.probs))
 	for _, m := range sol.Chosen {
-		i := 0
-		for i+1 < len(pl.candOff) && m >= pl.candOff[i+1] {
-			i++
+		i := len(pl.candOff) - 1
+		for m < pl.candOff[i] {
+			i--
 		}
-		out[i] = insertSorted(out[i], m-pl.candOff[i])
+		chosen[i] = append(chosen[i], m-pl.candOff[i])
+	}
+	out := make([]*Solution, len(pl.probs))
+	for i, p := range pl.probs {
+		out[i] = &Solution{
+			Chosen:    chosen[i],
+			Objective: p.Objective(chosen[i]),
+			Size:      p.SizeOf(chosen[i]),
+			Proven:    sol.Proven,
+			Nodes:     sol.Nodes,
+			PerQuery:  perQueryRouting(p, chosen[i]),
+		}
 	}
 	return out
-}
-
-func insertSorted(s []int, v int) []int {
-	s = append(s, v)
-	for i := len(s) - 1; i > 0 && s[i-1] > s[i]; i-- {
-		s[i-1], s[i] = s[i], s[i-1]
-	}
-	return s
 }

@@ -94,7 +94,10 @@ func bruteJoint(probs []*Problem, budget int64) float64 {
 // TestPooledMatchesBruteForce is the shared-budget selection's core
 // property: splitting the exact solve of the pooled instance gives every
 // problem a selection feasible in its own instance, within the shared
-// budget jointly, at the joint optimum found by enumeration.
+// budget jointly, at the joint optimum found by enumeration — and each
+// share reports its own routing, size and objective: the pooled
+// solution's routing restricted to the problem's query block, and the
+// size and objective enumeration assigns that selection in the problem.
 func TestPooledMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for trial := 0; trial < 30; trial++ {
@@ -107,11 +110,28 @@ func TestPooledMatchesBruteForce(t *testing.T) {
 		split := pooled.Split(sol)
 		sum, size := 0.0, int64(0)
 		for i, p := range probs {
-			if !p.Feasible(split[i]) {
+			share := split[i]
+			if !p.Feasible(share.Chosen) {
 				t.Fatalf("trial %d: tenant %d infeasible in its own problem", trial, i)
 			}
-			sum += p.Objective(split[i])
-			size += p.SizeOf(split[i])
+			if share.Size != p.SizeOf(share.Chosen) || share.Objective != p.Objective(share.Chosen) {
+				t.Fatalf("trial %d: tenant %d share reports size %d objective %.6f, its selection has %d / %.6f",
+					trial, i, share.Size, share.Objective, p.SizeOf(share.Chosen), p.Objective(share.Chosen))
+			}
+			if share.Nodes != sol.Nodes || share.Proven != sol.Proven {
+				t.Fatalf("trial %d: tenant %d share lost the pooled telemetry", trial, i)
+			}
+			for q, m := range share.PerQuery {
+				want := sol.PerQuery[pooled.queryOff[i]+q]
+				if want >= 0 {
+					want -= pooled.candOff[i]
+				}
+				if m != want {
+					t.Fatalf("trial %d: tenant %d query %d routed to %d, the pooled solution to %d", trial, i, q, m, want)
+				}
+			}
+			sum += share.Objective
+			size += share.Size
 		}
 		if size > budget {
 			t.Fatalf("trial %d: split uses %d > shared budget %d", trial, size, budget)
@@ -119,6 +139,22 @@ func TestPooledMatchesBruteForce(t *testing.T) {
 		if want := bruteJoint(probs, budget); math.Abs(sum-want) > 1e-9 {
 			t.Fatalf("trial %d: split objective %.6f, joint optimum %.6f", trial, sum, want)
 		}
+	}
+}
+
+// TestPoolOfOneIsTheProblem: pooling one problem adds nothing — the
+// pooled instance is the problem under the shared budget and its
+// solution is the problem's, unchanged.
+func TestPoolOfOneIsTheProblem(t *testing.T) {
+	rng := rand.New(rand.NewSource(151))
+	probs, budget := multiInstance(rng, 1)
+	pooled := Pool(probs, budget)
+	if &pooled.P.Cands[0] != &probs[0].Cands[0] || pooled.P.Budget != budget {
+		t.Fatal("the pooled instance of one problem is not that problem")
+	}
+	sol := Solve(pooled.P, SolveOptions{})
+	if split := pooled.Split(sol); len(split) != 1 || split[0] != sol {
+		t.Fatal("the one share of a one-problem pool is not the pooled solution")
 	}
 }
 
@@ -131,7 +167,10 @@ func TestPoolSplitRoundTrip(t *testing.T) {
 		probs, budget := multiInstance(rng, 2+rng.Intn(3))
 		pooled := Pool(probs, budget)
 		sol := Solve(pooled.P, SolveOptions{})
-		split := pooled.Split(sol)
+		split := make([][]int, len(probs))
+		for i, share := range pooled.Split(sol) {
+			split[i] = share.Chosen
+		}
 		sum := 0.0
 		for i, p := range probs {
 			if !p.Feasible(split[i]) {
@@ -146,15 +185,9 @@ func TestPoolSplitRoundTrip(t *testing.T) {
 		if len(lifted) != len(sol.Chosen) {
 			t.Fatalf("trial %d: Lift(Split) cardinality %d vs %d", trial, len(lifted), len(sol.Chosen))
 		}
-		back := pooled.Split(&Solution{Chosen: lifted})
-		for i := range split {
-			if len(back[i]) != len(split[i]) {
+		for i, share := range pooled.Split(&Solution{Chosen: lifted}) {
+			if !slices.Equal(share.Chosen, split[i]) {
 				t.Fatalf("trial %d: Split(Lift(Split)) differs", trial)
-			}
-			for j := range split[i] {
-				if back[i][j] != split[i][j] {
-					t.Fatalf("trial %d: Split(Lift(Split)) differs", trial)
-				}
 			}
 		}
 	}

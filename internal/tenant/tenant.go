@@ -2,13 +2,13 @@
 // workloads — each with its own fact table, online workload monitor and
 // cost model — share one global space budget. Each tenant's redesign runs
 // the one redesign pipeline (designer.CORADD) over its monitor's current
-// snapshot: the §4 candidate generation at candgen.DefaultConfig, then
-// the priced selection instance. The coordinator adds only the shared
-// budget: the per-tenant instances are pooled into one block-diagonal
-// instance whose only coupling is the budget row (ilp.Pool) and solved
-// exactly by the one branch-and-bound (ilp.Solve), warm-started from
-// every tenant's last design; Pooled.Split hands each tenant its share.
-// With one tenant a redesign is exactly the designer's plain-ILP design.
+// snapshot: the §4 candidate generation at candgen.DefaultConfig. The
+// shared budget is the one design path of designer.DesignShared: the
+// per-tenant instances are pooled into one block-diagonal instance whose
+// only coupling is the budget row and solved exactly once, warm-started
+// from every tenant's last design, with no feedback rounds. The
+// coordinator adds only the monitors, the fan-out and the metrics. With
+// one tenant a redesign is exactly the designer's plain-ILP design.
 //
 // Pools are regenerated every round, never accumulated, so a redesign
 // depends only on the monitors' state. Everything is deterministic for a
@@ -22,6 +22,7 @@ import (
 	"coradd/internal/candgen"
 	"coradd/internal/costmodel"
 	"coradd/internal/designer"
+	"coradd/internal/feedback"
 	"coradd/internal/ilp"
 	"coradd/internal/obs"
 	"coradd/internal/par"
@@ -134,18 +135,10 @@ type Allocation struct {
 	Problems []*ilp.Problem
 }
 
-// prep is one tenant's redesign up to its priced selection instance: the
-// monitor's snapshot, and the designer and instance built from it. w is
-// nil for an idle tenant.
-type prep struct {
-	w    query.Workload
-	des  *designer.CORADD
-	prob *designer.Problem
-}
-
-// Redesign snapshots every tenant's monitor, generates and prices the
-// per-tenant selection instances, solves the pooled shared-budget
-// instance exactly and assembles each tenant's design from its share.
+// Redesign snapshots every tenant's monitor, builds each live tenant's
+// designer over its snapshot and designs them all against the global
+// budget in one pooled exact solve (designer.DesignShared without
+// feedback rounds), warm-started from every tenant's last design.
 // Deterministic at any Config.Workers.
 func (c *Coordinator) Redesign() (*Allocation, error) {
 	if len(c.ts) == 0 {
@@ -155,70 +148,52 @@ func (c *Coordinator) Redesign() (*Allocation, error) {
 		return nil, fmt.Errorf("tenant: non-positive global budget %d", c.cfg.Budget)
 	}
 
-	// Phase 1 — read every monitor in tenant order (tenants may share one
-	// injected clock, so the reads are sequenced), then generate and price
-	// the per-tenant instances fanned out across tenants. Each worker
-	// touches only its tenant's state and writes its own slot, so the
-	// phase is deterministic at any worker count (the par.ForEach
-	// contract). Each tenant's own budget is the full global budget — the
-	// pooled solve decides shares.
-	preps := make([]prep, len(c.ts))
-	for i, t := range c.ts {
-		if w := t.Mon.Snapshot(); len(w) > 0 {
-			preps[i].w = w
-		}
-	}
-	par.ForEach(len(c.ts), c.cfg.Workers, func(i int) {
-		if p := &preps[i]; p.w != nil {
-			com := c.ts[i].com
-			com.W = p.w
-			p.des = designer.NewCORADDWith(com, c.ts[i].model, candgen.DefaultConfig())
-			p.prob = p.des.Problem(c.cfg.Budget, c.ts[i].lastChosen)
-		}
-	})
-
-	// Phase 2 — pool the live tenants' instances and solve them exactly
-	// under the global budget, warm-started from their last designs.
-	var probs []*ilp.Problem
-	var warms [][]int
-	var live []int
-	for i, p := range preps {
-		if p.w == nil {
-			continue
-		}
-		live = append(live, i)
-		probs = append(probs, p.prob.ILP)
-		warms = append(warms, p.prob.Warm)
-	}
 	alloc := &Allocation{
 		Tenants:  make([]TenantResult, len(c.ts)),
 		Budget:   c.cfg.Budget,
 		Proven:   true,
 		Problems: make([]*ilp.Problem, len(c.ts)),
 	}
-	var chosen [][]int
-	if len(probs) > 0 {
-		pl := ilp.Pool(probs, c.cfg.Budget)
-		so := c.cfg.Solve
-		so.WarmStart = pl.Lift(warms)
-		sol := ilp.Solve(pl.P, so)
-		chosen = pl.Split(sol)
-		alloc.Nodes, alloc.Proven = sol.Nodes, sol.Proven
+	// Read every monitor in tenant order (tenants may share one injected
+	// clock, so the reads are sequenced), then build the live tenants'
+	// designers — §4 generation and base pricing — fanned out across
+	// tenants. Each worker touches only its tenant's state and writes its
+	// own slot, so the phase is deterministic at any worker count (the
+	// par.ForEach contract).
+	ws := make([]query.Workload, len(c.ts))
+	var live []int
+	for i, t := range c.ts {
+		alloc.Tenants[i].Name = t.Name
+		if ws[i] = t.Mon.Snapshot(); len(ws[i]) > 0 {
+			live = append(live, i)
+		}
+	}
+	ds := make([]*designer.CORADD, len(live))
+	warms := make([][]*costmodel.MVDesign, len(live))
+	par.ForEach(len(live), c.cfg.Workers, func(j int) {
+		t := c.ts[live[j]]
+		com := t.com
+		com.W, com.Solve = ws[live[j]], c.cfg.Solve
+		ds[j] = designer.NewCORADDWith(com, t.model, candgen.DefaultConfig())
+		warms[j] = t.lastChosen
+	})
+	var designs []*designer.Design
+	if len(ds) > 0 {
+		var err error
+		designs, err = designer.DesignShared(ds, warms, c.cfg.Budget, feedback.Config{MaxIters: -1, Solve: c.cfg.Solve})
+		if err != nil {
+			return nil, err
+		}
+		alloc.Nodes, alloc.Proven = designs[0].SolverNodes, designs[0].SolverProven
 	}
 
-	// Phase 3 — assemble per-tenant designs (index order: deterministic).
-	for li, i := range live {
-		t, p := c.ts[i], preps[i]
-		sol := &ilp.Solution{
-			Chosen: chosen[li],
-			Size:   p.prob.ILP.SizeOf(chosen[li]),
-			Nodes:  alloc.Nodes,
-			Proven: alloc.Proven,
-		}
-		d := p.des.Routed("tenant/"+t.Name, c.cfg.Budget, p.prob.Designs, sol)
+	// Assemble per-tenant results (index order: deterministic).
+	for j, i := range live {
+		t, d, res := c.ts[i], designs[j], ds[j].LastSolve
+		d.Name = "tenant/" + t.Name
 		// Per-tenant plan attribution: charge each template to the object
 		// the fresh routing serves it from ("base" for the base design).
-		for qi := range p.w {
+		for qi := range ws[i] {
 			obj := "base"
 			if ri := d.Routing[qi]; ri >= 0 {
 				obj = d.Chosen[ri].Name
@@ -226,23 +201,17 @@ func (c *Coordinator) Redesign() (*Allocation, error) {
 			c.o.routed.With(t.Name, obj).Inc()
 		}
 		t.lastChosen = d.Chosen
-		obj := p.prob.ILP.Objective(chosen[li])
 		alloc.Tenants[i] = TenantResult{
 			Name:      t.Name,
-			Workload:  p.w,
+			Workload:  ws[i],
 			Design:    d,
-			PoolSize:  len(p.des.Candidates()),
-			Objective: obj,
+			PoolSize:  len(ds[j].Candidates()),
+			Objective: res.Sol.Objective,
 			Size:      d.Size,
 		}
-		alloc.Problems[i] = p.prob.ILP
-		alloc.Objective += obj
+		alloc.Problems[i] = res.Prob
+		alloc.Objective += res.Sol.Objective
 		alloc.TotalSize += d.Size
-	}
-	for i, p := range preps {
-		if p.w == nil {
-			alloc.Tenants[i] = TenantResult{Name: c.ts[i].Name}
-		}
 	}
 
 	c.o.redesigns.Inc()

@@ -381,9 +381,10 @@ func TestPoolReuseAcrossRedesigns(t *testing.T) {
 	if got := third.Tenants[0].PoolSize; got != len(want) {
 		t.Fatalf("drifted pool has %d candidates, the §4 generation over the snapshot %d", got, len(want))
 	}
-	wantProb := snapshotDesigner(tn).Problem(co.cfg.Budget, nil)
-	if got := instanceKeys(third)[0]; !slices.Equal(got, designKeys(wantProb.Designs)) {
-		t.Fatalf("drifted instance (%d candidates) is not the snapshot's priced generation (%d)", len(got), len(wantProb.Designs))
+	sd := snapshotDesigner(tn)
+	_, wantDesigns := feedback.BuildProblem(sd.Gen, sd.Candidates(), sd.BaseTimes(), co.cfg.Budget)
+	if got := instanceKeys(third)[0]; !slices.Equal(got, designKeys(wantDesigns)) {
+		t.Fatalf("drifted instance (%d candidates) is not the snapshot's priced generation (%d)", len(got), len(wantDesigns))
 	}
 	if slices.Equal(designKeys(preDrift), designKeys(want)) {
 		t.Fatal("the drift did not move the generated pool")
