@@ -13,9 +13,11 @@ import (
 // one exact Build over a pinned 300 000-row heap clustered on a date-coded
 // column, then a Derive for every other width of the default sweep. The key
 // sets follow the clustered order (year), ignore it (discount, quantity) or
-// mix both, as in SSB Q1.1 on an orderdate-clustered MV. Each reports ns
-// per heap row, the unit that makes cm.design_ms comparable across heap
-// sizes:
+// mix both, as in SSB Q1.1 on an orderdate-clustered MV; one more key
+// (note, a 40-byte payload drawn over the whole int64 range) spans far more
+// values than the heap has rows, so its codes come from a sort by rank, not
+// from its values. Each reports ns per heap row, the unit that makes
+// cm.design_ms comparable across heap sizes:
 //
 //	go test -run '^$' -bench BenchmarkCMBuild ./internal/cm/
 func BenchmarkCMBuild(b *testing.B) {
@@ -24,14 +26,14 @@ func BenchmarkCMBuild(b *testing.B) {
 		schema.Column{Name: "year", ByteSize: 4},
 		schema.Column{Name: "disc", ByteSize: 4},
 		schema.Column{Name: "qty", ByteSize: 4},
-		schema.Column{Name: "pad", ByteSize: 40},
+		schema.Column{Name: "note", ByteSize: 40},
 	)
 	rng := rand.New(rand.NewSource(1))
 	rows := make([]value.Row, 300_000)
 	for i := range rows {
 		year, day := value.V(1992+rng.Intn(7)), value.V(rng.Intn(365))
 		rows[i] = value.Row{year*10000 + (day/31+1)*100 + day%31 + 1, year,
-			value.V(rng.Intn(11)), value.V(1 + rng.Intn(50)), 0}
+			value.V(rng.Intn(11)), value.V(1 + rng.Intn(50)), value.V(rng.Uint64())}
 	}
 	rel := storage.NewRelation("bench", s, s.ColSet("date"), rows)
 	cfg := DefaultDesignerConfig()
@@ -43,8 +45,10 @@ func BenchmarkCMBuild(b *testing.B) {
 		{"qty", s.ColSet("qty")},
 		{"year+disc", s.ColSet("year", "disc")},
 		{"disc+qty", s.ColSet("disc", "qty")},
+		{"note", s.ColSet("note")},
 	} {
 		b.Run(key.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for b.Loop() {
 				base := Build(rel, key.cols, onesFor(key.cols), cfg.ClusterPagesPerBucket)
 				for _, widths := range widthGrid(len(key.cols), cfg.Widths) {

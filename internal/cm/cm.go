@@ -7,6 +7,7 @@
 package cm
 
 import (
+	"math"
 	"slices"
 
 	"coradd/internal/query"
@@ -45,6 +46,10 @@ type CM struct {
 // Build constructs the CM for rel over keyCols with the given bucket
 // widths (len(keyWidths) == len(keyCols); width ≥ 1).
 func Build(rel *storage.Relation, keyCols []int, keyWidths []value.V, clusterPagesPerBucket int) *CM {
+	return new(pairKernel).build(rel, keyCols, keyWidths, clusterPagesPerBucket)
+}
+
+func (pk *pairKernel) build(rel *storage.Relation, keyCols []int, keyWidths []value.V, clusterPagesPerBucket int) *CM {
 	if clusterPagesPerBucket < 1 {
 		clusterPagesPerBucket = DefaultClusterPagesPerBucket
 	}
@@ -55,125 +60,28 @@ func Build(rel *storage.Relation, keyCols []int, keyWidths []value.V, clusterPag
 		keyBytes:              rel.Schema.SubsetBytes(keyCols),
 		numPages:              rel.NumPages(),
 	}
-	// Rows are scanned in clustered order, one clustered bucket — a few
-	// thousand rows — at a time, and each bucket's keys are deduplicated
-	// while they are cache-resident.
-	rowsPerBucket := rel.TuplesPerPage() * clusterPagesPerBucket
-	pc := newPairCollector(len(keyCols))
+	// The items are the rows in clustered order; run b is clustered bucket
+	// b, a fixed number of rows. An exact key column is read in place.
 	n := rel.NumRows()
+	cols := make([][]value.V, len(keyCols))
+	for j, c := range keyCols {
+		if keyWidths[j] <= 1 {
+			cols[j] = rel.Cols[c]
+			continue
+		}
+		cols[j] = pk.column(j, n)
+		for i, v := range rel.Cols[c] {
+			cols[j][i] = BucketValue(v, keyWidths[j])
+		}
+	}
+	rowsPerBucket := rel.TuplesPerPage() * clusterPagesPerBucket
+	starts := pk.starts[:0]
 	for lo := 0; lo < n; lo += rowsPerBucket {
-		bucket := int32(lo / rowsPerBucket)
-		for i := lo; i < min(lo+rowsPerBucket, n); i++ {
-			for j, c := range keyCols {
-				pc.key[j] = BucketValue(rel.Cols[c][i], keyWidths[j])
-			}
-			pc.add(bucket)
-		}
-		pc.flush()
+		starts = append(starts, lo)
 	}
-	m.keys, m.buckets = pc.finish()
+	pk.starts = append(starts, n)
+	m.keys, m.buckets = pk.distinct(cols, pk.starts)
 	return m
-}
-
-// pairCollector accumulates distinct (bucketed key, clustered bucket)
-// pairs for keys of any length. The caller writes each candidate key into
-// pc.key and calls add, and calls flush wherever the input has locality —
-// Build after every clustered bucket, whose keys repeat (that they do is
-// what a CM exists for). flush sorts and compacts only the pairs added
-// since the last one, so the row-scale input is deduplicated in small
-// cache-resident runs and only the survivors, near the distinct count, are
-// sorted globally by finish. Consecutive repeats are dropped before they
-// enter a run at all. The result is exactly the distinct pair set in
-// (key, bucket) order, wherever the flushes fall.
-type pairCollector struct {
-	// pair is the next pair to add: the key the caller writes through key,
-	// then the bucket add sets. last is the run's most recent pair.
-	key, pair, last []value.V
-	// run are the pairs added since the last flush and out the survivors of
-	// earlier flushes, column-wise like pair: the key columns, then the
-	// clustered bucket.
-	run, out [][]value.V
-	// perm and buf are the sort's permutation and scratch, reused.
-	perm, buf []int32
-}
-
-func newPairCollector(keyLen int) *pairCollector {
-	pair := make([]value.V, keyLen+1)
-	return &pairCollector{key: pair[:keyLen], pair: pair, last: make([]value.V, keyLen+1),
-		run: make([][]value.V, keyLen+1), out: make([][]value.V, keyLen+1)}
-}
-
-func (pc *pairCollector) add(bucket int32) {
-	pc.pair[len(pc.key)] = value.V(bucket)
-	if len(pc.run[0]) > 0 && slices.Equal(pc.pair, pc.last) {
-		return
-	}
-	copy(pc.last, pc.pair)
-	for j, v := range pc.pair {
-		pc.run[j] = append(pc.run[j], v)
-	}
-}
-
-// flush moves the distinct pairs of the current run to the survivors.
-func (pc *pairCollector) flush() {
-	for _, p := range pc.distinct(pc.run) {
-		for j, col := range pc.run {
-			pc.out[j] = append(pc.out[j], col[p])
-		}
-	}
-	for j := range pc.run {
-		pc.run[j] = pc.run[j][:0]
-	}
-}
-
-// distinct sorts the pairs of cols by (key, bucket) and returns the
-// positions of the distinct ones in that order.
-func (pc *pairCollector) distinct(cols [][]value.V) []int32 {
-	perm := pc.perm[:0]
-	for i := range cols[0] {
-		perm = append(perm, int32(i))
-	}
-	pc.perm, pc.buf = perm, value.SortPerm(perm, pc.buf, cols...)
-	kept := perm[:0]
-	for _, p := range perm {
-		if len(kept) == 0 || !samePair(cols, kept[len(kept)-1], p) {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
-
-// samePair reports whether pairs i and j of cols are equal.
-func samePair(cols [][]value.V, i, j int32) bool {
-	for _, col := range cols {
-		if col[i] != col[j] {
-			return false
-		}
-	}
-	return true
-}
-
-// finish returns the distinct pairs in (key, bucket) order as flat arrays
-// sized by the survivors: the collector's buffers grew with the input, the
-// CM must retain only O(distinct). With no survivors yet the run is all
-// there is and is sorted alone (Derive's one run); otherwise the last run
-// is flushed and the survivors sorted.
-func (pc *pairCollector) finish() (keys []value.V, buckets []int32) {
-	cols := pc.run
-	if len(pc.out[0]) > 0 {
-		pc.flush()
-		cols = pc.out
-	}
-	kept := pc.distinct(cols)
-	k := len(pc.key)
-	keys, buckets = make([]value.V, len(kept)*k), make([]int32, len(kept))
-	for i, p := range kept {
-		for j, col := range cols[:k] {
-			keys[i*k+j] = col[p]
-		}
-		buckets[i] = int32(cols[k][p])
-	}
-	return keys, buckets
 }
 
 // Derive builds the CM for coarser bucket widths from an exact (all widths
@@ -185,6 +93,10 @@ func (pc *pairCollector) finish() (keys []value.V, buckets []int32) {
 // the relation has rows, which is what makes the CM Designer's width sweep
 // cheap.
 func Derive(base *CM, widths []value.V) *CM {
+	return new(pairKernel).derive(base, widths)
+}
+
+func (pk *pairKernel) derive(base *CM, widths []value.V) *CM {
 	for _, w := range base.KeyWidths {
 		if w != 1 {
 			panic("cm: Derive requires an exact (width-1) base")
@@ -197,16 +109,189 @@ func Derive(base *CM, widths []value.V) *CM {
 		keyBytes:              base.keyBytes,
 		numPages:              base.numPages,
 	}
-	k := len(base.KeyCols)
-	pc := newPairCollector(k)
-	for i, bucket := range base.buckets {
-		for j, v := range base.keys[i*k : (i+1)*k] {
-			pc.key[j] = BucketValue(v, widths[j])
-		}
-		pc.add(bucket)
+	// The items are the base's pairs, re-bucketed and moved into clustered
+	// bucket order by one counting pass; run b is clustered bucket b.
+	k, n := len(base.KeyCols), len(base.buckets)
+	numBuckets := 0
+	for _, b := range base.buckets {
+		numBuckets = max(numBuckets, int(b)+1)
 	}
-	m.keys, m.buckets = pc.finish()
+	starts := slices.Grow(pk.starts[:0], numBuckets+1)[:numBuckets+1]
+	clear(starts)
+	for _, b := range base.buckets {
+		starts[b+1]++
+	}
+	for b := range numBuckets {
+		starts[b+1] += starts[b]
+	}
+	cols := make([][]value.V, k)
+	for j := range cols {
+		cols[j] = pk.column(j, n)
+	}
+	for i, b := range base.buckets {
+		at := starts[b]
+		starts[b]++
+		for j, col := range cols {
+			col[at] = BucketValue(base.keys[i*k+j], widths[j])
+		}
+	}
+	// Placing each item advanced its bucket's start to the next bucket's.
+	copy(starts[1:], starts[:numBuckets])
+	starts[0] = 0
+	pk.starts = starts
+	m.keys, m.buckets = pk.distinct(cols, starts)
 	return m
+}
+
+// denseFactor and denseFloor bound the dense key code: n items whose
+// bucketed keys span at most denseFactor·n + denseFloor codes are coded by
+// offset, any wider key set by rank (pairKernel.encode).
+const (
+	denseFactor = 4
+	denseFloor  = 1024
+)
+
+// pairKernel finds the distinct (bucketed key, clustered bucket) pairs of
+// a sequence of items — a relation's rows for Build, a base CM's pairs for
+// Derive — that arrive in runs of one clustered bucket each, in bucket
+// order. Each item's key gets a dense code, numbered in key order; a stamp
+// per code, the last run that kept it, keeps an item only when its code is
+// new to the run, and one counting pass by code puts the survivors in
+// (key, bucket) order. A kernel's buffers are reused by its next call:
+// the CM Designer keeps one per key set for the Build and its width sweep.
+type pairKernel struct {
+	// code is each item's key code; stamp holds, per code, 1 + the last
+	// run that kept it; count the survivors per code, then their offsets.
+	code, stamp, count []int32
+	// item and run are the survivors in scan order: the item and its run.
+	item, run []int32
+	// starts are the run boundaries; perm and buf serve encode's sort by
+	// rank; cols are scratch for key columns that are not read in place.
+	starts    []int
+	perm, buf []int32
+	cols      [][]value.V
+}
+
+// column returns scratch key column j, of n values.
+func (pk *pairKernel) column(j, n int) []value.V {
+	for len(pk.cols) <= j {
+		pk.cols = append(pk.cols, nil)
+	}
+	pk.cols[j] = slices.Grow(pk.cols[j][:0], n)[:n]
+	return pk.cols[j]
+}
+
+// distinct returns the distinct (key, run) pairs of the items whose
+// bucketed key columns are cols, run r being items [starts[r],
+// starts[r+1]) and every column holding one value per item, as flat keys
+// (stride len(cols)) and buckets in (key, run) order, sized exactly.
+func (pk *pairKernel) distinct(cols [][]value.V, starts []int) (keys []value.V, buckets []int32) {
+	space := pk.encode(cols, starts[len(starts)-1])
+	code := pk.code
+	stamp := slices.Grow(pk.stamp[:0], space)[:space]
+	count := slices.Grow(pk.count[:0], space)[:space]
+	clear(stamp)
+	clear(count)
+	item, run := pk.item[:0], pk.run[:0]
+	for r := range len(starts) - 1 {
+		s, prev := int32(r+1), int32(-1)
+		for i := starts[r]; i < starts[r+1]; i++ {
+			// A repeat of the previous item's code, the common case on a
+			// key that follows the clustered order, skips the stamp.
+			c := code[i]
+			if c == prev {
+				continue
+			}
+			prev = c
+			if stamp[c] == s {
+				continue
+			}
+			stamp[c] = s
+			count[c]++
+			item, run = append(item, int32(i)), append(run, int32(r))
+		}
+	}
+	pk.stamp, pk.count, pk.item, pk.run = stamp, count, item, run
+	var sum int32
+	for c, cnt := range count {
+		count[c], sum = sum, sum+cnt
+	}
+	k := len(cols)
+	keys, buckets = make([]value.V, len(item)*k), make([]int32, len(item))
+	for t, i := range item {
+		at := count[code[i]]
+		count[code[i]]++
+		for j, col := range cols {
+			keys[int(at)*k+j] = col[i]
+		}
+		buckets[at] = run[t]
+	}
+	return keys, buckets
+}
+
+// encode sets pk.code[i] to the code of item i's key in cols, for n items,
+// and returns the number of codes. Codes are numbered in key
+// order, so sorting by code sorts by key. Where the product of the
+// columns' value spans fits the dense bound, the code is the key's offsets
+// from each column's minimum in mixed radix, first column most
+// significant; otherwise (MinInt64 beside MaxInt64, or a wide composite)
+// it is the key's rank among the distinct keys, from one sort of the items.
+func (pk *pairKernel) encode(cols [][]value.V, n int) int {
+	code := slices.Grow(pk.code[:0], n)[:n]
+	pk.code = code
+	if n == 0 {
+		return 0
+	}
+	bound := min(uint64(denseFactor*n+denseFloor), math.MaxInt32)
+	space, dense := uint64(1), true
+	lows := make([]value.V, len(cols))
+	spans := make([]uint64, len(cols))
+	for j, col := range cols {
+		lo, hi := col[0], col[0]
+		for _, v := range col {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		// span wraps to 0 only when the column holds MinInt64 and MaxInt64.
+		lows[j], spans[j] = lo, uint64(hi)-uint64(lo)+1
+		if spans[j] == 0 || spans[j] > bound/space {
+			dense = false
+			break
+		}
+		space *= spans[j]
+	}
+	if dense {
+		clear(code)
+		for j, col := range cols {
+			span, lo := int32(spans[j]), lows[j]
+			for i, v := range col {
+				code[i] = code[i]*span + int32(uint64(v)-uint64(lo))
+			}
+		}
+		return int(space)
+	}
+	perm := slices.Grow(pk.perm[:0], n)[:n]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	pk.perm, pk.buf = perm, value.SortPerm(perm, pk.buf, cols...)
+	rank := int32(-1)
+	for t, i := range perm {
+		if t == 0 || !sameKey(cols, perm[t-1], i) {
+			rank++
+		}
+		code[i] = rank
+	}
+	return int(rank) + 1
+}
+
+// sameKey reports whether items i and j of cols have equal keys.
+func sameKey(cols [][]value.V, i, j int32) bool {
+	for _, col := range cols {
+		if col[i] != col[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // BucketValue buckets v by truncation to floor(v/width) (width ≤ 1 keeps
@@ -286,7 +371,10 @@ func BucketMayMatch(b, width value.V, pred *query.Predicate) bool {
 	if width <= 1 {
 		return pred.Matches(b)
 	}
-	lo, hi := b*width, b*width+width-1
+	lo, hi, ok := bucketBounds(b, width)
+	if !ok {
+		return false
+	}
 	plo, phi := pred.Bounds()
 	if hi < plo || lo > phi {
 		return false
@@ -300,6 +388,28 @@ func BucketMayMatch(b, width value.V, pred *query.Predicate) bool {
 		return false
 	}
 	return true
+}
+
+// bucketBounds returns the closed range [lo, hi] of the int64 values that
+// bucket b holds at width > 1, and false for a bucket that holds none. The
+// buckets of MinInt64 and MaxInt64 reach past the int64 domain unless the
+// width divides it, so their bounds are clamped to it: b*width and
+// b*width+width-1 would overflow there.
+func bucketBounds(b, width value.V) (lo, hi value.V, ok bool) {
+	first, last := BucketValue(math.MinInt64, width), BucketValue(math.MaxInt64, width)
+	if b < first || b > last {
+		return 0, 0, false
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
+	if b > first {
+		lo = b * width
+	}
+	if b < last {
+		// Exact even for b == first, where b*width alone underflows: the
+		// sum fits, and int64 arithmetic wraps.
+		hi = b*width + width - 1
+	}
+	return lo, hi, true
 }
 
 // PageRanges converts clustered buckets into merged half-open heap page

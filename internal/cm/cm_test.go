@@ -2,8 +2,10 @@ package cm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -232,25 +234,23 @@ func onesFor(cols []int) []value.V {
 	return ones
 }
 
-// TestPairCollectorAlternatingDuplicates drives the sort-based dedup with
-// non-consecutive repeats (which the run check cannot catch) and verifies
-// the final pair set is distinct and sorted.
-func TestPairCollectorAlternatingDuplicates(t *testing.T) {
-	pc := newPairCollector(1)
-	seq := []struct {
-		k value.V
-		b int32
-	}{{1, 0}, {2, 0}, {1, 0}, {2, 0}, {1, 1}, {1, 1}, {2, 1}, {1, 1}}
-	for _, s := range seq {
-		pc.key[0] = s.k
-		pc.add(s.b)
-	}
-	pc.flush() // mid-stream: the (1,1) after it repeats across runs
-	pc.key[0] = 1
-	pc.add(1)
-	keys, buckets := pc.finish()
-	if !reflect.DeepEqual(keys, []value.V{1, 1, 2, 2}) || !reflect.DeepEqual(buckets, []int32{0, 1, 0, 1}) {
-		t.Fatalf("got keys %v buckets %v, want (1,0) (1,1) (2,0) (2,1)", keys, buckets)
+// TestPairKernelAlternatingDuplicates drives the dedup kernel with
+// non-consecutive repeats (which the repeat skip cannot catch) and a pair
+// repeated across two runs, on a dense key and on keys only a rank can
+// code, and verifies the pair set is distinct and sorted.
+func TestPairKernelAlternatingDuplicates(t *testing.T) {
+	for _, lo := range []value.V{1, math.MinInt64, math.MaxInt64 - 1} {
+		a, b := lo, lo+1
+		if lo == math.MinInt64 {
+			b = math.MaxInt64 // the span of MinInt64..MaxInt64 overflows a dense code
+		}
+		// Run 0 is {a, b, a, b}, run 1 {a, a, b, a, a}.
+		col := []value.V{a, b, a, b, a, a, b, a, a}
+		var pk pairKernel
+		keys, buckets := pk.distinct([][]value.V{col}, []int{0, 4, 9})
+		if !reflect.DeepEqual(keys, []value.V{a, a, b, b}) || !reflect.DeepEqual(buckets, []int32{0, 1, 0, 1}) {
+			t.Fatalf("keys %v: got keys %v buckets %v, want (a,0) (a,1) (b,0) (b,1)", []value.V{a, b}, keys, buckets)
+		}
 	}
 }
 
@@ -328,4 +328,174 @@ func TestBuildMatchesMapReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBucketMayMatchAtInt64Ends checks the buckets of the int64 domain's
+// ends, where b*width and b*width+width-1 overflow unless the width is a
+// power of two: the bucket of MinInt64 or MaxInt64 may match an equality,
+// a range and an IN on that value, its neighbour bucket may not match the
+// equality or the IN, and a bucket past the domain holds no value at all.
+func TestBucketMayMatchAtInt64Ends(t *testing.T) {
+	for _, tc := range []struct {
+		v, step value.V // step leads from the end value into the domain
+	}{{math.MinInt64, 1}, {math.MaxInt64, -1}} {
+		for _, width := range []value.V{2, 3, 7, 64} {
+			b := BucketValue(tc.v, width)
+			inner := tc.v + tc.step*width // a value in the neighbour bucket
+			eq, in := query.NewEq("k", tc.v), query.NewIn("k", tc.v)
+			rng := query.NewRange("k", min(tc.v, tc.v+tc.step), max(tc.v, tc.v+tc.step))
+			for _, p := range []*query.Predicate{&eq, &in, &rng} {
+				if !BucketMayMatch(b, width, p) {
+					t.Errorf("v=%d width=%d: bucket %d does not admit %v", tc.v, width, b, p)
+				}
+				if nb := BucketValue(inner, width); p != &rng && BucketMayMatch(nb, width, p) {
+					t.Errorf("v=%d width=%d: neighbour bucket %d admits %v", tc.v, width, nb, p)
+				}
+			}
+			if BucketMayMatch(b-tc.step, width, &rng) {
+				t.Errorf("v=%d width=%d: bucket %d past the domain admits %v", tc.v, width, b-tc.step, &rng)
+			}
+		}
+	}
+}
+
+// fuzzBytes hands out the fuzzer's bytes one at a time, zeros once spent.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// cmKinds draw a key column's value from a row's clustered value clu, its
+// position i and 64 bits u, which are random or, for the rows that follow
+// the clustered key, a hash of clu. The first four are the shapes of
+// TestBuildMatchesMapReference; the others sit at the int64 ends or span
+// them, so their keys are coded by rank instead of by offset.
+var cmKinds = []func(clu value.V, i int, u uint64) value.V{
+	func(clu value.V, _ int, _ uint64) value.V { return clu / 7 },              // follows the clustered key
+	func(_ value.V, i int, _ uint64) value.V { return value.V(i%13 - 6) },      // cycles against it
+	func(_ value.V, _ int, u uint64) value.V { return value.V(u%9) - 4 },       // few values
+	func(_ value.V, _ int, u uint64) value.V { return value.V(u%5000) - 2500 }, // many values
+	func(_ value.V, _ int, u uint64) value.V { return math.MaxInt64 - value.V(u%50) },
+	func(_ value.V, _ int, u uint64) value.V { return math.MinInt64 + value.V(u%50) },
+	func(_ value.V, _ int, u uint64) value.V { // both ends
+		if u&1 == 0 {
+			return math.MinInt64 + value.V(u>>1%3)
+		}
+		return math.MaxInt64 - value.V(u>>1%3)
+	},
+	func(_ value.V, _ int, u uint64) value.V { return value.V(u) }, // the whole int64 range
+}
+
+// decodeCMCase turns bytes into a relation clustered on column 0, whose
+// four other columns each draw from one of cmKinds, a dialled share of
+// rows (0-4 quarters) as a function of the clustered value; a clustered
+// bucket of 1-3 pages and up to three buckets' rows and one more; a CM key
+// of 1-4 of those columns in some order with widths from {1, 2, 3, 64};
+// and one predicate per key column (none, Eq, Range or IN) on values of
+// the relation's rows.
+func decodeCMCase(data []byte) (rel *storage.Relation, keyCols []int, widths []value.V, pagesPerBucket int, preds []*query.Predicate) {
+	in := fuzzBytes(data)
+	names := []string{"clu", "k1", "k2", "k3", "k4"}
+	cols := make([]schema.Column, len(names))
+	for i, n := range names {
+		cols[i] = schema.Column{Name: n, ByteSize: 8}
+	}
+	s := schema.New(cols...)
+	pagesPerBucket = 1 + in.next()%3
+	rowsPerBucket := storage.PageSize / s.RowBytes() * pagesPerBucket
+	n := (in.next()<<8 | in.next()) % (3*rowsPerBucket + 2)
+	follow := in.next() % 5
+	rng := rand.New(rand.NewSource(int64(in.next())))
+	var kinds [4]int
+	for j := range kinds {
+		kinds[j] = in.next() % len(cmKinds)
+	}
+	rows := make([]value.Row, n)
+	for i := range rows {
+		clu := value.V(rng.Intn(400) - 200)
+		u := rng.Uint64()
+		if rng.Intn(4) < follow {
+			u = uint64(clu) * 0x9E3779B97F4A7C15
+		}
+		rows[i] = value.Row{clu, 0, 0, 0, 0}
+		for j, kind := range kinds {
+			rows[i][1+j] = cmKinds[kind](clu, i, u>>(8*j)|u<<(64-8*j))
+		}
+	}
+	rel = storage.NewRelation("t", s, []int{0}, rows)
+	keyLen, first, reverse := 1+in.next()%4, in.next(), in.next()%2 == 1
+	for j := range keyLen {
+		c := (first+j)%4 + 1
+		if reverse {
+			c = (first-j+4*keyLen)%4 + 1
+		}
+		keyCols = append(keyCols, c)
+	}
+	for range keyCols {
+		widths = append(widths, []value.V{1, 2, 3, 64}[in.next()%4])
+	}
+	for _, c := range keyCols {
+		kind, r1, r2 := in.next()%4, in.next()*n/256, in.next()*n/256
+		if kind == 0 || n == 0 {
+			preds = append(preds, nil)
+			continue
+		}
+		name := s.Columns[c].Name
+		v1, v2 := rel.Cols[c][r1], rel.Cols[c][r2]
+		p := map[int]query.Predicate{1: query.NewEq(name, v1), 2: query.NewRange(name, min(v1, v2), max(v1, v2)), 3: query.NewIn(name, v1, v2)}[kind]
+		preds = append(preds, &p)
+	}
+	return rel, keyCols, widths, pagesPerBucket, preds
+}
+
+// FuzzCMBuild is the CM kernel's differential target: Build, and Derive
+// from the exact CM, must hold exactly referencePairs' pairs in its order,
+// whether the key is coded by offset or by rank, and Buckets may add
+// clustered buckets but never miss one holding a matching row.
+func FuzzCMBuild(f *testing.F) {
+	// TestBuildMatchesMapReference's shapes (kinds 0-3, two pages per
+	// bucket, its row counts around one bucket) under keys of 1-4 columns,
+	// then keys at the int64 ends or spanning them.
+	const rowsPerBucket = 2 * storage.PageSize / 40
+	for _, n := range []int{0, 1, rowsPerBucket - 1, rowsPerBucket, rowsPerBucket + 1, 3*rowsPerBucket + 1} {
+		for keyLen, widthSel := range []byte{0, 1, 2, 3} {
+			f.Add([]byte{1, byte(n >> 8), byte(n), 0, 5, 0, 1, 2, 3, byte(keyLen), byte(keyLen), byte(keyLen % 2),
+				widthSel, widthSel, widthSel, widthSel, 1, 7, 0, 2, 30, 200, 3, 1, 250, 0, 0, 0})
+		}
+	}
+	f.Add([]byte{0, 1, 144, 2, 9, 4, 5, 6, 7, 0, 0, 0, 1, 0, 0, 0, 1, 100, 0})
+	f.Add([]byte{2, 3, 0, 4, 3, 6, 7, 4, 5, 3, 2, 1, 1, 3, 2, 1, 2, 10, 240, 3, 5, 6, 1, 9, 0, 2, 128, 129})
+	f.Add([]byte{0, 0, 200, 0, 1, 7, 7, 7, 7, 1, 0, 0, 3, 3, 1, 50, 0, 2, 0, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rel, keyCols, widths, pagesPerBucket, preds := decodeCMCase(data)
+		wantKeys, wantBuckets := referencePairs(rel, keyCols, widths, pagesPerBucket)
+		base := Build(rel, keyCols, onesFor(keyCols), pagesPerBucket)
+		built := Build(rel, keyCols, widths, pagesPerBucket)
+		for name, m := range map[string]*CM{"Build": built, "Derive": Derive(base, widths)} {
+			if !reflect.DeepEqual(m.keys, wantKeys) || !reflect.DeepEqual(m.buckets, wantBuckets) {
+				t.Fatalf("cols=%v widths=%v: %s has %d pairs, the reference %d, or they differ",
+					keyCols, widths, name, m.NumPairs(), len(wantBuckets))
+			}
+		}
+		got := built.Buckets(preds)
+		rowsPerBucket := rel.TuplesPerPage() * pagesPerBucket
+	rows:
+		for i := range rel.NumRows() {
+			for j, c := range keyCols {
+				if preds[j] != nil && !preds[j].Matches(rel.Cols[c][i]) {
+					continue rows
+				}
+			}
+			if _, found := slices.BinarySearch(got, int32(i/rowsPerBucket)); !found {
+				t.Fatalf("cols=%v widths=%v preds=%v: row %d matches but its bucket %d is not in %v",
+					keyCols, widths, preds, i, i/rowsPerBucket, got)
+			}
+		}
+	})
 }

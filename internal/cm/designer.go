@@ -63,7 +63,8 @@ func Design(rel *storage.Relation, q *query.Query, cfg DesignerConfig) *CM {
 	scanCost := seqScanCost(rel, cfg.Disk)
 	// Each key set is an independent unit of work: one relation scan for
 	// the exact CM, then every coarser width derived from its pairs
-	// (identical to a fresh Build). Per-key-set winners land in their own
+	// (identical to a fresh Build), all through one pair kernel whose
+	// buffers the sweep reuses. Per-key-set winners land in their own
 	// slot; the final reduction scans slots in enumeration order with the
 	// same strict comparison a sequential sweep applies, so the chosen CM
 	// is identical.
@@ -82,12 +83,13 @@ func Design(rel *storage.Relation, q *query.Query, cfg DesignerConfig) *CM {
 		for j := range ones {
 			ones[j] = 1
 		}
-		base := Build(rel, keyCols, ones, cfg.ClusterPagesPerBucket)
+		var pk pairKernel
+		base := pk.build(rel, keyCols, ones, cfg.ClusterPagesPerBucket)
 		slots[i].cost = scanCost
 		for _, widths := range widthGrid(len(keyCols), cfg.Widths) {
 			m := base
 			if !allOnes(widths) {
-				m = Derive(base, widths)
+				m = pk.derive(base, widths)
 			}
 			if m.Bytes() > cfg.SpaceLimit {
 				continue
