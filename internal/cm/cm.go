@@ -93,24 +93,43 @@ func (pk *pairKernel) build(rel *storage.Relation, keyCols []int, keyWidths []va
 // the relation has rows, which is what makes the CM Designer's width sweep
 // cheap.
 func Derive(base *CM, widths []value.V) *CM {
-	return new(pairKernel).derive(base, widths)
+	return new(pairKernel).derive(base, identity(len(base.KeyCols)), widths, base.keyBytes)
 }
 
-func (pk *pairKernel) derive(base *CM, widths []value.V) *CM {
+// identity returns the selection of all n key columns, in order.
+func identity(n int) []int {
+	sel := make([]int, n)
+	for j := range sel {
+		sel[j] = j
+	}
+	return sel
+}
+
+// derive builds the CM over the key columns sel of the exact base (indexes
+// into base.KeyCols, in key order) at the given widths, keyBytes wide,
+// from the base's pairs. Dropping key columns is exact for the same reason
+// re-bucketing is: the distinct pairs of a projection are the projection
+// of the distinct pairs.
+func (pk *pairKernel) derive(base *CM, sel []int, widths []value.V, keyBytes int) *CM {
 	for _, w := range base.KeyWidths {
 		if w != 1 {
 			panic("cm: Derive requires an exact (width-1) base")
 		}
 	}
+	keyCols := make([]int, len(sel))
+	for j, s := range sel {
+		keyCols[j] = base.KeyCols[s]
+	}
 	m := &CM{
-		KeyCols:               base.KeyCols,
+		KeyCols:               keyCols,
 		KeyWidths:             widths,
 		ClusterPagesPerBucket: base.ClusterPagesPerBucket,
-		keyBytes:              base.keyBytes,
+		keyBytes:              keyBytes,
 		numPages:              base.numPages,
 	}
-	// The items are the base's pairs, re-bucketed and moved into clustered
-	// bucket order by one counting pass; run b is clustered bucket b.
+	// The items are the base's pairs, projected, re-bucketed and moved into
+	// clustered bucket order by one counting pass; run b is clustered
+	// bucket b.
 	k, n := len(base.KeyCols), len(base.buckets)
 	numBuckets := 0
 	for _, b := range base.buckets {
@@ -124,7 +143,7 @@ func (pk *pairKernel) derive(base *CM, widths []value.V) *CM {
 	for b := range numBuckets {
 		starts[b+1] += starts[b]
 	}
-	cols := make([][]value.V, k)
+	cols := make([][]value.V, len(sel))
 	for j := range cols {
 		cols[j] = pk.column(j, n)
 	}
@@ -132,7 +151,7 @@ func (pk *pairKernel) derive(base *CM, widths []value.V) *CM {
 		at := starts[b]
 		starts[b]++
 		for j, col := range cols {
-			col[at] = BucketValue(base.keys[i*k+j], widths[j])
+			col[at] = BucketValue(base.keys[i*k+sel[j]], widths[j])
 		}
 	}
 	// Placing each item advanced its bucket's start to the next bucket's.
@@ -143,22 +162,15 @@ func (pk *pairKernel) derive(base *CM, widths []value.V) *CM {
 	return m
 }
 
-// denseFactor and denseFloor bound the dense key code: n items whose
-// bucketed keys span at most denseFactor·n + denseFloor codes are coded by
-// offset, any wider key set by rank (pairKernel.encode).
-const (
-	denseFactor = 4
-	denseFloor  = 1024
-)
-
 // pairKernel finds the distinct (bucketed key, clustered bucket) pairs of
 // a sequence of items — a relation's rows for Build, a base CM's pairs for
-// Derive — that arrive in runs of one clustered bucket each, in bucket
-// order. Each item's key gets a dense code, numbered in key order; a stamp
-// per code, the last run that kept it, keeps an item only when its code is
-// new to the run, and one counting pass by code puts the survivors in
-// (key, bucket) order. A kernel's buffers are reused by its next call:
-// the CM Designer keeps one per key set for the Build and its width sweep.
+// Derive and the Designer's projections — that arrive in runs of one
+// clustered bucket each, in bucket order. Each item's key gets a dense
+// code, numbered in key order; a stamp per code, the last run that kept
+// it, keeps an item only when its code is new to the run, and one
+// counting pass by code puts the survivors in (key, bucket) order. A
+// kernel's buffers are reused by its next call: the CM Designer keeps one
+// per row scan for the scan, its projections and their width sweeps.
 type pairKernel struct {
 	// code is each item's key code; stamp holds, per code, 1 + the last
 	// run that kept it; count the survivors per code, then their offsets.
@@ -230,44 +242,16 @@ func (pk *pairKernel) distinct(cols [][]value.V, starts []int) (keys []value.V, 
 }
 
 // encode sets pk.code[i] to the code of item i's key in cols, for n items,
-// and returns the number of codes. Codes are numbered in key
-// order, so sorting by code sorts by key. Where the product of the
-// columns' value spans fits the dense bound, the code is the key's offsets
-// from each column's minimum in mixed radix, first column most
-// significant; otherwise (MinInt64 beside MaxInt64, or a wide composite)
-// it is the key's rank among the distinct keys, from one sort of the items.
+// and returns the number of codes. Codes are numbered in key order, so
+// sorting by code sorts by key. A key set that codes densely takes its
+// offsets code (value.DenseCode); any wider one (MinInt64 beside
+// MaxInt64, or a wide composite) is coded by its rank among the distinct
+// keys, from one sort of the items.
 func (pk *pairKernel) encode(cols [][]value.V, n int) int {
 	code := slices.Grow(pk.code[:0], n)[:n]
 	pk.code = code
-	if n == 0 {
-		return 0
-	}
-	bound := min(uint64(denseFactor*n+denseFloor), math.MaxInt32)
-	space, dense := uint64(1), true
-	lows := make([]value.V, len(cols))
-	spans := make([]uint64, len(cols))
-	for j, col := range cols {
-		lo, hi := col[0], col[0]
-		for _, v := range col {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		// span wraps to 0 only when the column holds MinInt64 and MaxInt64.
-		lows[j], spans[j] = lo, uint64(hi)-uint64(lo)+1
-		if spans[j] == 0 || spans[j] > bound/space {
-			dense = false
-			break
-		}
-		space *= spans[j]
-	}
-	if dense {
-		clear(code)
-		for j, col := range cols {
-			span, lo := int32(spans[j]), lows[j]
-			for i, v := range col {
-				code[i] = code[i]*span + int32(uint64(v)-uint64(lo))
-			}
-		}
-		return int(space)
+	if space, ok := value.DenseCode(code, nil, cols...); ok {
+		return space
 	}
 	perm := slices.Grow(pk.perm[:0], n)[:n]
 	for i := range perm {

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"coradd/internal/btree"
 	"coradd/internal/query"
 	"coradd/internal/schema"
+	"coradd/internal/ssb"
 	"coradd/internal/storage"
 	"coradd/internal/value"
 )
@@ -226,13 +228,7 @@ func TestDeriveMatchesBuild(t *testing.T) {
 	}
 }
 
-func onesFor(cols []int) []value.V {
-	ones := make([]value.V, len(cols))
-	for i := range ones {
-		ones[i] = 1
-	}
-	return ones
-}
+func onesFor(cols []int) []value.V { return ones(len(cols)) }
 
 // TestPairKernelAlternatingDuplicates drives the dedup kernel with
 // non-consecutive repeats (which the repeat skip cannot catch) and a pair
@@ -454,10 +450,11 @@ func decodeCMCase(data []byte) (rel *storage.Relation, keyCols []int, widths []v
 	return rel, keyCols, widths, pagesPerBucket, preds
 }
 
-// FuzzCMBuild is the CM kernel's differential target: Build, and Derive
-// from the exact CM, must hold exactly referencePairs' pairs in its order,
-// whether the key is coded by offset or by rank, and Buckets may add
-// clustered buckets but never miss one holding a matching row.
+// FuzzCMBuild is the CM kernel's differential target: Build, Derive from
+// the exact CM, and the exact CM projected onto some of its key columns
+// must hold exactly referencePairs' pairs in its order, whether the key is
+// coded by offset or by rank, and Buckets may add clustered buckets but
+// never miss one holding a matching row.
 func FuzzCMBuild(f *testing.F) {
 	// TestBuildMatchesMapReference's shapes (kinds 0-3, two pages per
 	// bucket, its row counts around one bucket) under keys of 1-4 columns,
@@ -483,6 +480,29 @@ func FuzzCMBuild(f *testing.F) {
 					keyCols, widths, name, m.NumPairs(), len(wantBuckets))
 			}
 		}
+		// Each key column alone, and for longer keys the last and first
+		// columns reversed, projected from the exact CM.
+		var sels [][]int
+		for j := range keyCols {
+			sels = append(sels, []int{j})
+		}
+		if len(keyCols) > 2 {
+			sels = append(sels, []int{len(keyCols) - 1, 0})
+		}
+		var pk pairKernel
+		for _, sel := range sels {
+			var subCols []int
+			var subWidths []value.V
+			for _, j := range sel {
+				subCols, subWidths = append(subCols, keyCols[j]), append(subWidths, widths[j])
+			}
+			wantKeys, wantBuckets := referencePairs(rel, subCols, subWidths, pagesPerBucket)
+			m := pk.derive(base, sel, subWidths, rel.Schema.SubsetBytes(subCols))
+			if !reflect.DeepEqual(m.KeyCols, subCols) || !reflect.DeepEqual(m.keys, wantKeys) || !reflect.DeepEqual(m.buckets, wantBuckets) {
+				t.Fatalf("cols=%v widths=%v: projection onto %v has %d pairs, the reference %d, or they differ",
+					keyCols, widths, subCols, m.NumPairs(), len(wantBuckets))
+			}
+		}
 		got := built.Buckets(preds)
 		rowsPerBucket := rel.TuplesPerPage() * pagesPerBucket
 	rows:
@@ -498,4 +518,115 @@ func FuzzCMBuild(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestProjectMatchesBuild checks the CM Designer's projection: the exact
+// CM of each column of a two-column key, derived from that key's exact CM
+// by dropping the other column, is the CM Build makes on the column alone
+// (same key, pairs and size), whether the two-column key and the column
+// are coded by offset or by rank.
+func TestProjectMatchesBuild(t *testing.T) {
+	names := []string{"clu", "with", "against", "few", "ends", "full"}
+	cols := make([]schema.Column, len(names))
+	for i, n := range names {
+		cols[i] = schema.Column{Name: n, ByteSize: 8}
+	}
+	s := schema.New(cols...)
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]value.Row, 30_000)
+	for i := range rows {
+		clu, u := value.V(rng.Intn(400)-200), rng.Uint64()
+		rows[i] = value.Row{clu, cmKinds[0](clu, i, u), cmKinds[1](clu, i, u), cmKinds[2](clu, i, u>>8),
+			cmKinds[6](clu, i, u>>16), cmKinds[7](clu, i, u>>24)}
+	}
+	rel := storage.NewRelation("t", s, []int{0}, rows)
+	// with, against and few code by offset alone and together; ends and
+	// full (MinInt64 beside MaxInt64, the whole int64 range) only by rank.
+	for _, pair := range [][]int{{1, 2}, {1, 3}, {2, 3}, {1, 4}, {3, 5}, {4, 5}} {
+		var pk pairKernel
+		base := pk.build(rel, pair, onesFor(pair), 4)
+		for j, c := range pair {
+			want := Build(rel, []int{c}, []value.V{1}, 4)
+			got := pk.derive(base, []int{j}, []value.V{1}, s.SubsetBytes([]int{c}))
+			if !reflect.DeepEqual(got.KeyCols, want.KeyCols) || got.Bytes() != want.Bytes() || got.Pages() != want.Pages() {
+				t.Fatalf("%v onto %d: key %v, %d bytes; Build: key %v, %d bytes", pair, c, got.KeyCols, got.Bytes(), want.KeyCols, want.Bytes())
+			}
+			if !reflect.DeepEqual(got.keys, want.keys) || !reflect.DeepEqual(got.buckets, want.buckets) {
+				t.Fatalf("%v onto %d: %d projected pairs, %d built, or they differ", pair, c, got.NumPairs(), want.NumPairs())
+			}
+		}
+	}
+}
+
+// referenceDesign is the CM Designer's sweep before candidate key sets
+// shared row scans: one exact Build per key set, each coarser width
+// derived from it, the strictly cheapest CM within the space limit kept in
+// enumeration order. Design must return the same CM.
+func referenceDesign(rel *storage.Relation, q *query.Query, cfg DesignerConfig) *CM {
+	height := btree.EstimateHeight(rel.NumPages(), rel.Schema.SubsetBytes(rel.ClusterKey))
+	var best *CM
+	bestCost := seqScanCost(rel, cfg.Disk)
+	for _, keyCols := range candidateKeyCols(rel, q, cfg.MaxKeyCols) {
+		base := Build(rel, keyCols, onesFor(keyCols), cfg.ClusterPagesPerBucket)
+		for _, widths := range widthGrid(len(keyCols), cfg.Widths) {
+			m := base
+			if !allOnes(widths) {
+				m = Derive(base, widths)
+			}
+			if m.Bytes() > cfg.SpaceLimit {
+				continue
+			}
+			if c := lookupCost(rel, m, q, height, cfg.Disk); c < bestCost {
+				best, bestCost = m, c
+			}
+		}
+	}
+	return best
+}
+
+// TestDesignMatchesPerKeySetSweep runs Design, which scans rows only for
+// the key sets no larger candidate contains and projects the others, and
+// the per-key-set reference over every SSB and augmented SSB query, on
+// date- and region-clustered projections of the fact table, sequentially
+// and on two workers: the chosen CMs must be identical.
+func TestDesignMatchesPerKeySetSweep(t *testing.T) {
+	fact := ssb.Generate(ssb.Config{Rows: 60_000, Customers: 1000, Suppliers: 200, Parts: 800, Seed: 11})
+	all := make([]int, len(fact.Schema.Columns))
+	for i := range all {
+		all[i] = i
+	}
+	queries := append(ssb.Queries(), ssb.AugmentedQueries()...)
+	chosen, projected := 0, 0
+	for _, key := range [][]string{{ssb.ColOrderDate}, {ssb.ColSRegion, ssb.ColCRegion, ssb.ColPBrand}} {
+		rel := fact.Project("mv", all, fact.Schema.ColSet(key...))
+		for _, q := range queries {
+			cfg := DefaultDesignerConfig()
+			want := referenceDesign(rel, q, cfg)
+			if want != nil {
+				chosen++
+			}
+			if want != nil && len(want.KeyCols) == 1 && len(candidateKeyCols(rel, q, cfg.MaxKeyCols)) > 1 {
+				projected++
+			}
+			for _, workers := range []int{1, 2} {
+				cfg.Workers = workers
+				got := Design(rel, q, cfg)
+				if (got == nil) != (want == nil) {
+					t.Fatalf("%v, %s, %d workers: Design returned %v, the sweep %v", key, q.Name, workers, got, want)
+				}
+				if got == nil {
+					continue
+				}
+				if !reflect.DeepEqual(got.KeyCols, want.KeyCols) || !reflect.DeepEqual(got.KeyWidths, want.KeyWidths) ||
+					!reflect.DeepEqual(got.keys, want.keys) || !reflect.DeepEqual(got.buckets, want.buckets) || got.Bytes() != want.Bytes() {
+					t.Fatalf("%v, %s, %d workers: Design chose key %v widths %v (%d pairs), the sweep key %v widths %v (%d pairs)",
+						key, q.Name, workers, got.KeyCols, got.KeyWidths, got.NumPairs(), want.KeyCols, want.KeyWidths, want.NumPairs())
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d designs chose a CM, %d a single-column one among several candidates", chosen, 2*len(queries), projected)
+	if projected == 0 {
+		t.Fatal("no query chose a single-column CM among several candidates: the projection went untested")
+	}
 }

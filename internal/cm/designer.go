@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"slices"
 	"sort"
 
 	"coradd/internal/btree"
@@ -29,11 +30,12 @@ type DesignerConfig struct {
 	ClusterPagesPerBucket int
 	// Disk converts I/O into seconds when ranking candidates.
 	Disk storage.DiskParams
-	// Workers fans the per-key-set sweep (one relation scan + width grid
-	// each) across the worker pool; ≤ 1 keeps it sequential — the right
-	// default, since the evaluator usually invokes the designer from
-	// inside its own pool. Results are identical either way: per-key-set
-	// bests are reduced in enumeration order after the fan-out.
+	// Workers fans the sweep's row scans, then its projections, each with
+	// its width grid, across the worker pool; ≤ 1 keeps it sequential —
+	// the right default, since the evaluator usually invokes the designer
+	// from inside its own pool. Results are identical either way:
+	// per-key-set bests are reduced in enumeration order after the
+	// fan-out.
 	Workers int
 }
 
@@ -61,35 +63,26 @@ func Design(rel *storage.Relation, q *query.Query, cfg DesignerConfig) *CM {
 	}
 	height := btree.EstimateHeight(rel.NumPages(), rel.Schema.SubsetBytes(rel.ClusterKey))
 	scanCost := seqScanCost(rel, cfg.Disk)
-	// Each key set is an independent unit of work: one relation scan for
-	// the exact CM, then every coarser width derived from its pairs
-	// (identical to a fresh Build), all through one pair kernel whose
-	// buffers the sweep reuses. Per-key-set winners land in their own
-	// slot; the final reduction scans slots in enumeration order with the
-	// same strict comparison a sequential sweep applies, so the chosen CM
-	// is identical.
+	// Every key set no larger candidate contains is built by one relation
+	// scan; every other key set's exact CM is then projected from the
+	// pairs of the smallest exact CM that contains it. Each exact CM's
+	// coarser widths are derived from its pairs; all are identical to a
+	// fresh Build. Scans, then projections, fan out as independent units,
+	// each through one pair kernel whose buffers its sweep reuses.
+	// Per-key-set winners land in their own slot; the final reduction
+	// scans slots in enumeration order with the same strict comparison a
+	// sequential sweep applies, so the chosen CM is identical.
 	type slot struct {
 		best *CM
 		cost float64
 	}
 	slots := make([]slot, len(cands))
-	workers := cfg.Workers
-	if workers <= 1 {
-		workers = 1
-	}
-	par.ForEach(len(cands), workers, func(i int) {
-		keyCols := cands[i]
-		ones := make([]value.V, len(keyCols))
-		for j := range ones {
-			ones[j] = 1
-		}
-		var pk pairKernel
-		base := pk.build(rel, keyCols, ones, cfg.ClusterPagesPerBucket)
+	sweep := func(pk *pairKernel, i int, base *CM) {
 		slots[i].cost = scanCost
-		for _, widths := range widthGrid(len(keyCols), cfg.Widths) {
+		for _, widths := range widthGrid(len(base.KeyCols), cfg.Widths) {
 			m := base
 			if !allOnes(widths) {
-				m = pk.derive(base, widths)
+				m = pk.derive(base, identity(len(widths)), widths, base.keyBytes)
 			}
 			if m.Bytes() > cfg.SpaceLimit {
 				continue
@@ -100,6 +93,33 @@ func Design(rel *storage.Relation, q *query.Query, cfg DesignerConfig) *CM {
 				slots[i].best = m
 			}
 		}
+	}
+	workers := cfg.Workers
+	if workers <= 1 {
+		workers = 1
+	}
+	scanned, projected := scanSets(cands)
+	bases := make([]*CM, len(cands))
+	par.ForEach(len(scanned), workers, func(u int) {
+		var pk pairKernel
+		i := scanned[u]
+		bases[i] = pk.build(rel, cands[i], ones(len(cands[i])), cfg.ClusterPagesPerBucket)
+		sweep(&pk, i, bases[i])
+	})
+	par.ForEach(len(projected), workers, func(u int) {
+		i := projected[u]
+		var from *CM
+		for _, j := range scanned {
+			if within(cands[i], cands[j]) && (from == nil || bases[j].NumPairs() < from.NumPairs()) {
+				from = bases[j]
+			}
+		}
+		sel := make([]int, len(cands[i]))
+		for j, c := range cands[i] {
+			sel[j] = slices.Index(from.KeyCols, c)
+		}
+		var pk pairKernel
+		sweep(&pk, i, pk.derive(from, sel, ones(len(sel)), rel.Schema.SubsetBytes(cands[i])))
 	})
 	var best *CM
 	bestCost := scanCost
@@ -110,6 +130,34 @@ func Design(rel *storage.Relation, q *query.Query, cfg DesignerConfig) *CM {
 		}
 	}
 	return best
+}
+
+// scanSets splits the candidate key sets (sorted column lists) into those
+// no larger candidate contains, built by a row scan, and the others,
+// projected from one of those, each in enumeration order.
+func scanSets(cands [][]int) (scanned, projected []int) {
+	for i, c := range cands {
+		if slices.ContainsFunc(cands, func(d []int) bool { return within(c, d) }) {
+			projected = append(projected, i)
+		} else {
+			scanned = append(scanned, i)
+		}
+	}
+	return scanned, projected
+}
+
+// within reports whether key set c is a proper subset of key set d.
+func within(c, d []int) bool {
+	return len(c) < len(d) && !slices.ContainsFunc(c, func(col int) bool { return !slices.Contains(d, col) })
+}
+
+// ones returns n widths of 1, the exact bucketing.
+func ones(n int) []value.V {
+	ws := make([]value.V, n)
+	for j := range ws {
+		ws[j] = 1
+	}
+	return ws
 }
 
 func allOnes(widths []value.V) bool {

@@ -277,8 +277,8 @@ func (e *Evaluator) materializeObject(d *Design, md *costmodel.MVDesign) (*exec.
 			served := servedQueries(d, md)
 			// The CM designs fan out across queries; when only one query is
 			// served that fan-out is degenerate, so hand the workers to the
-			// designer's per-key-set sweep instead (results are identical
-			// either way).
+			// designer's row scans and projections instead (results are
+			// identical either way).
 			cmCfg := e.CMConfig
 			if len(served) == 1 && cmCfg.Workers == 0 {
 				if cmCfg.Workers = e.Workers; cmCfg.Workers == 0 {

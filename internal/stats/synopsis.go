@@ -153,7 +153,7 @@ func sortedPositions(cols [][]value.V, key []int, n int) []int32 {
 	for i, c := range key {
 		keys[i] = cols[c]
 	}
-	value.SortPerm(perm, nil, keys...)
+	value.Sort(perm, keys...)
 	return perm
 }
 

@@ -169,7 +169,7 @@ func (r *Relation) SortedRIDs(cols []int) []int32 {
 	for j, c := range cols {
 		keys[j] = r.Cols[c]
 	}
-	value.SortPerm(order, nil, keys...)
+	value.Sort(order, keys...)
 	return order
 }
 
