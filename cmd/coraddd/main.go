@@ -231,13 +231,13 @@ func boot(srv *server.Server, scale scenario.Scale, budgetMult float64, ckptPath
 		}
 	}
 
-	des := designer.NewCORADD(env.Common, scale.Cand, feedback.Config{MaxIters: 1})
-	initial, err := des.Design(budget)
+	initial, err := initialDesign(env, scale, budget)
 	if err != nil {
 		return fmt.Errorf("initial design: %w", err)
 	}
-	logger.Printf("initial design %s (%d objects, %d bytes) in %s",
-		initial.Name, len(initial.Chosen), initial.Size, time.Since(start).Round(time.Millisecond))
+	logger.Printf("initial design %s (%d objects, %d bytes, %d solver nodes, proven=%v) in %s",
+		initial.Name, len(initial.Chosen), initial.Size, initial.SolverNodes, initial.SolverProven,
+		time.Since(start).Round(time.Millisecond))
 
 	ctl, err := adapt.New(env.Common, initial, srv.AdaptConfig())
 	if err != nil {
@@ -245,6 +245,12 @@ func boot(srv *server.Server, scale scenario.Scale, budgetMult float64, ckptPath
 	}
 	srv.Attach(env.Common, ctl)
 	return srv.Start()
+}
+
+// initialDesign solves the cold-start design: the §4 candidate pool over
+// the catalog queries and one feedback round, at budget.
+func initialDesign(env *scenario.Env, scale scenario.Scale, budget int64) (*designer.Design, error) {
+	return designer.NewCORADD(env.Common, scale.Cand, feedback.Config{MaxIters: 1}).Design(budget)
 }
 
 // parseOrdinals parses a comma-separated list of positive build ordinals.

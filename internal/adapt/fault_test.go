@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -168,4 +169,46 @@ func TestProcessRecoversPanics(t *testing.T) {
 	if _, err := c.Process(common.W[0]); err != nil {
 		t.Errorf("controller unusable after a recovered panic: %v", err)
 	}
+}
+
+// TestSolveDegradedAtNodeCap: a redesign whose solve is cut by the
+// injected node cap is adopted unproven, announced by EventSolveDegraded
+// before its redesign event, and counted in Report.Degraded.
+func TestSolveDegradedAtNodeCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const nodeCap = 500
+	common, initial, cfg := smallEnv(t, 6000)
+	cfg.FB.MaxIters = -1
+	cfg.Faults = fault.New(fault.Config{SolveNodeCap: nodeCap})
+	c, err := New(common, initial, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Run(drivingStream(39, 104))
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := 0
+	for i, e := range rep.Events {
+		if e.Kind != EventSolveDegraded {
+			continue
+		}
+		degraded++
+		var nodes int
+		if _, err := fmt.Sscanf(e.Detail, "redesign solve hit its deadline after %d nodes", &nodes); err != nil || nodes < nodeCap {
+			t.Errorf("degraded event %q: want a node count of at least %d", e.Detail, nodeCap)
+		}
+		if i+1 >= len(rep.Events) || rep.Events[i+1].Kind != EventRedesign {
+			t.Errorf("degraded event %d is not followed by its redesign", i)
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("no redesign was cut by the node cap")
+	}
+	if rep.Degraded != degraded {
+		t.Errorf("Report.Degraded = %d, %d degraded events", rep.Degraded, degraded)
+	}
+	t.Logf("%d of %d redesigns cut", degraded, rep.Redesigns)
 }

@@ -68,7 +68,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Generator produces MV candidates for one fact table's workload.
+// Generator produces MV candidates for one fact table's workload. St,
+// Model, W and Cfg must not change once it has designed a clustering: its
+// memos assume them fixed. A Generator is not safe for concurrent use.
 type Generator struct {
 	St    *stats.Stats
 	Model costmodel.Model
@@ -83,6 +85,9 @@ type Generator struct {
 	distLimit map[string]float64
 	corrMem   map[[2]int]corrStat       // (host, target) → corridx quality
 	synMem    map[int]*storage.Relation // host → host-sorted synopsis
+	// clusterMem maps (group, cols, t) to the §4.2 clustering search's
+	// keys (clusterRec); the cached slices are read-only.
+	clusterMem map[string][][]int
 }
 
 // New builds a generator. All queries in w must target the same fact table

@@ -1,6 +1,8 @@
 package candgen
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"coradd/internal/costmodel"
@@ -14,7 +16,8 @@ import (
 // the given columns (§4.2). For one query this is its dedicated key; for
 // larger groups the dedicated keys are merged pairwise through the
 // recursive split/merge procedure of Figure 3, exploring both
-// concatenation and order-preserving interleaving (Figure 4).
+// concatenation and order-preserving interleaving (Figure 4). The keys
+// are shared with the generator's memo: callers must not modify them.
 func (g *Generator) DesignClusterings(group []int, cols []int, t int) [][]int {
 	if t < 1 {
 		t = 1
@@ -22,12 +25,40 @@ func (g *Generator) DesignClusterings(group []int, cols []int, t int) [][]int {
 	if len(group) == 0 {
 		return nil
 	}
-	keys := g.clusterRec(group, cols, t)
+	return slices.Clone(g.clusterRec(group, cols, t))
+}
+
+// clusterRec is the split/recurse/merge/prune step, memoized by (group,
+// cols, t): its result depends only on the generator's fixed W, St, Model
+// and Cfg, and feedback expansions, budgets and overlapping groups ask for
+// the same sub-searches again and again.
+func (g *Generator) clusterRec(group []int, cols []int, t int) [][]int {
+	mk := clusterMemoKey(group, cols, t)
+	if keys, ok := g.clusterMem[mk]; ok {
+		return keys
+	}
+	keys := g.clusterSearch(group, cols, t)
+	if g.clusterMem == nil {
+		g.clusterMem = make(map[string][][]int)
+	}
+	g.clusterMem[mk] = keys
 	return keys
 }
 
-// clusterRec is the split/recurse/merge/prune step.
-func (g *Generator) clusterRec(group []int, cols []int, t int) [][]int {
+// clusterMemoKey encodes (group, cols, t) as one string.
+func clusterMemoKey(group []int, cols []int, t int) string {
+	b := make([]byte, 0, len(group)+len(cols)+4)
+	for _, s := range [][]int{group, cols, {t}} {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		for _, v := range s {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+	}
+	return string(b)
+}
+
+// clusterSearch computes clusterRec's keys.
+func (g *Generator) clusterSearch(group []int, cols []int, t int) [][]int {
 	if len(group) == 1 {
 		k := g.DedicatedKey(g.W[group[0]])
 		k = g.truncateKey(k, cols)

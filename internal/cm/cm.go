@@ -93,6 +93,11 @@ func (pk *pairKernel) build(rel *storage.Relation, keyCols []int, keyWidths []va
 // the relation has rows, which is what makes the CM Designer's width sweep
 // cheap.
 func Derive(base *CM, widths []value.V) *CM {
+	for _, w := range base.KeyWidths {
+		if w != 1 {
+			panic("cm: Derive requires an exact (width-1) base")
+		}
+	}
 	return new(pairKernel).derive(base, identity(len(base.KeyCols)), widths, base.keyBytes)
 }
 
@@ -105,20 +110,23 @@ func identity(n int) []int {
 	return sel
 }
 
-// derive builds the CM over the key columns sel of the exact base (indexes
-// into base.KeyCols, in key order) at the given widths, keyBytes wide,
-// from the base's pairs. Dropping key columns is exact for the same reason
+// derive builds the CM over the key columns sel of base (indexes into
+// base.KeyCols, in key order) at the given widths, keyBytes wide, from the
+// base's pairs. Dropping key columns is exact for the same reason
 // re-bucketing is: the distinct pairs of a projection are the projection
-// of the distinct pairs.
+// of the distinct pairs. The base need not be exact: each of its selected
+// widths must divide the target width, and a value is re-bucketed by the
+// quotient, since floor division composes (⌊⌊v/a⌋/b⌋ = ⌊v/ab⌋).
 func (pk *pairKernel) derive(base *CM, sel []int, widths []value.V, keyBytes int) *CM {
-	for _, w := range base.KeyWidths {
-		if w != 1 {
-			panic("cm: Derive requires an exact (width-1) base")
-		}
-	}
 	keyCols := make([]int, len(sel))
+	by := make([]value.V, len(sel)) // re-bucketing width from base to target
 	for j, s := range sel {
 		keyCols[j] = base.KeyCols[s]
+		bw := max(base.KeyWidths[s], 1)
+		if max(widths[j], 1)%bw != 0 {
+			panic("cm: derive needs base widths that divide the target widths")
+		}
+		by[j] = max(widths[j], 1) / bw
 	}
 	m := &CM{
 		KeyCols:               keyCols,
@@ -151,7 +159,7 @@ func (pk *pairKernel) derive(base *CM, sel []int, widths []value.V, keyBytes int
 		at := starts[b]
 		starts[b]++
 		for j, col := range cols {
-			col[at] = BucketValue(base.keys[i*k+sel[j]], widths[j])
+			col[at] = BucketValue(base.keys[i*k+sel[j]], by[j])
 		}
 	}
 	// Placing each item advanced its bucket's start to the next bucket's.

@@ -480,6 +480,28 @@ func FuzzCMBuild(f *testing.F) {
 					keyCols, widths, name, m.NumPairs(), len(wantBuckets))
 			}
 		}
+		// A chained derive, from a coarser CM whose widths divide the
+		// target's (the CM Designer's width sweep), is the same CM.
+		var pk pairKernel
+		for _, coarse := range []func(w value.V) value.V{
+			func(w value.V) value.V { return w / smallestFactor(w) },
+			func(w value.V) value.V {
+				if w%2 == 0 {
+					return 2
+				}
+				return 1
+			},
+		} {
+			mid := make([]value.V, len(widths))
+			for j, w := range widths {
+				mid[j] = coarse(w)
+			}
+			m := pk.derive(Derive(base, mid), identity(len(widths)), widths, base.keyBytes)
+			if !reflect.DeepEqual(m.KeyWidths, widths) || !reflect.DeepEqual(m.keys, wantKeys) || !reflect.DeepEqual(m.buckets, wantBuckets) {
+				t.Fatalf("cols=%v widths=%v: chained from %v has %d pairs, the reference %d, or they differ",
+					keyCols, widths, mid, m.NumPairs(), len(wantBuckets))
+			}
+		}
 		// Each key column alone, and for longer keys the last and first
 		// columns reversed, projected from the exact CM.
 		var sels [][]int
@@ -489,7 +511,6 @@ func FuzzCMBuild(f *testing.F) {
 		if len(keyCols) > 2 {
 			sels = append(sels, []int{len(keyCols) - 1, 0})
 		}
-		var pk pairKernel
 		for _, sel := range sels {
 			var subCols []int
 			var subWidths []value.V
@@ -518,6 +539,16 @@ func FuzzCMBuild(f *testing.F) {
 			}
 		}
 	})
+}
+
+// smallestFactor returns w's least prime factor (1 for w ≤ 1).
+func smallestFactor(w value.V) value.V {
+	for p := value.V(2); p*p <= w; p++ {
+		if w%p == 0 {
+			return p
+		}
+	}
+	return max(w, 1)
 }
 
 // TestProjectMatchesBuild checks the CM Designer's projection: the exact

@@ -79,11 +79,20 @@ func Design(rel *storage.Relation, q *query.Query, cfg DesignerConfig) *CM {
 	slots := make([]slot, len(cands))
 	sweep := func(pk *pairKernel, i int, base *CM) {
 		slots[i].cost = scanCost
+		// Each width derives from the previous one when that divides it
+		// (1, 2, 4, 8, 16, 64 chain all the way), else from the exact base:
+		// the coarser the source, the fewer pairs to re-bucket.
+		prev := base
 		for _, widths := range widthGrid(len(base.KeyCols), cfg.Widths) {
 			m := base
 			if !allOnes(widths) {
-				m = pk.derive(base, identity(len(widths)), widths, base.keyBytes)
+				from := base
+				if divides(prev.KeyWidths, widths) {
+					from = prev
+				}
+				m = pk.derive(from, identity(len(widths)), widths, base.keyBytes)
 			}
+			prev = m
 			if m.Bytes() > cfg.SpaceLimit {
 				continue
 			}
@@ -158,6 +167,17 @@ func ones(n int) []value.V {
 		ws[j] = 1
 	}
 	return ws
+}
+
+// divides reports whether every width in from divides its counterpart in
+// to (a width ≤ 1 is exact and divides everything).
+func divides(from, to []value.V) bool {
+	for j, w := range from {
+		if w > 1 && (to[j] < w || to[j]%w != 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func allOnes(widths []value.V) bool {

@@ -71,12 +71,23 @@ type Result struct {
 }
 
 // BuildProblem prices every design against every query with the model in g
-// and assembles the ILP instance. Dominated candidates are pruned (§5.3);
+// and assembles the ILP instance. Dominated candidates and all but the
+// first of each set of exact twins are pruned (§5.3, ilp.PruneDominated);
 // the returned design slice is aligned with the problem's candidates.
 // Candidate costing fans out across the worker pool — each candidate's
 // pricing is independent and the models are race-safe — which is the
 // dominant cost of large pools.
 func BuildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64) (*ilp.Problem, []*costmodel.MVDesign) {
+	return buildProblem(g, designs, base, budget, nil)
+}
+
+// buildProblem is BuildProblem with a warm set: a warm design pruned as
+// the twin of a survivor takes the survivor's place. Twins are
+// interchangeable to the solver, so the instance and its search are
+// unchanged, while twin pruning takes nothing from the warm incumbent a
+// node-capped solve falls back on, and a solve keeps the incumbent's
+// object rather than an equal copy that would cost a rebuild.
+func buildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64, warm []*costmodel.MVDesign) (*ilp.Problem, []*costmodel.MVDesign) {
 	cands := make([]ilp.Candidate, len(designs))
 	weights := make([]float64, len(g.W))
 	for qi, q := range g.W {
@@ -110,8 +121,35 @@ func BuildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []fl
 	for i, oi := range origIdx {
 		keptDesigns[i] = designs[oi]
 	}
+	if len(warm) > 0 && len(kept) < len(cands) {
+		keepWarmTwins(cands, designs, origIdx, kept, keptDesigns, warm)
+	}
 	prob := &ilp.Problem{Cands: kept, Base: base, Weights: weights, Budget: budget}
 	return prob, keptDesigns
+}
+
+// keepWarmTwins swaps each pruned warm design in for a surviving non-warm
+// twin, in place in kept and keptDesigns (aligned with origIdx).
+func keepWarmTwins(cands []ilp.Candidate, designs []*costmodel.MVDesign, origIdx []int, kept []ilp.Candidate, keptDesigns []*costmodel.MVDesign, warm []*costmodel.MVDesign) {
+	isWarm := make(map[string]bool, len(warm))
+	for _, d := range warm {
+		isWarm[d.Key()] = true
+	}
+	survived := make([]bool, len(cands))
+	for _, oi := range origIdx {
+		survived[oi] = true
+	}
+	for i, d := range designs {
+		if survived[i] || !isWarm[d.Key()] {
+			continue
+		}
+		for k := range kept {
+			if !isWarm[keptDesigns[k].Key()] && ilp.Twins(&kept[k], &cands[i]) {
+				kept[k], keptDesigns[k] = cands[i], d
+				break
+			}
+		}
+	}
 }
 
 // Run solves the ILP over the initial designs, then iterates feedback:
@@ -160,7 +198,7 @@ func RunBlocks(blocks []Block, budget int64, cfg Config) []*Result {
 	for iter := 0; ; iter++ {
 		for i, b := range bs {
 			if iter == 0 || b.added > 0 {
-				res[i].Prob, res[i].Designs = BuildProblem(b.Gen, b.Designs, b.Base, budget)
+				res[i].Prob, res[i].Designs = buildProblem(b.Gen, b.Designs, b.Base, budget, b.Warm)
 				probs[i] = res[i].Prob
 			}
 			warms[i] = warmIndexes(res[i].Designs, b.Warm)

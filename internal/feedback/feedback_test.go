@@ -103,6 +103,51 @@ func TestBuildProblemPrunesDominated(t *testing.T) {
 	}
 }
 
+// TestWarmTwinKeepsIncumbentObject: a warm design pruned as the exact
+// twin of an earlier candidate takes that candidate's place — same slot,
+// same priced data — so the instance is unchanged and a warm-started
+// solve keeps the incumbent's object rather than its equal copy.
+func TestWarmTwinKeepsIncumbentObject(t *testing.T) {
+	g, base := fbEnv(t)
+	designs := g.Generate()
+	budget := int64(1 << 26)
+	for _, d := range designs {
+		if d.FactRecluster || !d.HasCol(3) || slices.Contains(d.ClusterKey, 3) {
+			continue
+		}
+		// A trailing key column no query predicates: the same object to
+		// the cost model, a different one to build.
+		twin := &costmodel.MVDesign{Name: "twin", Cols: d.Cols, Queries: d.Queries,
+			ClusterKey: append(slices.Clone(d.ClusterKey), 3)}
+		pool := append(slices.Clone(designs), twin)
+		cold, coldAligned := BuildProblem(g, pool, base, budget)
+		at := slices.Index(coldAligned, d)
+		if at < 0 || slices.Contains(coldAligned, twin) {
+			continue // d dominated, or the two are priced apart
+		}
+		warm, warmAligned := buildProblem(g, pool, base, budget, []*costmodel.MVDesign{twin})
+		if warmAligned[at] != twin || slices.Contains(warmAligned, d) || len(warmAligned) != len(coldAligned) {
+			t.Fatalf("warm twin not swapped in at %d", at)
+		}
+		for i := range cold.Cands {
+			if i != at && warmAligned[i] != coldAligned[i] {
+				t.Fatalf("candidate %d moved", i)
+			}
+			if !ilp.Twins(&cold.Cands[i], &warm.Cands[i]) {
+				t.Fatalf("candidate %d priced differently", i)
+			}
+		}
+		res := RunBlocks([]Block{{Gen: g, Designs: pool, Base: base, Warm: []*costmodel.MVDesign{twin}}}, budget, Config{MaxIters: -1})[0]
+		for _, ci := range res.Sol.Chosen {
+			if res.Designs[ci] == d {
+				t.Fatal("warm-started solve chose the incumbent's copy")
+			}
+		}
+		return
+	}
+	t.Fatal("no design has a priced twin; the test exercises nothing")
+}
+
 func TestFeedbackNeverWorsens(t *testing.T) {
 	g, base := fbEnv(t)
 	designs := g.Generate()
@@ -161,7 +206,7 @@ func referenceRun(g *candgen.Generator, designs []*costmodel.MVDesign, base []fl
 	}
 	groupT := make(map[string]int)
 	solve := func() (*ilp.Problem, []*costmodel.MVDesign, *ilp.Solution) {
-		prob, aligned := BuildProblem(g, pool, base, budget)
+		prob, aligned := buildProblem(g, pool, base, budget, warm)
 		var opts ilp.SolveOptions
 		if len(warm) > 0 {
 			opts.WarmStart = warmIndexes(aligned, warm)

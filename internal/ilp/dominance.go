@@ -6,9 +6,10 @@ import (
 
 // PruneDominated removes dominated candidates (§5.3): m is dominated by m'
 // when size(m') ≤ size(m) and, for every query m can serve, m' serves it at
-// least as fast. Returns the surviving candidates and their original
-// indexes. Fact-group candidates are only compared within their group so
-// the at-most-one constraint stays meaningful.
+// least as fast, strictly on size or some query; of a set of exact twins
+// (Twins) only the first copy survives. Returns the surviving candidates
+// and their original indexes. Fact-group candidates are only compared
+// within their group so the at-most-one constraint stays meaningful.
 func PruneDominated(cands []Candidate) (kept []Candidate, origIdx []int) {
 	n := len(cands)
 	dominated := make([]bool, n)
@@ -23,7 +24,7 @@ func PruneDominated(cands []Candidate) (kept []Candidate, origIdx []int) {
 			if cands[i].FactGroup != cands[j].FactGroup {
 				continue
 			}
-			if dominates(&cands[j], &cands[i]) {
+			if supersedes(cands, j, i) {
 				dominated[i] = true
 			}
 		}
@@ -37,9 +38,18 @@ func PruneDominated(cands []Candidate) (kept []Candidate, origIdx []int) {
 	return kept, origIdx
 }
 
+// supersedes reports whether candidate a removes candidate b from the
+// pool: a dominates b, or a is b's twin at a lower index. The relation is
+// a strict partial order (irreflexive and transitive), so among any set of
+// mutual twins exactly the first survives, and a witness that is itself
+// removed is superseded by a survivor that also supersedes b.
+func supersedes(cands []Candidate, a, b int) bool {
+	return dominates(&cands[a], &cands[b]) || (a < b && Twins(&cands[a], &cands[b]))
+}
+
 // dominates reports whether a dominates b: a is no larger, serves every
 // query b serves, at least as fast, and is strictly better on size or some
-// query (so identical twins don't eliminate each other both ways).
+// query. Twins dominate neither way; supersedes breaks their tie by index.
 func dominates(a, b *Candidate) bool {
 	if a.Size > b.Size {
 		return false
@@ -59,6 +69,22 @@ func dominates(a, b *Candidate) bool {
 		}
 	}
 	return strict
+}
+
+// Twins reports whether a and b are interchangeable to the solver: equal
+// Size, equal FactGroup and bitwise-equal Times. Swapping one for the
+// other in any selection changes neither its objective, its size nor its
+// fact-group feasibility, so keeping only the first copy is exact.
+func Twins(a, b *Candidate) bool {
+	if a.Size != b.Size || a.FactGroup != b.FactGroup || len(a.Times) != len(b.Times) {
+		return false
+	}
+	for q, at := range a.Times {
+		if math.Float64bits(at) != math.Float64bits(b.Times[q]) {
+			return false
+		}
+	}
+	return true
 }
 
 // reduction records how preprocessing shrank a problem: the reduced
@@ -87,7 +113,8 @@ type reduction struct {
 //  3. drop candidates dominated by a same-group, same-or-smaller, at
 //     least-as-fast survivor (§5.3; a dominated candidate is never
 //     *necessary*: swapping in its dominator keeps feasibility and never
-//     raises the objective, so an optimum without it always exists);
+//     raises the objective, so an optimum without it always exists), and
+//     every exact twin but the first (supersedes);
 //  4. when every surviving candidate fits the budget simultaneously — the
 //     per-candidate "fits any residual budget" condition size(m) ≤ B −
 //     Σ_{j≠m} size(j) is equivalent to Σ size ≤ B, so it holds for all
@@ -164,9 +191,9 @@ func reduce(p *Problem, lambda float64, opts SolveOptions) *reduction {
 			if a == m || p.Cands[a].FactGroup != p.Cands[m].FactGroup {
 				continue
 			}
-			// Dominance is transitive, so a dominated witness is fine:
-			// its own dominator also dominates m.
-			if dominates(&p.Cands[a], &p.Cands[m]) {
+			// Supersession is transitive, so a dropped witness is fine:
+			// whatever superseded it also supersedes m.
+			if supersedes(p.Cands, a, m) {
 				drop[m] = true
 				break
 			}

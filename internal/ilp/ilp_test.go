@@ -3,6 +3,7 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -38,14 +39,53 @@ func TestDominancePruningTable4(t *testing.T) {
 
 func TestDominanceIdenticalTwinsKeepOne(t *testing.T) {
 	twins := []Candidate{
-		{Name: "A", Size: 10, Times: []float64{1}},
-		{Name: "B", Size: 10, Times: []float64{1}},
+		{Name: "A", Size: 10, Times: []float64{1, Infeasible}},
+		{Name: "B", Size: 10, Times: []float64{1, Infeasible}},
 	}
-	kept, _ := PruneDominated(twins)
-	if len(kept) != 2 {
-		// Identical candidates do not strictly dominate each other; both
-		// survive (harmless for optimality).
-		t.Logf("identical twins pruned to %d", len(kept))
+	kept, orig := PruneDominated(twins)
+	if len(kept) != 1 || kept[0].Name != "A" || orig[0] != 0 {
+		t.Fatalf("kept %v (orig %v), want the first twin A at 0", kept, orig)
+	}
+}
+
+// TestDominanceTwinCases pins the twin rule beside strict dominance: one
+// survivor per chain of twins, none across fact groups, and a twin of a
+// dominated candidate goes with it, whichever comes first.
+func TestDominanceTwinCases(t *testing.T) {
+	c := func(name string, size int64, fg int, times ...float64) Candidate {
+		return Candidate{Name: name, Size: size, FactGroup: fg, Times: times}
+	}
+	for _, tc := range []struct {
+		name  string
+		cands []Candidate
+		want  []int
+	}{
+		{"chain of three", []Candidate{c("A", 10, 0, 1, 2), c("B", 10, 0, 1, 2), c("C", 10, 0, 1, 2)}, []int{0}},
+		{"chain after a distinct candidate", []Candidate{c("X", 5, 0, Infeasible, 1), c("A", 10, 0, 1, 2), c("B", 10, 0, 1, 2), c("C", 10, 0, 1, 2)}, []int{0, 1}},
+		{"different fact groups", []Candidate{c("f1", 10, 1, 1), c("f2", 10, 2, 1), c("mv", 10, 0, 1)}, []int{0, 1, 2}},
+		{"same fact group", []Candidate{c("f1", 10, 1, 1), c("f1'", 10, 1, 1)}, []int{0}},
+		{"twin of a dominated candidate", []Candidate{c("D", 5, 0, 1, 1), c("B", 10, 0, 2, 2), c("C", 10, 0, 2, 2)}, []int{0}},
+		{"dominator last", []Candidate{c("B", 10, 0, 2, 2), c("C", 10, 0, 2, 2), c("D", 5, 0, 1, 1)}, []int{2}},
+		{"equal but not bitwise", []Candidate{c("+0", 10, 0, 0), c("-0", 10, 0, math.Copysign(0, -1))}, []int{0, 1}},
+	} {
+		kept, orig := PruneDominated(tc.cands)
+		if !reflect.DeepEqual(orig, tc.want) {
+			t.Errorf("%s: kept %v, want %v", tc.name, orig, tc.want)
+		}
+		for i, oi := range orig {
+			if kept[i].Name != tc.cands[oi].Name {
+				t.Errorf("%s: kept[%d] = %s, want %s", tc.name, i, kept[i].Name, tc.cands[oi].Name)
+			}
+		}
+		// The solver's preprocessing applies the same rule.
+		p := &Problem{Cands: tc.cands, Base: make([]float64, len(tc.cands[0].Times)), Budget: 12}
+		for q := range p.Base {
+			p.Base[q] = 100
+		}
+		red := reduce(p, 0.001, SolveOptions{})
+		if got := red.active; !reflect.DeepEqual(got, tc.want) && !(got == nil && len(tc.want) == len(tc.cands)) {
+			t.Errorf("%s: reduce kept %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

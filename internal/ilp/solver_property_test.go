@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -166,6 +167,55 @@ func TestParallelMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: parallel %.12f, brute force %.12f", trial, sol.Objective, want)
 		}
 	}
+}
+
+// TestInjectedTwinsChangeNothing inserts exact copies of random candidates
+// into brute-forced instances, each somewhere after its original. Solve
+// must still match enumeration, and return the twin-free instance's
+// objective, chosen set (mapped to the originals' new indexes) and node
+// count: the copies are pruned before the search, which then runs on the
+// twin-free instance's candidates in their order.
+func TestInjectedTwinsChangeNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	copies := 0
+	for trial := 0; trial < 80; trial++ {
+		p := hardRandomProblem(rng, 3+rng.Intn(8), 1+rng.Intn(5))
+		src := make([]int, len(p.Cands)) // twin instance index → original index
+		for m := range src {
+			src[m] = m
+		}
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			orig := rng.Intn(len(p.Cands))
+			at := 1 + slices.Index(src, orig) + rng.Intn(len(src)-slices.Index(src, orig))
+			src = slices.Insert(src, at, orig)
+			copies++
+		}
+		tw := *p
+		tw.Cands = make([]Candidate, len(src))
+		first := make([]int, len(p.Cands))
+		for i := len(src) - 1; i >= 0; i-- {
+			tw.Cands[i] = p.Cands[src[i]]
+			tw.Cands[i].Times = slices.Clone(p.Cands[src[i]].Times)
+			first[src[i]] = i
+		}
+		want := bruteForce(&tw)
+		for _, workers := range []int{0, 2} {
+			ref := Solve(p, SolveOptions{Workers: workers})
+			got := Solve(&tw, SolveOptions{Workers: workers})
+			if !got.Proven || math.Abs(got.Objective-want) > 1e-9 {
+				t.Fatalf("trial %d workers=%d: objective %.12f (proven %v), enumeration %.12f", trial, workers, got.Objective, got.Proven, want)
+			}
+			mapped := make([]int, len(ref.Chosen))
+			for i, m := range ref.Chosen {
+				mapped[i] = first[m]
+			}
+			if got.Objective != ref.Objective || !reflect.DeepEqual(got.Chosen, mapped) || got.Nodes != ref.Nodes {
+				t.Fatalf("trial %d workers=%d: with twins (%v, %v, %d nodes), twin-free (%v, %v, %d nodes)",
+					trial, workers, got.Objective, got.Chosen, got.Nodes, ref.Objective, mapped, ref.Nodes)
+			}
+		}
+	}
+	t.Logf("%d copies injected", copies)
 }
 
 // TestGreedyMatchesReference guards the optimized Greedy's bit-identical
