@@ -144,8 +144,8 @@ type (
 	// is split across tenants by one exact solve of the pooled selection
 	// instance.
 	TenantCoordinator = tenant.Coordinator
-	// TenantConfig tunes a TenantCoordinator (global budget, fan-out
-	// workers, solver options, metrics registry).
+	// TenantConfig tunes a TenantCoordinator (global budget, solver
+	// options, metrics registry).
 	TenantConfig = tenant.Config
 	// Tenant is one registered tenant workload: its monitor, cost model
 	// and current design objects.

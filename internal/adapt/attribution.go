@@ -85,7 +85,7 @@ func (c *Controller) solveSink(kind solveKind, clock float64) func(ilp.ProgressS
 		c.tr.Event(clock, "solveprog",
 			obs.F("solve", solveNames[kind]), obs.F("phase", ps.Phase),
 			obs.F("nodes", ps.Nodes), obs.F("pruned", ps.Pruned),
-			obs.F("incumbents", ps.Incumbents), obs.F("subtree", ps.Subtree),
+			obs.F("incumbents", ps.Incumbents),
 			obs.F("obj", ps.Incumbent), obs.F("bound", ps.Bound))
 	}
 }

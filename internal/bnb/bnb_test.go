@@ -2,7 +2,6 @@ package bnb
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -20,19 +19,11 @@ type toy struct {
 
 	take     []bool
 	bestTake []bool
-
-	frontier int
-	leaves   []toyLeaf
-}
-
-type toyLeaf struct {
-	cur  float64
-	take []bool
 }
 
 func newToy(seed int64, n int, weak bool) *toy {
 	rng := rand.New(rand.NewSource(seed))
-	t := &toy{a: make([]float64, n), b: make([]float64, n), suffix: make([]float64, n+1), weak: weak, frontier: -1}
+	t := &toy{a: make([]float64, n), b: make([]float64, n), suffix: make([]float64, n+1), weak: weak}
 	for i := range t.a {
 		t.a[i], t.b[i] = 1+rng.Float64(), 1+rng.Float64()
 	}
@@ -53,10 +44,6 @@ func (t *toy) worst() float64 {
 }
 
 func (t *toy) dfs(pos int, cur float64) {
-	if pos == t.frontier {
-		t.leaves = append(t.leaves, toyLeaf{cur: cur, take: append([]bool(nil), t.take...)})
-		return
-	}
 	if !t.Enter() {
 		return
 	}
@@ -80,33 +67,11 @@ func (t *toy) dfs(pos int, cur float64) {
 	t.take = t.take[:pos]
 }
 
-// solve runs the toy sequentially (workers ≤ 1) or split at depth 3.
-func (t *toy) solve(l Limits, defaultMaxNodes, workers int) {
+// solve runs the toy's depth-first search under l.
+func (t *toy) solve(l Limits, defaultMaxNodes int) {
 	t.Search = New(l, defaultMaxNodes, t.worst())
 	t.Root(func() float64 { return t.suffix[0] })
-	if workers > 1 {
-		const depth = 3
-		t.frontier = depth
-		t.dfs(0, 0)
-		t.frontier = -1
-		leaves := t.leaves
-		t.leaves = nil
-		takes := make([][]bool, len(leaves))
-		win := t.Split(len(leaves), workers, func(i int, sub Search) Search {
-			c := *t
-			c.Search = sub
-			c.take = append([]bool(nil), leaves[i].take...)
-			c.bestTake = nil
-			c.dfs(depth, leaves[i].cur)
-			takes[i] = c.bestTake
-			return c.Search
-		})
-		if win >= 0 {
-			t.bestTake = takes[win]
-		}
-	} else {
-		t.dfs(0, 0)
-	}
+	t.dfs(0, 0)
 	t.Final()
 }
 
@@ -140,7 +105,7 @@ func TestLimitsCutSearchKeepIncumbent(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newToy(1, n, true)
-			p.solve(tc.limits, tc.defaultCap, 0)
+			p.solve(tc.limits, tc.defaultCap)
 			if p.Proven != tc.proven {
 				t.Fatalf("Proven=%v, want %v (nodes %d)", p.Proven, tc.proven, p.Nodes)
 			}
@@ -165,53 +130,5 @@ func TestLimitsCutSearchKeepIncumbent(t *testing.T) {
 				t.Fatalf("cut search reports %v, below the optimum %v", p.Best, p.suffix[0])
 			}
 		})
-	}
-}
-
-// TestSplitDeterministic: at a fixed worker count the merged Search, the
-// kept assignment and the full sample sequence are identical run to run,
-// the value matches the sequential search at every worker count, and only
-// the orchestrating goroutine ever touches the sink (run under -race).
-func TestSplitDeterministic(t *testing.T) {
-	type outcome struct {
-		nodes, pruned, incumbents int
-		best                      float64
-		proven                    bool
-		take                      []bool
-		samples                   []Sample
-	}
-	run := func(seed int64, workers, maxNodes int) outcome {
-		p := newToy(seed, 12, false)
-		var samples []Sample
-		p.solve(Limits{
-			MaxNodes: maxNodes, ProgressEvery: 8,
-			Progress: func(s Sample) { samples = append(samples, s) },
-		}, 0, workers)
-		return outcome{p.Nodes, p.Pruned, p.Incumbents, p.Best, p.Proven, p.bestTake, samples}
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		seq := run(seed, 0, -1)
-		if !seq.proven {
-			t.Fatalf("seed %d: sequential search unproven", seed)
-		}
-		for _, workers := range []int{2, 4} {
-			for _, maxNodes := range []int{-1, 6} {
-				ref := run(seed, workers, maxNodes)
-				for rep := 0; rep < 5; rep++ {
-					if got := run(seed, workers, maxNodes); !reflect.DeepEqual(got, ref) {
-						t.Fatalf("seed %d workers %d cap %d: run %d diverged:\n%+v\n%+v", seed, workers, maxNodes, rep, got, ref)
-					}
-				}
-				if maxNodes < 0 && (ref.best != seq.best || !reflect.DeepEqual(ref.take, seq.take) || !ref.proven) {
-					t.Fatalf("seed %d workers %d: split found %v %v, sequential %v %v", seed, workers, ref.best, ref.take, seq.best, seq.take)
-				}
-				if maxNodes > 0 && ref.proven {
-					t.Fatalf("seed %d workers %d: per-subtree cap %d did not bind (%d nodes)", seed, workers, maxNodes, ref.nodes)
-				}
-				if first, last := ref.samples[0], ref.samples[len(ref.samples)-1]; first.Phase != "root" || last.Phase != "final" {
-					t.Fatalf("seed %d workers %d: sample trail runs %s..%s", seed, workers, first.Phase, last.Phase)
-				}
-			}
-		}
 	}
 }

@@ -18,8 +18,6 @@ import (
 //	            warm-started) against the root lower bound
 //	"search"    every ProgressEvery nodes during depth-first search
 //	"incumbent" a strict incumbent improvement was just adopted
-//	"subtree"   one parallel subtree merged (Subtree is its ordinal;
-//	            counters are the running merged totals)
 //	"final"     the search finished (proven, capped, or interrupted)
 type Sample struct {
 	Phase      string
@@ -32,9 +30,6 @@ type Sample struct {
 	// Bound is an admissible lower bound on the optimum: the root
 	// relaxation (constant across one solve). 0 when unknown.
 	Bound float64
-	// Subtree is the parallel subtree ordinal, -1 for sequential tree
-	// samples.
-	Subtree int
 }
 
 // Gap is the absolute incumbent-vs-bound optimality gap (0 when no
@@ -61,9 +56,6 @@ func (ps Sample) String() string {
 		if g := ps.Gap(); g > 0 {
 			fmt.Fprintf(&b, " gap=%.6f", g)
 		}
-	}
-	if ps.Subtree >= 0 {
-		fmt.Fprintf(&b, " subtree=%d", ps.Subtree)
 	}
 	return b.String()
 }

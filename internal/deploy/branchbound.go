@@ -9,13 +9,8 @@ import (
 // Options tunes Solve.
 type Options struct {
 	// MaxNodes caps search nodes; 0 means 2,000,000, negative means
-	// unlimited. In parallel mode the cap applies per subtree, so the
-	// total may exceed it (matching ilp.SolveOptions).
+	// unlimited.
 	MaxNodes int
-	// Workers selects the deterministic parallel subtree search when > 1;
-	// 0 or 1 keeps the sequential depth-first search. For a fixed
-	// problem the schedule is bit-identical at any worker count.
-	Workers int
 	// Progress, when non-nil, receives the search's samples (phases and
 	// determinism contract: bnb.Sample). Incumbent/Bound are cumulative
 	// migration seconds; the root bound is the remaining-benefit bound.
@@ -78,11 +73,7 @@ func Solve(p *Problem, opts Options) (*Schedule, error) {
 	// prefix — read-only apart from the bound's scratch slices, so
 	// computing it cannot perturb the search.
 	s.Root(func() float64 { return s.remainingBound(0, p.Base, rate) })
-	// With Workers > 1 this pass stops at the frontier depth and the
-	// prefixes it leaves behind are searched in parallel.
-	s.frontier = s.frontierDepth(opts.Workers)
 	s.dfs(0, 0, p.Base, rate, 0)
-	s.searchLeaves(opts.Workers)
 	s.Final()
 
 	out, err := Evaluate(p, s.bestOrder)
@@ -97,9 +88,7 @@ func Solve(p *Problem, opts Options) (*Schedule, error) {
 }
 
 // sched is the scheduling problem on the shared driver: the precomputed
-// tables (shared, read-only after construction) and the mutable state of
-// one depth-first search; a parallel split clones the mutable part per
-// subtree.
+// tables and the mutable state of one depth-first search.
 type sched struct {
 	bnb.Search
 	p     *Problem
@@ -126,11 +115,6 @@ type sched struct {
 	memo map[uint64]float64
 	// bestOrder is the build order behind Search.Best.
 	bestOrder []int
-
-	// frontier/leaves drive the parallel split: dfs snapshots state at
-	// depth frontier instead of descending (-1: never).
-	frontier int
-	leaves   []prefix
 }
 
 // newSched precomputes the shared tables for p.
@@ -166,18 +150,12 @@ func newSched(p *Problem) *sched {
 		p.applyObject(full, full, i)
 	}
 	s.fullRate = p.rateOf(full)
-	s.resetState()
-	return s
-}
-
-// resetState gives the scheduler fresh mutable search state.
-func (s *sched) resetState() {
-	s.path = make([]int, 0, s.n)
-	s.timesBuf = make([][]float64, s.n+1)
-	s.deltaBuf = make([]float64, 0, s.n)
-	s.buildBuf = make([]float64, 0, s.n)
+	s.path = make([]int, 0, n)
+	s.timesBuf = make([][]float64, n+1)
+	s.deltaBuf = make([]float64, 0, n)
+	s.buildBuf = make([]float64, 0, n)
 	s.memo = make(map[uint64]float64)
-	s.bestOrder, s.leaves = nil, nil
+	return s
 }
 
 // timesRow returns the child times buffer for depth d.
@@ -192,16 +170,6 @@ func (s *sched) timesRow(d int) []float64 {
 // set, times the per-query runtimes under it, rate their weighted sum
 // (== s.p.rateOf(times)), cum the prefix's cumulative cost.
 func (s *sched) dfs(depth int, mask uint64, times []float64, rate, cum float64) {
-	if depth == s.frontier {
-		s.leaves = append(s.leaves, prefix{
-			mask:  mask,
-			times: append([]float64(nil), times...),
-			rate:  rate,
-			cum:   cum,
-			path:  append([]int(nil), s.path...),
-		})
-		return
-	}
 	if !s.Enter() {
 		return
 	}
@@ -233,58 +201,6 @@ func (s *sched) dfs(depth int, mask uint64, times []float64, rate, cum float64) 
 		s.path = append(s.path, o)
 		s.dfs(depth+1, mask|bit, child, s.p.rateOf(child), cum+b*rate)
 		s.path = s.path[:len(s.path)-1]
-	}
-}
-
-// prefix is one frontier node of the parallel split: the search state of
-// a depth-d build prefix whose completions form an independent subproblem.
-type prefix struct {
-	mask  uint64
-	times []float64
-	rate  float64
-	cum   float64
-	path  []int
-}
-
-// frontierDepth picks the split depth for the given worker count: enough
-// prefix permutations to feed the pool; -1 means search sequentially.
-func (s *sched) frontierDepth(workers int) int {
-	depth, perms := 1, s.n
-	for perms < 4*workers && depth < s.n-1 {
-		depth++
-		perms *= s.n - depth + 1
-	}
-	if workers <= 1 || depth >= s.n {
-		return -1
-	}
-	return depth
-}
-
-// searchLeaves hands the prefixes the enumeration pass snapshotted at the
-// frontier to the driver's deterministic Split (node counts differ from
-// the sequential search: subtrees prune against a staler incumbent, and
-// each carries its own visited-state memo). Without any — a sequential
-// search, or an enumeration that pruned everything — it does nothing.
-func (s *sched) searchLeaves(workers int) {
-	depth, leaves := s.frontier, s.leaves
-	s.frontier, s.leaves = -1, nil
-	if len(leaves) == 0 {
-		return
-	}
-	orders := make([][]int, len(leaves))
-	win := s.Split(len(leaves), workers, func(i int, sub bnb.Search) bnb.Search {
-		// Precomputed tables are shared read-only; search state is fresh.
-		t := *s
-		t.Search = sub
-		t.resetState()
-		leaf := &leaves[i]
-		t.path = append(t.path, leaf.path...)
-		t.dfs(depth, leaf.mask, leaf.times, leaf.rate, leaf.cum)
-		orders[i] = t.bestOrder
-		return t.Search
-	})
-	if win >= 0 {
-		s.bestOrder = orders[win]
 	}
 }
 

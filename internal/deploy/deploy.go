@@ -23,8 +23,8 @@
 //
 // Solve finds the optimal order by branch-and-bound over permutations
 // (branchbound.go) seeded with a greedy benefit-density incumbent
-// (greedy.go); limits, node accounting, progress and the deterministic
-// parallel subtree search are the shared driver's (internal/bnb).
+// (greedy.go); limits, node accounting and progress are the shared
+// driver's (internal/bnb).
 package deploy
 
 import (
@@ -247,8 +247,7 @@ type Schedule struct {
 	// Evaluate); Proven reports whether optimality was proven. Pruned
 	// counts nodes cut by the bound or the visited-state memo, and
 	// Incumbents counts strict improvements adopted during the search —
-	// diagnostics exported to /metrics, summed across subtrees in
-	// parallel mode.
+	// diagnostics exported to /metrics.
 	Nodes      int
 	Pruned     int
 	Incumbents int

@@ -102,39 +102,14 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		p := randProblem(rng, 2+rng.Intn(6), 5, true)
-		seq, err := Solve(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 3, 5} {
-			par, err := Solve(p, Options{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(par.Cum) != math.Float64bits(seq.Cum) {
-				t.Fatalf("trial %d workers=%d: cum %v != sequential %v", trial, w, par.Cum, seq.Cum)
-			}
-			for k := range seq.Order {
-				if par.Order[k] != seq.Order[k] {
-					t.Fatalf("trial %d workers=%d: order %v != sequential %v", trial, w, par.Order, seq.Order)
-				}
-			}
-		}
-	}
-}
-
 func TestSolveDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randProblem(rng, 6, 6, true)
-	a, err := Solve(p, Options{Workers: 3})
+	a, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(p, Options{Workers: 3})
+	b, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

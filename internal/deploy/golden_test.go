@@ -15,7 +15,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_schedule.txt from the current implementation")
 
-// goldenScheduleRows renders one line per (instance, workers, cap) solve
+// goldenScheduleRows renders one line per (instance, cap) solve
 // of seeded instances with precedence edges and build-from shortcuts:
 // every Schedule field the search decides plus the sample count and an
 // FNV-64a digest of the progress-sample sequence.
@@ -24,25 +24,23 @@ func goldenScheduleRows(t *testing.T) string {
 	rng := rand.New(rand.NewSource(20260930))
 	for inst := 0; inst < 4; inst++ {
 		p := randProblem(rng, 9+inst%3, 6, true)
-		for _, workers := range []int{0, 2, 4} {
-			for _, maxNodes := range []int{0, 120} {
-				h := fnv.New64a()
-				samples := 0
-				s, err := Solve(p, Options{
-					Workers: workers, MaxNodes: maxNodes, ProgressEvery: 32,
-					Progress: func(ps ilp.ProgressSample) {
-						samples++
-						fmt.Fprintf(h, "%s %d %d %d %x %x %d\n", ps.Phase, ps.Nodes, ps.Pruned, ps.Incumbents,
-							math.Float64bits(ps.Incumbent), math.Float64bits(ps.Bound), ps.Subtree)
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&b, "inst=%d workers=%d cap=%d order=%v cum=%x proven=%t nodes=%d pruned=%d incumbents=%d samples=%d digest=%x\n",
-					inst, workers, maxNodes, s.Order, math.Float64bits(s.Cum), s.Proven, s.Nodes, s.Pruned, s.Incumbents,
-					samples, h.Sum64())
+		for _, maxNodes := range []int{0, 120} {
+			h := fnv.New64a()
+			samples := 0
+			s, err := Solve(p, Options{
+				MaxNodes: maxNodes, ProgressEvery: 32,
+				Progress: func(ps ilp.ProgressSample) {
+					samples++
+					fmt.Fprintf(h, "%s %d %d %d %x %x\n", ps.Phase, ps.Nodes, ps.Pruned, ps.Incumbents,
+						math.Float64bits(ps.Incumbent), math.Float64bits(ps.Bound))
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			fmt.Fprintf(&b, "inst=%d cap=%d order=%v cum=%x proven=%t nodes=%d pruned=%d incumbents=%d samples=%d digest=%x\n",
+				inst, maxNodes, s.Order, math.Float64bits(s.Cum), s.Proven, s.Nodes, s.Pruned, s.Incumbents,
+				samples, h.Sum64())
 		}
 	}
 	return b.String()

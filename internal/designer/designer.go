@@ -87,8 +87,8 @@ type Common struct {
 	// BaseKey is the fact table's existing clustered key (typically the PK).
 	BaseKey []int
 	// Solve tunes every exact ILP solve the designers run (preprocessing,
-	// Lagrangian bound, incumbent polish and parallel subtree search are
-	// all on by default with the zero value; see ilp.SolveOptions).
+	// Lagrangian bound and incumbent polish are all on with the zero
+	// value; see ilp.SolveOptions).
 	Solve ilp.SolveOptions
 }
 

@@ -90,28 +90,6 @@ func TestPlanMigrationFreshDeployment(t *testing.T) {
 	}
 }
 
-func TestPlanMigrationWorkerInvariance(t *testing.T) {
-	c, d, from, to := migrationFixture(t)
-	base, err := PlanMigration(c.St, c.Disk, c.W, d.Model, from, to, deploy.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4} {
-		plan, err := PlanMigration(c.St, c.Disk, c.W, d.Model, from, to, deploy.Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(plan.CumSeconds) != math.Float64bits(base.CumSeconds) {
-			t.Fatalf("workers=%d: cum %v != sequential %v", w, plan.CumSeconds, base.CumSeconds)
-		}
-		for k := range base.Schedule.Order {
-			if plan.Schedule.Order[k] != base.Schedule.Order[k] {
-				t.Fatalf("workers=%d: order %v != sequential %v", w, plan.Schedule.Order, base.Schedule.Order)
-			}
-		}
-	}
-}
-
 func TestPrefixDesignMeasurable(t *testing.T) {
 	c, d, from, to := migrationFixture(t)
 	plan, err := PlanMigration(c.St, c.Disk, c.W, d.Model, from, to, deploy.Options{})

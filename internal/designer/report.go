@@ -83,54 +83,6 @@ func (d *Design) WriteJSON(w io.Writer, s *schema.Schema, workload query.Workloa
 	return enc.Encode(out)
 }
 
-// ReadDesignJSON parses a design previously written by WriteJSON. Only the
-// structural fields round-trip (the in-memory Design carries positions and
-// model state that the wire form resolves to names).
-func ReadDesignJSON(r io.Reader) (*DesignSummary, error) {
-	var raw designJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
-		return nil, fmt.Errorf("designer: decoding design: %w", err)
-	}
-	sum := &DesignSummary{Name: raw.Name, Budget: raw.Budget, Size: raw.Size}
-	for _, o := range raw.Objects {
-		sum.Objects = append(sum.Objects, ObjectSummary{
-			Name: o.Name, Columns: o.Columns, ClusterKey: o.ClusterKey,
-			FactRecluster: o.FactRecluster,
-		})
-	}
-	for _, rt := range raw.Routing {
-		sum.Routing = append(sum.Routing, RouteSummary{
-			Query: rt.Query, Object: rt.Object, Path: rt.Path, Expected: rt.Expected,
-		})
-	}
-	return sum, nil
-}
-
-// DesignSummary is the parsed wire form of a design.
-type DesignSummary struct {
-	Name    string
-	Budget  int64
-	Size    int64
-	Objects []ObjectSummary
-	Routing []RouteSummary
-}
-
-// ObjectSummary is one object of a parsed design.
-type ObjectSummary struct {
-	Name          string
-	Columns       []string
-	ClusterKey    []string
-	FactRecluster bool
-}
-
-// RouteSummary is one routing entry of a parsed design.
-type RouteSummary struct {
-	Query    string
-	Object   string
-	Path     string
-	Expected float64
-}
-
 func colNames(s *schema.Schema, cols []int) []string {
 	out := make([]string, len(cols))
 	for i, c := range cols {

@@ -2,6 +2,7 @@ package designer
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -38,8 +39,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := design.WriteJSON(&buf, c.St.Rel.Schema, c.W); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := ReadDesignJSON(&buf)
-	if err != nil {
+	var sum designJSON
+	if err := json.Unmarshal(buf.Bytes(), &sum); err != nil {
 		t.Fatal(err)
 	}
 	if sum.Name != design.Name || sum.Size != design.Size || sum.Budget != design.Budget {
@@ -63,11 +64,5 @@ func TestJSONRoundTrip(t *testing.T) {
 		if r.Expected <= 0 {
 			t.Errorf("routing %d: non-positive expected runtime", qi)
 		}
-	}
-}
-
-func TestJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadDesignJSON(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
 	}
 }

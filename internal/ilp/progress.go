@@ -17,11 +17,9 @@ type ProgressSample = bnb.Sample
 // profile hands out a nil sink, so wiring it unconditionally costs
 // nothing when profiling is off.
 //
-// The recorder is not synchronized: the solver emits samples only from
-// the orchestrating goroutine (sequential search, the parallel
-// enumeration pass, and the fixed-order merge — never from worker
-// tasks), so a profile may back any single solve, but must not be
-// shared by solves running concurrently with each other.
+// The recorder is not synchronized: a solve emits its samples on the
+// calling goroutine, so a profile may back any single solve, but must not
+// be shared by solves running concurrently with each other.
 type SolveProfile struct {
 	// Label prefixes the dump ("fig9/budget=2.0" etc.).
 	Label string

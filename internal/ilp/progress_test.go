@@ -13,73 +13,67 @@ type sampleKey struct {
 	phase                     string
 	nodes, pruned, incumbents int
 	incumbent, bound          uint64
-	subtree                   int
 }
 
 func keyOf(ps ProgressSample) sampleKey {
 	return sampleKey{
 		phase: ps.Phase, nodes: ps.Nodes, pruned: ps.Pruned, incumbents: ps.Incumbents,
 		incumbent: math.Float64bits(ps.Incumbent), bound: math.Float64bits(ps.Bound),
-		subtree: ps.Subtree,
 	}
 }
 
 // TestProgressSinkDoesNotPerturbSolve is the nil-sink byte-identity
 // contract: arming a progress sink must not move a single field of the
 // solution — the observed search takes exactly the unobserved search's
-// decisions, at every worker count.
+// decisions.
 func TestProgressSinkDoesNotPerturbSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 20; trial++ {
 		p := hardRandomProblem(rng, 30, 12)
-		for _, workers := range []int{0, 2, 4} {
-			plain := Solve(p, SolveOptions{Workers: workers})
-			var samples []ProgressSample
-			observed := Solve(p, SolveOptions{
-				Workers:       workers,
-				Progress:      func(ps ProgressSample) { samples = append(samples, ps) },
-				ProgressEvery: 64,
-			})
-			if !reflect.DeepEqual(plain, observed) {
-				t.Fatalf("trial %d workers %d: observed solve diverged from plain\nplain    %+v\nobserved %+v",
-					trial, workers, plain, observed)
-			}
-			if len(samples) < 2 || samples[0].Phase != "root" || samples[len(samples)-1].Phase != "final" {
-				t.Fatalf("trial %d workers %d: malformed sample trail (%d samples)",
-					trial, workers, len(samples))
-			}
+		plain := Solve(p, SolveOptions{})
+		var samples []ProgressSample
+		observed := Solve(p, SolveOptions{
+			Progress:      func(ps ProgressSample) { samples = append(samples, ps) },
+			ProgressEvery: 64,
+		})
+		if !reflect.DeepEqual(plain, observed) {
+			t.Fatalf("trial %d: observed solve diverged from plain\nplain    %+v\nobserved %+v",
+				trial, plain, observed)
+		}
+		if len(samples) < 2 || samples[0].Phase != "root" || samples[len(samples)-1].Phase != "final" {
+			t.Fatalf("trial %d: malformed sample trail (%d samples)", trial, len(samples))
 		}
 	}
 }
 
 // TestProgressSequenceDeterministic pins the introspection determinism
-// contract: at any fixed Workers setting the emitted sample sequence is
-// bit-identical run to run — samples are keyed to node ordinals inside
-// the orchestrating goroutine, never to wall clock or goroutine
-// interleaving.
+// contract: the emitted sample sequence, and the whole Solution with it,
+// is bit-identical run to run — samples are keyed to node ordinals, never
+// to wall clock.
 func TestProgressSequenceDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(999))
 	p := hardRandomProblem(rng, 40, 14)
-	for _, workers := range []int{0, 2, 4} {
-		var runs [][]sampleKey
-		for rep := 0; rep < 3; rep++ {
-			var seq []sampleKey
-			Solve(p, SolveOptions{
-				Workers:       workers,
-				Progress:      func(ps ProgressSample) { seq = append(seq, keyOf(ps)) },
-				ProgressEvery: 32,
-			})
-			runs = append(runs, seq)
+	var runs [][]sampleKey
+	var sols []*Solution
+	for rep := 0; rep < 3; rep++ {
+		var seq []sampleKey
+		sols = append(sols, Solve(p, SolveOptions{
+			Progress:      func(ps ProgressSample) { seq = append(seq, keyOf(ps)) },
+			ProgressEvery: 32,
+		}))
+		runs = append(runs, seq)
+	}
+	for rep := 1; rep < len(runs); rep++ {
+		if !reflect.DeepEqual(runs[0], runs[rep]) {
+			t.Fatalf("run %d emitted a different sample sequence (%d vs %d samples)",
+				rep, len(runs[0]), len(runs[rep]))
 		}
-		for rep := 1; rep < len(runs); rep++ {
-			if !reflect.DeepEqual(runs[0], runs[rep]) {
-				t.Fatalf("workers %d: run %d emitted a different sample sequence (%d vs %d samples)",
-					workers, rep, len(runs[0]), len(runs[rep]))
-			}
+		if !reflect.DeepEqual(sols[0], sols[rep]) {
+			t.Fatalf("run %d returned a different solution:\n%+v\n%+v", rep, sols[0], sols[rep])
 		}
-		if len(runs[0]) == 0 {
-			t.Fatalf("workers %d: no samples emitted", workers)
-		}
+	}
+	if len(runs[0]) == 0 {
+		t.Fatal("no samples emitted")
 	}
 }
 

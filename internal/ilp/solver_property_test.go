@@ -108,67 +108,6 @@ func TestFullSolverTightAndSlackBudgets(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential verifies the deterministic parallel
-// subtree search returns the sequential solution: same Chosen, Objective
-// (bitwise), Size, PerQuery and Proven for every worker count.
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		p := hardRandomProblem(rng, 8+rng.Intn(12), 2+rng.Intn(6))
-		seq := Solve(p, SolveOptions{})
-		for _, workers := range []int{2, 3, 4} {
-			par := Solve(p, SolveOptions{Workers: workers})
-			if !reflect.DeepEqual(seq.Chosen, par.Chosen) {
-				t.Fatalf("trial %d workers=%d: chosen seq=%v par=%v", trial, workers, seq.Chosen, par.Chosen)
-			}
-			if seq.Objective != par.Objective {
-				t.Fatalf("trial %d workers=%d: objective seq=%v par=%v", trial, workers, seq.Objective, par.Objective)
-			}
-			if seq.Size != par.Size || seq.Proven != par.Proven {
-				t.Fatalf("trial %d workers=%d: size/proven mismatch", trial, workers)
-			}
-			if !reflect.DeepEqual(seq.PerQuery, par.PerQuery) {
-				t.Fatalf("trial %d workers=%d: routing mismatch", trial, workers)
-			}
-		}
-	}
-}
-
-// TestParallelRunToRunReproducible verifies the stronger contract: for a
-// fixed worker count the whole Solution — Nodes included — is bit-identical
-// across runs. Run under -race this also exercises the pipeline's
-// synchronization.
-func TestParallelRunToRunReproducible(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 10; trial++ {
-		p := hardRandomProblem(rng, 20, 8)
-		for _, workers := range []int{2, 4} {
-			a := Solve(p, SolveOptions{Workers: workers})
-			b := Solve(p, SolveOptions{Workers: workers})
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("trial %d workers=%d: runs differ:\n%+v\n%+v", trial, workers, a, b)
-			}
-		}
-	}
-}
-
-// TestParallelMatchesBruteForce anchors the parallel path to ground truth
-// directly, independent of the sequential implementation.
-func TestParallelMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 40; trial++ {
-		p := hardRandomProblem(rng, 4+rng.Intn(8), 1+rng.Intn(5))
-		want := bruteForce(p)
-		sol := Solve(p, SolveOptions{Workers: 3})
-		if !sol.Proven {
-			t.Fatalf("trial %d: parallel solve did not prove optimality", trial)
-		}
-		if math.Abs(sol.Objective-want) > 1e-9 {
-			t.Fatalf("trial %d: parallel %.12f, brute force %.12f", trial, sol.Objective, want)
-		}
-	}
-}
-
 // TestInjectedTwinsChangeNothing inserts exact copies of random candidates
 // into brute-forced instances, each somewhere after its original. Solve
 // must still match enumeration, and return the twin-free instance's
@@ -199,20 +138,18 @@ func TestInjectedTwinsChangeNothing(t *testing.T) {
 			first[src[i]] = i
 		}
 		want := bruteForce(&tw)
-		for _, workers := range []int{0, 2} {
-			ref := Solve(p, SolveOptions{Workers: workers})
-			got := Solve(&tw, SolveOptions{Workers: workers})
-			if !got.Proven || math.Abs(got.Objective-want) > 1e-9 {
-				t.Fatalf("trial %d workers=%d: objective %.12f (proven %v), enumeration %.12f", trial, workers, got.Objective, got.Proven, want)
-			}
-			mapped := make([]int, len(ref.Chosen))
-			for i, m := range ref.Chosen {
-				mapped[i] = first[m]
-			}
-			if got.Objective != ref.Objective || !reflect.DeepEqual(got.Chosen, mapped) || got.Nodes != ref.Nodes {
-				t.Fatalf("trial %d workers=%d: with twins (%v, %v, %d nodes), twin-free (%v, %v, %d nodes)",
-					trial, workers, got.Objective, got.Chosen, got.Nodes, ref.Objective, mapped, ref.Nodes)
-			}
+		ref := Solve(p, SolveOptions{})
+		got := Solve(&tw, SolveOptions{})
+		if !got.Proven || math.Abs(got.Objective-want) > 1e-9 {
+			t.Fatalf("trial %d: objective %.12f (proven %v), enumeration %.12f", trial, got.Objective, got.Proven, want)
+		}
+		mapped := make([]int, len(ref.Chosen))
+		for i, m := range ref.Chosen {
+			mapped[i] = first[m]
+		}
+		if got.Objective != ref.Objective || !reflect.DeepEqual(got.Chosen, mapped) || got.Nodes != ref.Nodes {
+			t.Fatalf("trial %d: with twins (%v, %v, %d nodes), twin-free (%v, %v, %d nodes)",
+				trial, got.Objective, got.Chosen, got.Nodes, ref.Objective, mapped, ref.Nodes)
 		}
 	}
 	t.Logf("%d copies injected", copies)

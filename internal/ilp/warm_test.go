@@ -31,7 +31,6 @@ func TestWarmStartMatchesColdObjective(t *testing.T) {
 				{WarmStart: warm},
 				{WarmStart: warm, noPreprocess: true},
 				{WarmStart: warm, noPreprocess: true, noLagrangian: true, noPolish: true},
-				{WarmStart: warm, Workers: 3},
 			} {
 				got := Solve(p, opts)
 				if got.Proven != cold.Proven {

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
 )
@@ -81,7 +79,6 @@ type Tracer struct {
 	ring []Event
 	next int    // ring write position
 	seq  uint64 // total events ever emitted
-	sink io.Writer
 }
 
 // DefaultTraceEvents is the ring capacity when NewTracer is given n ≤ 0.
@@ -94,18 +91,6 @@ func NewTracer(n int) *Tracer {
 		n = DefaultTraceEvents
 	}
 	return &Tracer{ring: make([]Event, 0, n)}
-}
-
-// SetSink attaches a writer that receives every event as one JSON line
-// at emission time (a JSONL trace file). The tracer serializes writes;
-// the writer need not be concurrency-safe. nil detaches.
-func (t *Tracer) SetSink(w io.Writer) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sink = w
-	t.mu.Unlock()
 }
 
 // Event records a point event.
@@ -130,11 +115,6 @@ func (t *Tracer) emit(e Event) {
 	} else {
 		t.ring[t.next] = e
 		t.next = (t.next + 1) % cap(t.ring)
-	}
-	if t.sink != nil {
-		if b, err := json.Marshal(e); err == nil {
-			t.sink.Write(append(b, '\n'))
-		}
 	}
 	t.mu.Unlock()
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestTracerRing pins the bounded-ring semantics: Seq keeps counting
 // past capacity, Events returns exactly the last cap entries oldest
@@ -40,28 +37,6 @@ func TestTracerString(t *testing.T) {
 	want := "seq=1 clock=12.5 kind=solve dur=0.25 nodes=1234 proven=true"
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-// TestTracerSink pins the JSONL sink: one JSON object per line, emitted
-// at event time, carrying seq/clock/kind/fields.
-func TestTracerSink(t *testing.T) {
-	var sb strings.Builder
-	tr := NewTracer(4)
-	tr.SetSink(&sb)
-	tr.Event(1, "drift", F("dist", 0.31))
-	tr.Span(2, 3, "build", F("mv", "mv_2"))
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("sink wrote %d lines, want 2", len(lines))
-	}
-	want0 := `{"seq":1,"clock":1,"kind":"drift","fields":[{"k":"dist","v":"0.31"}]}`
-	if lines[0] != want0 {
-		t.Errorf("line 0 = %s, want %s", lines[0], want0)
-	}
-	want1 := `{"seq":2,"clock":2,"dur":3,"kind":"build","fields":[{"k":"mv","v":"mv_2"}]}`
-	if lines[1] != want1 {
-		t.Errorf("line 1 = %s, want %s", lines[1], want1)
 	}
 }
 

@@ -75,11 +75,9 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // same panic a sequential loop ordered by index would have surfaced
 // first, so the surfaced failure is deterministic at any worker count.
 //
-// Claim order is part of the contract: indexes are handed to workers in
-// ascending order (a shared atomic counter), so when fn(i) starts, every
-// fn(j) with j < i has already started. The branch-and-bound driver's
-// deterministic parallel subtree search relies on this to let task i block
-// on the completion of tasks ≤ i−workers without deadlock (bnb.Split).
+// Indexes are handed to workers in ascending order (a shared atomic
+// counter), so when fn(i) starts, every fn(j) with j < i has already
+// started.
 func ForEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return

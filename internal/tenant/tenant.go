@@ -34,10 +34,6 @@ import (
 type Config struct {
 	// Budget is the global space budget in bytes, shared by all tenants.
 	Budget int64
-	// Workers is the worker count for the cross-tenant fan-out of
-	// candidate generation and pricing; ≤ 0 means one per CPU. Results
-	// are identical at any setting.
-	Workers int
 	// Solve tunes the pooled selection solve.
 	Solve ilp.SolveOptions
 	// Metrics, when non-nil, receives the coradd_tenant_* series.
@@ -138,8 +134,9 @@ type Allocation struct {
 // Redesign snapshots every tenant's monitor, builds each live tenant's
 // designer over its snapshot and designs them all against the global
 // budget in one pooled exact solve (designer.DesignShared without
-// feedback rounds), warm-started from every tenant's last design.
-// Deterministic at any Config.Workers.
+// feedback rounds), warm-started from every tenant's last design. The
+// cross-tenant fan-out runs one worker per CPU; the result is identical
+// at any GOMAXPROCS.
 func (c *Coordinator) Redesign() (*Allocation, error) {
 	if len(c.ts) == 0 {
 		return nil, fmt.Errorf("tenant: no tenants registered")
@@ -170,7 +167,7 @@ func (c *Coordinator) Redesign() (*Allocation, error) {
 	}
 	ds := make([]*designer.CORADD, len(live))
 	warms := make([][]*costmodel.MVDesign, len(live))
-	par.ForEach(len(live), c.cfg.Workers, func(j int) {
+	par.ForEach(len(live), 0, func(j int) {
 		t := c.ts[live[j]]
 		com := t.com
 		com.W, com.Solve = ws[live[j]], c.cfg.Solve

@@ -3,6 +3,7 @@ package tenant
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -195,12 +196,15 @@ func TestRedesignPooledIsOptimal(t *testing.T) {
 
 // TestRedesignDeterministicAcrossWorkers: identical streams produce
 // bit-identical allocations (and identical priced instances) at any
-// worker count — the per-tenant par.ForEach fan-out writes its own slots
-// and the pooled solve reads them in index order.
+// GOMAXPROCS, and so at any width of the fan-out — the per-tenant
+// par.ForEach fan-out writes its own slots and the pooled solve reads
+// them in index order.
 func TestRedesignDeterministicAcrossWorkers(t *testing.T) {
 	budget := contendedBudget(t)
-	run := func(workers int) (*Allocation, [][]string) {
-		co := buildCoord(t, Config{Budget: budget, Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) (*Allocation, [][]string) {
+		runtime.GOMAXPROCS(procs)
+		co := buildCoord(t, Config{Budget: budget})
 		alloc, err := co.Redesign()
 		if err != nil {
 			t.Fatal(err)
@@ -208,21 +212,21 @@ func TestRedesignDeterministicAcrossWorkers(t *testing.T) {
 		return alloc, instanceKeys(alloc)
 	}
 	refAlloc, refPools := run(1)
-	for _, w := range []int{2, 4, 8} {
-		alloc, pools := run(w)
+	for _, procs := range []int{2, 4, 8} {
+		alloc, pools := run(procs)
 		if alloc.Objective != refAlloc.Objective || alloc.Nodes != refAlloc.Nodes ||
 			alloc.TotalSize != refAlloc.TotalSize {
-			t.Fatalf("workers=%d diverged: obj %v/%v nodes %d/%d size %d/%d",
-				w, alloc.Objective, refAlloc.Objective, alloc.Nodes, refAlloc.Nodes,
+			t.Fatalf("GOMAXPROCS=%d diverged: obj %v/%v nodes %d/%d size %d/%d",
+				procs, alloc.Objective, refAlloc.Objective, alloc.Nodes, refAlloc.Nodes,
 				alloc.TotalSize, refAlloc.TotalSize)
 		}
 		for i := range refPools {
 			if len(pools[i]) != len(refPools[i]) {
-				t.Fatalf("workers=%d tenant %d pool size %d vs %d", w, i, len(pools[i]), len(refPools[i]))
+				t.Fatalf("GOMAXPROCS=%d tenant %d pool size %d vs %d", procs, i, len(pools[i]), len(refPools[i]))
 			}
 			for j := range refPools[i] {
 				if pools[i][j] != refPools[i][j] {
-					t.Fatalf("workers=%d tenant %d pool entry %d differs", w, i, j)
+					t.Fatalf("GOMAXPROCS=%d tenant %d pool entry %d differs", procs, i, j)
 				}
 			}
 		}
@@ -230,7 +234,7 @@ func TestRedesignDeterministicAcrossWorkers(t *testing.T) {
 			a, b := alloc.Tenants[i], refAlloc.Tenants[i]
 			if a.Size != b.Size || a.Objective != b.Objective || a.PoolSize != b.PoolSize ||
 				len(a.Design.Chosen) != len(b.Design.Chosen) {
-				t.Fatalf("workers=%d tenant %d result differs", w, i)
+				t.Fatalf("GOMAXPROCS=%d tenant %d result differs", procs, i)
 			}
 		}
 	}
