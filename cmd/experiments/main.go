@@ -25,8 +25,9 @@
 //
 // Environment:
 //
-//	CORADD_SOLVER_MAXNODES  branch-and-bound node cap per exact solve
-//	                        (0/unset = the 5M default, negative =
+//	CORADD_SOLVER_MAXNODES  branch-and-bound node cap per design, every
+//	                        feedback round together (0/unset = the
+//	                        5M default, negative =
 //	                        unlimited — for running the Figure 9/11
 //	                        mid-budget instances to proven optimality
 //	                        alongside -full). Anything but a base-10

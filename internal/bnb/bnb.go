@@ -108,6 +108,11 @@ func (s *Search) Enter() bool {
 	return true
 }
 
+// Explored is Nodes clipped to the node cap: a search the cap stopped
+// reports exactly its cap, without the node it refused or the calls that
+// unwound the recursion after it.
+func (s *Search) Explored() int { return min(s.Nodes, s.maxNodes) }
+
 // Cuts reports whether a node whose completions are worth at least bound
 // cannot strictly improve on the incumbent.
 func (s *Search) Cuts(bound float64) bool { return bound >= s.Best-eps }

@@ -112,6 +112,13 @@ func TestLimitsCutSearchKeepIncumbent(t *testing.T) {
 			if p.Incumbents == 0 || p.bestTake == nil {
 				t.Fatalf("no incumbent adopted in %d nodes", p.Nodes)
 			}
+			// A node cap's search explores exactly the cap; the calls
+			// that unwind the recursion after it are counted in Nodes.
+			if capped := !tc.proven && tc.limits.TimeLimit == 0 && tc.limits.Interrupt == nil; capped && (p.Explored() != 500 || p.Nodes <= 500) {
+				t.Fatalf("capped search: Explored %d, Nodes %d, cap 500", p.Explored(), p.Nodes)
+			} else if !capped && p.Explored() != p.Nodes {
+				t.Fatalf("Explored %d, Nodes %d", p.Explored(), p.Nodes)
+			}
 			got := 0.0 // re-price the kept assignment: it must be the one behind Best
 			for i, on := range p.bestTake {
 				if on {

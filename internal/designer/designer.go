@@ -55,9 +55,10 @@ type Design struct {
 	// Paths[q] is the access path the model assumed.
 	Paths []costmodel.PathKind `json:"-"`
 	// SolverNodes is the number of branch-and-bound nodes the selection
-	// explored (summed over feedback iterations; 0 for pure-greedy
-	// designers), and SolverProven whether every solve proved optimality —
-	// the solver-cost telemetry EXPERIMENTS.md tracks.
+	// explored (summed over feedback iterations, within one node cap; 0
+	// for pure-greedy designers), and SolverProven whether the final solve
+	// proved optimality over the final candidate pool — the solver-cost
+	// telemetry EXPERIMENTS.md tracks.
 	SolverNodes  int  `json:"solver_nodes,omitempty"`
 	SolverProven bool `json:"solver_proven,omitempty"`
 }
@@ -236,11 +237,12 @@ func (d *CORADD) Design(budget int64) (*Design, error) {
 }
 
 // DesignFrom is the incremental redesign entry point: it runs the same
-// pipeline as Design but warm-starts every exact solve from the incumbent
-// design's objects (matched into each candidate pool by structural key),
-// so regions of the search the incumbent already covers are pruned
-// immediately — the solver explores at most the nodes of a cold solve and
-// proves the same optimum. incumbent == nil is a plain Design.
+// pipeline as Design but warm-starts the first solve from the incumbent
+// design's objects (matched into the candidate pool by structural key;
+// later feedback rounds warm from the previous round's design, as a cold
+// Design's do), so regions of the search the incumbent already covers are
+// pruned immediately — the solver explores at most the nodes of a cold
+// solve and proves the same optimum. incumbent == nil is a plain Design.
 func (d *CORADD) DesignFrom(budget int64, incumbent *Design) (*Design, error) {
 	var warm []*costmodel.MVDesign
 	if incumbent != nil {

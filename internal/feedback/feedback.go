@@ -33,15 +33,22 @@ type Config struct {
 	MaxIters int
 	// TGrowth multiplies t on each re-clustering feedback; 0 means 2.
 	TGrowth int
-	// Solve tunes the inner exact solver.
+	// Solve tunes the inner exact solver. Its MaxNodes caps the node
+	// count of the whole design, every feedback round together, not each
+	// solve (see RunBlocks).
 	Solve ilp.SolveOptions
+
+	// onSolve, settable only from this package's tests, sees every pooled
+	// solve: its MaxNodes and its solution.
+	onSolve func(maxNodes int, sol *ilp.Solution)
 }
 
 // Block is one selection problem of a shared-budget run: a fact table's
 // (or tenant's) candidate generator, initial pool and per-query base
-// runtimes. Warm objects (nil: cold) are matched into each round's pool by
-// structural key as the solver's warm start; later rounds warm from the
-// block's last share (the pool only grows, so it stays feasible).
+// runtimes. Warm objects (nil: cold) are matched into the first round's
+// pool by structural key as the solver's warm start; every later round,
+// cold or warm, warms from the block's previous share (the pool only
+// grows, so it stays feasible).
 type Block struct {
 	Gen     *candgen.Generator
 	Designs []*costmodel.MVDesign
@@ -64,8 +71,9 @@ type Result struct {
 	// Added is the number of candidates feedback contributed to the block.
 	Added int
 	// Nodes is the total branch-and-bound node count across every pooled
-	// solve the loop ran, and Proven whether every one of them proved
-	// optimality (the selection-cost telemetry EXPERIMENTS.md tracks).
+	// solve the loop ran, and Proven whether the final solve proved
+	// optimality over the final pool (the selection-cost telemetry
+	// EXPERIMENTS.md tracks).
 	Nodes  int
 	Proven bool
 }
@@ -78,16 +86,19 @@ type Result struct {
 // pricing is independent and the models are race-safe — which is the
 // dominant cost of large pools.
 func BuildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64) (*ilp.Problem, []*costmodel.MVDesign) {
-	return buildProblem(g, designs, base, budget, nil)
+	prob, aligned, _ := buildProblem(g, designs, base, budget, nil)
+	return prob, aligned
 }
 
-// buildProblem is BuildProblem with a warm set: a warm design pruned as
-// the twin of a survivor takes the survivor's place. Twins are
-// interchangeable to the solver, so the instance and its search are
-// unchanged, while twin pruning takes nothing from the warm incumbent a
-// node-capped solve falls back on, and a solve keeps the incumbent's
-// object rather than an equal copy that would cost a rebuild.
-func buildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64, warm []*costmodel.MVDesign) (*ilp.Problem, []*costmodel.MVDesign) {
+// buildProblem is BuildProblem with a warm set, which it returns mapped
+// onto the kept pool. A warm design pruned as the twin of a survivor takes
+// the survivor's place: twins are interchangeable to the solver, so the
+// instance and its search are unchanged, and a solve keeps the incumbent's
+// object rather than an equal copy that would cost a rebuild. A warm
+// design pruned by a strict dominator is replaced in the warm set by that
+// dominator, which is no larger and at least as fast. Either way pruning
+// takes nothing from the warm incumbent a node-capped solve falls back on.
+func buildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64, warm []*costmodel.MVDesign) (*ilp.Problem, []*costmodel.MVDesign, []*costmodel.MVDesign) {
 	cands := make([]ilp.Candidate, len(designs))
 	weights := make([]float64, len(g.W))
 	for qi, q := range g.W {
@@ -122,15 +133,18 @@ func buildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []fl
 		keptDesigns[i] = designs[oi]
 	}
 	if len(warm) > 0 && len(kept) < len(cands) {
-		keepWarmTwins(cands, designs, origIdx, kept, keptDesigns, warm)
+		warm = keepWarm(cands, designs, origIdx, kept, keptDesigns, warm)
 	}
 	prob := &ilp.Problem{Cands: kept, Base: base, Weights: weights, Budget: budget}
-	return prob, keptDesigns
+	return prob, keptDesigns, warm
 }
 
-// keepWarmTwins swaps each pruned warm design in for a surviving non-warm
-// twin, in place in kept and keptDesigns (aligned with origIdx).
-func keepWarmTwins(cands []ilp.Candidate, designs []*costmodel.MVDesign, origIdx []int, kept []ilp.Candidate, keptDesigns []*costmodel.MVDesign, warm []*costmodel.MVDesign) {
+// keepWarm maps each pruned warm design onto its survivor: it swaps the
+// design in for a surviving non-warm twin, in place in kept and
+// keptDesigns (aligned with origIdx), or replaces it in the returned warm
+// set with a surviving dominator. A survivor that supersedes it always
+// exists, since supersession is transitive.
+func keepWarm(cands []ilp.Candidate, designs []*costmodel.MVDesign, origIdx []int, kept []ilp.Candidate, keptDesigns []*costmodel.MVDesign, warm []*costmodel.MVDesign) []*costmodel.MVDesign {
 	isWarm := make(map[string]bool, len(warm))
 	for _, d := range warm {
 		isWarm[d.Key()] = true
@@ -139,17 +153,40 @@ func keepWarmTwins(cands []ilp.Candidate, designs []*costmodel.MVDesign, origIdx
 	for _, oi := range origIdx {
 		survived[oi] = true
 	}
+	var dominator map[string]*costmodel.MVDesign
 	for i, d := range designs {
 		if survived[i] || !isWarm[d.Key()] {
 			continue
 		}
-		for k := range kept {
-			if !isWarm[keptDesigns[k].Key()] && ilp.Twins(&kept[k], &cands[i]) {
+		k := slices.IndexFunc(kept, func(c ilp.Candidate) bool { return ilp.Twins(&c, &cands[i]) })
+		if k >= 0 {
+			if !isWarm[keptDesigns[k].Key()] {
 				kept[k], keptDesigns[k] = cands[i], d
-				break
 			}
+			continue
 		}
+		k = slices.IndexFunc(kept, func(c ilp.Candidate) bool {
+			return c.FactGroup == cands[i].FactGroup && ilp.Dominates(&c, &cands[i])
+		})
+		if k < 0 {
+			continue
+		}
+		if dominator == nil {
+			dominator = make(map[string]*costmodel.MVDesign)
+		}
+		dominator[d.Key()] = keptDesigns[k]
 	}
+	if dominator == nil {
+		return warm
+	}
+	out := make([]*costmodel.MVDesign, len(warm))
+	for i, d := range warm {
+		if dom, ok := dominator[d.Key()]; ok {
+			d = dom
+		}
+		out[i] = d
+	}
+	return out
 }
 
 // Run solves the ILP over the initial designs, then iterates feedback:
@@ -160,10 +197,20 @@ func Run(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, bu
 
 // RunBlocks is the shared-budget design loop. Each round prices the
 // blocks whose pools grew, pools every block's instance under the one
-// budget (ilp.Pool), solves it once and splits the solution into
-// per-block shares; each block's feedback candidates come from its own
-// share alone. It stops when no block gains a candidate or after
-// cfg.MaxIters rounds, and returns one Result per block.
+// budget (ilp.Pool), solves it once warm from the previous round's shares
+// and splits the solution into per-block shares; each block's feedback
+// candidates come from its own share alone. It stops when no block gains a
+// candidate or after cfg.MaxIters rounds, and returns one Result per
+// block.
+//
+// The rounds share one node cap (cfg.Solve.MaxNodes): an intermediate
+// round only picks the columns to add, so those rounds together get at
+// most half of it, and the final round, over the final pool, what is
+// left. When feedback adds nothing after an intermediate round whose
+// search was cut, that round's pool is final: it is solved again, warm
+// from the cut round's shares, with the nodes left. Every round may expand
+// at least one node, so Nodes stays within the cap whenever the cap is at
+// least 2·MaxIters.
 func RunBlocks(blocks []Block, budget int64, cfg Config) []*Result {
 	maxIters := cfg.MaxIters
 	if maxIters == 0 {
@@ -172,6 +219,10 @@ func RunBlocks(blocks []Block, budget int64, cfg Config) []*Result {
 	growth := cfg.TGrowth
 	if growth <= 0 {
 		growth = 2
+	}
+	nodeCap := cfg.Solve.MaxNodes
+	if nodeCap == 0 {
+		nodeCap = ilp.DefaultMaxNodes
 	}
 
 	type block struct {
@@ -190,38 +241,44 @@ func RunBlocks(blocks []Block, budget int64, cfg Config) []*Result {
 		for _, d := range b.Designs {
 			bs[i].seen[d.Key()] = true
 		}
-		res[i] = &Result{Proven: true}
+		res[i] = &Result{}
 	}
 
 	probs := make([]*ilp.Problem, len(blocks))
 	warms := make([][]int, len(blocks))
+	used, final := 0, false
 	for iter := 0; ; iter++ {
-		for i, b := range bs {
+		for i := range bs {
+			b := &bs[i]
 			if iter == 0 || b.added > 0 {
-				res[i].Prob, res[i].Designs = buildProblem(b.Gen, b.Designs, b.Base, budget, b.Warm)
+				res[i].Prob, res[i].Designs, b.Warm = buildProblem(b.Gen, b.Designs, b.Base, budget, b.Warm)
 				probs[i] = res[i].Prob
 			}
 			warms[i] = warmIndexes(res[i].Designs, b.Warm)
 		}
+		final = final || iter >= maxIters
 		pl := ilp.Pool(probs, budget)
 		so := cfg.Solve
 		so.WarmStart = pl.Lift(warms)
+		so.MaxNodes = roundNodes(nodeCap, used, final)
 		sol := ilp.Solve(pl.P, so)
+		if cfg.onSolve != nil {
+			cfg.onSolve(so.MaxNodes, sol)
+		}
+		used += sol.Nodes
 		for i, share := range pl.Split(sol) {
 			res[i].Sol = share
-			res[i].Nodes += sol.Nodes
-			res[i].Proven = res[i].Proven && sol.Proven
+			res[i].Nodes = used
+			res[i].Proven = sol.Proven
 		}
-		if iter >= maxIters {
+		if final {
 			break
 		}
 
 		added := 0
 		for i := range bs {
 			b := &bs[i]
-			if len(b.Warm) > 0 {
-				b.Warm = chosenDesigns(res[i]) // chain: last solution warms the next
-			}
+			b.Warm = chosenDesigns(res[i]) // chain: this share warms the next round
 			b.added = 0
 			for _, d := range newCandidates(b.Gen, res[i], budget, b.groupT, growth) {
 				if !b.seen[d.Key()] {
@@ -234,7 +291,11 @@ func RunBlocks(blocks []Block, budget int64, cfg Config) []*Result {
 			added += b.added
 		}
 		if added == 0 {
-			break
+			if sol.Proven {
+				break
+			}
+			final = true // re-solve this pool with the nodes left
+			continue
 		}
 		for _, r := range res {
 			r.Iters = iter + 1
@@ -243,9 +304,24 @@ func RunBlocks(blocks []Block, budget int64, cfg Config) []*Result {
 	return res
 }
 
+// roundNodes is one round's MaxNodes under a design's node cap (negative:
+// unlimited), given the nodes earlier rounds used: intermediate rounds
+// share the first half, the final round gets the rest. Every round may
+// expand at least its root, which holds its warm or greedy incumbent.
+func roundNodes(nodeCap, used int, final bool) int {
+	if nodeCap < 0 {
+		return nodeCap
+	}
+	left := nodeCap - used
+	if !final {
+		left = nodeCap/2 - used
+	}
+	return max(left, 1)
+}
+
 // warmIndexes maps warm designs to their candidate indexes in the aligned
-// pool by MVDesign.Key, preserving warm order; unmatched designs (pruned
-// by dominance, or structures the new pool never generated) are skipped.
+// pool by MVDesign.Key, preserving warm order; unmatched designs
+// (structures the pool never generated) are skipped.
 func warmIndexes(aligned []*costmodel.MVDesign, warm []*costmodel.MVDesign) []int {
 	if len(warm) == 0 {
 		return nil

@@ -1,7 +1,9 @@
 package feedback
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -125,7 +127,7 @@ func TestWarmTwinKeepsIncumbentObject(t *testing.T) {
 		if at < 0 || slices.Contains(coldAligned, twin) {
 			continue // d dominated, or the two are priced apart
 		}
-		warm, warmAligned := buildProblem(g, pool, base, budget, []*costmodel.MVDesign{twin})
+		warm, warmAligned, _ := buildProblem(g, pool, base, budget, []*costmodel.MVDesign{twin})
 		if warmAligned[at] != twin || slices.Contains(warmAligned, d) || len(warmAligned) != len(coldAligned) {
 			t.Fatalf("warm twin not swapped in at %d", at)
 		}
@@ -146,6 +148,35 @@ func TestWarmTwinKeepsIncumbentObject(t *testing.T) {
 		return
 	}
 	t.Fatal("no design has a priced twin; the test exercises nothing")
+}
+
+// TestWarmDominatedMapsToDominator: a warm design pruned by a strict
+// dominator is replaced in the warm set by that dominator, in its place,
+// so the next solve's warm incumbent keeps what the warm design served.
+func TestWarmDominatedMapsToDominator(t *testing.T) {
+	g, base := fbEnv(t)
+	designs := g.Generate()
+	budget := int64(1 << 26)
+	pk := g.PKCols[0]
+	for _, d := range designs {
+		if d.FactRecluster || d.HasCol(pk) {
+			continue
+		}
+		// The same object carrying a column no query reads: larger, and
+		// no faster anywhere.
+		wide := &costmodel.MVDesign{Name: "wide", Cols: append(slices.Clone(d.Cols), pk), Queries: d.Queries, ClusterKey: d.ClusterKey}
+		slices.Sort(wide.Cols)
+		pool := append(slices.Clone(designs), wide)
+		_, aligned, warm := buildProblem(g, pool, base, budget, []*costmodel.MVDesign{designs[0], wide})
+		if slices.Contains(aligned, wide) || !slices.Contains(aligned, d) {
+			continue // priced apart, or d itself dominated
+		}
+		if len(warm) != 2 || warm[0] != designs[0] || !slices.Contains(aligned, warm[1]) {
+			t.Fatalf("warm set %v: the dominated design was not replaced in place", designKeys(warm))
+		}
+		return
+	}
+	t.Fatal("no design has a dominated copy; the test exercises nothing")
 }
 
 func TestFeedbackNeverWorsens(t *testing.T) {
@@ -193,11 +224,13 @@ func TestFeedbackAddsCandidates(t *testing.T) {
 }
 
 // referenceRun is the single-fact feedback loop written out directly: one
-// BuildProblem and one ilp.Solve per round, feedback read off the whole
-// solution, no pooling. RunBlocks over one block must reproduce it bit
-// for bit.
+// BuildProblem and one ilp.Solve per round, each round warm from the
+// previous round's solution, intermediate rounds sharing half the node cap
+// (negative: unlimited) and the final round the rest, feedback read off
+// the whole solution, no pooling. RunBlocks over one block must reproduce
+// it bit for bit.
 func referenceRun(g *candgen.Generator, designs []*costmodel.MVDesign, base []float64, budget int64,
-	warm []*costmodel.MVDesign, maxIters int) *Result {
+	warm []*costmodel.MVDesign, maxIters, nodeCap int) *Result {
 
 	pool := append([]*costmodel.MVDesign(nil), designs...)
 	seen := make(map[string]bool, len(pool))
@@ -205,17 +238,24 @@ func referenceRun(g *candgen.Generator, designs []*costmodel.MVDesign, base []fl
 		seen[d.Key()] = true
 	}
 	groupT := make(map[string]int)
-	solve := func() (*ilp.Problem, []*costmodel.MVDesign, *ilp.Solution) {
-		prob, aligned := buildProblem(g, pool, base, budget, warm)
-		var opts ilp.SolveOptions
-		if len(warm) > 0 {
-			opts.WarmStart = warmIndexes(aligned, warm)
+	res := &Result{}
+	used, final := 0, maxIters == 0
+	prob, aligned, warm := buildProblem(g, pool, base, budget, warm)
+	for {
+		maxNodes := nodeCap
+		if nodeCap >= 0 {
+			maxNodes = max(nodeCap/2-used, 1)
+			if final {
+				maxNodes = max(nodeCap-used, 1)
+			}
 		}
-		return prob, aligned, ilp.Solve(prob, opts)
-	}
-	prob, aligned, sol := solve()
-	res := &Result{Sol: sol, Prob: prob, Designs: aligned, Nodes: sol.Nodes, Proven: sol.Proven}
-	for iter := 1; iter <= maxIters; iter++ {
+		sol := ilp.Solve(prob, ilp.SolveOptions{WarmStart: warmIndexes(aligned, warm), MaxNodes: maxNodes})
+		used += sol.Nodes
+		res.Sol, res.Prob, res.Designs, res.Nodes, res.Proven = sol, prob, aligned, used, sol.Proven
+		if final {
+			return res
+		}
+		warm = chosenDesigns(res)
 		added := 0
 		for _, d := range newCandidates(g, res, budget, groupT, 2) {
 			if !seen[d.Key()] {
@@ -225,28 +265,27 @@ func referenceRun(g *candgen.Generator, designs []*costmodel.MVDesign, base []fl
 			}
 		}
 		if added == 0 {
-			break
+			if sol.Proven {
+				return res
+			}
+			final = true // the same pool again, with the nodes left
+			continue
 		}
 		res.Added += added
-		res.Iters = iter
-		if len(warm) > 0 {
-			warm = chosenDesigns(res)
-		}
-		prob, aligned, sol = solve()
-		res.Sol, res.Prob, res.Designs = sol, prob, aligned
-		res.Nodes += sol.Nodes
-		res.Proven = res.Proven && sol.Proven
+		res.Iters++
+		final = res.Iters >= maxIters
+		prob, aligned, warm = buildProblem(g, pool, base, budget, warm)
 	}
-	return res
 }
 
 // TestOneBlockMatchesReference: one block through the N-block loop is the
 // single-fact loop — the same instance, candidates, selection, routing
-// and search — cold and warm, with and without feedback rounds.
+// and search — cold and warm, with and without feedback rounds, at node
+// caps that cut rounds and at the default one.
 func TestOneBlockMatchesReference(t *testing.T) {
 	g, base := fbEnv(t)
 	designs := g.Generate()
-	fedBack := 0
+	fedBack, cut := 0, 0
 	for _, budget := range []int64{1 << 20, 1 << 22, 1 << 23, 1 << 26} {
 		cold := Run(g, designs, base, budget, Config{MaxIters: 2})
 		warm := chosenDesigns(cold)
@@ -254,30 +293,182 @@ func TestOneBlockMatchesReference(t *testing.T) {
 			iters int
 			warm  []*costmodel.MVDesign
 		}{{-1, nil}, {2, nil}, {4, nil}, {-1, warm}, {2, warm}} {
-			got := RunBlocks([]Block{{Gen: g, Designs: designs, Base: base, Warm: tc.warm}}, budget, Config{MaxIters: tc.iters})[0]
-			want := referenceRun(g, designs, base, budget, tc.warm, max(tc.iters, 0))
-			if !slices.Equal(designKeys(got.Designs), designKeys(want.Designs)) ||
-				!slices.Equal(got.Sol.Chosen, want.Sol.Chosen) || !slices.Equal(got.Sol.PerQuery, want.Sol.PerQuery) ||
-				got.Sol.Objective != want.Sol.Objective || got.Sol.Size != want.Sol.Size ||
-				got.Nodes != want.Nodes || got.Proven != want.Proven ||
-				got.Iters != want.Iters || got.Added != want.Added ||
-				len(got.Prob.Cands) != len(want.Prob.Cands) || got.Prob.Budget != want.Prob.Budget {
-				t.Fatalf("budget %d iters %d warm %d: one block diverges from the reference loop:\n got chosen %v obj %v nodes %d iters %d added %d\nwant chosen %v obj %v nodes %d iters %d added %d",
-					budget, tc.iters, len(tc.warm), got.Sol.Chosen, got.Sol.Objective, got.Nodes, got.Iters, got.Added,
-					want.Sol.Chosen, want.Sol.Objective, want.Nodes, want.Iters, want.Added)
-			}
-			for i := range got.Prob.Cands {
-				if !slices.Equal(got.Prob.Cands[i].Times, want.Prob.Cands[i].Times) {
-					t.Fatalf("budget %d: candidate %d priced differently", budget, i)
+			for _, nodeCap := range []int{0, 3, 8} {
+				got := RunBlocks([]Block{{Gen: g, Designs: designs, Base: base, Warm: tc.warm}}, budget,
+					Config{MaxIters: tc.iters, Solve: ilp.SolveOptions{MaxNodes: nodeCap}})[0]
+				refCap := nodeCap
+				if refCap == 0 {
+					refCap = ilp.DefaultMaxNodes
 				}
-			}
-			if len(tc.warm) > 0 && want.Added > 0 {
-				fedBack++
+				want := referenceRun(g, designs, base, budget, tc.warm, max(tc.iters, 0), refCap)
+				if !slices.Equal(designKeys(got.Designs), designKeys(want.Designs)) ||
+					!slices.Equal(got.Sol.Chosen, want.Sol.Chosen) || !slices.Equal(got.Sol.PerQuery, want.Sol.PerQuery) ||
+					got.Sol.Objective != want.Sol.Objective || got.Sol.Size != want.Sol.Size ||
+					got.Nodes != want.Nodes || got.Proven != want.Proven ||
+					got.Iters != want.Iters || got.Added != want.Added ||
+					len(got.Prob.Cands) != len(want.Prob.Cands) || got.Prob.Budget != want.Prob.Budget {
+					t.Fatalf("budget %d iters %d warm %d cap %d: one block diverges from the reference loop:\n got chosen %v obj %v nodes %d iters %d added %d\nwant chosen %v obj %v nodes %d iters %d added %d",
+						budget, tc.iters, len(tc.warm), nodeCap, got.Sol.Chosen, got.Sol.Objective, got.Nodes, got.Iters, got.Added,
+						want.Sol.Chosen, want.Sol.Objective, want.Nodes, want.Iters, want.Added)
+				}
+				for i := range got.Prob.Cands {
+					if !slices.Equal(got.Prob.Cands[i].Times, want.Prob.Cands[i].Times) {
+						t.Fatalf("budget %d: candidate %d priced differently", budget, i)
+					}
+				}
+				if len(tc.warm) > 0 && want.Added > 0 {
+					fedBack++
+				}
+				if !want.Proven {
+					cut++
+				}
 			}
 		}
 	}
-	if fedBack == 0 {
-		t.Fatal("no warm case ran a feedback round; the comparison covers no chained warm start")
+	if fedBack == 0 || cut == 0 {
+		t.Fatalf("%d warm cases ran a feedback round and %d were cut; the comparison misses a chained warm start or a cut search", fedBack, cut)
+	}
+}
+
+// round is one pooled solve as Config.onSolve sees it.
+type round struct {
+	maxNodes int
+	sol      *ilp.Solution
+}
+
+// runRounds runs one block and records its rounds.
+func runRounds(g *candgen.Generator, b Block, budget int64, cfg Config) (*Result, []round) {
+	var rounds []round
+	cfg.onSolve = func(maxNodes int, sol *ilp.Solution) { rounds = append(rounds, round{maxNodes, sol}) }
+	return RunBlocks([]Block{b}, budget, cfg)[0], rounds
+}
+
+// TestRoundsShareNodeCapDeterministic: over a node-cap sweep, one and three
+// feedback rounds, cold and warm, no round's objective is worse than the
+// previous round's; the rounds' nodes sum to Result.Nodes, which stays
+// within the cap (once the cap affords every round a node); intermediate
+// rounds spend at most half the cap; the final round gets the rest;
+// Proven is the final round's proof; and a second run repeats the first
+// exactly. CI runs it at several worker counts (pricing fans out).
+func TestRoundsShareNodeCapDeterministic(t *testing.T) {
+	g, base := fbEnv(t)
+	designs := g.Generate()
+	cutFirst := 0
+	for _, budget := range []int64{1 << 20, 1 << 22, 1 << 23, 1 << 26} {
+		warm := chosenDesigns(Run(g, designs, base, budget, Config{MaxIters: -1}))
+		for _, iters := range []int{1, 3} {
+			for _, w := range [][]*costmodel.MVDesign{nil, warm} {
+				for _, nodeCap := range []int{1, 2, 4, 6, 10, 32, 0, -1} {
+					b := Block{Gen: g, Designs: designs, Base: base, Warm: w}
+					cfg := Config{MaxIters: iters, Solve: ilp.SolveOptions{MaxNodes: nodeCap}}
+					res, rounds := runRounds(g, b, budget, cfg)
+					again, rounds2 := runRounds(g, b, budget, cfg)
+					where := fmt.Sprintf("budget %d iters %d warm %d cap %d", budget, iters, len(w), nodeCap)
+					if !slices.Equal(designKeys(res.Designs), designKeys(again.Designs)) || !reflect.DeepEqual(res.Sol, again.Sol) ||
+						res.Nodes != again.Nodes || res.Proven != again.Proven || res.Iters != again.Iters ||
+						res.Added != again.Added || !reflect.DeepEqual(rounds, rounds2) {
+						t.Fatalf("%s: a second run differs", where)
+					}
+					if len(rounds) > iters+1 {
+						t.Fatalf("%s: %d solves", where, len(rounds))
+					}
+					capN := nodeCap
+					if capN == 0 {
+						capN = ilp.DefaultMaxNodes
+					}
+					sum, inter := 0, 0
+					for r, rd := range rounds {
+						if r > 0 && rd.sol.Objective > rounds[r-1].sol.Objective {
+							t.Fatalf("%s: round %d objective %v worse than round %d's %v", where, r, rd.sol.Objective, r-1, rounds[r-1].sol.Objective)
+						}
+						if capN > 0 && rd.sol.Nodes > rd.maxNodes {
+							t.Fatalf("%s: round %d used %d nodes of %d", where, r, rd.sol.Nodes, rd.maxNodes)
+						}
+						if r < len(rounds)-1 {
+							inter += rd.sol.Nodes
+						}
+						sum += rd.sol.Nodes
+					}
+					last := rounds[len(rounds)-1]
+					if sum != res.Nodes || res.Proven != last.sol.Proven || res.Sol.Objective != last.sol.Objective {
+						t.Fatalf("%s: Nodes %d (rounds sum %d), Proven %v (final round %v)", where, res.Nodes, sum, res.Proven, last.sol.Proven)
+					}
+					if capN > 0 {
+						// Each intermediate round may expand one node past
+						// the spent half.
+						if capN >= 2*iters && (res.Nodes > capN || inter > capN/2+max(len(rounds)-2, 0)) {
+							t.Fatalf("%s: %d nodes, %d in intermediate rounds", where, res.Nodes, inter)
+						}
+						// The last solve is a final round, or an intermediate
+						// one that proved and gained no column.
+						stopped := last.sol.Proven && res.Iters < iters && last.maxNodes == max(capN/2-inter, 1)
+						if len(rounds) > 1 && last.maxNodes != max(capN-inter, 1) && !stopped {
+							t.Fatalf("%s: final round got %d nodes, %d left", where, last.maxNodes, capN-inter)
+						}
+					} else if last.maxNodes >= 0 || !res.Proven {
+						t.Fatalf("%s: an unlimited design capped a round", where)
+					}
+					if len(rounds) > 1 && !rounds[0].sol.Proven {
+						cutFirst++
+					}
+				}
+			}
+		}
+	}
+	if cutFirst == 0 {
+		t.Fatal("no intermediate round was cut; the sweep exercises no node sharing")
+	}
+}
+
+// TestEmptyFeedbackAfterCutRoundResolves: when feedback adds nothing after
+// a cut intermediate round, the design is that pool solved again with the
+// nodes left, warm from the cut round: the same as one such solve by hand.
+func TestEmptyFeedbackAfterCutRoundResolves(t *testing.T) {
+	g, base := fbEnv(t)
+	const nodeCap = 2
+	checked := 0
+	for _, budget := range []int64{1 << 20, 1 << 21, 1 << 22, 1 << 23, 1 << 24} {
+		// Grow the pool until the cut first round's feedback finds nothing
+		// new.
+		pool := g.Generate()
+		seen := map[string]bool{}
+		for _, d := range pool {
+			seen[d.Key()] = true
+		}
+		var prob *ilp.Problem
+		var aligned []*costmodel.MVDesign
+		var first *ilp.Solution
+		for grew := true; grew; {
+			prob, aligned, _ = buildProblem(g, pool, base, budget, nil)
+			first = ilp.Solve(prob, ilp.SolveOptions{MaxNodes: nodeCap / 2})
+			grew = false
+			for _, d := range newCandidates(g, &Result{Sol: first, Designs: aligned}, budget, map[string]int{}, 2) {
+				if !seen[d.Key()] {
+					seen[d.Key()] = true
+					pool = append(pool, d)
+					grew = true
+				}
+			}
+		}
+		if first.Proven {
+			continue
+		}
+		checked++
+		warm := warmIndexes(aligned, chosenDesigns(&Result{Sol: first, Designs: aligned}))
+		want := ilp.Solve(prob, ilp.SolveOptions{WarmStart: warm, MaxNodes: nodeCap - first.Nodes})
+
+		res, rounds := runRounds(g, Block{Gen: g, Designs: pool, Base: base}, budget, Config{MaxIters: 3, Solve: ilp.SolveOptions{MaxNodes: nodeCap}})
+		if len(rounds) != 2 || res.Iters != 0 || res.Added != 0 {
+			t.Fatalf("budget %d: %d solves, %d iterations, %d added; want the cut round and its re-solve", budget, len(rounds), res.Iters, res.Added)
+		}
+		if !reflect.DeepEqual(rounds[0].sol, first) || !reflect.DeepEqual(res.Sol, want) ||
+			res.Nodes != first.Nodes+want.Nodes || res.Proven != want.Proven {
+			t.Fatalf("budget %d re-solve: chosen %v obj %v nodes %d proven %v; by hand chosen %v obj %v nodes %d+%d proven %v",
+				budget, res.Sol.Chosen, res.Sol.Objective, res.Nodes, res.Proven, want.Chosen, want.Objective, first.Nodes, want.Nodes, want.Proven)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("every first round proved; the test needs a cut one")
 	}
 }
 

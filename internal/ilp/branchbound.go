@@ -20,7 +20,8 @@ type Solution struct {
 	// Proven reports whether optimality was proven (false when the node or
 	// time limit cut the search short).
 	Proven bool
-	// Nodes is the number of branch-and-bound nodes explored.
+	// Nodes is the number of branch-and-bound nodes explored, clipped to
+	// the node cap (bnb.Search.Explored): a capped solve reports its cap.
 	Nodes int
 	// Pruned counts nodes cut by the admissible bound; IncumbentUpdates
 	// counts strict improvements adopted during the search (0 when the
@@ -35,9 +36,11 @@ type Solution struct {
 
 // SolveOptions tunes the exact solver.
 type SolveOptions struct {
-	// MaxNodes caps search nodes; 0 means 5,000,000, negative means
-	// unlimited (internal/scenario sets it from CORADD_SOLVER_MAXNODES for
-	// the experiments, the daemon and the CLI).
+	// MaxNodes caps search nodes; 0 means 5,000,000 (DefaultMaxNodes),
+	// negative means unlimited. feedback.RunBlocks spends one cap per
+	// design, over every feedback round together (internal/scenario sets
+	// it from CORADD_SOLVER_MAXNODES for the experiments, the daemon and
+	// the CLI).
 	MaxNodes int
 	// TimeLimit caps wall time; 0 means none. A triggered time limit is the
 	// one intentionally nondeterministic cutoff (Proven reports it).
@@ -73,9 +76,10 @@ type SolveOptions struct {
 	// Test hooks, settable only from this package's tests: noPreprocess
 	// skips the budget-aware reduction pass (dominance.go), noLagrangian the
 	// Lagrangian budget bound (lagrange.go), noPolish the local-search
-	// polish of the greedy incumbent. The solver tests set them to compare
-	// the search with each device switched off.
-	noPreprocess, noLagrangian, noPolish bool
+	// polish of the greedy incumbent, noSoleServer the sole-server
+	// dominance rule (dfs). The solver tests set them to compare the
+	// search with each device switched off.
+	noPreprocess, noLagrangian, noPolish, noSoleServer bool
 }
 
 // IsZero reports whether every exported option is at its default (struct
@@ -85,8 +89,8 @@ func (o *SolveOptions) IsZero() bool {
 		len(o.WarmStart) == 0 && o.Progress == nil && o.ProgressEvery == 0
 }
 
-// defaultMaxNodes is the node cap applied when SolveOptions.MaxNodes is 0.
-const defaultMaxNodes = 5_000_000
+// DefaultMaxNodes is the node cap applied when SolveOptions.MaxNodes is 0.
+const DefaultMaxNodes = 5_000_000
 
 // Solve finds the optimal candidate subset by depth-first branch-and-bound
 // on the shared driver (internal/bnb); this file holds only the selection
@@ -183,10 +187,11 @@ func solve(p *Problem, lambda float64, opts SolveOptions) *Solution {
 	}
 
 	s := newSolver(rp, order, lambda)
+	s.noSoleServer = opts.noSoleServer
 	s.Search = bnb.New(bnb.Limits{
 		MaxNodes: opts.MaxNodes, TimeLimit: opts.TimeLimit, Interrupt: opts.Interrupt,
 		Progress: opts.Progress, ProgressEvery: opts.ProgressEvery,
-	}, defaultMaxNodes, incObj)
+	}, DefaultMaxNodes, incObj)
 	s.bestChosen = incChosen
 	if !opts.noLagrangian && lambda == 0 {
 		s.lag = newLagrangian(rp, s, incObj)
@@ -217,7 +222,8 @@ type solver struct {
 	nQ    int
 	// lambda is SolvePenalized's size penalty, 0 for Solve. The search
 	// minimizes obj + lambda·size; every term it adds vanishes at 0.
-	lambda float64
+	lambda       float64
+	noSoleServer bool
 
 	// perQCost[q][r] is what query q pays for leaning on candidate m =
 	// perQ[q][r]: its weighted runtime w_q·t plus, under a penalty, m's
@@ -248,6 +254,15 @@ type solver struct {
 	// timesBuf[d] backs the include branch's new times vector at depth d,
 	// so the hot path allocates each depth's buffer once per search.
 	timesBuf [][]float64
+	// owner[q] is the chosen candidate that alone serves q strictly best
+	// (-1: the base, or a tie), owns[k] the number of queries chosen
+	// candidate k owns, and undo the (query, previous owner) entries the
+	// includes on the current path overwrote (dfs's sole-server rule).
+	// touches[m] lists the queries m serves no slower than the base.
+	owner   []int32
+	owns    []int32
+	undo    []ownerUndo
+	touches [][]int32
 
 	// bestChosen is the candidate set behind Search.Best.
 	bestChosen []int
@@ -303,8 +318,24 @@ func newSolver(p *Problem, order []int, lambda float64) *solver {
 	s.lagPickBuf = make([][]int32, n+1)
 	s.lagContribBuf = make([][]float64, n+1)
 	s.timesBuf = make([][]float64, n+1)
+	s.owner = make([]int32, nQ)
+	for q := range s.owner {
+		s.owner[q] = -1
+	}
+	s.owns = make([]int32, n)
+	s.touches = make([][]int32, n)
+	for m := range p.Cands {
+		for q, t := range p.Cands[m].Times {
+			if t <= p.Base[q] {
+				s.touches[m] = append(s.touches[m], int32(q))
+			}
+		}
+	}
 	return s
 }
+
+// ownerUndo records a query's owner before an include overwrote it.
+type ownerUndo struct{ q, owner int32 }
 
 // lagProbeNodes is the node ordinal at which a solver reviews whether the
 // Lagrangian bound is earning its per-node cost.
@@ -341,12 +372,25 @@ func (s *solver) objectiveOf(bestTimes []float64) float64 {
 }
 
 // dfs explores decisions for order[pos:]. bestTimes reflects included
-// candidates with cur their weighted objective plus lambda·usedSize;
-// usedSize their total size; chosen their indexes. cur is recomputed only
-// when the chosen set changes (the exclude branch reuses the parent's
-// value, which is identical). excluded names the candidate the parent just
-// excluded (-1 after an include or at the root), enabling the
-// incremental bound.
+// candidates with cur their weighted objective plus lambda·usedSize, and
+// s.owner their sole servers; usedSize is their total size and chosen
+// their indexes. cur is recomputed only when the chosen set changes (the
+// exclude branch reuses the parent's value, which is identical). excluded
+// names the candidate the parent just excluded (-1 after an include or at
+// the root), enabling the incremental bound.
+//
+// Sole-server dominance: an include of m that leaves some chosen k owning
+// no query is skipped. Every query is then served at least as fast by the
+// base or another member, and adding candidates only takes ownership
+// away, so each completion S of that branch has obj(S \ {k}) = obj(S)
+// bit for bit (same times, summed in the same order), with less space
+// (less penalty at λ > 0) and no more fact groups used. Those sets lie in
+// k's exclude branch. The search still reaches an optimum: take one of
+// fewest members. Each of its members owns a query in it — else dropping
+// the member would leave a smaller optimum — and so also in every prefix
+// of it, so no include on its path is skipped, and each one improves the
+// query its candidate owns. The rule never looks at the incumbent, so it
+// composes with bound pruning, the dominance filters and warm starts.
 func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, excluded int, chosen []int, factUsed map[int]bool) {
 	if !s.Enter() {
 		return
@@ -385,14 +429,18 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 			newObj += s.weights[q] * t
 		}
 		if improved {
-			newObj += s.lambda * float64(usedSize+cand.Size)
-			if cand.FactGroup > 0 {
-				factUsed[cand.FactGroup] = true
+			mark := len(s.undo)
+			if s.claim(m, bestTimes) || s.noSoleServer {
+				newObj += s.lambda * float64(usedSize+cand.Size)
+				if cand.FactGroup > 0 {
+					factUsed[cand.FactGroup] = true
+				}
+				s.dfs(pos+1, usedSize+cand.Size, newTimes, newObj, -1, append(chosen, m), factUsed)
+				if cand.FactGroup > 0 {
+					delete(factUsed, cand.FactGroup)
+				}
 			}
-			s.dfs(pos+1, usedSize+cand.Size, newTimes, newObj, -1, append(chosen, m), factUsed)
-			if cand.FactGroup > 0 {
-				delete(factUsed, cand.FactGroup)
-			}
+			s.unclaim(m, mark)
 		}
 		s.decided[m] = 0
 	}
@@ -400,6 +448,49 @@ func (s *solver) dfs(pos int, usedSize int64, bestTimes []float64, cur float64, 
 	s.decided[m] = 2
 	s.dfs(pos+1, usedSize, bestTimes, cur, m, chosen, factUsed)
 	s.decided[m] = 0
+}
+
+// claim records the include of m in the sole-server state, given the
+// times before it: m owns the queries it serves strictly faster, and the
+// owner of every query it improves or ties loses it, onto the undo log. It
+// reports whether every chosen candidate still owns a query. Only the
+// queries m serves no slower than the base can change (s.touches[m]).
+func (s *solver) claim(m int, bestTimes []float64) bool {
+	times := s.p.Cands[m].Times
+	m32, owned, idled := int32(m), int32(0), false
+	for _, q := range s.touches[m] {
+		tc, t := times[q], bestTimes[q]
+		if tc > t {
+			continue
+		}
+		o, claim := s.owner[q], int32(-1)
+		if tc < t {
+			claim = m32
+			owned++
+		}
+		if o != claim {
+			if o >= 0 {
+				s.owns[o]--
+				idled = idled || s.owns[o] == 0
+			}
+			s.undo = append(s.undo, ownerUndo{q, o})
+			s.owner[q] = claim
+		}
+	}
+	s.owns[m] = owned
+	return !idled
+}
+
+// unclaim undoes claim(m): it restores the owners logged past mark.
+func (s *solver) unclaim(m, mark int) {
+	for _, u := range s.undo[mark:] {
+		s.owner[u.q] = u.owner
+		if u.owner >= 0 {
+			s.owns[u.owner]++
+		}
+	}
+	s.undo = s.undo[:mark]
+	s.owns[m] = 0
 }
 
 // bound computes the node's admissible bound: the greedy relaxation, or

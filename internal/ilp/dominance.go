@@ -44,13 +44,14 @@ func PruneDominated(cands []Candidate) (kept []Candidate, origIdx []int) {
 // mutual twins exactly the first survives, and a witness that is itself
 // removed is superseded by a survivor that also supersedes b.
 func supersedes(cands []Candidate, a, b int) bool {
-	return dominates(&cands[a], &cands[b]) || (a < b && Twins(&cands[a], &cands[b]))
+	return Dominates(&cands[a], &cands[b]) || (a < b && Twins(&cands[a], &cands[b]))
 }
 
-// dominates reports whether a dominates b: a is no larger, serves every
+// Dominates reports whether a dominates b: a is no larger, serves every
 // query b serves, at least as fast, and is strictly better on size or some
 // query. Twins dominate neither way; supersedes breaks their tie by index.
-func dominates(a, b *Candidate) bool {
+// (Fact groups are the caller's to compare.)
+func Dominates(a, b *Candidate) bool {
 	if a.Size > b.Size {
 		return false
 	}
@@ -365,7 +366,7 @@ func (r *reduction) lift(p *Problem, s *solver) *Solution {
 		Objective:        s.Best,
 		Size:             p.SizeOf(chosen),
 		Proven:           s.Proven,
-		Nodes:            s.Nodes,
+		Nodes:            s.Explored(),
 		Pruned:           s.Pruned,
 		IncumbentUpdates: s.Incumbents,
 	}

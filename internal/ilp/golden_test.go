@@ -13,19 +13,28 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_solve.txt from the current implementation")
 
+// goldenProblems draws the golden instances: seeded hardRandomProblem
+// draws — fact groups in all of them — at tight budgets (even instances)
+// and slack ones (odd).
+func goldenProblems() []*Problem {
+	rng := rand.New(rand.NewSource(20260930))
+	ps := make([]*Problem, 8)
+	for inst := range ps {
+		ps[inst] = hardRandomProblem(rng, 26+rng.Intn(12), 10+rng.Intn(5))
+		if inst%2 == 1 {
+			ps[inst].Budget *= 3
+		}
+	}
+	return ps
+}
+
 // goldenSolveRows renders one line per (instance, warm, cap)
 // solve: every Solution field the search decides plus the sample count and
 // an FNV-64a digest of the full progress-sample sequence (floats by bit
-// pattern). Instances are seeded hardRandomProblem draws — fact groups in
-// all of them — at tight budgets (even instances) and slack ones (odd).
+// pattern) over goldenProblems.
 func goldenSolveRows() string {
 	var b strings.Builder
-	rng := rand.New(rand.NewSource(20260930))
-	for inst := 0; inst < 8; inst++ {
-		p := hardRandomProblem(rng, 26+rng.Intn(12), 10+rng.Intn(5))
-		if inst%2 == 1 {
-			p.Budget *= 3
-		}
+	for inst, p := range goldenProblems() {
 		// The warm set is the greedy design with its first member replaced
 		// by candidate 0: feasible or not, it is clipped the same way.
 		warm := append([]int{0}, Greedy(p, 1, 0).Chosen...)

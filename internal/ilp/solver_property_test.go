@@ -9,9 +9,9 @@ import (
 )
 
 // plainOptions is the seed-equivalent configuration: no preprocessing, no
-// Lagrangian bound, no incumbent polish, sequential search.
+// Lagrangian bound, no incumbent polish, no sole-server rule.
 func plainOptions() SolveOptions {
-	return SolveOptions{noPreprocess: true, noLagrangian: true, noPolish: true}
+	return SolveOptions{noPreprocess: true, noLagrangian: true, noPolish: true, noSoleServer: true}
 }
 
 // hardRandomProblem draws a selection instance whose budget actually

@@ -151,8 +151,9 @@ func newSSB(s Scale, augmented, chrono bool) *Env {
 
 // NewEnv assembles an environment over a generated fact table: the
 // statistics synopsis (Scale.Sample rows drawn with statsSeed) and the
-// designer inputs, with every exact solve capped by SolverMaxNodes. The
-// APB-1 constructor (internal/scenario/apbenv) builds through it too.
+// designer inputs, with every design's selection capped by
+// SolverMaxNodes. The APB-1 constructor (internal/scenario/apbenv) builds
+// through it too.
 func NewEnv(s Scale, rel *storage.Relation, statsSeed int64, w query.Workload, pk []int) *Env {
 	st := stats.New(rel, s.Sample, statsSeed)
 	return &Env{
@@ -166,7 +167,8 @@ func NewEnv(s Scale, rel *storage.Relation, statsSeed int64, w query.Workload, p
 }
 
 // maxNodesEnv names the one environment knob: the branch-and-bound node
-// cap for every exact solve an environment's designers run.
+// cap for each design an environment's designers select, every feedback
+// round together.
 const maxNodesEnv = "CORADD_SOLVER_MAXNODES"
 
 // parseMaxNodes validates a CORADD_SOLVER_MAXNODES value: a base-10
@@ -182,7 +184,8 @@ func parseMaxNodes(v string) (int, error) {
 }
 
 // SolverMaxNodes reads CORADD_SOLVER_MAXNODES: unset is 0 (the solver's
-// default cap). It is how a caller that cannot pass options — the daemon
+// default cap). The cap is per design: feedback.RunBlocks shares it
+// across the design's rounds. It is how a caller that cannot pass options — the daemon
 // under a benchmark harness, a long -full experiment run to proven
 // optimality — changes the cap. The commands call it at startup so that
 // an invalid value stops them with its error before any work.
