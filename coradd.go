@@ -200,8 +200,8 @@ func NewSchema(cols ...Column) *Schema { return schema.New(cols...) }
 
 // fillCandidateDefaults substitutes the paper's tuning for every unset
 // candidate-generation knob individually, so a caller who sets only a
-// feature switch (CorrIdx, GroupWorkers) or a single knob (Seed) keeps
-// it alongside the defaults.
+// feature switch (CorrIdx) or a single knob (Seed) keeps it alongside the
+// defaults.
 func fillCandidateDefaults(c candgen.Config) candgen.Config {
 	def := candgen.DefaultConfig()
 	if c.T == 0 {

@@ -13,7 +13,6 @@ import (
 
 	"coradd/internal/costmodel"
 	"coradd/internal/kmeans"
-	"coradd/internal/par"
 	"coradd/internal/query"
 	"coradd/internal/stats"
 	"coradd/internal/storage"
@@ -45,15 +44,6 @@ type Config struct {
 	// predicates into host-column ranges through learned correlations. Off
 	// by default so the paper's candidate pool is unchanged.
 	CorrIdx bool
-	// GroupWorkers switches the k-means sweep to pre-drawn per-(α,k) RNG
-	// seeds and fans the cells across that many workers (negative = one
-	// per CPU). Groupings are identical for every non-zero setting — the
-	// seeds are drawn from Seed in cell order before the fan-out — so a
-	// parallel sweep reproduces its sequential (GroupWorkers=1) run
-	// exactly. The zero default keeps the original shared-stream
-	// sequential sweep, whose groupings the recorded experiment tables
-	// were produced with.
-	GroupWorkers int
 }
 
 // DefaultConfig returns the paper's settings.
@@ -140,61 +130,10 @@ func (g *Generator) Generate() []*costmodel.MVDesign {
 
 // QueryGroups runs k-means over the extended selectivity vectors for every
 // α and every k from 1 to |Q|, returning the union of distinct groups
-// (each a sorted slice of query indexes).
-//
-// With Cfg.GroupWorkers zero the sweep is the original sequential loop:
-// every cell consumes the single seeded stream, which is the ordering the
-// recorded experiment tables were produced with. A non-zero GroupWorkers
-// switches to pre-drawn per-(α,k) seeds: every cell gets its own RNG
-// seeded from Cfg.Seed in cell order, cells fan out across the worker
-// pool, and results merge in cell order — so groupings are identical for
-// every worker count (TestQueryGroupsParallelDeterminism).
+// (each a sorted slice of query indexes). The sweep is sequential: every
+// (α, k) cell draws from one RNG stream seeded with Cfg.Seed, in iteration
+// order, so the groupings are a function of the seed alone.
 func (g *Generator) QueryGroups() [][]int {
-	if g.Cfg.GroupWorkers == 0 {
-		return g.queryGroupsSharedStream()
-	}
-	type cell struct {
-		alpha float64
-		k     int
-		seed  int64
-	}
-	rng := rand.New(rand.NewSource(g.Cfg.Seed))
-	var cells []cell
-	for _, alpha := range g.Cfg.Alphas {
-		for k := 1; k <= len(g.W); k++ {
-			cells = append(cells, cell{alpha: alpha, k: k, seed: rng.Int63()})
-		}
-	}
-	// One extended-vector set per α, shared read-only by that α's cells.
-	vecsByAlpha := make(map[float64][][]float64, len(g.Cfg.Alphas))
-	for _, alpha := range g.Cfg.Alphas {
-		if _, ok := vecsByAlpha[alpha]; !ok {
-			vecsByAlpha[alpha] = g.extendedVectors(alpha)
-		}
-	}
-	workers := g.Cfg.GroupWorkers
-	if workers < 0 {
-		workers = 0 // par.ForEach: one per CPU
-	}
-	cellGroups := make([][][]int, len(cells))
-	par.ForEach(len(cells), workers, func(i int) {
-		c := cells[i]
-		res := kmeans.Run(vecsByAlpha[c.alpha], c.k, rand.New(rand.NewSource(c.seed)), g.Cfg.Restarts)
-		cellGroups[i] = res.Groups()
-	})
-	seen := make(map[string]bool)
-	var out [][]int
-	for _, groups := range cellGroups {
-		for _, grp := range groups {
-			out = addGroup(seen, out, grp)
-		}
-	}
-	return out
-}
-
-// queryGroupsSharedStream is the original sequential sweep: one RNG stream
-// shared by every (α, k) cell in iteration order.
-func (g *Generator) queryGroupsSharedStream() [][]int {
 	rng := rand.New(rand.NewSource(g.Cfg.Seed))
 	seen := make(map[string]bool)
 	var out [][]int
@@ -203,25 +142,16 @@ func (g *Generator) queryGroupsSharedStream() [][]int {
 		for k := 1; k <= len(g.W); k++ {
 			res := kmeans.Run(vecs, k, rng, g.Cfg.Restarts)
 			for _, grp := range res.Groups() {
-				out = addGroup(seen, out, grp)
+				grp = append([]int(nil), grp...)
+				sort.Ints(grp)
+				if key := fmt.Sprint(grp); !seen[key] {
+					seen[key] = true
+					out = append(out, grp)
+				}
 			}
 		}
 	}
 	return out
-}
-
-// addGroup appends a copy of grp (canonicalized by sorting) to out unless
-// an equal group was already collected; both sweep variants share it so
-// the canonical-group key has one definition.
-func addGroup(seen map[string]bool, out [][]int, grp []int) [][]int {
-	grp = append([]int(nil), grp...)
-	sort.Ints(grp)
-	key := fmt.Sprint(grp)
-	if seen[key] {
-		return out
-	}
-	seen[key] = true
-	return append(out, grp)
 }
 
 // extendedVectors appends the α-weighted target-attribute elements

@@ -223,7 +223,7 @@ func (g *Generator) pruneKeys(group []int, cols []int, keys [][]int, t int) [][]
 	// weighted sum per key stays in group order, so the scores — and the
 	// stable sort over them — are identical to a sequential loop's.
 	sc := make([]scored, len(cleaned))
-	par.ForEach(len(cleaned), 0, func(i int) {
+	par.ForEach(len(cleaned), func(i int) {
 		k := cleaned[i]
 		d := &costmodel.MVDesign{Cols: cols, ClusterKey: k}
 		total := 0.0

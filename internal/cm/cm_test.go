@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -618,9 +619,11 @@ func referenceDesign(rel *storage.Relation, q *query.Query, cfg DesignerConfig) 
 // TestDesignMatchesPerKeySetSweep runs Design, which scans rows only for
 // the key sets no larger candidate contains and projects the others, and
 // the per-key-set reference over every SSB and augmented SSB query, on
-// date- and region-clustered projections of the fact table, sequentially
-// and on two workers: the chosen CMs must be identical.
+// date- and region-clustered projections of the fact table, at
+// GOMAXPROCS 1 (sequential) and 2 (fanned out): the chosen CMs must be
+// identical.
 func TestDesignMatchesPerKeySetSweep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	fact := ssb.Generate(ssb.Config{Rows: 60_000, Customers: 1000, Suppliers: 200, Parts: 800, Seed: 11})
 	all := make([]int, len(fact.Schema.Columns))
 	for i := range all {
@@ -639,19 +642,19 @@ func TestDesignMatchesPerKeySetSweep(t *testing.T) {
 			if want != nil && len(want.KeyCols) == 1 && len(candidateKeyCols(rel, q, cfg.MaxKeyCols)) > 1 {
 				projected++
 			}
-			for _, workers := range []int{1, 2} {
-				cfg.Workers = workers
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
 				got := Design(rel, q, cfg)
 				if (got == nil) != (want == nil) {
-					t.Fatalf("%v, %s, %d workers: Design returned %v, the sweep %v", key, q.Name, workers, got, want)
+					t.Fatalf("%v, %s, GOMAXPROCS=%d: Design returned %v, the sweep %v", key, q.Name, procs, got, want)
 				}
 				if got == nil {
 					continue
 				}
 				if !reflect.DeepEqual(got.KeyCols, want.KeyCols) || !reflect.DeepEqual(got.KeyWidths, want.KeyWidths) ||
 					!reflect.DeepEqual(got.keys, want.keys) || !reflect.DeepEqual(got.buckets, want.buckets) || got.Bytes() != want.Bytes() {
-					t.Fatalf("%v, %s, %d workers: Design chose key %v widths %v (%d pairs), the sweep key %v widths %v (%d pairs)",
-						key, q.Name, workers, got.KeyCols, got.KeyWidths, got.NumPairs(), want.KeyCols, want.KeyWidths, want.NumPairs())
+					t.Fatalf("%v, %s, GOMAXPROCS=%d: Design chose key %v widths %v (%d pairs), the sweep key %v widths %v (%d pairs)",
+						key, q.Name, procs, got.KeyCols, got.KeyWidths, got.NumPairs(), want.KeyCols, want.KeyWidths, want.NumPairs())
 				}
 			}
 		}

@@ -30,13 +30,6 @@ type DesignerConfig struct {
 	ClusterPagesPerBucket int
 	// Disk converts I/O into seconds when ranking candidates.
 	Disk storage.DiskParams
-	// Workers fans the sweep's row scans, then its projections, each with
-	// its width grid, across the worker pool; ≤ 1 keeps it sequential —
-	// the right default, since the evaluator usually invokes the designer
-	// from inside its own pool. Results are identical either way:
-	// per-key-set bests are reduced in enumeration order after the
-	// fan-out.
-	Workers int
 }
 
 // DefaultDesignerConfig returns the configuration the paper describes.
@@ -103,19 +96,15 @@ func Design(rel *storage.Relation, q *query.Query, cfg DesignerConfig) *CM {
 			}
 		}
 	}
-	workers := cfg.Workers
-	if workers <= 1 {
-		workers = 1
-	}
 	scanned, projected := scanSets(cands)
 	bases := make([]*CM, len(cands))
-	par.ForEach(len(scanned), workers, func(u int) {
+	par.ForEach(len(scanned), func(u int) {
 		var pk pairKernel
 		i := scanned[u]
 		bases[i] = pk.build(rel, cands[i], ones(len(cands[i])), cfg.ClusterPagesPerBucket)
 		sweep(&pk, i, bases[i])
 	})
-	par.ForEach(len(projected), workers, func(u int) {
+	par.ForEach(len(projected), func(u int) {
 		i := projected[u]
 		var from *CM
 		for _, j := range scanned {

@@ -162,7 +162,7 @@ func (d *Commercial) Design(budget int64) (*Design, error) {
 	// Candidate pricing fans out across the worker pool: each candidate's
 	// estimates are independent and the oblivious model is race-safe, so
 	// the slot-per-candidate results match a sequential loop's exactly.
-	par.ForEach(len(d.cands), 0, func(i int) {
+	par.ForEach(len(d.cands), func(i int) {
 		cc := d.cands[i]
 		times := make([]float64, len(d.W))
 		for qi, q := range d.W {

@@ -46,18 +46,12 @@ type Evaluator struct {
 	Fact *storage.Relation
 	W    query.Workload
 	Disk storage.DiskParams
-	// CMConfig tunes the CM Designer for CORADD-style designs. Change it
-	// only on a fresh evaluator (or after Cache.Flush()): cached CM designs
-	// are keyed by structure, not config.
-	CMConfig cm.DesignerConfig
 	// Commercial supplies secondary-index choices for commercial designs.
 	Commercial *Commercial
 	// Cache reuses physical objects (projections, sorts, B+Trees, CMs, plan
 	// choices) across the designs of a budget sweep. Always non-nil after
 	// NewEvaluator; evaluators sharing one fact relation may share a cache.
 	Cache *ObjectCache
-	// Workers bounds the evaluation worker pool (0 = one per CPU).
-	Workers int
 
 	initOnce sync.Once
 	base     *exec.Object // shared base-table object, built once
@@ -67,9 +61,8 @@ type Evaluator struct {
 func NewEvaluator(fact *storage.Relation, w query.Workload, disk storage.DiskParams) *Evaluator {
 	return &Evaluator{
 		Fact: fact, W: w, Disk: disk,
-		CMConfig: cm.DefaultDesignerConfig(),
-		Cache:    NewObjectCache(),
-		base:     exec.NewObject(fact),
+		Cache: NewObjectCache(),
+		base:  exec.NewObject(fact),
 	}
 }
 
@@ -77,7 +70,7 @@ func NewEvaluator(fact *storage.Relation, w query.Workload, disk storage.DiskPar
 // evaluator's cache: designs sharing an MV's structure (columns, clustered
 // key, secondary structures) share one physical object, so only the first
 // deployment pays for projection, sorting and index/CM construction. The
-// design's objects are built concurrently on the worker pool.
+// design's objects are built concurrently (par.ForEachErr).
 func (e *Evaluator) Materialize(d *Design) (*Materialized, error) {
 	// Support zero-value (non-NewEvaluator) construction race-free:
 	// concurrent Measure calls are an intended pattern.
@@ -92,7 +85,7 @@ func (e *Evaluator) Materialize(d *Design) (*Materialized, error) {
 	m := &Materialized{Base: e.base, Objects: make([]*exec.Object, len(d.Chosen))}
 	// Objects are independent builds: fan them across the pool, then
 	// account for them in Chosen order.
-	err := par.ForEachErr(len(d.Chosen), e.Workers, func(i int) error {
+	err := par.ForEachErr(len(d.Chosen), func(i int) error {
 		var err error
 		m.Objects[i], err = e.materializeObject(d, d.Chosen[i])
 		return err
@@ -127,7 +120,7 @@ func (e *Evaluator) Materialize(d *Design) (*Materialized, error) {
 		// Plan choice depends on the disk model (exec.Best ranks by
 		// simulated seconds), so evaluators sharing a cache with different
 		// DiskParams must not share plan entries.
-		fmt.Fprintf(&planSig, "|disk:%g,%g", e.Disk.SeekCost, e.Disk.PageReadCost)
+		e.sigDisk(&planSig)
 		if d.Style == StyleCommercial {
 			planSig.WriteString("|oblivious")
 		}
@@ -190,10 +183,18 @@ func (e *Evaluator) objectSig(d *Design, md *costmodel.MVDesign) string {
 			names = append(names, e.W[qi].Name)
 		}
 		sigStrings(&b, "cm:", names)
+		e.sigDisk(&b) // the CM Designer ranks by the disk model
 	case StyleCommercial:
 		sigInts(&b, "bt:", e.commercialIndexCols(md))
 	}
 	return b.String()
+}
+
+// sigDisk appends the disk model to a cache key whose artifact was chosen
+// by ranking simulated seconds: evaluators sharing a cache under different
+// DiskParams must not share it.
+func (e *Evaluator) sigDisk(b *strings.Builder) {
+	fmt.Fprintf(b, "|disk:%g,%g", e.Disk.SeekCost, e.Disk.PageReadCost)
 }
 
 // commercialIndexCols resolves the base-schema secondary-index columns a
@@ -275,16 +276,10 @@ func (e *Evaluator) materializeObject(d *Design, md *costmodel.MVDesign) (*exec.
 			// exhaustive search), then attached sequentially in workload
 			// order so dedup is deterministic.
 			served := servedQueries(d, md)
-			// The CM designs fan out across queries; when only one query is
-			// served that fan-out is degenerate, so hand the workers to the
-			// designer's row scans and projections instead (results are
-			// identical either way).
-			cmCfg := e.CMConfig
-			if len(served) == 1 && cmCfg.Workers == 0 {
-				if cmCfg.Workers = e.Workers; cmCfg.Workers == 0 {
-					cmCfg.Workers = par.DefaultWorkers() // 0 means one per CPU here
-				}
-			}
+			// The CM Designer ranks CMs by simulated seconds under the
+			// evaluator's disk model.
+			cmCfg := cm.DefaultDesignerConfig()
+			cmCfg.Disk = e.Disk
 			designs := make([]*cm.CM, len(served))
 			sigs := make([]string, len(served))
 			for i := range served {
@@ -292,10 +287,11 @@ func (e *Evaluator) materializeObject(d *Design, md *costmodel.MVDesign) (*exec.
 				sig.WriteString(rSig)
 				sig.WriteString("|cmq:")
 				sig.WriteString(e.W[served[i]].Name)
+				e.sigDisk(&sig)
 				sigs[i] = sig.String()
 				*deps = append(*deps, cmKey(sigs[i]))
 			}
-			par.ForEach(len(served), e.Workers, func(i int) {
+			par.ForEach(len(served), func(i int) {
 				q := e.W[served[i]]
 				designs[i] = e.Cache.cmDesign(sigs[i], func() *cm.CM {
 					return cm.Design(rel, q, cmCfg)
@@ -425,7 +421,7 @@ func (e *Evaluator) Run(m *Materialized) (*RunResult, error) {
 		PerQuery: make([]float64, len(e.W)),
 		Sums:     make([]int64, len(e.W)),
 	}
-	err := par.ForEachErr(len(e.W), e.Workers, func(qi int) error {
+	err := par.ForEachErr(len(e.W), func(qi int) error {
 		rp := m.Plan[qi]
 		r, err := exec.Execute(rp.Object, e.W[qi], rp.Spec)
 		if err != nil {

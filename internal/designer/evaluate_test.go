@@ -1,12 +1,15 @@
 package designer
 
 import (
+	"fmt"
 	"testing"
 
+	"coradd/internal/cm"
 	"coradd/internal/costmodel"
 	"coradd/internal/exec"
 	"coradd/internal/query"
 	"coradd/internal/ssb"
+	"coradd/internal/storage"
 )
 
 // manualDesign builds a Design directly so materialization behaviour can
@@ -108,6 +111,55 @@ func TestMaterializeCORADDAttachesCMs(t *testing.T) {
 	}
 	if len(m.Objects[0].BTrees) != 0 {
 		t.Error("CORADD-style object got dense B+Trees")
+	}
+}
+
+// TestCMDesignUsesEvaluatorDisk: the CM Designer ranks CMs by simulated
+// seconds, so an evaluator with its own disk model attaches the CMs that
+// model ranks best, not the default disk's, even when it shares a cache
+// with a default-disk evaluator that built the same object first. Reading
+// pages at 100× the default cost makes a CM worth keeping where the
+// default disk keeps none.
+func TestCMDesignUsesEvaluatorDisk(t *testing.T) {
+	ev, d, c := cacheFixture(t, 20000)
+	disk := storage.DiskParams{SeekCost: storage.DefaultSeekCost, PageReadCost: 100 * storage.DefaultPageReadCost}
+	render := func(cms []*cm.CM) string {
+		var s string
+		for _, m := range cms {
+			s += fmt.Sprintf("%v/%v=%d ", m.KeyCols, m.KeyWidths, m.NumPairs())
+		}
+		return s
+	}
+	def, err := ev.Materialize(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := NewEvaluator(ev.Fact, c.W, disk)
+	custom.Cache = ev.Cache
+	got, err := custom.Materialize(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The CMs cm.Design picks under the custom disk, deduplicated the way
+	// Materialize attaches them.
+	cfg := cm.DefaultDesignerConfig()
+	cfg.Disk = disk
+	var want []*cm.CM
+	for _, qi := range servedQueries(d, d.Chosen[0]) {
+		m := cm.Design(got.Objects[0].Rel, c.W[qi], cfg)
+		dup := m == nil
+		for _, w := range want {
+			dup = dup || w.Covers(m.KeyCols)
+		}
+		if !dup {
+			want = append(want, m)
+		}
+	}
+	if g, w := render(got.Objects[0].CMs), render(want); g != w {
+		t.Errorf("custom-disk evaluator attached CMs %q, its disk model picks %q", g, w)
+	}
+	if render(want) == render(def.Objects[0].CMs) {
+		t.Fatalf("the custom disk picks the default disk's CMs (%q): the test shows nothing", render(want))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,13 +54,13 @@ func goldenDesigns(t *testing.T) (*Evaluator, []*Design) {
 }
 
 // deployAll materializes and runs designs on a fresh cache at the given
-// worker count. The table renders floats by bit pattern and digests every
+// GOMAXPROCS, which sets how wide every fan-out of the build runs. The table renders floats by bit pattern and digests every
 // built relation's rows in heap order, so a stability slip in a recluster,
 // a moved CM pair or a different B+Tree size all show.
-func deployAll(t *testing.T, ev *Evaluator, designs []*Design, workers int) materializeOutcome {
+func deployAll(t *testing.T, ev *Evaluator, designs []*Design, procs int) materializeOutcome {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	ev.Cache = NewObjectCache()
-	ev.Workers = workers
 	var out materializeOutcome
 	var b strings.Builder
 	for di, d := range designs {
@@ -101,7 +102,7 @@ func deployAll(t *testing.T, ev *Evaluator, designs []*Design, workers int) mate
 // the table in testdata was captured with the row-at-a-time stable-sort
 // recluster, the globally sorted CM collector and sequential object builds,
 // and no change to how objects are built may move a bit of it. The same
-// designs deployed on four workers must decide the same, and touch the
+// designs deployed at GOMAXPROCS 4 must decide the same, and touch the
 // cache exactly as often: a wait for a build in flight is a hit, and every
 // artifact is built — missed — once.
 func TestMaterializeGolden(t *testing.T) {
@@ -130,7 +131,7 @@ func TestMaterializeGolden(t *testing.T) {
 
 	fanned := deployAll(t, ev, designs, 4)
 	if !reflect.DeepEqual(fanned, seq) {
-		t.Errorf("four workers decided differently: hits/misses %d/%d vs %d/%d sequential, tables equal: %t",
+		t.Errorf("GOMAXPROCS=4 decided differently: hits/misses %d/%d vs %d/%d sequential, tables equal: %t",
 			fanned.Hits, fanned.Misses, seq.Hits, seq.Misses, fanned.Table == seq.Table)
 	}
 }

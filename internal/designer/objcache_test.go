@@ -2,6 +2,7 @@ package designer
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -149,9 +150,9 @@ func TestMaterializationCacheFlushInvalidates(t *testing.T) {
 }
 
 // TestParallelEvaluationDeterministic measures a mix of designs twice —
-// once sequentially (Workers=1, cold cache) and once concurrently across
-// designs AND queries on a shared warm cache — and requires bit-identical
-// results. Run under -race this also proves cache and executor access is
+// once sequentially (GOMAXPROCS 1, cold cache) and once concurrently
+// across designs AND queries on a shared warm cache — and requires
+// bit-identical results. Run under -race this also proves cache and executor access is
 // race-free.
 func TestParallelEvaluationDeterministic(t *testing.T) {
 	rel, _, c := smallSSB(t, 30000)
@@ -166,21 +167,23 @@ func TestParallelEvaluationDeterministic(t *testing.T) {
 	}
 
 	seqEv := NewEvaluator(rel, c.W, c.Disk)
-	seqEv.Workers = 1
 	seq := make([]*RunResult, len(designs))
-	for i, d := range designs {
-		r, err := seqEv.Measure(d)
-		if err != nil {
-			t.Fatal(err)
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for i, d := range designs {
+			r, err := seqEv.Measure(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq[i] = r
 		}
-		seq[i] = r
-	}
+	}()
 
 	parEv := NewEvaluator(rel, c.W, c.Disk)
 	parResults := make([]*RunResult, len(designs))
 	errs := make([]error, len(designs))
 	for trial := 0; trial < 2; trial++ { // second trial exercises the warm cache
-		par.ForEach(len(designs), 0, func(i int) {
+		par.ForEach(len(designs), func(i int) {
 			parResults[i], errs[i] = parEv.Measure(designs[i])
 		})
 		for i, err := range errs {

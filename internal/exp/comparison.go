@@ -114,22 +114,14 @@ func runComparison(env *scenario.Env, withNaive bool) ([]ComparisonPoint, *Table
 			jobs = append(jobs, job{runs[i].dn, &results[i].rn})
 		}
 	}
-	// The outer fan-out already saturates the CPUs; run each Measure's
-	// internal pools single-threaded so worker counts don't multiply. The
-	// deferred restore also covers a panicking Measure.
-	err := func() error {
-		prevWorkers := ev.Workers
-		ev.Workers = 1
-		defer func() { ev.Workers = prevWorkers }()
-		return par.ForEachErr(len(jobs), 0, func(j int) error {
-			r, err := ev.Measure(jobs[j].d)
-			if err != nil {
-				return err
-			}
-			*jobs[j].res = r
-			return nil
-		})
-	}()
+	err := par.ForEachErr(len(jobs), func(j int) error {
+		r, err := ev.Measure(jobs[j].d)
+		if err != nil {
+			return err
+		}
+		*jobs[j].res = r
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -37,7 +37,7 @@ func ILPVersusGreedy(env *scenario.Env) ([]SelectionPoint, *Table) {
 	// (solvers never mutate the shared candidate slice) concurrently.
 	prob, _ := feedback.BuildProblem(d.Gen, d.Candidates(), d.BaseTimes(), 0)
 	pts := make([]SelectionPoint, len(budgets))
-	par.ForEach(len(budgets), 0, func(i int) {
+	par.ForEach(len(budgets), func(i int) {
 		p := *prob
 		p.Budget = budgets[i]
 		exact := ilp.Solve(&p, env.Common.Solve)

@@ -104,7 +104,7 @@ func buildProblem(g *candgen.Generator, designs []*costmodel.MVDesign, base []fl
 	for qi, q := range g.W {
 		weights[qi] = q.EffectiveWeight()
 	}
-	par.ForEach(len(designs), 0, func(i int) {
+	par.ForEach(len(designs), func(i int) {
 		d := designs[i]
 		times := make([]float64, len(g.W))
 		for qi, q := range g.W {

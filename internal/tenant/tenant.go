@@ -167,7 +167,7 @@ func (c *Coordinator) Redesign() (*Allocation, error) {
 	}
 	ds := make([]*designer.CORADD, len(live))
 	warms := make([][]*costmodel.MVDesign, len(live))
-	par.ForEach(len(live), 0, func(j int) {
+	par.ForEach(len(live), func(j int) {
 		t := c.ts[live[j]]
 		com := t.com
 		com.W, com.Solve = ws[live[j]], c.cfg.Solve
