@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkDistinct times one uncached composite distinct estimate — the
 // (d, f1, f2) profile of a 1 024-row synopsis plus the estimator — for a
@@ -18,6 +21,23 @@ func BenchmarkDistinct(b *testing.B) {
 				clear(st.distinctMem)
 				st.Distinct(c.cols...)
 			}
+		})
+	}
+}
+
+// BenchmarkStatsNew times one statistics scan of SSB lineorder (exact
+// cardinalities, histograms and a 4 096-row synopsis), per row:
+//
+//	go test -run '^$' -bench BenchmarkStatsNew ./internal/stats/
+func BenchmarkStatsNew(b *testing.B) {
+	for _, rows := range []int{60_000, 300_000} {
+		rel := ssbRelation(rows)
+		b.Run(fmt.Sprintf("%dk", rows/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				New(rel, DefaultSampleSize, 42)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 	}
 }

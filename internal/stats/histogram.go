@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 
 	"coradd/internal/query"
 	"coradd/internal/value"
@@ -17,42 +18,36 @@ const maxExactHistogram = 4096
 // the database", §4.1.1).
 type Histogram struct {
 	totalRows int
-	// exact per-value frequencies when the column is narrow enough.
-	exact map[value.V]int
-	// otherwise equi-width buckets over [min, max].
+	// When the column is narrow enough: its distinct values, ascending, and
+	// cum[i], the number of rows holding a value below vals[i] (cum has one
+	// more entry, the row count).
+	vals []value.V
+	cum  []int
+	// Otherwise (buckets != nil) equi-width buckets over [min, max].
 	min, max value.V
 	width    value.V
 	buckets  []int
 }
 
-// buildHistogram constructs the histogram from a value→count map.
-func buildHistogram(freq map[value.V]int, totalRows int) *Histogram {
+// buildHistogram constructs the histogram from a column's distinct values
+// in ascending order and their counts (value.Counts).
+func buildHistogram(vals []value.V, counts []int, totalRows int) *Histogram {
 	h := &Histogram{totalRows: totalRows}
-	if len(freq) <= maxExactHistogram {
-		h.exact = freq
+	if len(vals) <= maxExactHistogram {
+		h.vals, h.cum = vals, make([]int, len(vals)+1)
+		for i, c := range counts {
+			h.cum[i+1] = h.cum[i] + c
+		}
 		return h
 	}
-	first := true
-	for v := range freq {
-		if first {
-			h.min, h.max = v, v
-			first = false
-			continue
-		}
-		if v < h.min {
-			h.min = v
-		}
-		if v > h.max {
-			h.max = v
-		}
-	}
+	h.min, h.max = vals[0], vals[len(vals)-1]
 	// width is ceil((max-min+1)/nb), in uint64 offsets from min so a column
 	// spanning the whole int64 range does not overflow.
 	nb := 1024
 	h.buckets = make([]int, nb)
 	h.width = value.V((uint64(h.max)-uint64(h.min))/uint64(nb) + 1)
-	for v, n := range freq {
-		h.buckets[(uint64(v)-uint64(h.min))/uint64(h.width)] += n
+	for i, v := range vals {
+		h.buckets[(uint64(v)-uint64(h.min))/uint64(h.width)] += counts[i]
 	}
 	return h
 }
@@ -83,26 +78,13 @@ func (h *Histogram) rangeCount(lo, hi value.V) float64 {
 	if lo > hi {
 		return 0
 	}
-	if h.exact != nil {
-		if uint64(hi)-uint64(lo) < uint64(len(h.exact)) {
-			// Narrow interval: walk the values in it (v == hi ends the walk,
-			// so hi = MaxInt64 does not wrap).
-			n := 0
-			for v := lo; ; v++ {
-				n += h.exact[v]
-				if v == hi {
-					break
-				}
-			}
-			return float64(n)
+	if h.buckets == nil {
+		i, _ := slices.BinarySearch(h.vals, lo)
+		j, found := slices.BinarySearch(h.vals, hi)
+		if found {
+			j++
 		}
-		n := 0
-		for v, c := range h.exact {
-			if v >= lo && v <= hi {
-				n += c
-			}
-		}
-		return float64(n)
+		return float64(h.cum[j] - h.cum[i])
 	}
 	if hi < h.min || lo > h.max {
 		return 0

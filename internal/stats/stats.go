@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"coradd/internal/par"
 	"coradd/internal/query"
 	"coradd/internal/storage"
 	"coradd/internal/value"
@@ -53,33 +54,33 @@ func New(rel *storage.Relation, sampleSize int, seed int64) *Stats {
 	}
 	st := &Stats{Rel: rel, distinctMem: make(map[string]float64),
 		rankMem: make(map[string][]int32), sortedMem: make(map[string][]value.Row)}
-	// Exact single-attribute cardinalities + histograms, one column at a
-	// time.
+	// One fan-out: index 0 reservoir-samples the synopsis's row positions
+	// on its own RNG stream, and index c+1 counts column c for its exact
+	// cardinality and histogram.
 	n := rel.NumRows()
 	st.colDistinct = make([]float64, len(rel.Cols))
 	st.hists = make([]*Histogram, len(rel.Cols))
-	for c, col := range rel.Cols {
-		set := make(map[value.V]int)
-		for _, v := range col {
-			set[v]++
-		}
-		st.colDistinct[c] = float64(len(set))
-		st.hists[c] = buildHistogram(set, n)
-	}
-	// Reservoir-sample the synopsis's row positions, then gather those rows
-	// out of the columns, keeping both layouts.
-	rng := rand.New(rand.NewSource(seed))
 	sampleSize = min(sampleSize, n)
 	picks := make([]int, 0, sampleSize)
-	for i := range n {
-		if len(picks) < sampleSize {
-			picks = append(picks, i)
-			continue
+	par.ForEach(len(rel.Cols)+1, func(idx int) {
+		if c := idx - 1; c >= 0 {
+			vals, counts := value.Counts(rel.Cols[c])
+			st.colDistinct[c] = float64(len(vals))
+			st.hists[c] = buildHistogram(vals, counts, n)
+			return
 		}
-		if j := rng.Intn(i + 1); j < sampleSize {
-			picks[j] = i
+		rng := rand.New(rand.NewSource(seed))
+		for i := range n {
+			if len(picks) < sampleSize {
+				picks = append(picks, i)
+				continue
+			}
+			if j := rng.Intn(i + 1); j < sampleSize {
+				picks[j] = i
+			}
 		}
-	}
+	})
+	// Gather the picked rows out of the columns, keeping both layouts.
 	st.sampleCols = make([][]value.V, len(rel.Cols))
 	for c, col := range rel.Cols {
 		sc := make([]value.V, (len(picks)+63)/64*64)

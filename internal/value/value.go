@@ -194,6 +194,60 @@ func Sort(perm []int32, keys ...[]V) {
 
 var sortScratch sync.Pool // of *[]int32
 
+// Counts returns col's distinct values in ascending order and, at the same
+// index, how many times each occurs. A column whose value span is within
+// the dense bound (denseFactor·len(col) + denseFloor values) is counted
+// into one array indexed by v - min and read back in value order; a wider
+// one is sorted (Sort) and its runs counted. The scratch comes from the
+// pool Sort draws on.
+func Counts(col []V) (vals []V, counts []int) {
+	d, dense := denseSpans(nil, len(col), [][]V{col})
+	buf, _ := sortScratch.Get().(*[]int32)
+	if buf == nil {
+		buf = new([]int32)
+	}
+	defer sortScratch.Put(buf)
+	*buf = slices.Grow((*buf)[:0], max(len(col), d.space))
+	if dense {
+		count, lo := (*buf)[:d.space], d.lows[0]
+		clear(count)
+		distinct := 0
+		for _, v := range col {
+			off := uint64(v) - uint64(lo)
+			if count[off] == 0 {
+				distinct++
+			}
+			count[off]++
+		}
+		vals, counts = make([]V, 0, distinct), make([]int, 0, distinct)
+		for off, c := range count {
+			if c != 0 {
+				vals, counts = append(vals, lo+V(off)), append(counts, int(c))
+			}
+		}
+		return vals, counts
+	}
+	perm := (*buf)[:len(col)]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	Sort(perm, col)
+	distinct := 0
+	for i, p := range perm {
+		if i == 0 || col[p] != col[perm[i-1]] {
+			distinct++
+		}
+	}
+	vals, counts = make([]V, 0, distinct), make([]int, 0, distinct)
+	for i, p := range perm {
+		if i == 0 || col[p] != vals[len(vals)-1] {
+			vals, counts = append(vals, col[p]), append(counts, 0)
+		}
+		counts[len(counts)-1]++
+	}
+	return vals, counts
+}
+
 // countingPass stably sorts perm by code (code[t] belongs to perm[t]),
 // counting each code in count, through dst, which is len(perm) long.
 func countingPass(perm, dst, code, count []int32) {
