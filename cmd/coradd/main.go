@@ -96,7 +96,6 @@ func main() {
 
 	if *baselines {
 		commercial := designer.NewCommercial(common, candgen.DefaultConfig())
-		ev.Commercial = commercial
 		dm, err := commercial.Design(budget)
 		if err == nil {
 			if rm, err := ev.Measure(dm); err == nil {

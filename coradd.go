@@ -412,9 +412,7 @@ func (s *System) Baselines(cfg SystemConfig) (commercial, naive Designer) {
 		St: s.St, W: s.W, Disk: s.Disk,
 		PKCols: s.coradd.PKCols, BaseKey: s.coradd.BaseKey,
 	}
-	com := designer.NewCommercial(common, cfg.Candidates)
-	s.evaluator.Commercial = com
-	return com, designer.NewNaive(common, cfg.Candidates)
+	return designer.NewCommercial(common, cfg.Candidates), designer.NewNaive(common, cfg.Candidates)
 }
 
 // PlanMigration schedules the builds that turn the deployed design from

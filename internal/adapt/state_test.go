@@ -166,6 +166,15 @@ func FuzzRestore(f *testing.F) {
 		func(st *State) {
 			st.Design.Chosen = append(st.Design.Chosen, &costmodel.MVDesign{Name: "far", Cols: []int{0, 999}, ClusterKey: []int{999}})
 		},
+		// A commercial-style idle design: its first object records dense
+		// B+Trees on two carried columns besides the clustered lead.
+		func(st *State) {
+			st.Journal = nil
+			st.Design.Style = designer.StyleCommercial
+			md := *st.Design.Chosen[0]
+			md.BTreeCols = []int{md.Cols[1], md.Cols[2]}
+			st.Design.Chosen[0] = &md
+		},
 	} {
 		var st State
 		if err := cp.Decode(&st); err != nil {

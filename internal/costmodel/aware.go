@@ -5,6 +5,7 @@ import (
 
 	"coradd/internal/cm"
 	"coradd/internal/corridx"
+	"coradd/internal/exec"
 	"coradd/internal/query"
 	"coradd/internal/stats"
 	"coradd/internal/storage"
@@ -42,33 +43,33 @@ func NewAware(st *stats.Stats, disk storage.DiskParams) *Aware {
 func (m *Aware) Name() string { return "correlation-aware" }
 
 // Estimate implements Model.
-func (m *Aware) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
+func (m *Aware) Estimate(d *MVDesign, q *query.Query) (float64, exec.PlanKind) {
 	mb := m.St.MatchBits(q)
 	if !d.covers(mb) {
-		return inf(), PathInfeasible
+		return inf(), exec.SeqScan
 	}
 	pages := float64(d.NumPages(m.St))
 	height := float64(d.Height(m.St))
 	seek, read := m.Disk.SeekCost, m.Disk.PageReadCost
 
 	best := seek + pages*read // sequential scan
-	kind := PathSeqScan
+	kind := exec.SeqScan
 
 	if len(d.ClusterKey) > 0 {
 		if c, ok := m.clusteredCost(d, q, mb, pages, height); ok && c < best {
-			best, kind = c, PathClustered
+			best, kind = c, exec.ClusteredScan
 		}
 		// Correlation indexes coexist with the free CM pool (§5.4 sets CM
 		// space aside; corridx structure is what the budget pays for), so
 		// both paths are priced and the best one wins.
 		if len(d.CorrIdxs) > 0 {
 			if c, ok := m.corrIdxCost(d, q, pages, height); ok && c < best {
-				best, kind = c, PathCorrIdx
+				best, kind = c, exec.CorrIdxScan
 			}
 		}
 		if m.WithCM {
 			if c, ok := m.cmCost(d, q, mb, pages, height); ok && c < best {
-				best, kind = c, PathCM
+				best, kind = c, exec.CMScan
 			}
 		}
 	}
@@ -79,7 +80,8 @@ func (m *Aware) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 // combinatorial walk, coverage measured on the synopsis over the used
 // prefix predicates.
 func (m *Aware) clusteredCost(d *MVDesign, q *query.Query, mb *stats.Match, pages, height float64) (float64, bool) {
-	frags, used := prefixWalk(m.St, d, q)
+	var buf [8]*query.Predicate
+	frags, used := prefixWalk(m.St, d, q, buf[:0])
 	if len(used) == 0 {
 		return 0, false
 	}

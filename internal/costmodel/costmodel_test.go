@@ -111,10 +111,10 @@ func TestAwareDistinguishesCorrelatedClustering(t *testing.T) {
 	if direct > corr {
 		t.Errorf("clustering directly on b (%v) should be ≤ CM path (%v)", direct, corr)
 	}
-	if kindDirect != PathClustered {
+	if kindDirect != exec.ClusteredScan {
 		t.Errorf("direct clustering path = %v, want clustered", kindDirect)
 	}
-	if kindCorr != PathCM {
+	if kindCorr != exec.CMScan {
 		t.Errorf("correlated path = %v, want cm", kindCorr)
 	}
 }
@@ -140,7 +140,7 @@ func TestObliviousUnderestimatesUncorrelated(t *testing.T) {
 	q := &query.Query{Name: "q", Fact: "t",
 		Predicates: []query.Predicate{query.NewEq("c", 30)}, AggCol: "d"}
 	est, kind := obl.Estimate(allColsDesign(st, "pk"), q)
-	if kind != PathSecondary {
+	if kind != exec.SecondaryScan {
 		t.Fatalf("oblivious path = %v, want secondary", kind)
 	}
 	// Reality: execute the secondary plan on the materialized relation.
@@ -186,9 +186,28 @@ func TestEstimateInfeasible(t *testing.T) {
 	aware := NewAware(st, storage.DefaultDiskParams())
 	d := &MVDesign{Cols: st.Rel.Schema.ColSet("a"), ClusterKey: []int{0}}
 	q := &query.Query{Name: "q", Fact: "t", Predicates: []query.Predicate{query.NewEq("c", 1)}}
-	cost, kind := aware.Estimate(d, q)
-	if kind != PathInfeasible || cost < 1e29 {
-		t.Errorf("infeasible pair priced %v / %v", cost, kind)
+	if cost, _ := aware.Estimate(d, q); cost < 1e29 {
+		t.Errorf("infeasible pair priced %v", cost)
+	}
+}
+
+// TestValidateRecordedBTrees: a decoded object may record B+Trees only on
+// columns inside the schema that it carries.
+func TestValidateRecordedBTrees(t *testing.T) {
+	for _, tc := range []struct {
+		cols []int
+		ok   bool
+	}{
+		{nil, true},
+		{[]int{1, 3}, true},
+		{[]int{2}, false},  // inside the schema, not carried
+		{[]int{-1}, false}, // outside the schema
+		{[]int{9}, false},
+	} {
+		d := &MVDesign{Cols: []int{0, 1, 3}, ClusterKey: []int{0}, BTreeCols: tc.cols}
+		if err := d.Validate(5); (err == nil) != tc.ok {
+			t.Errorf("B+Trees on %v: Validate = %v, want ok=%v", tc.cols, err, tc.ok)
+		}
 	}
 }
 
@@ -198,7 +217,7 @@ func TestPrefixWalkFragments(t *testing.T) {
 		query.NewEq("a", 5), query.NewIn("c", 1, 2, 3),
 	}}
 	d := allColsDesign(st, "a", "c")
-	frags, used := prefixWalk(st, d, q)
+	frags, used := prefixWalk(st, d, q, nil)
 	if len(used) != 2 {
 		t.Fatalf("used %d predicates, want 2", len(used))
 	}
@@ -209,7 +228,7 @@ func TestPrefixWalkFragments(t *testing.T) {
 	q2 := &query.Query{Name: "q2", Fact: "t", Predicates: []query.Predicate{
 		query.NewRange("a", 0, 10), query.NewEq("c", 1),
 	}}
-	frags, used = prefixWalk(st, d, q2)
+	frags, used = prefixWalk(st, d, q2, nil)
 	if len(used) != 1 || frags != 1 {
 		t.Errorf("range walk: frags=%v used=%d, want 1/1", frags, len(used))
 	}

@@ -21,6 +21,7 @@ import (
 
 	"coradd/internal/btree"
 	"coradd/internal/corridx"
+	"coradd/internal/exec"
 	"coradd/internal/query"
 	"coradd/internal/stats"
 	"coradd/internal/storage"
@@ -80,6 +81,11 @@ type MVDesign struct {
 	// re-clusterings, to the fact heap in place (FactOverlay) and to
 	// projected MVs.
 	CorrIdxs []CorrIdxSpec
+	// BTreeCols are the base-column positions of the single-column dense
+	// B+Tree secondary indexes the object deploys, one tree each, ascending.
+	// Only the Commercial baseline records any; the key is omitted when
+	// empty, so CORADD objects encode as they always have.
+	BTreeCols []int `json:",omitempty"`
 }
 
 // HasCol reports whether base column c is carried by the design.
@@ -90,8 +96,9 @@ func (d *MVDesign) HasCol(c int) bool {
 
 // Validate requires d to be an object a designer could have recorded over
 // an nCols-column fact: at least one column, columns strictly ascending
-// inside the schema, a clustered key it carries, and every other position
-// inside the schema. Restarts hold decoded checkpoints to it.
+// inside the schema, a clustered key and B+Tree columns it carries, and
+// every other position inside the schema. Restarts hold decoded
+// checkpoints to it.
 func (d *MVDesign) Validate(nCols int) error {
 	if len(d.Cols) == 0 {
 		return fmt.Errorf("carries no columns")
@@ -117,6 +124,11 @@ func (d *MVDesign) Validate(nCols int) error {
 	for _, ci := range d.CorrIdxs {
 		if ci.Target < 0 || ci.Target >= nCols {
 			return fmt.Errorf("correlation index on column position %d outside the %d-column fact schema", ci.Target, nCols)
+		}
+	}
+	for _, p := range d.BTreeCols {
+		if !d.HasCol(p) {
+			return fmt.Errorf("B+Tree column %d is not carried", p)
 		}
 	}
 	return nil
@@ -153,8 +165,8 @@ func (d *MVDesign) NumPages(st *stats.Stats) int {
 }
 
 // Bytes is the total space charge of the design: heap pages, plus the PK
-// secondary index for fact re-clusterings. (CMs are budgeted separately,
-// §5.4.)
+// secondary index for fact re-clusterings, its correlation indexes and its
+// dense B+Trees. (CMs are budgeted separately, §5.4.)
 func (d *MVDesign) Bytes(st *stats.Stats) int64 {
 	n := int64(d.NumPages(st)) * storage.PageSize
 	if d.FactOverlay {
@@ -166,6 +178,9 @@ func (d *MVDesign) Bytes(st *stats.Stats) int64 {
 	for _, spec := range d.CorrIdxs {
 		outRows := int(spec.EstOutlierFrac * float64(st.NumRows()))
 		n += corridx.EstimateBytes(spec.EstEntries, outRows, st.Rel.Schema.Columns[spec.Target].ByteSize)
+	}
+	for _, c := range d.BTreeCols {
+		n += btree.EstimateBytes(st.NumRows(), st.Rel.Schema.Columns[c].ByteSize)
 	}
 	return n
 }
@@ -179,8 +194,9 @@ func (d *MVDesign) Height(st *stats.Stats) int {
 	return btree.EstimateHeight(d.NumPages(st), kb)
 }
 
-// Key returns a canonical identity string: columns + clustered key +
-// fact-recluster flag. Two candidates with equal keys are the same design.
+// Key returns a canonical identity string: columns, clustered key, flags
+// and recorded secondary structures. Two candidates with equal keys are the
+// same design.
 func (d *MVDesign) Key() string {
 	b := make([]byte, 0, 2*(len(d.Cols)+len(d.ClusterKey))+1)
 	for _, c := range d.Cols {
@@ -202,6 +218,9 @@ func (d *MVDesign) Key() string {
 		b = append(b, 0xfd, byte(spec.Target), byte(spec.Target>>8),
 			byte(spec.Width), byte(spec.Width>>8), byte(spec.Width>>16), byte(spec.Width>>24))
 	}
+	for _, c := range d.BTreeCols {
+		b = append(b, 0xfb, byte(c), byte(c>>8))
+	}
 	return string(b)
 }
 
@@ -215,76 +234,22 @@ type Model interface {
 	// Name identifies the model in experiment output.
 	Name() string
 	// Estimate returns the predicted runtime in seconds of the cheapest
-	// access path for q on d and which path that is. Returns +Inf when the
-	// design cannot answer q.
-	Estimate(d *MVDesign, q *query.Query) (float64, PathKind)
+	// access path for q on d and the executor's kind of that path. A
+	// design that cannot answer q costs inf().
+	Estimate(d *MVDesign, q *query.Query) (float64, exec.PlanKind)
 }
 
-// PathKind is the access path a model assumed.
-type PathKind int
-
-const (
-	// PathSeqScan is a full heap scan.
-	PathSeqScan PathKind = iota
-	// PathClustered narrows through predicates on the clustered prefix.
-	PathClustered
-	// PathCM reaches the heap through a correlation map on predicated
-	// unclustered attributes.
-	PathCM
-	// PathSecondary is a dense B+Tree secondary scan (oblivious model).
-	PathSecondary
-	// PathCorrIdx translates the predicate through a correlation index into
-	// host ranges on the clustered lead.
-	PathCorrIdx
-	// PathInfeasible means the design cannot answer the query.
-	PathInfeasible
-)
-
-// String names the path.
-func (k PathKind) String() string {
-	switch k {
-	case PathSeqScan:
-		return "seqscan"
-	case PathClustered:
-		return "clustered"
-	case PathCM:
-		return "cm"
-	case PathSecondary:
-		return "secondary"
-	case PathCorrIdx:
-		return "corridx"
-	case PathInfeasible:
-		return "infeasible"
-	default:
-		return fmt.Sprintf("path(%d)", int(k))
-	}
-}
-
-// prefixWalk computes (fragments, usedPreds) for the clustered-prefix
-// access path shared by both models: descend the clustered key while
-// predicates allow — equality continues, IN multiplies fragments by its
-// value count and continues, range stops after narrowing, a missing
-// predicate stops.
-func prefixWalk(st *stats.Stats, d *MVDesign, q *query.Query) (fragments float64, used []*query.Predicate) {
-	fragments = 1
-	for _, c := range d.ClusterKey {
-		p := q.Predicate(st.Rel.Schema.Columns[c].Name)
-		if p == nil {
-			break
-		}
+// prefixWalk prices the clustered-prefix access path shared by both
+// models along exec.ClusteredPrefix: one fragment per enclosing run, times
+// an IN's value count (capped by the column's distinct count), and the
+// predicates the walk uses, appended to used.
+func prefixWalk(st *stats.Stats, d *MVDesign, q *query.Query, used []*query.Predicate) (float64, []*query.Predicate) {
+	fragments := 1.0
+	exec.ClusteredPrefix(st.Rel.Schema, d.ClusterKey, q, func(c int, p *query.Predicate) {
 		used = append(used, p)
-		switch p.Op {
-		case query.Eq:
-			// one contiguous run per enclosing run
-		case query.In:
-			n := float64(len(p.Set))
-			if dc := st.Distinct(c); dc < n {
-				n = dc
-			}
-			fragments *= n
-		case query.Range:
-			return fragments, used
+		if p.Op == query.In {
+			fragments *= min(float64(len(p.Set)), st.Distinct(c))
 		}
-	}
+	})
 	return fragments, used
 }

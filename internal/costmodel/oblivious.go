@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"coradd/internal/btree"
+	"coradd/internal/exec"
 	"coradd/internal/query"
 	"coradd/internal/stats"
 	"coradd/internal/storage"
@@ -31,21 +32,22 @@ func NewOblivious(st *stats.Stats, disk storage.DiskParams) *Oblivious {
 func (m *Oblivious) Name() string { return "correlation-oblivious" }
 
 // Estimate implements Model.
-func (m *Oblivious) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
+func (m *Oblivious) Estimate(d *MVDesign, q *query.Query) (float64, exec.PlanKind) {
 	if !d.Covers(m.St, q) {
-		return inf(), PathInfeasible
+		return inf(), exec.SeqScan
 	}
 	pages := float64(d.NumPages(m.St))
 	height := float64(d.Height(m.St))
 	seek, read := m.Disk.SeekCost, m.Disk.PageReadCost
 
 	best := seek + pages*read // sequential scan
-	kind := PathSeqScan
+	kind := exec.SeqScan
 
 	// Clustered-prefix path: conventional models do understand clustered
 	// ranges; coverage comes from independent per-predicate selectivities.
 	if len(d.ClusterKey) > 0 {
-		frags, used := prefixWalk(m.St, d, q)
+		var buf [8]*query.Predicate
+		frags, used := prefixWalk(m.St, d, q, buf[:0])
 		if len(used) > 0 {
 			coverage := 1.0
 			for _, p := range used {
@@ -53,7 +55,7 @@ func (m *Oblivious) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 			}
 			c := frags*height*seek + coverage*pages*read
 			if c < best {
-				best, kind = c, PathClustered
+				best, kind = c, exec.ClusteredScan
 			}
 		}
 	}
@@ -63,7 +65,7 @@ func (m *Oblivious) Estimate(d *MVDesign, q *query.Query) (float64, PathKind) {
 	// then selectivity × heap pages read sequentially — flat across
 	// clusterings.
 	if c, ok := m.secondaryCost(d, q, pages, height); ok && c < best {
-		best, kind = c, PathSecondary
+		best, kind = c, exec.SecondaryScan
 	}
 	return best, kind
 }

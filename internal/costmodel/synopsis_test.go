@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"coradd/internal/cm"
+	"coradd/internal/exec"
 	"coradd/internal/query"
 	"coradd/internal/schema"
 	"coradd/internal/stats"
@@ -124,30 +125,30 @@ func refCMCost(st *stats.Stats, d *MVDesign, q *query.Query, pages, height float
 
 // refEstimate is Aware.estimate over the row scans. The corridx path reads
 // SortedSample, which the property test compares to refSorted directly.
-func refEstimate(m *Aware, d *MVDesign, q *query.Query) (float64, PathKind) {
+func refEstimate(m *Aware, d *MVDesign, q *query.Query) (float64, exec.PlanKind) {
 	for _, name := range q.AllColumns() {
 		if c := m.St.Rel.Schema.Col(name); c < 0 || !d.HasCol(c) {
-			return inf(), PathInfeasible
+			return inf(), exec.SeqScan
 		}
 	}
 	pages, height := float64(d.NumPages(m.St)), float64(d.Height(m.St))
 	seek, read := m.Disk.SeekCost, m.Disk.PageReadCost
-	best, kind := seek+pages*read, PathSeqScan
+	best, kind := seek+pages*read, exec.SeqScan
 	if len(d.ClusterKey) == 0 {
 		return best, kind
 	}
-	if frags, used := prefixWalk(m.St, d, q); len(used) > 0 {
+	if frags, used := prefixWalk(m.St, d, q, nil); len(used) > 0 {
 		if c := frags*height*seek + refSampleFraction(m.St, used)*pages*read; c < best {
-			best, kind = c, PathClustered
+			best, kind = c, exec.ClusteredScan
 		}
 	}
 	if len(d.CorrIdxs) > 0 {
 		if c, ok := m.corrIdxCost(d, q, pages, height); ok && c < best {
-			best, kind = c, PathCorrIdx
+			best, kind = c, exec.CorrIdxScan
 		}
 	}
 	if c, ok := refCMCost(m.St, d, q, pages, height, m.Disk); ok && c < best {
-		best, kind = c, PathCM
+		best, kind = c, exec.CMScan
 	}
 	return best, kind
 }

@@ -2,9 +2,9 @@ package designer
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
-	"coradd/internal/btree"
 	"coradd/internal/candgen"
 	"coradd/internal/costmodel"
 	"coradd/internal/ilp"
@@ -28,18 +28,8 @@ type Commercial struct {
 	// MaxObjects is Greedy's k; 0 means unlimited.
 	MaxObjects int
 
-	cands []commercialCand
+	cands []*costmodel.MVDesign
 	base  []float64
-}
-
-// commercialCand pairs a design with the secondary indexes the tool would
-// build on it, whose size is part of the candidate's space charge.
-type commercialCand struct {
-	design *costmodel.MVDesign
-	// idxCols are the columns getting dense B+Tree secondary indexes.
-	idxCols []int
-	// idxBytes is their total size.
-	idxBytes int64
 }
 
 // NewCommercial builds the baseline designer and its candidate pool.
@@ -63,8 +53,8 @@ func (d *Commercial) NumCandidates() int { return len(d.cands) }
 
 // generate enumerates the baseline's candidates: dedicated MVs, pairwise
 // concatenation merges, and single-attribute fact re-clusterings.
-func (d *Commercial) generate() []commercialCand {
-	var out []commercialCand
+func (d *Commercial) generate() []*costmodel.MVDesign {
+	var out []*costmodel.MVDesign
 	seen := map[string]bool{}
 	add := func(md *costmodel.MVDesign) {
 		if md == nil || len(md.ClusterKey) == 0 {
@@ -115,9 +105,10 @@ func (d *Commercial) generate() []commercialCand {
 	return out
 }
 
-// withIndexes attaches dense secondary indexes on every attribute
-// predicated by the candidate's queries that is not the clustered lead.
-func (d *Commercial) withIndexes(md *costmodel.MVDesign) commercialCand {
+// withIndexes records on md a dense secondary B+Tree on every attribute
+// predicated by the candidate's queries that is not the clustered lead;
+// MVDesign.Bytes charges them and the Evaluator builds them.
+func (d *Commercial) withIndexes(md *costmodel.MVDesign) *costmodel.MVDesign {
 	lead := -1
 	if len(md.ClusterKey) > 0 {
 		lead = md.ClusterKey[0]
@@ -135,17 +126,8 @@ func (d *Commercial) withIndexes(md *costmodel.MVDesign) commercialCand {
 			}
 		}
 	}
-	cand := commercialCand{design: md}
-	cols := make([]int, 0, len(colSet))
-	for c := range colSet {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	for _, c := range cols {
-		cand.idxCols = append(cand.idxCols, c)
-		cand.idxBytes += btree.EstimateBytes(d.St.NumRows(), d.St.Rel.Schema.Columns[c].ByteSize)
-	}
-	return cand
+	md.BTreeCols = slices.Sorted(maps.Keys(colSet))
+	return md
 }
 
 // Design implements Designer: price, prune, Greedy(m,k).
@@ -154,7 +136,6 @@ func (d *Commercial) Design(budget int64) (*Design, error) {
 		return nil, fmt.Errorf("designer: empty workload")
 	}
 	cands := make([]ilp.Candidate, len(d.cands))
-	designs := make([]*costmodel.MVDesign, len(d.cands))
 	weights := make([]float64, len(d.W))
 	for qi, q := range d.W {
 		weights[qi] = q.EffectiveWeight()
@@ -163,26 +144,25 @@ func (d *Commercial) Design(budget int64) (*Design, error) {
 	// estimates are independent and the oblivious model is race-safe, so
 	// the slot-per-candidate results match a sequential loop's exactly.
 	par.ForEach(len(d.cands), func(i int) {
-		cc := d.cands[i]
+		md := d.cands[i]
 		times := make([]float64, len(d.W))
 		for qi, q := range d.W {
-			t, _ := d.Model.Estimate(cc.design, q)
+			t, _ := d.Model.Estimate(md, q)
 			times[qi] = t
 		}
 		fg := 0
-		if cc.design.FactRecluster {
+		if md.FactRecluster {
 			fg = 1 // the one fact table's exclusion group
 		}
 		cands[i] = ilp.Candidate{
-			Name: cc.design.Name, Size: cc.design.Bytes(d.St) + cc.idxBytes,
-			Times: times, FactGroup: fg, Ref: cc.design,
+			Name: md.Name, Size: md.Bytes(d.St),
+			Times: times, FactGroup: fg, Ref: md,
 		}
-		designs[i] = cc.design
 	})
 	kept, origIdx := ilp.PruneDominated(cands)
 	keptDesigns := make([]*costmodel.MVDesign, len(kept))
 	for i, oi := range origIdx {
-		keptDesigns[i] = designs[oi]
+		keptDesigns[i] = d.cands[oi]
 	}
 	prob := &ilp.Problem{Cands: kept, Base: d.base, Weights: weights, Budget: budget}
 	k := d.MaxObjects
@@ -191,18 +171,6 @@ func (d *Commercial) Design(budget int64) (*Design, error) {
 	}
 	sol := ilp.Greedy(prob, d.SeedM, k)
 	return routedDesign(d.Name(), StyleCommercial, &d.Common, d.Model, budget, keptDesigns, sol), nil
-}
-
-// SecondaryIndexCols returns the secondary-index columns the tool would
-// build on the given chosen design (used at materialization time).
-func (d *Commercial) SecondaryIndexCols(md *costmodel.MVDesign) []int {
-	for _, cc := range d.cands {
-		if cc.design == md {
-			return cc.idxCols
-		}
-	}
-	// Routing may hand us the base design: index predicated attributes.
-	return d.withIndexes(md).idxCols
 }
 
 func intersect(key []int, cols []int) []int {

@@ -12,6 +12,7 @@ import (
 
 	"coradd/internal/candgen"
 	"coradd/internal/costmodel"
+	"coradd/internal/exec"
 	"coradd/internal/feedback"
 	"coradd/internal/ilp"
 	"coradd/internal/query"
@@ -27,8 +28,9 @@ const (
 	// StyleCORADD deploys correlation maps on each object and routes
 	// queries through rewriting — effectively the best available path.
 	StyleCORADD Style = iota
-	// StyleCommercial deploys dense B+Tree secondary indexes and picks the
-	// plan its (oblivious) model believes fastest.
+	// StyleCommercial deploys no correlation maps, only the dense B+Tree
+	// secondary indexes its objects record, and picks the plan its
+	// (oblivious) model believes fastest.
 	StyleCommercial
 )
 
@@ -52,8 +54,8 @@ type Design struct {
 	Routing []int `json:"-"`
 	// Expected[q] is the producing model's runtime estimate in seconds.
 	Expected []float64 `json:"-"`
-	// Paths[q] is the access path the model assumed.
-	Paths []costmodel.PathKind `json:"-"`
+	// Paths[q] is the executor's kind of the access path the model assumed.
+	Paths []exec.PlanKind `json:"-"`
 	// SolverNodes is the number of branch-and-bound nodes the selection
 	// explored (summed over feedback iterations, within one node cap; 0
 	// for pure-greedy designers), and SolverProven whether the final solve
@@ -140,7 +142,7 @@ func routedDesign(name string, style Style, c *Common, model costmodel.Model,
 func routeDesign(d *Design, model costmodel.Model, w query.Workload) {
 	d.Routing = make([]int, len(w))
 	d.Expected = make([]float64, len(w))
-	d.Paths = make([]costmodel.PathKind, len(w))
+	d.Paths = make([]exec.PlanKind, len(w))
 	for qi, q := range w {
 		best, kind := model.Estimate(d.Base, q)
 		route := -1

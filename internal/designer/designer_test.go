@@ -69,7 +69,6 @@ func TestDesignsReturnSameAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	commercial := NewCommercial(c, smallCandCfg())
-	ev.Commercial = commercial
 	dm, err := commercial.Design(budget)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +101,6 @@ func TestCORADDBeatsCommercialAtLargeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	commercial := NewCommercial(c, smallCandCfg())
-	ev.Commercial = commercial
 	dm, err := commercial.Design(budget)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package designer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -13,7 +12,6 @@ import (
 	"coradd/internal/exec"
 	"coradd/internal/par"
 	"coradd/internal/query"
-	"coradd/internal/schema"
 	"coradd/internal/stats"
 	"coradd/internal/storage"
 )
@@ -39,15 +37,13 @@ type RoutedPlan struct {
 }
 
 // Evaluator materializes designs over the real fact relation and measures
-// simulated runtimes. Commercial designs get their dense secondary indexes
-// (cols chosen by the Commercial designer); CORADD-style designs get CMs
-// from the CM Designer.
+// simulated runtimes. It builds what each object records — its heap, PK
+// index, correlation indexes and dense B+Trees — and CORADD-style designs
+// also get CMs from the CM Designer.
 type Evaluator struct {
 	Fact *storage.Relation
 	W    query.Workload
 	Disk storage.DiskParams
-	// Commercial supplies secondary-index choices for commercial designs.
-	Commercial *Commercial
 	// Cache reuses physical objects (projections, sorts, B+Trees, CMs, plan
 	// choices) across the designs of a budget sweep. Always non-nil after
 	// NewEvaluator; evaluators sharing one fact relation may share a cache.
@@ -157,10 +153,9 @@ func relSig(md *costmodel.MVDesign) string {
 }
 
 // objectSig canonically identifies the full physical object md deploys
-// under design d: the relation plus every secondary structure the style
-// attaches (CM key sets are determined by the served queries; commercial
-// index columns by the Commercial designer's choice; the PK index by the
-// fact-recluster flag).
+// under design d: the relation plus every secondary structure it records
+// and the CMs CORADD attaches (their key sets are determined by the served
+// queries).
 func (e *Evaluator) objectSig(d *Design, md *costmodel.MVDesign) string {
 	var b strings.Builder
 	b.WriteString(relSig(md))
@@ -176,16 +171,16 @@ func (e *Evaluator) objectSig(d *Design, md *costmodel.MVDesign) string {
 			fmt.Fprintf(&b, "%d,%d", spec.Target, spec.Width)
 		}
 	}
-	switch d.Style {
-	case StyleCORADD:
+	if len(md.BTreeCols) > 0 {
+		sigInts(&b, "bt:", md.BTreeCols)
+	}
+	if d.Style == StyleCORADD {
 		names := make([]string, 0, 4)
 		for _, qi := range servedQueries(d, md) {
 			names = append(names, e.W[qi].Name)
 		}
 		sigStrings(&b, "cm:", names)
 		e.sigDisk(&b) // the CM Designer ranks by the disk model
-	case StyleCommercial:
-		sigInts(&b, "bt:", e.commercialIndexCols(md))
 	}
 	return b.String()
 }
@@ -195,15 +190,6 @@ func (e *Evaluator) objectSig(d *Design, md *costmodel.MVDesign) string {
 // DiskParams must not share it.
 func (e *Evaluator) sigDisk(b *strings.Builder) {
 	fmt.Fprintf(b, "|disk:%g,%g", e.Disk.SeekCost, e.Disk.PageReadCost)
-}
-
-// commercialIndexCols resolves the base-schema secondary-index columns a
-// commercial deployment builds on md.
-func (e *Evaluator) commercialIndexCols(md *costmodel.MVDesign) []int {
-	if e.Commercial != nil {
-		return e.Commercial.SecondaryIndexCols(md)
-	}
-	return predicatedNonLead(e.W, e.Fact.Schema, md)
 }
 
 // materializeObject builds (or fetches) the physical object for one chosen
@@ -235,18 +221,22 @@ func (e *Evaluator) materializeObject(d *Design, md *costmodel.MVDesign) (*exec.
 			})
 		}
 		obj := exec.NewObject(rel)
+		// tree fetches (or builds) the B+Tree on rel's columns pos.
+		tree := func(pos []int) *btree.Tree {
+			var sig strings.Builder
+			sig.WriteString(rSig)
+			sigInts(&sig, "tree:", pos)
+			*deps = append(*deps, treeKey(sig.String()))
+			return e.Cache.tree(sig.String(), func() *btree.Tree {
+				return btree.BuildFromRelation(rel, pos)
+			})
+		}
 		if md.FactRecluster && len(md.PKCols) > 0 {
 			pkPos := make([]int, len(md.PKCols))
 			for i, c := range md.PKCols {
 				pkPos[i] = indexOf(md.Cols, c)
 			}
-			var sig strings.Builder
-			sig.WriteString(rSig)
-			sigInts(&sig, "tree:", pkPos)
-			*deps = append(*deps, treeKey(sig.String()))
-			obj.PKIndex = e.Cache.tree(sig.String(), func() *btree.Tree {
-				return btree.BuildFromRelation(rel, pkPos)
-			})
+			obj.PKIndex = tree(pkPos)
 		}
 		// Correlation indexes are the budget-charged secondary structure of
 		// corridx candidates; the style's free structures (CMs for CORADD)
@@ -268,8 +258,14 @@ func (e *Evaluator) materializeObject(d *Design, md *costmodel.MVDesign) (*exec.
 			}
 			obj.AddCorrIdx(x)
 		}
-		switch d.Style {
-		case StyleCORADD:
+		for _, c := range md.BTreeCols {
+			pos := indexOf(md.Cols, c)
+			if pos < 0 {
+				return nil, fmt.Errorf("designer: B+Tree column %d not in MV columns", c)
+			}
+			obj.BTrees = append(obj.BTrees, &exec.SecondaryIndex{Cols: []int{pos}, Tree: tree([]int{pos})})
+		}
+		if d.Style == StyleCORADD {
 			// CM Designer: one CM per query the object serves (A-1.2), within
 			// the per-CM space limit, deduplicated by key columns. The
 			// designs are prefetched concurrently (each is an independent
@@ -312,20 +308,6 @@ func (e *Evaluator) materializeObject(d *Design, md *costmodel.MVDesign) (*exec.
 					obj.AddCM(cmDesign)
 				}
 			}
-		case StyleCommercial:
-			for _, c := range e.commercialIndexCols(md) {
-				pos := indexOf(md.Cols, c)
-				if pos >= 0 {
-					var sig strings.Builder
-					sig.WriteString(rSig)
-					sigInts(&sig, "tree:", []int{pos})
-					*deps = append(*deps, treeKey(sig.String()))
-					tree := e.Cache.tree(sig.String(), func() *btree.Tree {
-						return btree.BuildFromRelation(rel, []int{pos})
-					})
-					obj.BTrees = append(obj.BTrees, &exec.SecondaryIndex{Cols: []int{pos}, Tree: tree})
-				}
-			}
 		}
 		return obj, nil
 	})
@@ -355,11 +337,8 @@ func (e *Evaluator) choosePlan(d *Design, obj *exec.Object, q *query.Query) (exe
 // believed cost (contiguity assumption) beats a scan; else scan.
 func (e *Evaluator) obliviousPlanChoice(obj *exec.Object, q *query.Query) exec.PlanSpec {
 	rel := obj.Rel
-	if len(rel.ClusterKey) > 0 {
-		lead := rel.Schema.Columns[rel.ClusterKey[0]].Name
-		if q.Predicate(lead) != nil {
-			return exec.PlanSpec{Kind: exec.ClusteredScan}
-		}
+	if exec.ClusteredPrefix(rel.Schema, rel.ClusterKey, q, nil) > 0 {
+		return exec.PlanSpec{Kind: exec.ClusteredScan}
 	}
 	bestIdx, bestSel := -1, 0.25 // believed break-even vs. a full scan
 	for i, idx := range obj.BTrees {
@@ -501,28 +480,4 @@ func indexOf(s []int, v int) int {
 		}
 	}
 	return -1
-}
-
-// predicatedNonLead returns base-schema positions of predicated attributes
-// carried by md other than its clustered lead.
-func predicatedNonLead(w query.Workload, base *schema.Schema, md *costmodel.MVDesign) []int {
-	lead := -1
-	if len(md.ClusterKey) > 0 {
-		lead = md.ClusterKey[0]
-	}
-	set := map[int]bool{}
-	for _, q := range w {
-		for i := range q.Predicates {
-			c := base.Col(q.Predicates[i].Col)
-			if c >= 0 && c != lead && md.HasCol(c) {
-				set[c] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }

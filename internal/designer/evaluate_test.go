@@ -25,7 +25,7 @@ func manualDesign(t *testing.T, c Common, style Style, md *costmodel.MVDesign) *
 	}
 	d.Routing = make([]int, len(c.W))
 	d.Expected = make([]float64, len(c.W))
-	d.Paths = make([]costmodel.PathKind, len(c.W))
+	d.Paths = make([]exec.PlanKind, len(c.W))
 	for qi := range c.W {
 		if md.Covers(c.St, c.W[qi]) {
 			d.Routing[qi] = 0
@@ -171,7 +171,6 @@ func TestMaterializeCommercialAttachesBTrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(rel, c.W, c.Disk)
-	ev.Commercial = commercial
 	m, err := ev.Materialize(d)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package designer
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,7 +51,6 @@ func goldenDesigns(t *testing.T) (*Evaluator, []*Design) {
 	}
 	designs = append(designs, d)
 	ev := NewEvaluator(rel, c.W, c.Disk)
-	ev.Commercial = commercial
 	return ev, designs
 }
 
@@ -133,5 +134,70 @@ func TestMaterializeGolden(t *testing.T) {
 	if !reflect.DeepEqual(fanned, seq) {
 		t.Errorf("GOMAXPROCS=4 decided differently: hits/misses %d/%d vs %d/%d sequential, tables equal: %t",
 			fanned.Hits, fanned.Misses, seq.Hits, seq.Misses, fanned.Table == seq.Table)
+	}
+}
+
+// TestPathAgreement counts, on the golden CORADD designs, the queries whose
+// modeled access path is the plan the deployed design runs. Model and
+// executor share one plan vocabulary, so the two compare directly; every
+// mismatch is logged. The floor only rises as the model learns to price
+// the executor's plan.
+func TestPathAgreement(t *testing.T) {
+	ev, designs := goldenDesigns(t)
+	agree, total := 0, 0
+	for di, d := range designs {
+		if d.Style != StyleCORADD {
+			continue
+		}
+		m, err := ev.Materialize(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range ev.W {
+			total++
+			if got := m.Plan[qi].Spec.Kind; got == d.Paths[qi] {
+				agree++
+			} else {
+				t.Logf("design %d %s: modeled %s, runs %s", di, q.Name, d.Paths[qi], got)
+			}
+		}
+	}
+	t.Logf("path agreement %d of %d", agree, total)
+	if total != 39 || agree < 34 {
+		t.Errorf("modeled path is the executed plan on %d of %d queries, want ≥ 34 of 39", agree, total)
+	}
+}
+
+// TestCommercialBTreesFromRecord deploys the golden commercial design on a
+// bare evaluator, as produced and after a JSON round trip (the checkpoint
+// form): the B+Trees built are the ones each object records, and the
+// measured bytes are what the design was charged.
+func TestCommercialBTreesFromRecord(t *testing.T) {
+	ev, designs := goldenDesigns(t)
+	d := designs[3]
+	body, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Design
+	if err := json.Unmarshal(body, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	decoded.Routing = d.Routing // routing is workload-relative, not recorded
+	for name, d := range map[string]*Design{"as designed": d, "decoded": &decoded} {
+		m, err := NewEvaluator(ev.Fact, ev.W, ev.Disk).Materialize(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var btrees []int
+		for i, obj := range m.Objects {
+			btrees = append(btrees, len(obj.BTrees))
+			if len(obj.BTrees) != len(d.Chosen[i].BTreeCols) {
+				t.Errorf("%s: object %d built %d B+Trees, records %v", name, i, len(obj.BTrees), d.Chosen[i].BTreeCols)
+			}
+		}
+		if !slices.Equal(btrees, []int{3, 3}) || m.Bytes != d.Size {
+			t.Errorf("%s: built %v B+Trees in %d bytes, want [3 3] in the %d charged", name, btrees, m.Bytes, d.Size)
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"coradd/internal/cm"
 	"coradd/internal/corridx"
 	"coradd/internal/query"
+	"coradd/internal/schema"
 	"coradd/internal/storage"
 	"coradd/internal/value"
 )
@@ -239,11 +240,8 @@ func (o *Object) plan(q *query.Query, spec PlanSpec) (plan, error) {
 // callers iterating in order see the trivial plan first.
 func Plans(o *Object, q *query.Query) []PlanSpec {
 	specs := []PlanSpec{{Kind: SeqScan}}
-	if len(o.Rel.ClusterKey) > 0 {
-		lead := o.Rel.Schema.Columns[o.Rel.ClusterKey[0]].Name
-		if q.Predicate(lead) != nil {
-			specs = append(specs, PlanSpec{Kind: ClusteredScan})
-		}
+	if ClusteredPrefix(o.Rel.Schema, o.Rel.ClusterKey, q, nil) > 0 {
+		specs = append(specs, PlanSpec{Kind: ClusteredScan})
 	}
 	for i, idx := range o.BTrees {
 		lead := o.Rel.Schema.Columns[idx.Cols[0]].Name
@@ -391,22 +389,40 @@ func b2i(b bool) int {
 	return 0
 }
 
-// clusteredRuns computes the contiguous row runs a clustered scan must
-// read, refining runs attribute by attribute down the clustered key while
-// predicates allow: equality narrows and descends, IN splits and descends,
-// range narrows and stops (deeper attributes are unordered across distinct
-// range values), a missing predicate stops refinement.
-func clusteredRuns(o *Object, q *query.Query) []rowRun {
-	runs := []rowRun{{0, o.Rel.NumRows()}}
-	key := o.Rel.ClusterKey
-	for depth := 0; depth < len(key); depth++ {
-		p := q.Predicate(o.Rel.Schema.Columns[key[depth]].Name)
+// ClusteredPrefix is the one rule for reaching a heap through its
+// clustered key, shared by the clustered plan and both cost models' price
+// of it: descend key, column positions in sch, while q predicates the next
+// column, and stop after the first range (deeper columns are unordered
+// across a range's values). Equality narrows each run, IN splits it once
+// per value. It calls visit, when non-nil, with each key column the walk
+// uses and its predicate, in key order, and returns how many it used: zero
+// means the clustered plan is not feasible.
+func ClusteredPrefix(sch *schema.Schema, key []int, q *query.Query, visit func(c int, p *query.Predicate)) int {
+	n := 0
+	for _, c := range key {
+		p := q.Predicate(sch.Columns[c].Name)
 		if p == nil {
 			break
 		}
+		n++
+		if visit != nil {
+			visit(c, p)
+		}
+		if p.Op == query.Range {
+			break
+		}
+	}
+	return n
+}
+
+// clusteredRuns computes the contiguous row runs a clustered scan must
+// read, refining them attribute by attribute along ClusteredPrefix.
+func clusteredRuns(o *Object, q *query.Query) []rowRun {
+	runs := []rowRun{{0, o.Rel.NumRows()}}
+	ClusteredPrefix(o.Rel.Schema, o.Rel.ClusterKey, q, func(c int, p *query.Predicate) {
 		var next []rowRun
 		add := func(run rowRun, loV, hiV value.V) {
-			if lo, hi := o.Rel.SortedRange(key[depth], run.lo, run.hi, loV, hiV); hi > lo {
+			if lo, hi := o.Rel.SortedRange(c, run.lo, run.hi, loV, hiV); hi > lo {
 				next = append(next, rowRun{lo, hi})
 			}
 		}
@@ -423,10 +439,7 @@ func clusteredRuns(o *Object, q *query.Query) []rowRun {
 			}
 		}
 		runs = next
-		if p.Op == query.Range {
-			break
-		}
-	}
+	})
 	return runs
 }
 

@@ -66,7 +66,6 @@ func runComparison(env *scenario.Env, withNaive bool) ([]ComparisonPoint, *Table
 		naive = designer.NewNaive(env.Common, env.Scale.Cand)
 	}
 	ev := env.Evaluator()
-	ev.Commercial = commercial
 
 	header := []string{"budget_MB", "CORADD_sec", "CORADD_model", "Commercial_sec", "Commercial_model"}
 	if withNaive {

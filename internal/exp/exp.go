@@ -57,5 +57,4 @@ func newCoradd(env *scenario.Env, fbIters int) *designer.CORADD {
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func gb(b int64) string   { return fmt.Sprintf("%.2f", float64(b)/(1<<30)) }
 func mb(b int64) string   { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }

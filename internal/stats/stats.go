@@ -80,18 +80,22 @@ func New(rel *storage.Relation, sampleSize int, seed int64) *Stats {
 			}
 		}
 	})
-	// Gather the picked rows out of the columns, keeping both layouts.
-	st.sampleCols = make([][]value.V, len(rel.Cols))
+	// Gather the picked rows out of the columns, keeping both layouts; the
+	// rows are slices of one backing array.
+	nc := len(rel.Cols)
+	st.sampleCols = make([][]value.V, nc)
+	flat := make([]value.V, len(picks)*nc)
 	for c, col := range rel.Cols {
 		sc := make([]value.V, (len(picks)+63)/64*64)
 		for k, i := range picks {
 			sc[k] = col[i]
+			flat[k*nc+c] = col[i]
 		}
 		st.sampleCols[c] = sc
 	}
 	st.Sample = make([]value.Row, len(picks))
-	for k, i := range picks {
-		st.Sample[k] = rel.Row(i)
+	for k := range picks {
+		st.Sample[k] = flat[k*nc : (k+1)*nc : (k+1)*nc]
 	}
 	return st
 }

@@ -189,6 +189,13 @@ func TestReservoirSampleSizeAndDeterminism(t *testing.T) {
 	if len(st3.Sample) != 10000 {
 		t.Errorf("oversized sample = %d, want all rows", len(st3.Sample))
 	}
+	// Every row, in order, each its own tuple: rows share one backing
+	// array, so an append to one must not write into the next.
+	for i, row := range st3.Sample {
+		if !slices.Equal(row, rel.Row(i)) || cap(row) != len(row) {
+			t.Fatalf("sample row %d = %v (cap %d), want %v", i, row, cap(row), rel.Row(i))
+		}
+	}
 }
 
 // TestHistogramFullInt64Range: ranges reaching MinInt64/MaxInt64 and
